@@ -575,9 +575,19 @@ enum SweepUnit {
 /// resolved kernel's preferred width once it knows it, see
 /// [`Engine::run_block`] — `1` disables grouping entirely). Everything
 /// else — other methods, singleton buckets, odd tail chunks of one — stays
-/// a `Single` unit and runs exactly as before. Units come out in first-job
-/// order, so claim order matches the ungrouped sweep.
+/// a `Single` unit and runs exactly as before.
+///
+/// Units come out in claim order. RSD, RR and RRL singles come first, by
+/// descending generator nnz: these are the long-horizon methods, and a
+/// job's cost grows with its matrix, so the longest jobs start together
+/// instead of one after the other at the tail of the sweep (on the paper
+/// grid, the G = 40 RSD and RRL jobs). Every other unit — SR blocks, SR,
+/// Adaptive and ODE singles — keeps first-job order behind them. The sort
+/// is stable and keyed on properties of the input only, so the order is
+/// deterministic; `--stable` output does not depend on it, because results
+/// are collected by (request, horizon) slot.
 fn plan_units(jobs: &[Job], reqs: &[SolveRequest], rhs_block: RhsBlockChoice) -> Vec<SweepUnit> {
+    use std::cmp::Reverse;
     use std::collections::HashMap;
     let mut buckets: HashMap<(u64, u64), Vec<usize>> = HashMap::new();
     for (i, job) in jobs.iter().enumerate() {
@@ -605,13 +615,23 @@ fn plan_units(jobs: &[Job], reqs: &[SolveRequest], rhs_block: RhsBlockChoice) ->
             blocks.insert(chunk[0], chunk.to_vec());
         }
     }
-    (0..jobs.len())
+    let mut units: Vec<SweepUnit> = (0..jobs.len())
         .filter(|i| !follower[*i])
         .map(|i| match blocks.remove(&i) {
             Some(members) => SweepUnit::Block(members),
             None => SweepUnit::Single(i),
         })
-        .collect()
+        .collect();
+    // `sort_by_key` is stable: units with equal keys keep first-job order.
+    units.sort_by_key(|unit| match *unit {
+        SweepUnit::Single(i)
+            if matches!(jobs[i].method, Method::Rsd | Method::Rr | Method::Rrl) =>
+        {
+            (0, Reverse(reqs[jobs[i].req_idx].model.generator().nnz()))
+        }
+        _ => (1, Reverse(0)),
+    });
+    units
 }
 
 impl Engine {
@@ -1189,7 +1209,8 @@ impl Engine {
 
         // Blocked execution planning: SR jobs over the same generator and
         // tolerance become one multi-RHS unit a single worker solves in one
-        // streaming pass (`run_block`).
+        // streaming pass (`run_block`); long-horizon singles are claimed
+        // first (see `plan_units`).
         let units = plan_units(&jobs, reqs, self.opts.parallel.rhs_block);
         let results: Vec<JobCell> = jobs.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
@@ -1646,6 +1667,73 @@ mod tests {
             assert_eq!(b.error_bound.to_bits(), s.error_bound.to_bits());
             assert_eq!((b.kernel, b.backend), (s.kernel, s.backend));
         }
+    }
+
+    /// Claim order: RSD/RR/RRL singles first by descending generator nnz,
+    /// ties and every other unit in first-job order, SR blocks intact.
+    #[test]
+    fn plan_units_claims_long_horizon_singles_first_by_nnz() {
+        let small = large_birth_chain(10);
+        let mid = large_birth_chain(20);
+        let big = large_birth_chain(30);
+        let small_rewarded = Arc::new(small.with_rewards(vec![1.0; 10]).unwrap());
+        let fixed = |name: &str, model: &Arc<Ctmc>, method| {
+            SolveRequest::new(name, model.clone(), vec![10.0, 100.0])
+                .epsilon(1e-10)
+                .method(MethodChoice::Fixed(method))
+        };
+        let reqs = [
+            fixed("sr_a", &small, Method::Sr),
+            fixed("adaptive", &mid, Method::Adaptive),
+            fixed("rsd_small", &small, Method::Rsd),
+            fixed("rr_big", &big, Method::Rr),
+            fixed("rrl_mid", &mid, Method::Rrl),
+            fixed("sr_b", &small_rewarded, Method::Sr),
+            fixed("rsd_small_again", &small_rewarded, Method::Rsd),
+            fixed("ode", &small, Method::Ode),
+        ];
+        let engine = Engine::new();
+        let jobs: Vec<Job> = reqs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, req)| engine.plan(i, req).unwrap())
+            .collect();
+        // Fixed methods: one job per request, so job index = request index.
+        assert_eq!(jobs.len(), reqs.len());
+        let order = |rhs_block| -> Vec<Vec<usize>> {
+            plan_units(&jobs, &reqs, rhs_block)
+                .into_iter()
+                .map(|unit| match unit {
+                    SweepUnit::Single(i) => vec![i],
+                    SweepUnit::Block(members) => members,
+                })
+                .collect()
+        };
+        assert_eq!(
+            order(RhsBlockChoice::Auto),
+            [
+                vec![3],
+                vec![4],
+                vec![2],
+                vec![6],
+                vec![0, 5],
+                vec![1],
+                vec![7]
+            ]
+        );
+        assert_eq!(
+            order(RhsBlockChoice::Fixed(1)),
+            [
+                vec![3],
+                vec![4],
+                vec![2],
+                vec![6],
+                vec![0],
+                vec![1],
+                vec![5],
+                vec![7]
+            ]
+        );
     }
 
     /// Regression (PR 2): a panicking solver job used to unwind through the

@@ -6,8 +6,21 @@
 //! arrays, objects) and a compact writer. Good enough for sweep specs and
 //! reports; not a general-purpose validator (e.g. duplicate keys are kept
 //! last-wins by the accessors).
+//!
+//! Nesting is capped at [`MAX_DEPTH`] arrays and objects. The parser
+//! recurses once per level, and a stack overflow aborts the process — no
+//! `catch_unwind` can contain it — so without the cap a 100 KB body of `[`
+//! would take down `regenr serve`. RFC 8259 §9 lets a parser set this
+//! limit; sweep specs nest a handful of levels.
 
 use std::fmt;
+
+/// Deepest nesting of arrays and objects [`Json::parse`] accepts.
+pub const MAX_DEPTH: usize = 128;
+
+/// The [`JsonError`] message for a document nested deeper than
+/// [`MAX_DEPTH`] (the number is pinned to the constant by a test).
+const TOO_DEEP: &str = "nesting exceeds the depth limit of 128";
 
 /// A JSON value.
 #[derive(Clone, Debug, PartialEq)]
@@ -79,7 +92,7 @@ impl Json {
     pub fn parse(text: &str) -> Result<Json, JsonError> {
         let bytes = text.as_bytes();
         let mut pos = 0;
-        let value = parse_value(bytes, &mut pos)?;
+        let value = parse_value(bytes, &mut pos, 0)?;
         skip_ws(bytes, &mut pos);
         if pos != bytes.len() {
             return Err(JsonError {
@@ -98,6 +111,14 @@ pub struct JsonError {
     pub pos: usize,
     /// What went wrong.
     pub message: &'static str,
+}
+
+impl JsonError {
+    /// Whether the document was rejected for nesting deeper than
+    /// [`MAX_DEPTH`], rather than for malformed syntax.
+    pub(crate) fn is_too_deep(&self) -> bool {
+        self.message == TOO_DEEP
+    }
 }
 
 impl fmt::Display for JsonError {
@@ -123,11 +144,16 @@ fn expect(bytes: &[u8], pos: &mut usize, b: u8, message: &'static str) -> Result
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+/// Parses one value inside `depth` enclosing arrays and objects.
+fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
+        Some(b'{' | b'[') if depth == MAX_DEPTH => Err(JsonError {
+            pos: *pos,
+            message: TOO_DEEP,
+        }),
+        Some(b'{') => parse_obj(bytes, pos, depth + 1),
+        Some(b'[') => parse_arr(bytes, pos, depth + 1),
         Some(b'"') => parse_str(bytes, pos).map(Json::Str),
         Some(b't') => parse_lit(bytes, pos, b"true", Json::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, b"false", Json::Bool(false)),
@@ -248,7 +274,7 @@ fn parse_str(bytes: &[u8], pos: &mut usize) -> Result<String, JsonError> {
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_arr(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'[', "expected '['")?;
     let mut items = Vec::new();
     skip_ws(bytes, pos);
@@ -257,7 +283,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         return Ok(Json::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(bytes, pos, depth)?);
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -275,7 +301,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
+fn parse_obj(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, JsonError> {
     expect(bytes, pos, b'{', "expected '{'")?;
     let mut members = Vec::new();
     skip_ws(bytes, pos);
@@ -288,7 +314,7 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Json, JsonError> {
         let key = parse_str(bytes, pos)?;
         skip_ws(bytes, pos);
         expect(bytes, pos, b':', "expected ':'")?;
-        let value = parse_value(bytes, pos)?;
+        let value = parse_value(bytes, pos, depth)?;
         members.push((key, value));
         skip_ws(bytes, pos);
         match bytes.get(*pos) {
@@ -447,6 +473,27 @@ mod tests {
         let text = doc.to_string();
         assert_eq!(text, r#"{"nan":null,"inf":null}"#);
         assert!(Json::parse(&text).is_ok(), "output must stay parseable");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        assert!(TOO_DEEP.ends_with(&format!(" {MAX_DEPTH}")));
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", r#"{"a":"#.repeat(n), "}".repeat(n));
+        for nest in [arrays, objects] {
+            assert!(Json::parse(&nest(MAX_DEPTH)).is_ok());
+            let err = Json::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+            assert!(err.is_too_deep(), "{err}");
+            assert!(err.to_string().contains("depth limit of 128"), "{err}");
+        }
+        // Far past the limit, unterminated: an error at the first opener
+        // past the cap, not a stack overflow.
+        for opener in ["[", r#"{"a":"#] {
+            let err = Json::parse(&opener.repeat(100_000)).unwrap_err();
+            assert!(err.is_too_deep(), "{err}");
+            assert_eq!(err.pos, MAX_DEPTH * opener.len());
+        }
+        assert!(!Json::parse("[1,]").unwrap_err().is_too_deep());
     }
 
     #[test]

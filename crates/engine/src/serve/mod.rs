@@ -421,7 +421,16 @@ const FIXED_ENGINE_KEYS: &[&str] = &[
 fn parse_posted_spec(body: &[u8]) -> Result<(SweepSpec, u64), (u16, String)> {
     let text = std::str::from_utf8(body)
         .map_err(|_| (400, error_body("bad_encoding", "body is not UTF-8".into())))?;
-    let doc = Json::parse(text).map_err(|e| (400, error_body("bad_json", e.to_string())))?;
+    let doc = Json::parse(text).map_err(|e| {
+        // A document over the nesting cap may still be valid JSON: it is a
+        // spec beyond a limit, not a syntax error.
+        let code = if e.is_too_deep() {
+            "bad_spec"
+        } else {
+            "bad_json"
+        };
+        (400, error_body(code, e.to_string()))
+    })?;
     for key in FIXED_ENGINE_KEYS {
         if doc.get(key).is_some() {
             return Err((

@@ -95,21 +95,22 @@ pub trait Solver {
     /// Computes the measure at horizon `t`.
     fn solve(&self, measure: MeasureKind, t: f64) -> Result<EngineSolution, EngineError>;
 
-    /// Computes the measure at many horizons. Methods with shareable work
-    /// (SR's propagation sweep, RRL's parameter construction) override this;
-    /// the default loops.
+    /// Computes the measure at many horizons: [`Solver::solve_many_ws`]
+    /// with a fresh [`Workspace`]. Methods with shareable work override
+    /// that: SR, RSD and Adaptive serve the whole grid from one DTMC
+    /// propagation, RR and RRL from one parameter construction.
     fn solve_many(
         &self,
         measure: MeasureKind,
         ts: &[f64],
     ) -> Result<Vec<EngineSolution>, EngineError> {
-        ts.iter().map(|&t| self.solve(measure, t)).collect()
+        self.solve_many_ws(measure, ts, &mut Workspace::new())
     }
 
     /// Like [`Solver::solve_many`] with caller-owned scratch: solvers
     /// threading the [`Workspace`] through their inner loops perform zero
     /// steady-state vector allocations across the horizon grid. The default
-    /// ignores the workspace and delegates.
+    /// ignores the workspace and loops over [`Solver::solve`].
     fn solve_many_ws(
         &self,
         measure: MeasureKind,
@@ -117,7 +118,7 @@ pub trait Solver {
         ws: &mut Workspace,
     ) -> Result<Vec<EngineSolution>, EngineError> {
         let _ = ws;
-        self.solve_many(measure, ts)
+        ts.iter().map(|&t| self.solve(measure, t)).collect()
     }
 }
 
@@ -128,17 +129,6 @@ impl Solver for SrSolver<'_> {
 
     fn solve(&self, measure: MeasureKind, t: f64) -> Result<EngineSolution, EngineError> {
         Ok(SrSolver::solve(self, measure, t).into())
-    }
-
-    fn solve_many(
-        &self,
-        measure: MeasureKind,
-        ts: &[f64],
-    ) -> Result<Vec<EngineSolution>, EngineError> {
-        Ok(SrSolver::solve_many(self, measure, ts)
-            .into_iter()
-            .map(Into::into)
-            .collect())
     }
 
     fn solve_many_ws(
@@ -172,9 +162,10 @@ impl Solver for RsdSolver<'_> {
         ts: &[f64],
         ws: &mut Workspace,
     ) -> Result<Vec<EngineSolution>, EngineError> {
-        Ok(ts
-            .iter()
-            .map(|&t| self.solve_report_with(measure, t, ws).solution.into())
+        Ok(self
+            .solve_many_with(measure, ts, ws)
+            .into_iter()
+            .map(|r| r.solution.into())
             .collect())
     }
 }
@@ -194,9 +185,10 @@ impl Solver for AdaptiveSolver<'_> {
         ts: &[f64],
         ws: &mut Workspace,
     ) -> Result<Vec<EngineSolution>, EngineError> {
-        Ok(ts
-            .iter()
-            .map(|&t| self.solve_report_with(measure, t, ws).solution.into())
+        Ok(self
+            .solve_many_with(measure, ts, ws)
+            .into_iter()
+            .map(|r| r.solution.into())
             .collect())
     }
 }
@@ -232,17 +224,6 @@ impl Solver for RrSolver<'_> {
         Ok(RrSolver::solve(self, measure, t)?.into())
     }
 
-    fn solve_many(
-        &self,
-        measure: MeasureKind,
-        ts: &[f64],
-    ) -> Result<Vec<EngineSolution>, EngineError> {
-        Ok(RrSolver::solve_many(self, measure, ts)?
-            .into_iter()
-            .map(Into::into)
-            .collect())
-    }
-
     fn solve_many_ws(
         &self,
         measure: MeasureKind,
@@ -263,17 +244,6 @@ impl Solver for RrlSolver<'_> {
 
     fn solve(&self, measure: MeasureKind, t: f64) -> Result<EngineSolution, EngineError> {
         Ok(RrlSolver::solve(self, measure, t)?.into())
-    }
-
-    fn solve_many(
-        &self,
-        measure: MeasureKind,
-        ts: &[f64],
-    ) -> Result<Vec<EngineSolution>, EngineError> {
-        Ok(RrlSolver::solve_many(self, measure, ts)?
-            .into_iter()
-            .map(Into::into)
-            .collect())
     }
 
     fn solve_many_ws(
@@ -375,14 +345,6 @@ impl Solver for UnifiedSolver<'_> {
 
     fn solve(&self, measure: MeasureKind, t: f64) -> Result<EngineSolution, EngineError> {
         self.inner().solve(measure, t)
-    }
-
-    fn solve_many(
-        &self,
-        measure: MeasureKind,
-        ts: &[f64],
-    ) -> Result<Vec<EngineSolution>, EngineError> {
-        self.inner().solve_many(measure, ts)
     }
 
     fn solve_many_ws(

@@ -1325,6 +1325,19 @@ mod tests {
     }
 
     #[test]
+    fn deep_nesting_is_a_spec_error() {
+        for body in [
+            format!(r#"{{"horizons": [1], "models": {}"#, "[".repeat(100_000)),
+            r#"{"a":"#.repeat(100_000),
+        ] {
+            let Err(err) = SweepSpec::parse(&body) else {
+                panic!("deep nesting must be rejected");
+            };
+            assert!(err.contains("depth limit of 128"), "{err}");
+        }
+    }
+
+    #[test]
     fn per_model_overrides_win() {
         let spec = SweepSpec::parse(
             r#"{

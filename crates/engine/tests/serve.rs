@@ -218,6 +218,24 @@ fn validation_errors_are_structured_400s() {
     shutdown(&server, addr, handle);
 }
 
+/// A body nested far past the parser's depth cap is a structured 400, not
+/// a stack overflow that aborts the server.
+#[test]
+fn deeply_nested_body_is_a_400_and_the_server_survives() {
+    let (server, addr, handle) = start_server(default_cfg());
+    for target in ["/sweep/report", "/sweep"] {
+        let (status, body) = post(addr, target, &"[".repeat(100_000));
+        assert_eq!(status, 400, "{target}");
+        assert!(body.contains("bad_spec"), "{body}");
+        assert!(body.contains("depth limit of 128"), "{body}");
+    }
+    let (status, body) = http_request(addr, "GET", "/healthz", "").unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(body, br#"{"status":"ok"}"#);
+    assert_eq!(server.stats().bad_requests, 2);
+    shutdown(&server, addr, handle);
+}
+
 /// Liveness, stats, routing errors, and graceful shutdown.
 #[test]
 fn lifecycle_healthz_stats_routing_and_drain() {

@@ -12,6 +12,11 @@
 //! Poisson window ends before the frontier saturates) this captures the same
 //! effect the paper attributes to adaptive uniformization: cheaper small-`t`
 //! transients.
+//!
+//! Neither the frontier nor `π_n` depends on `t`, so
+//! [`AdaptiveSolver::solve_many_with`] serves a whole horizon grid from one
+//! propagation, up to the largest Fox–Glynn right point; each cell's
+//! `steps` is still its own right point `R_t`.
 
 use crate::{MeasureKind, Solution};
 use regenr_ctmc::{Ctmc, Uniformized};
@@ -81,18 +86,45 @@ impl<'a> AdaptiveSolver<'a> {
     }
 
     /// Like [`AdaptiveSolver::solve_report`] with caller-owned scratch for
-    /// the distribution vectors (the frontier bookkeeping is per-solve).
+    /// the distribution vectors (the frontier bookkeeping is per-solve). A
+    /// one-horizon call into [`AdaptiveSolver::solve_many_with`].
     pub fn solve_report_with(
         &self,
         measure: MeasureKind,
         t: f64,
         ws: &mut Workspace,
     ) -> AdaptiveReport {
-        assert!(t >= 0.0);
+        self.solve_many_with(measure, &[t], ws)[0]
+    }
+
+    /// Computes the measure at *many* horizons from one propagation.
+    ///
+    /// Neither the active set nor `π_n` depends on `t`: this method steps
+    /// once, up to the largest right truncation point, and accumulates every
+    /// horizon's Poisson-weighted sum on the way. Each report — value,
+    /// `steps` (its own `R_t`), `final_active` and `touched_nnz` — is
+    /// bitwise what a one-horizon call produces, because each accumulator
+    /// sees the same terms in the same order and a horizon's counters are
+    /// read when the propagation reaches its `R_t`.
+    pub fn solve_many_with(
+        &self,
+        measure: MeasureKind,
+        ts: &[f64],
+        ws: &mut Workspace,
+    ) -> Vec<AdaptiveReport> {
         let r_max = self.ctmc.max_reward();
         let n = self.ctmc.n_states();
-        if t == 0.0 || r_max == 0.0 {
-            return AdaptiveReport {
+        let delta = (self.opts.epsilon / r_max).min(0.5);
+        // `t = 0` and an all-zero reward vector need no propagation.
+        let weights: Vec<Option<PoissonWeights>> = ts
+            .iter()
+            .map(|&t| {
+                assert!(t >= 0.0);
+                (t > 0.0 && r_max != 0.0).then(|| PoissonWeights::new(self.unif.lambda * t, delta))
+            })
+            .collect();
+        let mut reports = vec![
+            AdaptiveReport {
                 solution: Solution {
                     value: self.ctmc.reward_dot(self.ctmc.initial()),
                     steps: 0,
@@ -101,10 +133,11 @@ impl<'a> AdaptiveSolver<'a> {
                 final_active: 0,
                 touched_nnz: 0,
             };
-        }
-        let lambda_t = self.unif.lambda * t;
-        let delta = (self.opts.epsilon / r_max).min(0.5);
-        let w = PoissonWeights::new(lambda_t, delta);
+            ts.len()
+        ];
+        let Some(max_right) = weights.iter().flatten().map(|w| w.right).max() else {
+            return reports;
+        };
 
         // Frontier bookkeeping: `active` lists states that can carry mass at
         // the current step; each step extends it with successors of newly
@@ -123,36 +156,60 @@ impl<'a> AdaptiveSolver<'a> {
 
         let mut pi = ws.take_copied(self.ctmc.initial());
         let mut next = ws.take_zeroed(n);
-        let mut acc = KahanSum::new();
+        let mut accs = vec![KahanSum::new(); ts.len()];
         let mut touched = 0usize;
-        for step in 0..=w.right {
+        // `active[..expanded]` already had its successors activated.
+        let mut expanded = 0;
+        for step in 0..=max_right {
             let rr: f64 = active
                 .iter()
                 .map(|&i| pi[i as usize] * self.ctmc.rewards()[i as usize])
                 .sum();
-            match measure {
-                MeasureKind::Trr => {
-                    let wn = w.pmf(step);
-                    if wn > 0.0 {
-                        acc.add(wn * rr);
-                    }
+            for (h, w) in weights.iter().enumerate() {
+                let Some(w) = w else { continue };
+                if step > w.right {
+                    continue;
                 }
-                MeasureKind::Mrr => acc.add(w.survival(step + 1) * rr),
+                match measure {
+                    MeasureKind::Trr => {
+                        let wn = w.pmf(step);
+                        if wn > 0.0 {
+                            accs[h].add(wn * rr);
+                        }
+                    }
+                    MeasureKind::Mrr => accs[h].add(w.survival(step + 1) * rr),
+                }
+                if step == w.right {
+                    reports[h] = AdaptiveReport {
+                        solution: Solution {
+                            value: match measure {
+                                MeasureKind::Trr => accs[h].value(),
+                                MeasureKind::Mrr => accs[h].value() / (self.unif.lambda * ts[h]),
+                            },
+                            steps: w.right as usize,
+                            error_bound: self.opts.epsilon,
+                        },
+                        final_active: active.len(),
+                        touched_nnz: touched,
+                    };
+                }
             }
-            if step == w.right {
+            if step == max_right {
                 break;
             }
-            // Expand the frontier: successors of active states become active.
-            let mut newly: Vec<u32> = Vec::new();
-            for &i in &active {
-                for (j, _) in p.row(i as usize) {
+            // Expand the frontier: successors of the states activated since
+            // the last expansion become active (pushed behind them, so they
+            // are expanded at the next step).
+            let frontier = active.len();
+            for k in expanded..frontier {
+                for (j, _) in p.row(active[k] as usize) {
                     if !is_active[j] {
                         is_active[j] = true;
-                        newly.push(j as u32);
+                        active.push(j as u32);
                     }
                 }
             }
-            active.extend(newly);
+            expanded = frontier;
             // Gather-product restricted to active rows of Pᵀ.
             for &i in &active {
                 let i = i as usize;
@@ -170,19 +227,7 @@ impl<'a> AdaptiveSolver<'a> {
         }
         ws.give(pi);
         ws.give(next);
-        let value = match measure {
-            MeasureKind::Trr => acc.value(),
-            MeasureKind::Mrr => acc.value() / lambda_t,
-        };
-        AdaptiveReport {
-            solution: Solution {
-                value,
-                steps: w.right as usize,
-                error_bound: self.opts.epsilon,
-            },
-            final_active: active.len(),
-            touched_nnz: touched,
-        }
+        reports
     }
 }
 

@@ -24,6 +24,16 @@
 //! Periodic chains never trigger detection under `θ = 0` uniformization; pass
 //! `theta > 0` to force self-loops (aperiodicity) — the solver then behaves
 //! like SR until detection fires.
+//!
+//! ## Many horizons, one propagation
+//!
+//! Neither the iterates nor the detection step `n*` depend on `t`, so
+//! [`RsdSolver::solve_many_with`] serves a whole horizon grid from one run
+//! of `π_n`: each horizon keeps its own Poisson window and accumulator, and
+//! each cell's `steps` is its own `min(R_t, n*)` — the Fox–Glynn right point
+//! when the window ends first, the detection step otherwise. A grid whose
+//! horizons all reach detection therefore costs `n*` products in total,
+//! not `n*` per horizon.
 
 use crate::{MeasureKind, Solution};
 use regenr_ctmc::{Ctmc, Uniformized};
@@ -114,12 +124,43 @@ impl<'a> RsdSolver<'a> {
 
     /// Like [`RsdSolver::solve_report`] with caller-owned scratch: repeated
     /// solves through one [`Workspace`] perform no steady-state vector
-    /// allocations.
+    /// allocations. A one-horizon call into [`RsdSolver::solve_many_with`].
     pub fn solve_report_with(&self, measure: MeasureKind, t: f64, ws: &mut Workspace) -> RsdReport {
-        assert!(t >= 0.0, "time must be non-negative");
+        self.solve_many_with(measure, &[t], ws)[0]
+    }
+
+    /// Computes the measure at *many* horizons from one propagation.
+    ///
+    /// Stepping, the `‖π_n − π_{n−1}‖₁` deltas and the ratio-window
+    /// detection do not depend on `t`; only the Poisson window does. This
+    /// method steps `π_n` once, up to the detection step `n*` or the
+    /// largest right truncation point, whichever comes first, and keeps one
+    /// window and one compensated accumulator per horizon. A horizon whose
+    /// right point `R_t` comes before `n*` closes there, exactly as a
+    /// one-horizon solve would stop at its own `R_t`; the others add the
+    /// detected vector's tail. Every report — value, `steps` (=
+    /// `min(R_t, n*)`), `detected_at` and `final_delta` — is bitwise what a
+    /// one-horizon call produces: each accumulator sees the same terms in
+    /// the same order.
+    pub fn solve_many_with(
+        &self,
+        measure: MeasureKind,
+        ts: &[f64],
+        ws: &mut Workspace,
+    ) -> Vec<RsdReport> {
         let r_max = self.ctmc.max_reward();
-        if t == 0.0 || r_max == 0.0 {
-            return RsdReport {
+        let delta_mass = (self.opts.epsilon / (2.0 * r_max)).min(0.5);
+        // `t = 0` and an all-zero reward vector need no propagation.
+        let weights: Vec<Option<PoissonWeights>> = ts
+            .iter()
+            .map(|&t| {
+                assert!(t >= 0.0, "time must be non-negative");
+                (t > 0.0 && r_max != 0.0)
+                    .then(|| PoissonWeights::new(self.unif.lambda * t, delta_mass))
+            })
+            .collect();
+        let mut reports = vec![
+            RsdReport {
                 solution: Solution {
                     value: self.ctmc.reward_dot(self.ctmc.initial()),
                     steps: 0,
@@ -128,34 +169,59 @@ impl<'a> RsdSolver<'a> {
                 detected_at: None,
                 final_delta: f64::NAN,
             };
-        }
-        let lambda_t = self.unif.lambda * t;
-        let delta_mass = (self.opts.epsilon / (2.0 * r_max)).min(0.5);
-        let w = PoissonWeights::new(lambda_t, delta_mass);
+            ts.len()
+        ];
+        let Some(max_right) = weights.iter().flatten().map(|w| w.right).max() else {
+            return reports;
+        };
         let detect_budget = self.opts.epsilon / 2.0;
+        // Σ Po-weighted terms, finished into the measure's value.
+        let finish = |acc: f64, t: f64| match measure {
+            MeasureKind::Trr => acc,
+            MeasureKind::Mrr => acc / (self.unif.lambda * t),
+        };
 
         let stepper = self.unif.stepper(&self.opts.parallel);
         let mut pi = ws.take_copied(self.ctmc.initial());
         let mut next = ws.take_zeroed(pi.len());
-        let mut acc = KahanSum::new();
+        let mut accs = vec![KahanSum::new(); ts.len()];
         let mut ratios: Vec<f64> = Vec::with_capacity(self.opts.ratio_window);
         let mut prev_delta = f64::INFINITY;
         let mut detected_at = None;
         let mut final_delta = f64::NAN;
         let mut steps = 0usize;
 
-        for n in 0..=w.right {
+        for n in 0..=max_right {
             let rr = self.ctmc.reward_dot(&pi);
-            match measure {
-                MeasureKind::Trr => {
-                    let wn = w.pmf(n);
-                    if wn > 0.0 {
-                        acc.add(wn * rr);
-                    }
+            for (i, w) in weights.iter().enumerate() {
+                let Some(w) = w else { continue };
+                if n > w.right {
+                    continue;
                 }
-                MeasureKind::Mrr => acc.add(w.survival(n + 1) * rr),
+                match measure {
+                    MeasureKind::Trr => {
+                        let wn = w.pmf(n);
+                        if wn > 0.0 {
+                            accs[i].add(wn * rr);
+                        }
+                    }
+                    MeasureKind::Mrr => accs[i].add(w.survival(n + 1) * rr),
+                }
+                // The Poisson window ends before detection: this horizon's
+                // sum is complete after `n` steps, as in SR.
+                if n == w.right {
+                    reports[i] = RsdReport {
+                        solution: Solution {
+                            value: finish(accs[i].value(), ts[i]),
+                            steps,
+                            error_bound: self.opts.epsilon,
+                        },
+                        detected_at: None,
+                        final_delta,
+                    };
+                }
             }
-            if n == w.right {
+            if n == max_right {
                 break;
             }
 
@@ -201,30 +267,32 @@ impl<'a> RsdSolver<'a> {
         // for π_0 … π_{n*−1}, and `pi` holds π_{n*}; the missing mass is
         //   TRR: Σ_{n≥n*} Po(n)        = survival(n*),
         //   MRR: Σ_{n≥n*} P[N ≥ n+1]   = Σ_{j≥n*+1} P[N ≥ j] = excess(n*+1).
-        let value = match (measure, detected_at) {
-            (MeasureKind::Trr, Some(n_star)) => {
-                let rr = self.ctmc.reward_dot(&pi);
-                acc.value() + w.survival(n_star as u64) * rr
+        // Horizons with `R_t < n*` closed in the loop.
+        if let Some(n_star) = detected_at {
+            let rr = self.ctmc.reward_dot(&pi);
+            for (i, w) in weights.iter().enumerate() {
+                let Some(w) = w else { continue };
+                if w.right < n_star as u64 {
+                    continue;
+                }
+                let tail = match measure {
+                    MeasureKind::Trr => w.survival(n_star as u64),
+                    MeasureKind::Mrr => w.expected_excess(n_star as u64 + 1),
+                };
+                reports[i] = RsdReport {
+                    solution: Solution {
+                        value: finish(accs[i].value() + tail * rr, ts[i]),
+                        steps,
+                        error_bound: self.opts.epsilon,
+                    },
+                    detected_at,
+                    final_delta,
+                };
             }
-            (MeasureKind::Trr, None) => acc.value(),
-            (MeasureKind::Mrr, Some(n_star)) => {
-                let rr = self.ctmc.reward_dot(&pi);
-                (acc.value() + w.expected_excess(n_star as u64 + 1) * rr) / lambda_t
-            }
-            (MeasureKind::Mrr, None) => acc.value() / lambda_t,
-        };
+        }
         ws.give(pi);
         ws.give(next);
-
-        RsdReport {
-            solution: Solution {
-                value,
-                steps,
-                error_bound: self.opts.epsilon,
-            },
-            detected_at,
-            final_delta,
-        }
+        reports
     }
 }
 
