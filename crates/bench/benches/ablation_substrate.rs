@@ -1,9 +1,8 @@
 //! Substrate microbenchmarks: the building blocks every solver leans on.
 //!
 //! * sparse vector–matrix step on the G=40 RAID matrix — the inner loop of
-//!   SR/RSD and of the RR/RRL construction — comparing the serial kernel,
-//!   the warm-pool stepper, and the per-call scoped-spawn baseline at each
-//!   chunk count;
+//!   SR/RSD and of the RR/RRL construction — comparing the serial kernel
+//!   with the warm-pool stepper at each chunk count;
 //! * Poisson weight generation at small and huge `Λt`;
 //! * Wynn ε-acceleration of an oscillating series;
 //! * closed-form transform evaluation (one Durbin abscissa).
@@ -39,26 +38,14 @@ fn bench_spmv(c: &mut Criterion) {
         };
         // Warm pool + cached chunk plan: what the solvers' steppers run.
         let stepper = unif.stepper(&cfg);
+        // The `threads` axis is the *chunk* count; the pooled kernel
+        // executes on at most the global pool's threads.
         group.bench_with_input(BenchmarkId::new("pooled", threads), &(), |b, ()| {
             b.iter(|| {
                 stepper.step(&pi, &mut out);
                 black_box(out[0])
             })
         });
-        // Per-call scoped-spawn baseline (the pre-pool strategy). Note the
-        // `threads` axis is the *chunk* count; the pooled kernel executes
-        // on at most the global pool's threads, the spawn kernel creates
-        // exactly `threads` scoped threads per call.
-        group.bench_with_input(
-            BenchmarkId::new("spawn_per_call", threads),
-            &cfg,
-            |b, cfg| {
-                b.iter(|| {
-                    unif.p_t.mul_vec_spawn_into(&pi, &mut out, cfg);
-                    black_box(out[0])
-                })
-            },
-        );
     }
     group.finish();
 }

@@ -725,44 +725,39 @@ fn engine_grid(w: &Workload) {
         exec.workspace.fresh_allocs,
         exec.workspace.reused
     );
-    pool_vs_spawn(w);
+    pool_vs_serial(w);
 }
 
-/// Measures the execution-layer refactor directly: repeated SpMV stepping
-/// over the G=40 RAID matrix (the hot loop of every randomization solver)
-/// through (a) the persistent worker pool with a cached chunk plan versus
-/// (b) the original per-product `std::thread::scope` spawning, at the same
-/// chunk decomposition. Serial stepping is the baseline; all three produce
-/// bitwise-identical iterates.
-fn pool_vs_spawn(w: &Workload) {
+/// Measures the execution layer directly: repeated SpMV stepping over the
+/// G=40 RAID matrix (the hot loop of every randomization solver) through
+/// the persistent worker pool with a cached chunk plan, against serial
+/// stepping. Both produce bitwise-identical iterates.
+fn pool_vs_serial(w: &Workload) {
     use regenr_ctmc::Uniformized;
     use regenr_sparse::{ParallelConfig, WorkerPool};
 
-    println!("\n== execution core: pooled vs per-call-spawn SpMV (G=40 UR stepping) ==");
+    println!("\n== execution core: pooled vs serial SpMV (G=40 UR stepping) ==");
     let chain = w.chain(40, Variant::Ur);
     let unif = Uniformized::new(&chain, 0.0);
     let n = chain.n_states();
     let steps = 400usize;
-    // `chunks` fixes the work decomposition both parallel kernels share;
-    // how many threads actually execute it differs per kernel — the spawn
-    // baseline creates one scoped thread per chunk, while the pooled path
-    // runs on the global pool (and degrades to inline/serial on a
-    // single-core pool). The CSV records both so the artifact never
-    // overstates the pool's concurrency.
+    // `chunks` fixes the work decomposition; the pooled path runs it on
+    // the global pool (and degrades to inline/serial on a single-core
+    // pool). The CSV records the executing thread count so the artifact
+    // never overstates the pool's concurrency.
     let pool_threads = WorkerPool::global().threads();
     let chunks = pool_threads.max(4);
     let cfg = ParallelConfig {
         min_nnz: 0,
         threads: chunks,
-        // The pool-vs-spawn comparison isolates the execution strategy, so
-        // both run the same generic kernel.
+        // The comparison isolates the execution strategy, so the pool runs
+        // the same generic loop as the serial product.
         kernel: regenr_sparse::KernelChoice::Generic,
         ..Default::default()
     };
     let exec_threads = |kernel: &str| match kernel {
         "serial" => 1,
-        "pooled" => pool_threads.min(chunks),
-        _ => chunks,
+        _ => pool_threads.min(chunks),
     };
 
     let mut csv =
@@ -795,33 +790,23 @@ fn pool_vs_spawn(w: &Workload) {
     });
     let stepper = unif.stepper(&cfg);
     let pooled = run("pooled", &mut |pi, next| stepper.step(pi, next));
-    let spawn = run("spawn_per_call", &mut |pi, next| {
-        unif.p_t.mul_vec_spawn_into(pi, next, &cfg);
-    });
     println!(
         "  {steps} steps over {n} states x {} nnz, {chunks} chunks \
-         (pool executes on {} thread(s), spawn creates {chunks}/call):",
+         (pool executes on {} thread(s)):",
         unif.p_t.nnz(),
         exec_threads("pooled"),
     );
     println!("  {:>16} {:>10.4}s", "serial", serial);
     println!(
-        "  {:>16} {:>10.4}s ({:.2}x vs per-call spawn)",
+        "  {:>16} {:>10.4}s ({:.2}x vs serial)",
         "pooled (warm)",
         pooled,
-        spawn / pooled
-    );
-    println!("  {:>16} {:>10.4}s", "spawn per call", spawn);
-    println!(
-        "  pool wall-time improvement over per-call spawning: {:+.1}%",
-        (spawn - pooled) / spawn * 100.0
+        serial / pooled
     );
     if pool_threads < chunks {
         println!(
             "  note: the global pool has only {pool_threads} thread(s) here, so the \
-             pooled kernel ran (near-)serially; on a {chunks}-core machine both \
-             kernels execute {chunks}-way parallel and the delta isolates \
-             thread-creation cost."
+             pooled kernel ran (near-)serially."
         );
     }
 }
@@ -831,7 +816,7 @@ fn pool_vs_spawn(w: &Workload) {
 /// spec layer's `"sensitivity"` form) solved twice — *cold*, clearing the
 /// cache before every point so each grid point pays the full uniformize +
 /// Tarjan + chunk-plan build, and *delta-warm*, sharing one engine so every
-/// point after the first re-binds the cached plans/layouts/facts onto its
+/// point after the first re-binds the cached plans/facts onto its
 /// own rates. Asserts the reuse actually happened (`derived_hits > 0`, the
 /// process-global structure-analysis counter flat across the warm grid),
 /// that warm results are bitwise identical to cold, and that the warm
@@ -972,82 +957,38 @@ fn sensitivity() {
     println!("  bitwise: warm values identical to cold-cache solves (80 cells)");
 }
 
-/// A synthetic diag-dense matrix — the diagsplit selection regime: long
-/// ragged rows (so neither shortrow nor sliced fires first) with a fully
-/// stored diagonal, row sums ≈ 1 so repeated stepping stays bounded (no
-/// denormal stalls polluting the timings).
-fn diag_dense_matrix(n: usize) -> regenr_sparse::CsrMatrix {
-    use regenr_sparse::CooBuilder;
-    let mut b = CooBuilder::new(n, n);
-    for i in 0..n {
-        b.push(i, i, 0.4);
-        let len = if i % 2 == 0 { 20 } else { 90 };
-        for d in 1..len {
-            b.push(i, (i + d * 7 + 1) % n, 0.6 / (len - 1) as f64);
-        }
-    }
-    b.build()
-}
-
-/// Kernel × backend ablation: warm repeated stepping on the uniformized
-/// `Pᵀ` of the paper's G=20/40 UR models plus a synthetic diag-dense
-/// matrix (the diagsplit selection regime), one timing per (kernel,
-/// backend) pair — scalar always, plus every SIMD backend this build and
-/// CPU support for the kernels that have vector variants. All timings are
-/// single-threaded best-of-3 so the numbers isolate the *kernel* (the
-/// pool-vs-spawn comparison in `engine` isolates the execution strategy).
-/// Every final iterate is asserted bitwise identical to the scalar generic
-/// baseline; diagsplit is asserted at least as fast as generic on its own
-/// selection regime (the per-row flag branch that used to drag it below
-/// its prototype is gone); `results/kernels.csv` records the grid.
+/// Kernel ablation: warm repeated stepping on the uniformized `Pᵀ` of the
+/// paper's G=20/40 UR models, one timing per SpMV loop (generic and
+/// shortrow), then the blocked-RHS sweep on the loop Auto selects. All
+/// timings are single-threaded best-of-`rounds` so the numbers isolate the
+/// *kernel* (the pooled-vs-serial comparison in `engine` isolates the
+/// execution strategy). Every final iterate is asserted bitwise identical
+/// to the generic baseline, and blocked stepping must clear 1.5× per cell
+/// at k = 4 on G=40; `results/kernels.csv` records the grid.
 fn kernel_ablation(w: &Workload) {
     use regenr_ctmc::Uniformized;
-    use regenr_sparse::{
-        simd, Backend, BackendChoice, ChunkPlan, CsrMatrix, KernelChoice, KernelKind,
-        MatrixProfile, WorkerPool,
-    };
+    use regenr_sparse::{ChunkPlan, CsrMatrix, KernelChoice, WorkerPool};
 
     let steps = 400usize;
     let rounds = 5usize;
     println!(
-        "\n== kernels: structure-adaptive SpMV ablation (stepping, serial, \
-         interleaved best of {rounds}) =="
-    );
-    let backends = simd::available();
-    println!(
-        "  backends available in this build/CPU: {}",
-        backends
-            .iter()
-            .map(|b| b.name())
-            .collect::<Vec<_>>()
-            .join(", ")
+        "\n== kernels: SpMV loop ablation (stepping, serial, interleaved best of {rounds}) =="
     );
     let mut csv = CsvWriter::create(
         "kernels",
-        "model,kernel,backend,selected,rhs_block,index_width,steps,seconds,\
-         speedup_vs_generic,speedup_vs_scalar",
+        "model,kernel,selected,rhs_block,steps,seconds,speedup_vs_generic,speedup_vs_k1",
     )
     .unwrap();
-    let force = |b: Backend| match b {
-        Backend::Scalar => BackendChoice::Scalar,
-        Backend::Sse2 => BackendChoice::Sse2,
-        Backend::Avx2 => BackendChoice::Avx2,
-    };
-    // Names derive from KernelKind::name()/Backend::name() — the same
-    // strings the CLI and reports use — so the CSV can never drift.
-    let kernels = [
-        KernelChoice::Generic,
-        KernelChoice::ShortRow,
-        KernelChoice::DiagSplit,
-        KernelChoice::Sliced,
-    ];
+    // Names derive from KernelKind::name() — the same strings the CLI and
+    // reports use — so the CSV can never drift.
+    let kernels = [KernelChoice::Generic, KernelChoice::ShortRow];
     // One timed pass of `steps` products through a prebuilt plan (serial:
     // single-chunk plans run on the calling thread). Every pass restarts
-    // from `x0`, so final-iterate bits are comparable across kernels and
-    // backends. Timing takes the minimum over `rounds` passes interleaved
-    // *across* configurations (round-robin) — consecutive-pass timing on a
-    // busy machine lets frequency/noise drift hit one configuration
-    // wholesale; interleaving spreads it evenly so the ratios are fair.
+    // from `x0`, so final-iterate bits are comparable across kernels.
+    // Timing takes the minimum over `rounds` passes interleaved *across*
+    // configurations (round-robin) — consecutive-pass timing on a busy
+    // machine lets frequency/noise drift hit one configuration wholesale;
+    // interleaving spreads it evenly so the ratios are fair.
     let pass = |m: &CsrMatrix, x0: &[f64], plan: &ChunkPlan| -> (f64, Vec<u64>) {
         let pool = WorkerPool::global();
         let n = m.nrows();
@@ -1064,13 +1005,7 @@ fn kernel_ablation(w: &Workload) {
 
     let g20 = Uniformized::new(&w.chain(20, Variant::Ur), 0.0);
     let g40 = Uniformized::new(&w.chain(40, Variant::Ur), 0.0);
-    let dd = diag_dense_matrix(1024);
-    let e0 = |n: usize| {
-        let mut x = vec![0.0; n];
-        x[0] = 1.0;
-        x
-    };
-    let grid: [(&str, &CsrMatrix, Vec<f64>); 3] = [
+    let grid: [(&str, &CsrMatrix, Vec<f64>); 2] = [
         (
             "ur_g20",
             &g20.p_t,
@@ -1081,252 +1016,165 @@ fn kernel_ablation(w: &Workload) {
             &g40.p_t,
             w.chain(40, Variant::Ur).initial().to_vec(),
         ),
-        ("diagdense", &dd, e0(dd.nrows())),
     ];
 
     for (model, m, x0) in grid {
-        let profile = MatrixProfile::analyze(m);
-        let selected = profile.select();
+        let auto_plan = ChunkPlan::new(m, 1);
+        let selected = auto_plan.kernel_kind();
         println!(
-            "  {model}: {} rows, {} nnz, mean row {:.1}, diag density {:.3} -> selected kernel: {}",
+            "  {model}: {} rows, {} nnz, mean row {:.1} -> selected kernel: {selected}",
             m.nrows(),
             m.nnz(),
-            profile.mean_row_len,
-            profile.diag_density,
-            selected
+            m.nnz() as f64 / m.nrows().max(1) as f64,
         );
-        if model == "diagdense" {
-            assert_eq!(
-                selected,
-                KernelKind::DiagSplit,
-                "the synthetic matrix must sit in diagsplit's selection regime"
-            );
-        }
-        // One configuration per (kernel, backend) pair: scalar always, plus
-        // every available SIMD backend for the kernels with vector variants
-        // (the others run scalar regardless, so extra rows would be
-        // duplicates).
-        let mut configs: Vec<(KernelKind, Backend, ChunkPlan)> = Vec::new();
-        for choice in kernels {
-            let kind = choice.forced().expect("ablation list is forced-only");
-            let kernel_backends: &[Backend] = match kind {
-                KernelKind::ShortRow | KernelKind::Sliced => &backends,
-                _ => &backends[..1],
-            };
-            for &backend in kernel_backends {
-                let plan = ChunkPlan::with_kernel_backend(m, 1, choice, force(backend));
-                configs.push((kind, backend, plan));
-            }
-        }
-        // Correctness pass: every configuration bitwise identical to the
-        // scalar generic baseline (this also warms layouts and caches).
-        let generic_bits = pass(m, &x0, &configs[0].2).1;
-        for (kind, backend, plan) in &configs {
+        let plans: Vec<ChunkPlan> = kernels
+            .iter()
+            .map(|&choice| ChunkPlan::with_kernel(m, 1, choice))
+            .collect();
+        // Correctness pass: every loop bitwise identical to the generic
+        // baseline (this also warms caches).
+        let generic_bits = pass(m, &x0, &plans[0]).1;
+        for plan in &plans {
             let (_, bits) = pass(m, &x0, plan);
             assert_eq!(
-                &bits, &generic_bits,
-                "{model} kernel {kind} backend {backend}: iterates must be bitwise \
-                 identical to generic"
+                &bits,
+                &generic_bits,
+                "{model} kernel {}: iterates must be bitwise identical to generic",
+                plan.kernel_kind()
             );
         }
         // Timing: round-robin over configurations, min per configuration.
-        let mut best = vec![f64::INFINITY; configs.len()];
+        let mut best = vec![f64::INFINITY; plans.len()];
         for _ in 0..rounds {
-            for (slot, (_, _, plan)) in configs.iter().enumerate() {
+            for (slot, plan) in plans.iter().enumerate() {
                 let (secs, _) = pass(m, &x0, plan);
                 best[slot] = best[slot].min(secs);
             }
         }
         let generic_secs = best[0];
-        let mut diagsplit_secs = f64::INFINITY;
-        let mut scalar_secs = f64::NAN;
-        for ((kind, backend, plan), &secs) in configs.iter().zip(&best) {
-            if *backend == Backend::Scalar {
-                scalar_secs = secs;
-                if *kind == KernelKind::DiagSplit {
-                    diagsplit_secs = secs;
-                }
-            }
+        for (plan, &secs) in plans.iter().zip(&best) {
+            let kind = plan.kernel_kind();
             let vs_generic = generic_secs / secs;
-            let vs_scalar = scalar_secs / secs;
-            let is_selected = *kind == selected;
+            let is_selected = kind == selected;
             println!(
-                "  {:>10}/{:<6}{} {:>9.4}s  {:>5.2}x vs generic, {:>5.2}x vs scalar",
+                "  {:>10}{} {:>9.4}s  {:>5.2}x vs generic",
                 kind.name(),
-                backend.name(),
                 if is_selected { "*" } else { " " },
                 secs,
                 vs_generic,
-                vs_scalar,
             );
             csv.row(&[
                 model.to_string(),
                 kind.name().to_string(),
-                backend.name().to_string(),
                 is_selected.to_string(),
                 "1".to_string(),
-                plan.index_width().to_string(),
                 steps.to_string(),
                 format!("{secs:.6}"),
                 format!("{vs_generic:.3}"),
-                format!("{vs_scalar:.3}"),
+                "1.000".to_string(),
             ])
             .unwrap();
         }
-        if model == "diagdense" {
-            // The branchless rewrite's acceptance bar: on its own selection
-            // regime diagsplit must no longer lose to the generic loop.
-            assert!(
-                diagsplit_secs <= generic_secs,
-                "diagsplit ({diagsplit_secs:.4}s) must be at least as fast as generic \
-                 ({generic_secs:.4}s) on diag-dense matrices"
-            );
-        }
-        if model == "ur_g40" && backends.len() > 1 {
-            // The SIMD layer's acceptance bar on the paper's G=40 UR grid:
-            // the best vectorized sliced/shortrow backend must clear 1.15×
-            // over the suite's scalar generic-CSR baseline (the CSV's
-            // reference column). The vs-scalar-same-kernel column is
-            // recorded too — that ratio is hardware-dependent (hardware
-            // gathers only pay on gather-capable cores; this loop is
-            // load-port/bandwidth bound), which is exactly why the
-            // backend is a knob and Auto encodes measured policy.
-            let best = configs
-                .iter()
-                .zip(&best)
-                .filter(|((kind, backend, _), _)| {
-                    matches!(kind, KernelKind::ShortRow | KernelKind::Sliced)
-                        && *backend != Backend::Scalar
-                })
-                .map(|((kind, backend, _), &secs)| (kind, backend, generic_secs / secs))
-                .max_by(|a, b| a.2.total_cmp(&b.2))
-                .expect("SIMD builds ablate at least one vector backend");
-            println!(
-                "  acceptance: {}/{} = {:.2}x over scalar generic CSR at G=40 (bar: 1.15x)",
-                best.0.name(),
-                best.1.name(),
-                best.2
-            );
-            assert!(
-                best.2 >= 1.15,
-                "best SIMD backend ({}/{}) must be >= 1.15x over generic at G=40, got {:.3}x",
-                best.0.name(),
-                best.1.name(),
-                best.2
-            );
-        }
 
-        // Blocked-RHS ablation (the multi-horizon grids only): k sweep
-        // cells stepped through one k-column SpMM under the Auto kernel and
-        // backend. Column j enters the block j serial steps ahead, so the
-        // bitwise check proves per-column independence, not just that k
-        // copies of one vector agree. `speedup_vs_generic` is per-cell
-        // against the scalar generic single-RHS baseline; `speedup_vs_
-        // scalar` is per-cell against this configuration's own k=1 row —
+        // Blocked-RHS ablation: k sweep cells stepped through one k-column
+        // SpMM under the Auto kernel. Column j enters the block j serial
+        // steps ahead, so the bitwise check proves per-column independence,
+        // not just that k copies of one vector agree. `speedup_vs_generic`
+        // is per-cell against the generic single-RHS baseline;
+        // `speedup_vs_k1` is per-cell against this kernel's own k=1 row —
         // the matrix streams through memory once per step for all k cells,
         // which is where the bandwidth-wall win comes from.
-        if model != "diagdense" {
-            const KS: [usize; 4] = [1, 2, 4, 8];
-            let max_k = *KS.last().unwrap();
-            let pool = WorkerPool::global();
-            let n = m.nrows();
-            let auto_plan =
-                ChunkPlan::with_kernel_backend(m, 1, KernelChoice::Auto, BackendChoice::Auto);
-            // Serial reference trajectory: seeds are states 0..max_k, the
-            // expected block outputs are states steps..steps+max_k.
-            let mut seeds: Vec<Vec<f64>> = Vec::with_capacity(max_k);
-            let mut refs: Vec<Vec<u64>> = Vec::with_capacity(max_k);
-            {
-                let mut cur = x0.clone();
-                let mut nxt = vec![0.0; n];
-                for step in 0..steps + max_k {
-                    if step < max_k {
-                        seeds.push(cur.clone());
-                    }
-                    if step >= steps {
-                        refs.push(cur.iter().map(|v| v.to_bits()).collect());
-                    }
-                    m.mul_vec_pooled_into(&cur, &mut nxt, &auto_plan, pool);
-                    std::mem::swap(&mut cur, &mut nxt);
+        const KS: [usize; 4] = [1, 2, 4, 8];
+        let max_k = *KS.last().unwrap();
+        let pool = WorkerPool::global();
+        let n = m.nrows();
+        // Serial reference trajectory: seeds are states 0..max_k, the
+        // expected block outputs are states steps..steps+max_k.
+        let mut seeds: Vec<Vec<f64>> = Vec::with_capacity(max_k);
+        let mut refs: Vec<Vec<u64>> = Vec::with_capacity(max_k);
+        {
+            let mut cur = x0.clone();
+            let mut nxt = vec![0.0; n];
+            for step in 0..steps + max_k {
+                if step < max_k {
+                    seeds.push(cur.clone());
                 }
-                refs.push(cur.iter().map(|v| v.to_bits()).collect());
+                if step >= steps {
+                    refs.push(cur.iter().map(|v| v.to_bits()).collect());
+                }
+                m.mul_vec_pooled_into(&cur, &mut nxt, &auto_plan, pool);
+                std::mem::swap(&mut cur, &mut nxt);
             }
-            let pass_block = |k: usize| -> f64 {
-                let mut pi = vec![0.0; n * k];
-                for (j, seed) in seeds.iter().take(k).enumerate() {
-                    for (s, &v) in seed.iter().enumerate() {
-                        pi[s * k + j] = v;
-                    }
-                }
-                let mut next = vec![0.0; n * k];
-                let t0 = std::time::Instant::now();
-                for _ in 0..steps {
-                    m.mul_mat_pooled_into(&pi, &mut next, &auto_plan, pool, k);
-                    std::mem::swap(&mut pi, &mut next);
-                }
-                let secs = t0.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
-                // Column j advanced from state j to state j + steps.
-                for j in 0..k {
-                    for s in 0..n {
-                        assert_eq!(
-                            pi[s * k + j].to_bits(),
-                            refs[j][s],
-                            "{model} rhs_block {k}: column {j} must be bitwise \
-                             identical to the serial iterate"
-                        );
-                    }
-                }
-                secs
-            };
-            let mut best_k = vec![f64::INFINITY; KS.len()];
-            for _ in 0..rounds {
-                for (slot, &k) in KS.iter().enumerate() {
-                    best_k[slot] = best_k[slot].min(pass_block(k));
+            refs.push(cur.iter().map(|v| v.to_bits()).collect());
+        }
+        let pass_block = |k: usize| -> f64 {
+            let mut pi = vec![0.0; n * k];
+            for (j, seed) in seeds.iter().take(k).enumerate() {
+                for (s, &v) in seed.iter().enumerate() {
+                    pi[s * k + j] = v;
                 }
             }
-            let t1 = best_k[0];
-            for (&k, &tk) in KS.iter().zip(&best_k) {
-                let per_cell_vs_generic = generic_secs * k as f64 / tk;
-                let per_cell_vs_k1 = t1 * k as f64 / tk;
-                println!(
-                    "  {:>10}/{:<6}  rhs_block {k}: {tk:>9.4}s  per-cell {:>5.2}x vs k=1, \
-                     {:>5.2}x vs scalar generic",
-                    auto_plan.kernel_kind().name(),
-                    auto_plan.backend().name(),
-                    per_cell_vs_k1,
-                    per_cell_vs_generic,
-                );
-                csv.row(&[
-                    model.to_string(),
-                    auto_plan.kernel_kind().name().to_string(),
-                    auto_plan.backend().name().to_string(),
-                    (auto_plan.kernel_kind() == selected).to_string(),
-                    k.to_string(),
-                    auto_plan.index_width().to_string(),
-                    steps.to_string(),
-                    format!("{tk:.6}"),
-                    format!("{per_cell_vs_generic:.3}"),
-                    format!("{per_cell_vs_k1:.3}"),
-                ])
-                .unwrap();
-                if model == "ur_g40" && k == 4 {
-                    // The blocked layer's acceptance bar: at G=40, four
-                    // cells per pass must cost well under four serial
-                    // passes — >= 1.5x per cell over this configuration's
-                    // own k=1 row.
-                    assert!(
-                        per_cell_vs_k1 >= 1.5,
-                        "rhs_block 4 must be >= 1.5x per cell over k=1 at G=40, \
-                         got {per_cell_vs_k1:.3}x"
+            let mut next = vec![0.0; n * k];
+            let t0 = std::time::Instant::now();
+            for _ in 0..steps {
+                m.mul_mat_pooled_into(&pi, &mut next, &auto_plan, pool, k);
+                std::mem::swap(&mut pi, &mut next);
+            }
+            let secs = t0.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
+            // Column j advanced from state j to state j + steps.
+            for j in 0..k {
+                for s in 0..n {
+                    assert_eq!(
+                        pi[s * k + j].to_bits(),
+                        refs[j][s],
+                        "{model} rhs_block {k}: column {j} must be bitwise \
+                         identical to the serial iterate"
                     );
                 }
             }
+            secs
+        };
+        let mut best_k = vec![f64::INFINITY; KS.len()];
+        for _ in 0..rounds {
+            for (slot, &k) in KS.iter().enumerate() {
+                best_k[slot] = best_k[slot].min(pass_block(k));
+            }
+        }
+        let t1 = best_k[0];
+        for (&k, &tk) in KS.iter().zip(&best_k) {
+            let per_cell_vs_generic = generic_secs * k as f64 / tk;
+            let per_cell_vs_k1 = t1 * k as f64 / tk;
+            println!(
+                "  {:>10}  rhs_block {k}: {tk:>9.4}s  per-cell {:>5.2}x vs k=1, \
+                 {:>5.2}x vs generic",
+                selected.name(),
+                per_cell_vs_k1,
+                per_cell_vs_generic,
+            );
+            csv.row(&[
+                model.to_string(),
+                selected.name().to_string(),
+                "true".to_string(),
+                k.to_string(),
+                steps.to_string(),
+                format!("{tk:.6}"),
+                format!("{per_cell_vs_generic:.3}"),
+                format!("{per_cell_vs_k1:.3}"),
+            ])
+            .unwrap();
+            if model == "ur_g40" && k == 4 {
+                // The blocked layer's acceptance bar: at G=40, four cells
+                // per pass must cost well under four serial passes — >= 1.5x
+                // per cell over this kernel's own k=1 row.
+                assert!(
+                    per_cell_vs_k1 >= 1.5,
+                    "rhs_block 4 must be >= 1.5x per cell over k=1 at G=40, \
+                     got {per_cell_vs_k1:.3}x"
+                );
+            }
         }
     }
-    println!(
-        "  (* = what Auto selects for this matrix; results/kernels.csv records the grid; \
-         build with --features simd for the sse2/avx2 rows)"
-    );
+    println!("  (* = what Auto selects for this matrix; results/kernels.csv records the grid)");
 }
 
 /// `repro serve` — load-generates the solver service: an in-process

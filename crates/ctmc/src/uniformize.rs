@@ -7,87 +7,41 @@
 
 use crate::chain::Ctmc;
 use regenr_sparse::{
-    effective_threads, Backend, BackendChoice, ChunkPlan, CsrMatrix, IndexWidthChoice,
-    KernelChoice, KernelKind, ParallelConfig, SellSort, WorkerPool, MAX_RHS_BLOCK,
+    effective_threads, Backend, ChunkPlan, CsrMatrix, KernelChoice, KernelKind, ParallelConfig,
+    WorkerPool, MAX_RHS_BLOCK,
 };
 use std::sync::{Arc, Mutex};
 
-/// Callback invoked with the layout byte count of every chunk plan built
-/// *after* registration — how a byte-bounded artifact cache holding this
-/// uniformization learns about lazily built kernel layouts (they
-/// materialize on first stepper construction, typically long after the
-/// artifact was inserted and charged). See
-/// [`Uniformized::set_plan_bytes_hook`].
-type PlanBytesHook = Arc<dyn Fn(usize) + Send + Sync>;
-
 /// Shared memo of nnz-balanced [`ChunkPlan`]s for `Pᵀ`, keyed by
-/// [`PlanKey`] `(chunks, kernel, backend, block, index width, σ-sort)` — a
-/// plan carries the resolved structure-adaptive kernel layout and execution
-/// backend, so forcing different kernels, backends, or layout options
-/// yields distinct plans. Wrapped in an `Arc` so clones of a
-/// [`Uniformized`] share the same plans (they describe the same matrix);
-/// the inner list is tiny — one entry per distinct configuration ever
-/// requested.
+/// [`PlanKey`] `(chunks, kernel, block)` — a plan carries the resolved SpMV
+/// loop, so forcing a different kernel yields a distinct plan. Wrapped in
+/// an `Arc` so clones of a [`Uniformized`] share the same plans (they
+/// describe the same matrix); the inner list is tiny — one entry per
+/// distinct configuration ever requested.
 #[derive(Clone, Debug, Default)]
-struct PlanCache(Arc<Mutex<PlanCacheInner>>);
+struct PlanCache(Arc<Mutex<PlanList>>);
 
 /// Everything that distinguishes one cached plan from another: the chunk
-/// decomposition, the kernel/backend resolution, the blocked-RHS width the
-/// stepper will drive it at, and the layout options (column-index storage
-/// width, SELL-σ sorting).
+/// decomposition, the kernel resolution, and the blocked-RHS width the
+/// stepper will drive it at.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct PlanKey {
     chunks: usize,
     kernel: KernelChoice,
-    backend: BackendChoice,
     block: usize,
-    width: IndexWidthChoice,
-    sort: SellSort,
 }
 
 /// `(key, plan)` pairs; linear scan — a handful of entries at most.
 type PlanList = Vec<(PlanKey, Arc<ChunkPlan>)>;
 
-#[derive(Default)]
-struct PlanCacheInner {
-    plans: PlanList,
-    hook: Option<PlanBytesHook>,
-}
-
-impl std::fmt::Debug for PlanCacheInner {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PlanCacheInner")
-            .field("plans", &self.plans)
-            .field("hook", &self.hook.as_ref().map(|_| "…"))
-            .finish()
-    }
-}
-
 impl PlanCache {
     fn get_or_plan(&self, matrix: &CsrMatrix, key: PlanKey) -> Arc<ChunkPlan> {
-        let (plan, charge) = {
-            let mut inner = regenr_sparse::pool::lock(&self.0);
-            if let Some((_, plan)) = inner.plans.iter().find(|(k, _)| *k == key) {
-                return plan.clone();
-            }
-            let plan = Arc::new(ChunkPlan::with_options(
-                matrix,
-                key.chunks,
-                key.kernel,
-                key.backend,
-                key.width,
-                key.sort,
-            ));
-            inner.plans.push((key, plan.clone()));
-            let bytes = plan.kernel_bytes();
-            (plan, (bytes > 0).then(|| inner.hook.clone()).flatten())
-        };
-        // Invoke the re-accounting hook *after* releasing the plan lock:
-        // the hook takes its owner's pool lock, and nothing holding a pool
-        // lock may wait on the plan lock in return.
-        if let Some(hook) = charge {
-            hook(plan.kernel_bytes());
+        let mut plans = regenr_sparse::pool::lock(&self.0);
+        if let Some((_, plan)) = plans.iter().find(|(k, _)| *k == key) {
+            return plan.clone();
         }
+        let plan = Arc::new(ChunkPlan::with_kernel(matrix, key.chunks, key.kernel));
+        plans.push((key, plan.clone()));
         plan
     }
 }
@@ -115,9 +69,9 @@ pub struct Uniformized {
 }
 
 /// A DTMC stepping kernel bound to one uniformization: the chunk plan — and
-/// with it the structure-adaptive SpMV kernel the plan resolved — is
-/// computed **once** (and cached on the [`Uniformized`]) instead of per
-/// product, and repeated steps run on the persistent shared [`WorkerPool`] —
+/// with it the SpMV loop the plan resolved — is computed **once** (and
+/// cached on the [`Uniformized`]) instead of per product, and repeated
+/// steps run on the persistent shared [`WorkerPool`] —
 /// the execution shape every SpMV-bound solver loop wants. Obtain one from
 /// [`Uniformized::stepper`]; results are bitwise identical to the serial
 /// product regardless of kernel, pool size, or chunk count.
@@ -154,33 +108,22 @@ impl Stepper<'_> {
         self.block
     }
 
-    /// The resolved column-index storage width in bits (16 or 32).
-    pub fn index_width(&self) -> u8 {
-        self.plan.index_width()
-    }
-
-    /// Whether the resolved layout is SELL-σ row-sorted.
-    pub fn sorted(&self) -> bool {
-        self.plan.sorted()
-    }
-
     /// Whether steps are dispatched to the worker pool (`false` ⇒ the
     /// kernel runs serially on the calling thread).
     pub fn is_pooled(&self) -> bool {
         self.plan.len() > 1
     }
 
-    /// The structure-adaptive kernel steps execute (reported in the
-    /// engine's per-cell output).
+    /// The SpMV loop steps execute (reported in the engine's per-cell
+    /// output).
     pub fn kernel_kind(&self) -> KernelKind {
         self.plan.kernel_kind()
     }
 
-    /// The execution backend the kernel runs on (`scalar` unless the
-    /// `simd` feature is active and the resolved kernel has a vector
-    /// variant the CPU supports) — reported alongside the kernel.
+    /// The execution backend: always [`Backend::Scalar`]. Kept for the
+    /// benchmark harness, which records it per cell.
     pub fn backend(&self) -> Backend {
-        self.plan.backend()
+        Backend::Scalar
     }
 }
 
@@ -225,8 +168,8 @@ impl Uniformized {
         }
     }
 
-    /// A stepping kernel with its chunk plan (and structure-adaptive SpMV
-    /// kernel) resolved once under `cfg` (see [`Stepper`]). Solver loops
+    /// A stepping kernel with its chunk plan (and SpMV loop) resolved once
+    /// under `cfg` (see [`Stepper`]). Solver loops
     /// should build this once per solve and call [`Stepper::step`] per
     /// product; [`Uniformized::step_into`] re-plans on every call.
     pub fn stepper(&self, cfg: &ParallelConfig) -> Stepper<'_> {
@@ -236,9 +179,8 @@ impl Uniformized {
     /// Like [`Uniformized::stepper`] planned for blocked-RHS stepping:
     /// [`Stepper::step_block`] moves `block` interleaved distributions per
     /// streaming pass of `Pᵀ`. Plans are cached per
-    /// `(chunks, kernel, backend, block, index width, σ-sort)`, so mixing
-    /// serial and blocked steppers over one uniformization never rebuilds
-    /// a layout it already has for the same key.
+    /// `(chunks, kernel, block)`, so mixing serial and blocked steppers over
+    /// one uniformization never re-plans a key it already has.
     ///
     /// # Panics
     /// If `block` is 0 or exceeds [`MAX_RHS_BLOCK`].
@@ -259,10 +201,7 @@ impl Uniformized {
         let key = PlanKey {
             chunks,
             kernel: cfg.kernel,
-            backend: cfg.backend,
             block,
-            width: cfg.index_width,
-            sort: cfg.sell_sort,
         };
         Stepper {
             p_t: &self.p_t,
@@ -285,67 +224,32 @@ impl Uniformized {
     }
 
     /// Approximate heap footprint in bytes: both CSR matrices by allocator
-    /// capacity (see [`CsrMatrix::heap_bytes`]) plus whatever kernel
-    /// layouts the plan cache holds **at call time**. Audited against a
-    /// counting allocator by the engine's byte-accounting test.
-    ///
-    /// Byte-bounded caches should charge [`Uniformized::matrix_bytes`] at
-    /// insertion and register a [`Uniformized::set_plan_bytes_hook`] for
-    /// the lazily built layouts instead of re-querying this total: the sum
-    /// of the two always equals this method's answer, with every layout
-    /// charged exactly once at the moment it materializes.
+    /// capacity (see [`CsrMatrix::heap_bytes`]). Cached chunk plans hold no
+    /// copy of either matrix, so this is the whole footprint; it is fixed
+    /// at construction. Audited against a counting allocator by the
+    /// engine's byte-accounting test.
     pub fn approx_bytes(&self) -> usize {
-        self.matrix_bytes() + self.plan_bytes()
-    }
-
-    /// Heap bytes of the two CSR matrices alone (capacity-accounted) —
-    /// the part of the footprint that exists at construction time.
-    pub fn matrix_bytes(&self) -> usize {
         self.p.heap_bytes() + self.p_t.heap_bytes()
     }
 
-    /// Heap bytes currently held by cached chunk plans' kernel layouts
-    /// (bounded at ≤ 2× the `Pᵀ` entries per cached configuration by the
-    /// kernels' fill guard).
+    /// Heap bytes held by cached chunk plans beyond [`Uniformized::approx_bytes`]:
+    /// always zero, since no plan copies a matrix array. Kept for the
+    /// benchmark harness, which adds it to the bytes one step streams.
     pub fn plan_bytes(&self) -> usize {
-        let inner = regenr_sparse::pool::lock(&self.plans.0);
-        inner
-            .plans
-            .iter()
-            .map(|(_, plan)| plan.kernel_bytes())
-            .sum()
-    }
-
-    /// Registers the callback that is handed the layout byte count of every
-    /// chunk plan built **after** this call (plans already cached — there
-    /// are none when an artifact cache registers at insertion — are *not*
-    /// replayed; query [`Uniformized::plan_bytes`] for those). This is the
-    /// re-accounting hook a byte-bounded artifact cache uses to keep its
-    /// `max_bytes` honest: kernel layouts are built lazily on first stepper
-    /// construction, after the artifact was inserted and charged, and would
-    /// otherwise be invisible to eviction pressure. Clones share the plan
-    /// cache and therefore the hook; re-registering replaces it.
-    pub fn set_plan_bytes_hook(&self, hook: impl Fn(usize) + Send + Sync + 'static) {
-        regenr_sparse::pool::lock(&self.plans.0).hook = Some(Arc::new(hook));
+        0
     }
 
     /// Rebuilds this uniformization for a **rate variant** of the chain it
     /// was built from — same sparsity structure, different numbers — while
-    /// reusing every cached chunk plan's kernel selection, compact-index
-    /// copy, and SELL-σ layout instead of re-deriving them from scratch.
-    /// The donor's plans are re-bound to the new `Pᵀ` via
-    /// [`ChunkPlan::rebind`] (structure cloned, values refilled), so the
-    /// returned artifact answers its first stepper request without a
-    /// matrix profile pass or layout build. The plan-bytes hook is **not**
-    /// carried over: the new artifact has its own owner (a cache registers
-    /// its own hook at insertion), and all rebound layouts exist at
-    /// construction time — charge [`Uniformized::approx_bytes`] up front.
+    /// reusing every cached chunk plan's row chunking and kernel selection
+    /// instead of re-deriving them. The donor's plans are re-bound to the
+    /// new `Pᵀ` via [`ChunkPlan::rebind`], so the returned artifact answers
+    /// its first stepper request without a chunking pass or column scan.
     ///
     /// `Λ` is derived exactly as [`Uniformized::new`] would for `ctmc`, so
     /// the result is bitwise identical to a cold `Uniformized::new(ctmc,
     /// theta)` in `lambda`, `p`, and `p_t`; only the plan cache seeding
-    /// differs, and rebound layouts embed the same values a fresh build
-    /// would.
+    /// differs.
     ///
     /// # Panics
     /// If `ctmc`'s uniformized matrix has a different sparsity pattern
@@ -431,10 +335,8 @@ impl Uniformized {
         {
             let donor = regenr_sparse::pool::lock(&self.plans.0);
             let mut inner = regenr_sparse::pool::lock(&plans.0);
-            for (key, plan) in donor.plans.iter() {
-                inner
-                    .plans
-                    .push((*key, Arc::new(plan.rebind(&self.p_t, &p_t))));
+            for (key, plan) in donor.iter() {
+                inner.push((*key, Arc::new(plan.rebind(&self.p_t, &p_t))));
             }
         }
         Uniformized {
@@ -532,67 +434,9 @@ mod tests {
         Uniformized::with_rate(&chain(), 1.0);
     }
 
-    /// The plan-bytes hook reports every lazily built kernel layout exactly
-    /// once: cached plans don't re-fire, layout-free kernels charge
-    /// nothing, and the cumulative charge equals `plan_bytes()`.
-    #[test]
-    fn plan_bytes_hook_charges_lazy_layouts_once() {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let n = 64;
-        let mut rates = Vec::new();
-        for i in 0..n - 1 {
-            rates.push((i, i + 1, 1.0));
-            rates.push((i + 1, i, 0.5));
-        }
-        let mut init = vec![0.0; n];
-        init[0] = 1.0;
-        let c = Ctmc::from_rates(n, &rates, init, vec![1.0; n]).unwrap();
-        let u = Uniformized::new(&c, 0.0);
-        let charged = Arc::new(AtomicUsize::new(0));
-        let sink = charged.clone();
-        u.set_plan_bytes_hook(move |b| {
-            sink.fetch_add(b, Ordering::Relaxed);
-        });
-        assert_eq!(u.plan_bytes(), 0, "no plans before the first stepper");
-        let cfg = ParallelConfig {
-            min_nnz: 0,
-            threads: 1,
-            kernel: KernelChoice::Sliced,
-            ..Default::default()
-        };
-        let _ = u.stepper(&cfg);
-        let first = charged.load(Ordering::Relaxed);
-        assert!(first > 0, "a layout-backed plan must charge its bytes");
-        assert_eq!(first, u.plan_bytes());
-        // Same configuration: the cached plan must not charge again.
-        let _ = u.stepper(&cfg);
-        assert_eq!(charged.load(Ordering::Relaxed), first);
-        // Layout-free kernels (zero layout bytes) never invoke the hook:
-        // shortrow under the full-width index policy keeps no layout.
-        let _ = u.stepper(&ParallelConfig {
-            kernel: KernelChoice::ShortRow,
-            index_width: IndexWidthChoice::W64,
-            ..cfg
-        });
-        assert_eq!(charged.load(Ordering::Relaxed), first);
-        assert_eq!(u.plan_bytes(), first);
-        // Under the auto policy the same kernel takes a compact u16 index
-        // copy (64 columns fit), a lazy layout charged like any other.
-        let _ = u.stepper(&ParallelConfig {
-            kernel: KernelChoice::ShortRow,
-            ..cfg
-        });
-        let with_compact = charged.load(Ordering::Relaxed);
-        assert!(with_compact > first, "compact index copy must be charged");
-        assert_eq!(u.plan_bytes(), with_compact);
-        // matrix_bytes + plan_bytes is exactly approx_bytes.
-        assert_eq!(u.approx_bytes(), u.matrix_bytes() + u.plan_bytes());
-    }
-
     /// `rebind_values` on a rate-scaled chain is bitwise identical to a
     /// cold build — matrices, `Λ`, and stepped products — while arriving
-    /// with the donor's plans already re-bound (no hook replay needed,
-    /// layouts present at construction time).
+    /// with the donor's plans already re-bound.
     #[test]
     fn rebind_values_matches_cold_build_and_preseeds_plans() {
         let n = 64;
@@ -607,11 +451,11 @@ mod tests {
         let scaled_rates: Vec<_> = rates.iter().map(|&(i, j, r)| (i, j, r * 1.75)).collect();
         let variant = Ctmc::from_rates(n, &scaled_rates, init, vec![1.0; n]).unwrap();
         let donor = Uniformized::new(&base, 0.0);
-        // Populate the donor with a layout-backed plan and a plain one.
+        // Populate the donor with a plan per kernel.
         let cfg = ParallelConfig {
             min_nnz: 0,
             threads: 2,
-            kernel: KernelChoice::Sliced,
+            kernel: KernelChoice::ShortRow,
             ..Default::default()
         };
         let _ = donor.stepper(&cfg);
@@ -624,16 +468,16 @@ mod tests {
         assert_eq!(warm.lambda.to_bits(), cold.lambda.to_bits());
         assert_eq!(warm.p_t.values(), cold.p_t.values());
         assert_eq!(warm.p_t.row_ptr(), cold.p_t.row_ptr());
-        // Both donor plans arrived re-bound: layouts exist *before* the
-        // first stepper request, and no hook fires for them.
-        assert_eq!(warm.plan_bytes(), donor.plan_bytes());
-        assert!(warm.plan_bytes() > 0, "sliced layout must carry over");
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        let charged = Arc::new(AtomicUsize::new(0));
-        let sink = charged.clone();
-        warm.set_plan_bytes_hook(move |b| {
-            sink.fetch_add(b, Ordering::Relaxed);
-        });
+        // Both donor plans arrived re-bound, under the donor's keys,
+        // before the first stepper request.
+        let keys = |u: &Uniformized| -> Vec<PlanKey> {
+            regenr_sparse::pool::lock(&u.plans.0)
+                .iter()
+                .map(|(k, _)| *k)
+                .collect()
+        };
+        assert_eq!(keys(&warm), keys(&donor));
+        assert_eq!(keys(&warm).len(), 2);
         let pi: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
         let mut got = vec![0.0; n];
         let mut want = vec![0.0; n];
@@ -642,11 +486,7 @@ mod tests {
         for (a, b) in got.iter().zip(&want) {
             assert_eq!(a.to_bits(), b.to_bits(), "rebound step must be bitwise");
         }
-        assert_eq!(
-            charged.load(Ordering::Relaxed),
-            0,
-            "pre-seeded plans must not re-charge"
-        );
+        assert_eq!(keys(&warm).len(), 2, "the preseeded plan served the step");
     }
 
     /// Rebinding across genuinely different structures is rejected — a
@@ -692,11 +532,11 @@ mod tests {
         // A forced kernel resolves its own plan, and tiny matrices
         // auto-select the generic kernel.
         let forced = u.stepper(&ParallelConfig {
-            kernel: KernelChoice::Sliced,
+            kernel: KernelChoice::ShortRow,
             ..cfg
         });
         assert!(!Arc::ptr_eq(&stepper.plan, &forced.plan));
-        assert_eq!(forced.kernel_kind(), KernelKind::Sliced);
+        assert_eq!(forced.kernel_kind(), KernelKind::ShortRow);
         assert_eq!(stepper.kernel_kind(), KernelKind::Generic);
         let mut c = vec![0.0; 3];
         forced.step(&pi, &mut c);

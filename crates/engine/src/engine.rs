@@ -187,12 +187,12 @@ pub struct SolveReport {
     pub converged: bool,
     /// `Λt` at dispatch time.
     pub lambda_t: f64,
-    /// The structure-adaptive SpMV kernel the solver's stepper executes
-    /// (`"none"` for the dense ODE oracle, which never randomizes).
+    /// The SpMV loop the solver's stepper executes (`"none"` for the dense
+    /// ODE oracle, which never randomizes, and for Adaptive).
     pub kernel: &'static str,
-    /// The execution backend that kernel runs on (`scalar`/`sse2`/`avx2`;
-    /// `"none"` whenever `kernel` is `"none"`). Machine-dependent under
-    /// `Auto`, so — like `kernel` — it is omitted from `--stable` reports.
+    /// The execution backend that loop runs on: `"scalar"`, or `"none"`
+    /// whenever `kernel` is `"none"`. Omitted, like `kernel`, from
+    /// `--stable` reports.
     pub backend: &'static str,
     /// Whether the uniformization came from the artifact cache.
     pub unif_cache_hit: bool,
@@ -231,11 +231,8 @@ pub struct SweepFailure {
 /// the per-worker workspaces were used.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct ExecStats {
-    /// The active SIMD backend for this engine's parallel config — what
-    /// [`regenr_sparse::simd::resolve`] returns for the configured
-    /// [`regenr_sparse::BackendChoice`] on this machine (`"scalar"` in
-    /// non-SIMD builds). Per-cell reports may still differ (kernels
-    /// without a vector variant run scalar regardless).
+    /// The execution backend every stepping cell ran on (always
+    /// `"scalar"`; see [`regenr_sparse::simd`]).
     pub simd_backend: &'static str,
     /// Sweep-level concurrency actually achieved: the worker count after
     /// resolving `threads = 0`, capping by the job count, and accounting
@@ -791,7 +788,7 @@ impl Engine {
         let cfg = self.solve_config(req);
         // The ODE oracle never randomizes — don't build (or count) a
         // uniformization for it. The delta-aware lookup lets a rate
-        // variant's miss rebind a structural donor's plans and layouts.
+        // variant's miss rebind a structural donor's plans.
         let (unif, unif_hit) = if job.method == Method::Ode {
             (None, false)
         } else {
@@ -804,8 +801,7 @@ impl Engine {
         // under this parallel config (cached on the uniformization — same
         // plan the solver uses). Adaptive propagates over its active set
         // row-by-row and never builds a stepper, so like the ODE oracle it
-        // reports no kernel (and must not force a layout build it would
-        // never use).
+        // reports no kernel (and must not force a plan it would never use).
         let (kernel, backend) = match &unif {
             Some(u) if job.method != Method::Adaptive => {
                 let stepper = u.stepper(&cfg.parallel);
@@ -1359,7 +1355,8 @@ impl Engine {
             cancelled_jobs,
             cache: self.cache.stats(),
             exec: ExecStats {
-                simd_backend: regenr_sparse::simd::resolve(self.opts.parallel.backend).name(),
+                simd_backend: regenr_sparse::simd::resolve(regenr_sparse::BackendChoice::Auto)
+                    .name(),
                 sweep_workers: achieved_workers,
                 pool_threads: self.pool.threads(),
                 pool: self.pool.stats().since(&pool_before),
@@ -1839,7 +1836,7 @@ mod tests {
     fn reported_kernel_tracks_solver_stepping() {
         let forced = Engine::with_options(EngineOptions {
             parallel: regenr_sparse::ParallelConfig {
-                kernel: regenr_sparse::KernelChoice::Sliced,
+                kernel: regenr_sparse::KernelChoice::ShortRow,
                 ..Default::default()
             },
             ..Default::default()
@@ -1849,16 +1846,11 @@ mod tests {
             .solve(&SolveRequest::new("u", repairable(), vec![1.0, 1e6]))
             .unwrap();
         assert_eq!(reports[0].method, Method::Sr);
-        assert_eq!(reports[0].kernel, "sliced");
+        assert_eq!(reports[0].kernel, "shortrow");
         assert_eq!(reports[1].method, Method::Rsd);
-        assert_eq!(reports[1].kernel, "sliced");
-        // A stepping cell always reports the resolved execution backend
-        // (whatever the build/machine resolves Auto to).
-        assert_eq!(
-            reports[0].backend,
-            regenr_sparse::simd::detected().name(),
-            "stepping cells report the resolved backend"
-        );
+        assert_eq!(reports[1].kernel, "shortrow");
+        // A stepping cell reports the scalar backend.
+        assert_eq!(reports[0].backend, "scalar");
         // Adaptive (active-set, no stepper) and ODE report no kernel.
         let adaptive = forced
             .solve(&SolveRequest::new("big", large_birth_chain(2_500), vec![10.0]).epsilon(1e-10))
@@ -1874,18 +1866,6 @@ mod tests {
             .unwrap();
         assert_eq!(ode[0].kernel, "none");
         assert_eq!(ode[0].backend, "none");
-        // A forced-scalar engine reports scalar on stepping cells.
-        let scalar = Engine::with_options(EngineOptions {
-            parallel: regenr_sparse::ParallelConfig {
-                backend: regenr_sparse::BackendChoice::Scalar,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        let reports = scalar
-            .solve(&SolveRequest::new("u", repairable(), vec![1.0]))
-            .unwrap();
-        assert_eq!(reports[0].backend, "scalar");
     }
 
     /// `sweep_observed` must (a) hand every job's reports to the observer

@@ -127,7 +127,7 @@ pub fn fingerprint(ctmc: &Ctmc) -> u64 {
 /// not a value change), the support of the initial distribution (initial
 /// mass on an absorbing state is a structural rejection), and the support of
 /// the reward vector. Two chains with equal `structure` fingerprints have
-/// identical topology facts, chunk plans, and kernel layouts; only the
+/// identical topology facts and chunk plans; only the
 /// numbers differ — which is what `value` hashes. `unif`/`unif_structure`
 /// are the generator-only analogues (initials and rewards ignored), keying
 /// the uniformization pool and its delta-rebind donor index respectively.
@@ -143,7 +143,7 @@ pub struct ModelFps {
     pub unif: u64,
     /// Generator-only structural key: pattern + rate support. Equal
     /// `unif_structure` means an existing `Uniformized` can be rebound to
-    /// the new rates, reusing its plans and layouts.
+    /// the new rates, reusing its plans.
     pub unif_structure: u64,
 }
 

@@ -17,8 +17,8 @@
 //!   structure analyses and RR/RRL killed-chain parameters keyed by a
 //!   *structural* and a *value* [fingerprint](fingerprint::model_fps), so
 //!   repeated requests across horizons/tolerances skip the expensive
-//!   rebuilds and rate variants of one topology re-bind cached plans,
-//!   layouts, and Tarjan facts instead of rebuilding them;
+//!   rebuilds and rate variants of one topology re-bind cached plans and
+//!   Tarjan facts instead of rebuilding them;
 //! * [`Engine::sweep`] — scoped-thread parallel execution over
 //!   `(model × measure × horizon)` grids, plus the `regenr` CLI binary that
 //!   runs a sweep from a JSON spec and prints a JSON report.

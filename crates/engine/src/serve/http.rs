@@ -56,11 +56,17 @@ impl From<std::io::Error> for HttpError {
 /// Hard cap on the request head (request line + headers).
 const MAX_HEAD_BYTES: usize = 64 * 1024;
 
-/// Reads one request from the stream. `max_body` bounds `Content-Length`.
-pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, HttpError> {
-    let mut reader = BufReader::new(stream);
-    let mut line = String::new();
-    reader.read_line(&mut line)?;
+/// Reads one request from the stream. `max_body` bounds `Content-Length`;
+/// a head over 64 KiB is [`HttpError::TooLarge`] and a head that
+/// is not UTF-8 is [`HttpError::Malformed`].
+pub fn read_request(stream: impl Read, max_body: usize) -> Result<Request, HttpError> {
+    // The head is read through a `take` one byte past its cap, *below* the
+    // buffer: an unterminated line can then pull at most that many bytes
+    // off the wire, whatever the buffer reads ahead. The limit is lifted
+    // to the declared body length once the head is parsed.
+    let mut reader = BufReader::new(stream.take(MAX_HEAD_BYTES as u64 + 1));
+    let mut head_bytes = 0;
+    let line = read_head_line(&mut reader, &mut head_bytes)?;
     if line.is_empty() {
         return Err(HttpError::Malformed("empty request"));
     }
@@ -82,14 +88,8 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     };
 
     let mut content_length = 0usize;
-    let mut head_bytes = line.len();
     loop {
-        let mut header = String::new();
-        reader.read_line(&mut header)?;
-        head_bytes += header.len();
-        if head_bytes > MAX_HEAD_BYTES {
-            return Err(HttpError::TooLarge);
-        }
+        let header = read_head_line(&mut reader, &mut head_bytes)?;
         let header = header.trim_end_matches(['\r', '\n']);
         if header.is_empty() {
             break;
@@ -106,6 +106,9 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
     if content_length > max_body {
         return Err(HttpError::TooLarge);
     }
+    // Part of the body may already sit in the buffer; the rest is at most
+    // `content_length` more bytes from the stream.
+    reader.get_mut().set_limit(content_length as u64);
     let mut body = vec![0u8; content_length];
     reader.read_exact(&mut body)?;
     Ok(Request {
@@ -114,6 +117,18 @@ pub fn read_request(stream: &mut TcpStream, max_body: usize) -> Result<Request, 
         query,
         body,
     })
+}
+
+/// Reads one head line, newline included, adding its length to
+/// `head_bytes` and failing once the running total passes
+/// [`MAX_HEAD_BYTES`].
+fn read_head_line(reader: &mut impl BufRead, head_bytes: &mut usize) -> Result<String, HttpError> {
+    let mut raw = Vec::new();
+    *head_bytes += reader.read_until(b'\n', &mut raw)?;
+    if *head_bytes > MAX_HEAD_BYTES {
+        return Err(HttpError::TooLarge);
+    }
+    String::from_utf8(raw).map_err(|_| HttpError::Malformed("request head is not UTF-8"))
 }
 
 fn reason(status: u16) -> &'static str {
@@ -268,6 +283,41 @@ mod tests {
         let (status, body) = parse_response(raw).unwrap();
         assert_eq!(status, 429);
         assert_eq!(body, b"{}");
+    }
+
+    /// Counts the bytes a reader hands out.
+    struct Counting<R> {
+        inner: R,
+        read: usize,
+    }
+
+    impl<R: Read> Read for Counting<R> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            let n = self.inner.read(buf)?;
+            self.read += n;
+            Ok(n)
+        }
+    }
+
+    /// One unterminated header line must not grow the server: reading
+    /// stops one byte past the head cap, and the request is too large.
+    #[test]
+    fn unterminated_head_line_is_bounded() {
+        for prefix in ["", "GET /healthz HTTP/1.1\r\nX-Pad: "] {
+            let mut wire = prefix.as_bytes().to_vec();
+            wire.resize(1 << 20, b'a');
+            let mut src = Counting {
+                inner: &wire[..],
+                read: 0,
+            };
+            let res = read_request(&mut src, 16 << 20);
+            assert!(matches!(res, Err(HttpError::TooLarge)), "{res:?}");
+            assert!(
+                src.read <= MAX_HEAD_BYTES + 1,
+                "consumed {} bytes of an unterminated head",
+                src.read
+            );
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //!    runs answer `503` — infrastructure faults never masquerade as model
 //!    errors, which keep their structured `4xx` bodies.
 //!
-//! Engine-wide knobs (`threads`, `kernel`, `backend`, `theta`, dispatch
+//! Engine-wide knobs (`threads`, `kernel`, `rhs_block`, `theta`, dispatch
 //! thresholds, `cache`) are fixed at server startup — a spec carrying them
 //! is rejected with `400`, because silently serving it with different
 //! options would produce reports that diverge from the same spec run
@@ -406,9 +406,7 @@ fn error_body(code: &str, detail: String) -> String {
 const FIXED_ENGINE_KEYS: &[&str] = &[
     "threads",
     "kernel",
-    "backend",
     "rhs_block",
-    "index_width",
     "theta",
     "small_lambda_t",
     "tiny_lambda_t",
@@ -1048,14 +1046,28 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.0, 400);
         assert!(err.1.contains("fixed_engine_option"), "{}", err.1);
-        // The blocked-stepping knobs are engine-wide too: the server's
+        // The blocked-stepping knob is engine-wide too: the server's
         // stepper plans are shared across requests, so a posted spec may
-        // not retune them per request.
-        for knob in [r#""rhs_block":4"#, r#""index_width":"16""#] {
+        // not retune it per request.
+        let err = parse_posted_spec(
+            br#"{"horizons":[1],"rhs_block":4,"models":[{"kind":"cyclic","n":3}]}"#,
+        )
+        .map(|_| ())
+        .unwrap_err();
+        assert_eq!(err.0, 400);
+        assert!(err.1.contains("fixed_engine_option"), "{}", err.1);
+        // Keys that are no knob at all are the parser's unknown-key error.
+        for knob in [r#""backend":"auto""#, r#""index_width":"16""#] {
             let body = format!(r#"{{"horizons":[1],{knob},"models":[{{"kind":"cyclic","n":3}}]}}"#);
             let err = parse_posted_spec(body.as_bytes()).map(|_| ()).unwrap_err();
             assert_eq!(err.0, 400, "{knob}");
-            assert!(err.1.contains("fixed_engine_option"), "{knob}: {}", err.1);
+            assert!(err.1.contains("bad_spec"), "{knob}: {}", err.1);
+            let name = knob.split(':').next().unwrap();
+            assert!(
+                err.1.contains(&name.replace('"', "\\\"")),
+                "{knob}: {}",
+                err.1
+            );
         }
         // Unknown keys surface the spec parser's naming error.
         let err = parse_posted_spec(

@@ -9,7 +9,6 @@
 //!   "method": "auto",
 //!   "threads": 4,
 //!   "kernel": "auto",
-//!   "backend": "auto",
 //!   "cache": { "max_entries": 64, "max_bytes": 268435456 },
 //!   "horizons": [1, 10, 100, 1000, 10000, 100000],
 //!   "measures": ["trr"],
@@ -76,7 +75,7 @@
 //! scaling a rate by a positive factor never changes which transitions
 //! exist, so every instance shares the base model's **structural**
 //! fingerprint by construction and the engine's artifact graph re-binds
-//! cached chunk plans, kernel layouts, and chain facts across the grid
+//! cached chunk plans and chain facts across the grid
 //! instead of rebuilding them (see `crate::cache`). Scalable parameters
 //! per kind — probabilities like `p_r` and `coverage` are deliberately not
 //! scalable: `raid` → `lambda_d`, `lambda_s`, `lambda_c`, `mu_drc`,
@@ -91,27 +90,19 @@
 //! top-level keys: `{"kind": "duplex", "coverge": 0.9}` names the typo and
 //! lists the keys the kind accepts.
 //!
-//! `"kernel"` forces the SpMV kernel every solver's stepper runs (`auto`,
-//! `generic`, `shortrow`, `diagsplit`, `sliced`; default `auto` analyzes
-//! each matrix once and picks). `"backend"` forces the execution backend
-//! those kernels run on (`auto`, `scalar`, `sse2`, `avx2`; default `auto`
-//! probes the CPU once — forced backends are clamped to what the hardware
-//! and the build's `simd` feature support, so a spec never fails on a
-//! machine without AVX2, it just runs narrower). All kernels and backends
-//! are bitwise identical to the serial product, so forced-kernel and
-//! forced-backend `--stable` reports diff byte-for-byte — the CI
-//! determinism jobs rely on that.
+//! `"kernel"` forces the SpMV loop every solver's stepper runs (`auto`,
+//! `generic`, `shortrow`; default `auto` picks from the matrix's size —
+//! generic below 4,096 entries or 8 rows, shortrow otherwise). Both loops
+//! are bitwise identical to the serial product, so forced-kernel
+//! `--stable` reports diff byte-for-byte — the CI determinism jobs rely on
+//! that, and use `"generic"` to run the reference loop.
 //!
-//! Two further execution knobs tune the blocked-stepping layer.
 //! `"rhs_block"` (`auto`, `1`, `2`, `4`, `8`; string or bare integer) sets
 //! how many sweep cells sharing a generator and tolerance ride one
-//! multi-vector SpMM — `auto` groups four at a time whenever cells
-//! qualify, `1` disables grouping. `"index_width"` (`auto`, `16`, `32`,
-//! `64`) sets the column-index width of the compact kernel layouts —
-//! `auto` packs `u16` indices when the matrix is narrow enough, and a
-//! forced narrow width widens transparently when it is not. Like kernels
-//! and backends, every combination is bitwise identical to the serial
-//! product, so forced `--stable` reports diff byte-for-byte.
+//! multi-vector SpMM — `auto` groups whenever cells qualify (eight wide on
+//! the shortrow loop, four on generic), `1` disables grouping. Every width
+//! is bitwise identical to the serial product, so forced `--stable`
+//! reports diff byte-for-byte.
 //!
 //! Unknown top-level keys are rejected by name (a typo like `"kernal"`
 //! must be an error, not a silently ignored knob). Two keys exist for the
@@ -119,7 +110,9 @@
 //! `"deadline_ms"` (per-request deadline; the server cancels the sweep
 //! cleanly when it expires) and `"debug_stall_ms"` (the server sleeps
 //! before computing — a load-testing knob the `repro serve` generator uses
-//! to widen the coalescing window deterministically).
+//! to widen the coalescing window deterministically; at most
+//! [`MAX_DEBUG_STALL_MS`], since the server holds an admission slot while
+//! it sleeps).
 
 use crate::cache::CacheConfig;
 use crate::engine::{
@@ -155,9 +148,15 @@ pub struct SweepSpec {
     /// long after admitting the sweep and before computing, widening the
     /// in-flight window so coalescing/admission behavior can be exercised
     /// deterministically (the `repro serve` load generator and the serve
-    /// tests rely on it). The offline CLI ignores it.
+    /// tests rely on it). The offline CLI ignores it. At most
+    /// [`MAX_DEBUG_STALL_MS`].
     pub debug_stall_ms: Option<u64>,
 }
+
+/// Largest accepted `"debug_stall_ms"`. The server sleeps on the value
+/// while holding an admission slot, so an unbounded stall from the network
+/// would let a few requests hold every slot and wedge the drain.
+pub const MAX_DEBUG_STALL_MS: u64 = 1_000;
 
 /// Every key a spec may carry at the top level. `SweepSpec::from_json`
 /// rejects anything else by name, so a typo like `"kernal"` is a parse
@@ -168,9 +167,7 @@ const KNOWN_SPEC_KEYS: &[&str] = &[
     "method",
     "threads",
     "kernel",
-    "backend",
     "rhs_block",
-    "index_width",
     "cache",
     "horizons",
     "measures",
@@ -990,17 +987,8 @@ impl SweepSpec {
                 .ok_or_else(|| "field \"kernel\" must be a string".to_string())?;
             options.parallel.kernel = regenr_sparse::KernelChoice::parse(s)?;
         }
-        if let Some(s) = doc.get("backend") {
-            let s = s
-                .as_str()
-                .ok_or_else(|| "field \"backend\" must be a string".to_string())?;
-            options.parallel.backend = regenr_sparse::BackendChoice::parse(s)?;
-        }
         if let Some(s) = get_knob_token(doc, "rhs_block")? {
             options.parallel.rhs_block = regenr_sparse::RhsBlockChoice::parse(&s)?;
-        }
-        if let Some(s) = get_knob_token(doc, "index_width")? {
-            options.parallel.index_width = regenr_sparse::IndexWidthChoice::parse(&s)?;
         }
         if let Some(x) = get_f64(doc, "theta")? {
             if !x.is_finite() || x < 0.0 {
@@ -1035,8 +1023,8 @@ impl SweepSpec {
             // rate-scaled instance per grid point. Every instance shares
             // the base model's *structural* fingerprint by construction
             // (only rate values change, never which transitions exist), so
-            // the engine's artifact graph re-binds cached plans, layouts,
-            // and chain facts across the whole grid.
+            // the engine's artifact graph re-binds cached plans and chain
+            // facts across the whole grid.
             let points: Vec<Option<(String, f64)>> = match parse_sensitivity(model_obj)? {
                 None => vec![None],
                 Some((param, grid)) => grid
@@ -1097,7 +1085,14 @@ impl SweepSpec {
             cache,
             requests,
             deadline_ms: get_ms(doc, "deadline_ms")?,
-            debug_stall_ms: get_ms(doc, "debug_stall_ms")?,
+            debug_stall_ms: match get_ms(doc, "debug_stall_ms")? {
+                Some(ms) if ms > MAX_DEBUG_STALL_MS => {
+                    return Err(format!(
+                        "field \"debug_stall_ms\" must be at most {MAX_DEBUG_STALL_MS}, got {ms}"
+                    ))
+                }
+                ms => ms,
+            },
         })
     }
 }
@@ -1139,9 +1134,8 @@ pub fn cell_to_json(r: &SolveReport, stable: bool) -> Json {
     ];
     if !stable {
         // The kernel and its backend are execution-tuning, not a
-        // result: forced-kernel/forced-backend --stable reports
-        // must stay byte-for-byte identical (the backend is even
-        // machine-dependent under Auto).
+        // result: forced-kernel --stable reports must stay
+        // byte-for-byte identical.
         fields.push(("kernel".into(), Json::Str(r.kernel.into())));
         fields.push(("backend".into(), Json::Str(r.backend.into())));
         fields.push(("unif_cache_hit".into(), Json::Bool(r.unif_cache_hit)));
@@ -1565,14 +1559,14 @@ mod tests {
             stable_report_to_json(&report).to_string()
         };
         let auto = run("auto");
-        for kernel in ["generic", "shortrow", "diagsplit", "sliced"] {
+        for kernel in ["generic", "shortrow"] {
             assert_eq!(auto, run(kernel), "kernel {kernel} must match auto");
         }
     }
 
     #[test]
     fn rejects_bad_kernel_knob() {
-        for bad in ["\"warp\"", "3", "true"] {
+        for bad in ["\"warp\"", "\"sliced\"", "\"diagsplit\"", "3", "true"] {
             let doc = format!(
                 r#"{{"kernel": {bad}, "horizons": [1],
                     "models": [{{"kind": "cyclic", "n": 3}}]}}"#
@@ -1581,77 +1575,45 @@ mod tests {
         }
     }
 
-    /// The `"backend"` knob forces the SIMD execution backend engine-wide;
-    /// every forced backend produces a `--stable` report byte-for-byte
-    /// identical to forced-scalar (the CI determinism job diffs exactly
-    /// this — in a non-SIMD build every choice resolves to scalar and the
-    /// test still holds trivially).
-    #[test]
-    fn forced_backend_sweeps_match_scalar_byte_for_byte() {
-        let spec_for = |backend: &str| {
-            format!(
-                r#"{{"epsilon": 1e-10, "backend": "{backend}", "horizons": [1, 100, 10000],
-                    "models": [{{"kind": "raid", "g": 2}},
-                               {{"kind": "two_state", "lambda": 1e-3, "absorbing": true}}]}}"#
-            )
-        };
-        let run = |backend: &str| {
-            let spec = SweepSpec::parse(&spec_for(backend)).unwrap();
-            assert_eq!(
-                spec.options.parallel.backend,
-                regenr_sparse::BackendChoice::parse(backend).unwrap()
-            );
-            let engine = crate::Engine::with_cache_config(spec.options, spec.cache);
-            let report = engine.sweep(&spec.requests);
-            assert!(
-                report.failures.is_empty(),
-                "{backend}: {:?}",
-                report.failures
-            );
-            // The resolved backend is surfaced in the *full* report.
-            assert!(!report.exec.simd_backend.is_empty());
-            stable_report_to_json(&report).to_string()
-        };
-        let scalar = run("scalar");
-        for backend in ["auto", "sse2", "avx2"] {
-            assert_eq!(scalar, run(backend), "backend {backend} must match scalar");
-        }
-    }
-
+    /// `"backend"` is no longer a knob: any value, even `"auto"`, is the
+    /// unknown-key error, which names the key.
     #[test]
     fn rejects_bad_backend_knob() {
-        for bad in ["\"avx512\"", "3", "true"] {
+        for bad in ["\"auto\"", "\"scalar\"", "\"avx2\"", "3", "true"] {
             let doc = format!(
                 r#"{{"backend": {bad}, "horizons": [1],
                     "models": [{{"kind": "cyclic", "n": 3}}]}}"#
             );
-            assert!(SweepSpec::parse(&doc).is_err(), "backend {bad} accepted");
+            let err = SweepSpec::parse(&doc).map(|_| ()).unwrap_err();
+            assert!(
+                err.contains("unknown spec field") && err.contains("\"backend\""),
+                "backend {bad}: {err}"
+            );
         }
     }
 
-    /// The blocked-stepping knobs force the RHS block width and the
-    /// column-index width engine-wide; every combination produces a
-    /// `--stable` report byte-for-byte identical to `auto` (the CI
-    /// determinism job diffs exactly this). The grid includes a
-    /// two-measure model so shared-generator grouping actually engages
-    /// under `auto`.
+    /// The blocked-stepping knob forces the RHS block width engine-wide;
+    /// every width produces a `--stable` report byte-for-byte identical to
+    /// `auto` (the CI determinism job diffs exactly this). The grid
+    /// includes a two-measure model so shared-generator grouping actually
+    /// engages under `auto`.
     #[test]
-    fn forced_rhs_block_and_index_width_sweeps_match_auto_byte_for_byte() {
-        let spec_for = |rhs: &str, width: &str| {
+    fn forced_rhs_block_sweeps_match_auto_byte_for_byte() {
+        let spec_for = |rhs: &str| {
             format!(
-                r#"{{"epsilon": 1e-10, "rhs_block": {rhs}, "index_width": {width},
+                r#"{{"epsilon": 1e-10, "rhs_block": {rhs},
                     "horizons": [1, 100], "measures": ["trr", "mrr"],
                     "models": [{{"kind": "raid", "g": 2}},
                                {{"kind": "two_state", "lambda": 1e-3, "mu": 1.0}}]}}"#
             )
         };
-        let run = |rhs: &str, width: &str| {
-            let spec = SweepSpec::parse(&spec_for(rhs, width)).unwrap();
+        let run = |rhs: &str| {
+            let spec = SweepSpec::parse(&spec_for(rhs)).unwrap();
             let engine = crate::Engine::with_cache_config(spec.options, spec.cache);
             let report = engine.sweep(&spec.requests);
             assert!(
                 report.failures.is_empty(),
-                "rhs_block {rhs} index_width {width}: {:?}",
+                "rhs_block {rhs}: {:?}",
                 report.failures
             );
             (
@@ -1659,15 +1621,15 @@ mod tests {
                 stable_report_to_json(&report).to_string(),
             )
         };
-        let (auto_cells, auto) = run("\"auto\"", "\"auto\"");
+        let (auto_cells, auto) = run("\"auto\"");
         assert!(auto_cells > 0, "two-measure grid must group under auto");
-        let (serial_cells, serial) = run("1", "\"64\"");
+        let (serial_cells, serial) = run("1");
         assert_eq!(serial_cells, 0, "rhs_block 1 must disable grouping");
         assert_eq!(auto, serial, "blocked and serial reports must match");
-        // String and bare-integer spellings, every width, every block.
-        for (rhs, width) in [("2", "\"16\""), ("\"4\"", "\"32\""), ("8", "16")] {
-            let (_, out) = run(rhs, width);
-            assert_eq!(auto, out, "rhs_block {rhs} index_width {width}");
+        // String and bare-integer spellings, every block.
+        for rhs in ["2", "\"4\"", "8"] {
+            let (_, out) = run(rhs);
+            assert_eq!(auto, out, "rhs_block {rhs}");
         }
     }
 
@@ -1680,14 +1642,17 @@ mod tests {
             );
             assert!(SweepSpec::parse(&doc).is_err(), "rhs_block {bad} accepted");
         }
-        for bad in ["\"48\"", "48", "\"both\"", "false", "16.5"] {
+        // `"index_width"` is no longer a knob: any value, even a width it
+        // used to accept, is the unknown-key error, which names the key.
+        for bad in ["\"auto\"", "16", "\"32\"", "\"48\"", "false"] {
             let doc = format!(
                 r#"{{"index_width": {bad}, "horizons": [1],
                     "models": [{{"kind": "cyclic", "n": 3}}]}}"#
             );
+            let err = SweepSpec::parse(&doc).map(|_| ()).unwrap_err();
             assert!(
-                SweepSpec::parse(&doc).is_err(),
-                "index_width {bad} accepted"
+                err.contains("unknown spec field") && err.contains("\"index_width\""),
+                "index_width {bad}: {err}"
             );
         }
     }
@@ -1732,6 +1697,19 @@ mod tests {
             .unwrap();
         assert_eq!(spec.deadline_ms, None);
         assert_eq!(spec.debug_stall_ms, None);
+        // The stall is capped: the limit itself parses, one more is a spec
+        // error naming the field.
+        let stall = |ms: u64| {
+            SweepSpec::parse(&format!(
+                r#"{{"horizons": [1], "debug_stall_ms": {ms},
+                    "models": [{{"kind": "cyclic", "n": 3}}]}}"#
+            ))
+            .map(|spec| spec.debug_stall_ms)
+        };
+        assert_eq!(stall(MAX_DEBUG_STALL_MS), Ok(Some(MAX_DEBUG_STALL_MS)));
+        let err = stall(MAX_DEBUG_STALL_MS + 1).unwrap_err();
+        assert!(err.contains("debug_stall_ms"), "{err}");
+        assert!(stall(1_000_000_000_000).is_err());
         for bad in ["-1", "2.5", "\"soon\""] {
             let doc = format!(
                 r#"{{"horizons": [1], "deadline_ms": {bad},

@@ -236,6 +236,55 @@ fn deeply_nested_body_is_a_400_and_the_server_survives() {
     shutdown(&server, addr, handle);
 }
 
+/// A request head carrying a byte that is not UTF-8 is a counted 400, not
+/// a connection closed with an empty reply, and the server keeps serving.
+#[test]
+fn non_utf8_head_is_a_counted_400() {
+    use std::io::{Read, Write};
+    let (server, addr, handle) = start_server(default_cfg());
+    let mut stream = std::net::TcpStream::connect(addr).unwrap();
+    stream
+        .write_all(b"GET /healthz HTTP/1.1\r\nX-Bad: \xff\r\nContent-Length: 0\r\n\r\n")
+        .unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).unwrap();
+    let (status, body) = regenr_engine::serve::http::parse_response(&raw).expect("a response");
+    assert_eq!(status, 400, "{}", String::from_utf8_lossy(&raw));
+    assert!(String::from_utf8_lossy(&body).contains("bad_request"));
+    assert_eq!(server.stats().bad_requests, 1);
+    let (status, body) = http_request(addr, "GET", "/healthz", "").unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(body, br#"{"status":"ok"}"#);
+    shutdown(&server, addr, handle);
+}
+
+/// `debug_stall_ms` above its cap is a spec error: a 400 that never takes
+/// an admission slot, so a handful of such requests cannot wedge the
+/// server, and a distinct spec is still admitted right after.
+#[test]
+fn over_limit_stall_is_a_400_and_takes_no_slot() {
+    let cfg = ServeConfig {
+        max_inflight: 1,
+        ..default_cfg()
+    };
+    let (server, addr, handle) = start_server(cfg);
+    let stall = format!(
+        r#""debug_stall_ms":{}"#,
+        regenr_engine::spec::MAX_DEBUG_STALL_MS + 1
+    );
+    for target in ["/sweep/report", "/sweep"] {
+        let (status, body) = post(addr, target, &with_field(SPEC_BODY, &stall));
+        assert_eq!(status, 400, "{target}: {body}");
+        assert!(body.contains("bad_spec"), "{body}");
+        assert!(body.contains("debug_stall_ms"), "{body}");
+    }
+    let stats = server.stats();
+    assert_eq!((stats.sweeps, stats.bad_requests), (0, 2));
+    let (status, body) = post(addr, "/sweep/report", SPEC_BODY);
+    assert_eq!(status, 200, "{body}");
+    shutdown(&server, addr, handle);
+}
+
 /// Liveness, stats, routing errors, and graceful shutdown.
 #[test]
 fn lifecycle_healthz_stats_routing_and_drain() {

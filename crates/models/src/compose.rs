@@ -413,7 +413,7 @@ impl ComposeModel {
     /// scaled model explores the identical state space and the compiled
     /// chain shares the base model's *structural* fingerprint by
     /// construction — the engine's artifact graph can re-bind cached
-    /// plans, layouts, and chain facts across the whole grid.
+    /// plans and chain facts across the whole grid.
     pub fn with_scaled_rate(&self, param: &str, factor: f64) -> Result<Self, ComposeError> {
         let bad = || ComposeError::BadScale {
             param: param.to_string(),

@@ -9,7 +9,7 @@ use crate::builder::CooBuilder;
 /// `2³²` — which halves index memory traffic during products (a measurable win
 /// for the SpMV-bound randomization solvers; see the workspace performance
 /// notes).
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 pub struct CsrMatrix {
     nrows: usize,
     ncols: usize,
@@ -17,22 +17,6 @@ pub struct CsrMatrix {
     row_ptr: Vec<usize>,
     col_idx: Vec<u32>,
     values: Vec<f64>,
-    /// Lazily memoized content signature (see [`CsrMatrix::content_sig`]).
-    /// Valid because the matrix is immutable after construction; cloning
-    /// carries an initialized signature over (the clone's content is
-    /// identical by definition).
-    sig: std::sync::OnceLock<u64>,
-}
-
-/// Equality is by content; the memoized signature is derived state.
-impl PartialEq for CsrMatrix {
-    fn eq(&self, other: &Self) -> bool {
-        self.nrows == other.nrows
-            && self.ncols == other.ncols
-            && self.row_ptr == other.row_ptr
-            && self.col_idx == other.col_idx
-            && self.values == other.values
-    }
 }
 
 impl CsrMatrix {
@@ -55,7 +39,6 @@ impl CsrMatrix {
             row_ptr,
             col_idx,
             values,
-            sig: std::sync::OnceLock::new(),
         }
     }
 
@@ -67,42 +50,7 @@ impl CsrMatrix {
             row_ptr: (0..=n).collect(),
             col_idx: (0..n as u32).collect(),
             values: vec![1.0; n],
-            sig: std::sync::OnceLock::new(),
         }
-    }
-
-    /// A 64-bit FNV-1a signature of the full matrix content (shape, row
-    /// pointers, columns, value bits), memoized on first use — so repeated
-    /// calls are `O(1)`. `ChunkPlan` records it at construction and
-    /// re-checks it on every pooled product: a plan's layout kernels embed
-    /// a copy of the build matrix's values, so using a plan with a
-    /// different matrix of identical sparsity must be caught, not silently
-    /// answered with the wrong product.
-    pub fn content_sig(&self) -> u64 {
-        *self.sig.get_or_init(|| {
-            const OFFSET: u64 = 0xcbf29ce484222325;
-            const PRIME: u64 = 0x100000001b3;
-            let mut h = OFFSET;
-            // Word-granular FNV-1a: one xor+multiply per u64. The signature
-            // is an in-process guard, never persisted, and a value re-bind
-            // recomputes it over the whole nnz array — byte-granular hashing
-            // made that the single most expensive step of a delta rebind.
-            let mut eat = |x: u64| {
-                h = (h ^ x).wrapping_mul(PRIME);
-            };
-            eat(self.nrows as u64);
-            eat(self.ncols as u64);
-            for &p in &self.row_ptr {
-                eat(p as u64);
-            }
-            for &c in &self.col_idx {
-                eat(u64::from(c));
-            }
-            for &v in &self.values {
-                eat(v.to_bits());
-            }
-            h
-        })
     }
 
     /// Number of rows.
@@ -328,8 +276,7 @@ impl CsrMatrix {
     /// A matrix with this one's exact sparsity pattern and `values` in
     /// pattern order — the value re-bind primitive: a rate variant of a
     /// cached matrix clones the pattern arrays (a memcpy) instead of
-    /// re-running construction, and the content signature starts fresh
-    /// (the values differ by definition).
+    /// re-running construction.
     ///
     /// # Panics
     /// If `values.len()` differs from this matrix's nnz.

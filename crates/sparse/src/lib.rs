@@ -13,11 +13,10 @@
 //! Parallel products distribute disjoint row chunks over a persistent
 //! [`WorkerPool`] of parked threads — no locks or atomics inside a product,
 //! data-race freedom by construction, and bitwise-identical results to the
-//! serial kernel. Each [`ChunkPlan`] also resolves a structure-adaptive SpMV
-//! [`kernel`] (short-row, diagonal-split, sliced, or generic) from a one-time
-//! analysis of the matrix. The [`Workspace`] arena gives solvers reusable
-//! scratch vectors so sweep-heavy workloads stop allocating in their inner
-//! loops.
+//! serial kernel. Each [`ChunkPlan`] also resolves one of the two SpMV
+//! [`kernel`] loops (generic or short-row) from the matrix's size. The
+//! [`Workspace`] arena gives solvers reusable scratch vectors so
+//! sweep-heavy workloads stop allocating in their inner loops.
 
 pub mod builder;
 pub mod csr;
@@ -29,9 +28,7 @@ pub mod workspace;
 
 pub use builder::CooBuilder;
 pub use csr::CsrMatrix;
-pub use kernel::{
-    IndexWidthChoice, KernelChoice, KernelKind, MatrixProfile, SellSort, MAX_RHS_BLOCK,
-};
+pub use kernel::{KernelChoice, KernelKind, MAX_RHS_BLOCK};
 pub use parallel::{effective_threads, ChunkPlan, ParallelConfig, RhsBlockChoice};
 pub use pool::{WorkerPool, WorkerPoolStats};
 pub use simd::{Backend, BackendChoice};

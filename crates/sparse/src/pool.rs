@@ -3,9 +3,7 @@
 //!
 //! The randomization solvers are SpMV-bound: a single `UR(10⁵ h)` run
 //! performs millions of products over the same matrix. Spawning scoped
-//! threads *per product* (the original `mul_vec_parallel_into` strategy,
-//! kept as [`CsrMatrix::mul_vec_spawn_into`](crate::CsrMatrix::mul_vec_spawn_into)
-//! for comparison) pays thread-creation cost on every step. The
+//! threads *per product* pays thread-creation cost on every step. The
 //! [`WorkerPool`] here parks its workers between products instead, so a warm
 //! pool serves a step for the cost of a condvar wake.
 //!

@@ -3,9 +3,15 @@
 
 use proptest::prelude::*;
 use regenr_sparse::{
-    BackendChoice, ChunkPlan, CooBuilder, CsrMatrix, IndexWidthChoice, KernelChoice,
-    ParallelConfig, SellSort, WorkerPool, MAX_RHS_BLOCK,
+    ChunkPlan, CooBuilder, CsrMatrix, KernelChoice, ParallelConfig, WorkerPool, MAX_RHS_BLOCK,
 };
+
+/// Every kernel selection a plan accepts.
+const ALL_CHOICES: [KernelChoice; 3] = [
+    KernelChoice::Auto,
+    KernelChoice::Generic,
+    KernelChoice::ShortRow,
+];
 
 /// Random dense matrix plus its CSR image.
 fn arb_matrix() -> impl Strategy<Value = (Vec<Vec<f64>>, usize, usize)> {
@@ -92,13 +98,10 @@ proptest! {
         let x: Vec<f64> = (0..m).map(|j| 1.0 / (j + 1) as f64).collect();
         let mut serial = vec![0.0; n];
         let mut par = vec![0.0; n];
-        let mut spawned = vec![0.0; n];
         c.mul_vec_into(&x, &mut serial);
         let cfg = ParallelConfig { min_nnz: 0, threads, kernel: KernelChoice::Auto, ..Default::default() };
         c.mul_vec_parallel_into(&x, &mut par, &cfg);
         prop_assert_eq!(&serial, &par);
-        c.mul_vec_spawn_into(&x, &mut spawned, &cfg);
-        prop_assert_eq!(&serial, &spawned);
     }
 
     /// The pooled kernel is bitwise identical to the serial one on random
@@ -123,7 +126,7 @@ proptest! {
         }
     }
 
-    /// Every kernel in the suite — forced via the plan — is bitwise
+    /// Both kernels — forced via the plan — are bitwise
     /// identical to the serial product on random matrices, for every
     /// combination of pool size and chunk count, including repeated
     /// products on a warm pool (the solver loop shape).
@@ -139,13 +142,7 @@ proptest! {
         c.mul_vec_into(&x, &mut serial);
         let serial_bits: Vec<u64> = serial.iter().map(|v| v.to_bits()).collect();
         let pool = WorkerPool::new(pool_threads);
-        for choice in [
-            KernelChoice::Auto,
-            KernelChoice::Generic,
-            KernelChoice::ShortRow,
-            KernelChoice::DiagSplit,
-            KernelChoice::Sliced,
-        ] {
+        for choice in ALL_CHOICES {
             let plan = ChunkPlan::with_kernel(&c, chunks, choice);
             let mut pooled = vec![1.0; n];
             for _ in 0..2 {
@@ -156,14 +153,12 @@ proptest! {
         }
     }
 
-    /// Every (kernel, backend) pair is bitwise identical to the serial
-    /// product on adversarial inputs: random matrices whose row count need
-    /// not align with the SIMD lane width, empty and overlong rows (the
-    /// sliced layout's tail paths), and input vectors carrying non-finite
-    /// values — the cases where an unguarded padded cell or a reordered
-    /// reduction would change bits.
+    /// Every kernel is bitwise identical to the serial product on
+    /// adversarial inputs: empty and overlong rows, and input vectors
+    /// carrying non-finite values — the cases where a reordered reduction
+    /// would change bits.
     #[test]
-    fn every_backend_is_bitwise_serial_on_adversarial_inputs(
+    fn every_kernel_is_bitwise_serial_on_adversarial_inputs(
         (rows, n, m) in arb_matrix(),
         pool_threads in 1usize..4,
         chunks in 1usize..9,
@@ -191,29 +186,13 @@ proptest! {
         c.mul_vec_into(&x, &mut serial);
         let serial_bits: Vec<u64> = serial.iter().map(|v| v.to_bits()).collect();
         let pool = WorkerPool::new(pool_threads);
-        for choice in [
-            KernelChoice::Auto,
-            KernelChoice::ShortRow,
-            KernelChoice::DiagSplit,
-            KernelChoice::Sliced,
-        ] {
-            for backend in [
-                BackendChoice::Auto,
-                BackendChoice::Scalar,
-                BackendChoice::Sse2,
-                BackendChoice::Avx2,
-            ] {
-                let plan = ChunkPlan::with_kernel_backend(&c, chunks, choice, backend);
-                let mut pooled = vec![1.0; n];
-                for _ in 0..2 {
-                    c.mul_vec_pooled_into(&x, &mut pooled, &plan, &pool);
-                    let got: Vec<u64> = pooled.iter().map(|v| v.to_bits()).collect();
-                    prop_assert_eq!(
-                        &serial_bits, &got,
-                        "kernel {:?} backend {:?} (resolved {:?})",
-                        choice, backend, plan.backend()
-                    );
-                }
+        for choice in ALL_CHOICES {
+            let plan = ChunkPlan::with_kernel(&c, chunks, choice);
+            let mut pooled = vec![1.0; n];
+            for _ in 0..2 {
+                c.mul_vec_pooled_into(&x, &mut pooled, &plan, &pool);
+                let got: Vec<u64> = pooled.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(&serial_bits, &got, "kernel {:?}", choice);
             }
         }
     }
@@ -238,10 +217,9 @@ proptest! {
 
     /// Blocked SpMM over `k` interleaved right-hand sides is bitwise
     /// identical to `k` independent serial `mul_vec_into` products, for
-    /// every kernel × backend pair, pool size, chunk count, and block
-    /// width — on adversarial inputs (ragged rows, emptied rows, and
-    /// non-finite poison values where any reordered reduction or
-    /// unguarded padded cell would change bits).
+    /// every kernel, pool size, chunk count, and block width — on
+    /// adversarial inputs (ragged rows, emptied rows, and non-finite
+    /// poison values where any reordered reduction would change bits).
     #[test]
     fn blocked_spmm_is_bitwise_k_serial_columns(
         (rows, n, m) in arb_matrix(),
@@ -287,25 +265,17 @@ proptest! {
             }
         }
         let pool = WorkerPool::new(pool_threads);
-        for choice in [
-            KernelChoice::Auto,
-            KernelChoice::Generic,
-            KernelChoice::ShortRow,
-            KernelChoice::DiagSplit,
-            KernelChoice::Sliced,
-        ] {
-            for backend in [BackendChoice::Auto, BackendChoice::Scalar, BackendChoice::Avx2] {
-                let plan = ChunkPlan::with_kernel_backend(&c, chunks, choice, backend);
-                let mut y = vec![1.0; n * k];
-                for _ in 0..2 {
-                    c.mul_mat_pooled_into(&x, &mut y, &plan, &pool, k);
-                    let got: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
-                    prop_assert_eq!(
-                        &want_bits, &got,
-                        "kernel {:?} backend {:?} k {} (resolved {:?}/{:?})",
-                        choice, backend, k, plan.kernel_kind(), plan.backend()
-                    );
-                }
+        for choice in ALL_CHOICES {
+            let plan = ChunkPlan::with_kernel(&c, chunks, choice);
+            let mut y = vec![1.0; n * k];
+            for _ in 0..2 {
+                c.mul_mat_pooled_into(&x, &mut y, &plan, &pool, k);
+                let got: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
+                prop_assert_eq!(
+                    &want_bits, &got,
+                    "kernel {:?} k {} (resolved {:?})",
+                    choice, k, plan.kernel_kind()
+                );
             }
         }
         // The serial blocked entry point obeys the same contract.
@@ -313,68 +283,6 @@ proptest! {
         c.mul_mat_into(&x, &mut y, k);
         let got: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
         prop_assert_eq!(&want_bits, &got, "serial mul_mat_into k {}", k);
-    }
-
-    /// SELL-σ row sorting and compact column indices are pure layout
-    /// changes: forcing any index width × sort policy produces bitwise
-    /// identical products to the serial kernel, for both the 1-vector and
-    /// blocked entry points.
-    #[test]
-    fn sorted_and_compact_layouts_are_bitwise_serial(
-        (rows, n, m) in arb_matrix(),
-        pool_threads in 1usize..4,
-        chunks in 1usize..9,
-        k in 1usize..MAX_RHS_BLOCK + 1,
-    ) {
-        let c = to_csr(&rows, n, m);
-        let x1: Vec<f64> = (0..m).map(|j| ((j * 13 + 5) % 11) as f64 - 5.0).collect();
-        let mut serial = vec![0.0; n];
-        c.mul_vec_into(&x1, &mut serial);
-        let serial_bits: Vec<u64> = serial.iter().map(|v| v.to_bits()).collect();
-        let mut xk = vec![0.0; m * k];
-        for i in 0..m {
-            for j in 0..k {
-                xk[i * k + j] = ((i * 13 + 5 + j * 7) % 11) as f64 - 5.0;
-            }
-        }
-        let mut want_k = vec![0u64; n * k];
-        for j in 0..k {
-            let xj: Vec<f64> = (0..m).map(|i| xk[i * k + j]).collect();
-            let mut yj = vec![0.0; n];
-            c.mul_vec_into(&xj, &mut yj);
-            for (i, v) in yj.iter().enumerate() {
-                want_k[i * k + j] = v.to_bits();
-            }
-        }
-        let pool = WorkerPool::new(pool_threads);
-        for width in [
-            IndexWidthChoice::Auto,
-            IndexWidthChoice::W16,
-            IndexWidthChoice::W32,
-            IndexWidthChoice::W64,
-        ] {
-            for sort in [SellSort::Auto, SellSort::Always, SellSort::Never] {
-                let plan = ChunkPlan::with_options(
-                    &c, chunks, KernelChoice::Sliced, BackendChoice::Auto, width, sort,
-                );
-                let mut y1 = vec![1.0; n];
-                c.mul_vec_pooled_into(&x1, &mut y1, &plan, &pool);
-                let got1: Vec<u64> = y1.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(
-                    &serial_bits, &got1,
-                    "width {:?} sort {:?} (resolved {} sorted {})",
-                    width, sort, plan.index_width(), plan.sorted()
-                );
-                let mut yk = vec![1.0; n * k];
-                c.mul_mat_pooled_into(&xk, &mut yk, &plan, &pool, k);
-                let gotk: Vec<u64> = yk.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(
-                    &want_k, &gotk,
-                    "blocked width {:?} sort {:?} k {}",
-                    width, sort, k
-                );
-            }
-        }
     }
 
     #[test]
