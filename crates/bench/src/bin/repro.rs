@@ -1315,7 +1315,7 @@ fn serve_load() {
             bad_requests: after.bad_requests - before.bad_requests,
             cells_streamed: after.cells_streamed - before.cells_streamed,
             inflight_highwater: after.inflight_highwater,
-            promotions: after.promotions - before.promotions,
+            run_retries: after.run_retries - before.run_retries,
             handler_panics: after.handler_panics - before.handler_panics,
         };
         before = after;
@@ -1397,7 +1397,7 @@ fn serve_load() {
 
 /// `repro chaos` — a fault storm against an in-process server with
 /// failpoints armed. Each phase injects one class of infrastructure fault
-/// (leader death, chunk panic, NaN corruption, cache-build abort, slow
+/// (run-owner death, chunk panic, NaN corruption, cache-build abort, slow
 /// writes) and asserts the robustness bars: no stranded client, recovered
 /// values bitwise-identical to running the fallback method directly, and
 /// a healthy server afterwards. Results land in `results/chaos.csv`.
@@ -1422,7 +1422,7 @@ fn chaos() {
     let run_handle = std::thread::spawn(move || runner.run().expect("accept loop"));
 
     // Storm `clients` identical posts at `path`; every client must come
-    // back within the watchdog window — a stranded follower (stuck waiting
+    // back within the watchdog window — a stranded subscriber (stuck waiting
     // on a dead run) is exactly the bug this harness exists to catch.
     fn storm(
         addr: SocketAddr,
@@ -1463,7 +1463,7 @@ fn chaos() {
 
     let mut csv = CsvWriter::create(
         "chaos",
-        "phase,clients,ok,promotions,handler_panics,retries,recovered_cells,wall_ms",
+        "phase,clients,ok,run_retries,handler_panics,retries,recovered_cells,wall_ms",
     )
     .unwrap();
     let mut before_stats = server.stats();
@@ -1471,19 +1471,19 @@ fn chaos() {
     let mut record = |name: &str, clients: usize, ok: usize, wall_ms: f64| {
         let stats = server.stats();
         let robust = server.robustness();
-        let promotions = stats.promotions - before_stats.promotions;
+        let run_retries = stats.run_retries - before_stats.run_retries;
         let panics = stats.handler_panics - before_stats.handler_panics;
         let retries = robust.retries - before_robust.retries;
         let recovered = robust.recovered_cells - before_robust.recovered_cells;
         println!(
-            "  {name:>12}: {ok}/{clients} ok in {wall_ms:>7.1} ms — promotions {promotions} \
+            "  {name:>12}: {ok}/{clients} ok in {wall_ms:>7.1} ms — run_retries {run_retries} \
              handler_panics {panics} retries {retries} recovered_cells {recovered}"
         );
         csv.row(&[
             name.into(),
             clients.to_string(),
             ok.to_string(),
-            promotions.to_string(),
+            run_retries.to_string(),
             panics.to_string(),
             retries.to_string(),
             recovered.to_string(),
@@ -1492,22 +1492,22 @@ fn chaos() {
         .unwrap();
         before_stats = stats;
         before_robust = robust;
-        (promotions, retries, recovered)
+        (run_retries, retries, recovered)
     };
 
-    // Phase 1 — leader kill: 32 identical streaming clients; the elected
-    // leader panics mid-handler (after the stall, so followers have
-    // subscribed). A follower must be promoted and recompute: every
+    // Phase 1 — owner kill: 32 identical streaming clients; the run's
+    // owner panics mid-compute (after the stall, so every client has
+    // subscribed). The owner must retry the attempt in place: every
     // client still receives a complete stream with an "ok" summary.
     {
-        regenr_failpoint::configure("serve-leader=panic,count=1").unwrap();
+        regenr_failpoint::configure("serve-owner=panic,count=1").unwrap();
         let spec = r#"{"horizons":[1,10,100],"debug_stall_ms":150,"models":[{"kind":"raid","g":8}],"epsilon":1e-10}"#;
         let t0 = Instant::now();
         let results = storm(addr, "/sweep", spec, 32);
         let wall = t0.elapsed().as_secs_f64() * 1e3;
-        let fired = regenr_failpoint::fired_count("serve-leader");
+        let fired = regenr_failpoint::fired_count("serve-owner");
         regenr_failpoint::clear();
-        assert!(fired >= 1, "the leader-kill failpoint never fired");
+        assert!(fired >= 1, "the owner-kill failpoint never fired");
         let ok = results
             .iter()
             .filter(|(status, body)| {
@@ -1519,9 +1519,9 @@ fn chaos() {
                     && body.lines().last().unwrap().contains(r#""status":"ok""#)
             })
             .count();
-        let (promotions, _, _) = record("leader-kill", 32, ok, wall);
+        let (run_retries, _, _) = record("owner-kill", 32, ok, wall);
         assert_eq!(ok, 32, "every client must see a recovered, ok stream");
-        assert!(promotions >= 1, "a follower must have been promoted");
+        assert!(run_retries >= 1, "the owner must have retried the run");
     }
 
     // Phase 2 — chunk panic: a pool chunk panics mid-SpMV; the supervisor
@@ -1663,8 +1663,8 @@ fn chaos() {
     run_handle.join().expect("drain");
     let total = server.stats();
     println!(
-        "  healthy after storm: requests={} sweeps={} promotions={} handler_panics={}",
-        total.requests, total.sweeps, total.promotions, total.handler_panics
+        "  healthy after storm: requests={} sweeps={} run_retries={} handler_panics={}",
+        total.requests, total.sweeps, total.run_retries, total.handler_panics
     );
     println!("  chaos: all bars passed");
 }

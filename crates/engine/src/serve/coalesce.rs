@@ -1,30 +1,24 @@
 //! In-flight request coalescing: identical specs share one computation.
 //!
-//! This generalizes the artifact cache's per-key build slots (PR 2) from
-//! single artifacts to whole sweeps: the first connection to post a spec
-//! becomes the **leader** and runs the sweep; every identical spec that
-//! arrives while it is in flight becomes a **follower** that subscribes to
-//! the leader's [`SharedRun`] — streaming the same cells as they land and
-//! receiving the same final report — without consuming an admission slot
-//! or touching the engine. The run key is a hash of the *canonicalized*
-//! spec document, so whitespace and formatting differences still coalesce
-//! while any semantic difference (including `deadline_ms`) keeps runs
-//! separate.
+//! This generalizes the artifact cache's per-key build slots from single
+//! artifacts to whole sweeps. The first request for a spec publishes a
+//! pending [`SharedRun`] and the server spawns the run's **owner**, a
+//! detached thread that builds the spec, takes an admission slot and
+//! computes. Every connection, the first one included, is only a
+//! **subscriber**: it waits for the owner's verdict (accepted, or a
+//! refusal it sends as its response), then streams the same cells as they
+//! land or renders the same final report. The run key is the
+//! *canonicalized* spec document, so whitespace and formatting differences
+//! still coalesce while any semantic difference (including `deadline_ms`)
+//! keeps runs separate.
 //!
-//! Runs also survive their leader: when a leader unwinds before finishing
-//! and the run still has a retry budget and at least one subscribed
-//! follower, the dying [`LeaderGuard`] flags a **promotion** instead of
-//! failing the run — the first follower to observe it (via
-//! [`SharedRun::follow`] / [`SharedRun::wait_done_or_promote`]) retakes
-//! leadership and recomputes. Followers are never stranded: a run with no
-//! claimable promotion finishes as [`RunStatus::Error`], and the last
-//! follower abandoning an unclaimed promotion is told so it can fail the
-//! run itself.
+//! No subscriber can wait on a run without an owner: the owner's drop
+//! guard ends the run through [`SharedRun::abandon`] on any unwind.
 
 use crate::cache::lock;
 use crate::engine::{SolveReport, SweepReport};
 use std::collections::HashMap;
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Terminal status of a shared run, carried into every summary record.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -33,8 +27,8 @@ pub enum RunStatus {
     Ok,
     /// The deadline expired mid-flight; streamed cells stay valid.
     Deadline,
-    /// The leader's handler died before finishing (solver bug); followers
-    /// are released rather than left waiting forever.
+    /// Every compute attempt unwound (an infrastructure fault); the
+    /// subscribers are released rather than left waiting forever.
     Error,
 }
 
@@ -49,232 +43,130 @@ impl RunStatus {
     }
 }
 
+/// An owner's refusal of a run: the HTTP status and body every subscriber
+/// answers with.
+pub type Refusal = (u16, String);
+
+/// An accepted run's final report and status.
+pub type Finished = (Arc<SweepReport>, RunStatus);
+
 #[derive(Default)]
 struct RunState {
+    /// `None` until the owner accepts (`Ok`) or refuses (`Err`) the run.
+    verdict: Option<Result<(), Refusal>>,
     /// Cells in completion order, appended as sweep jobs finish. Stored as
     /// reports (not serialized strings) so each subscriber renders with its
     /// own `stable` flag.
     cells: Vec<SolveReport>,
-    done: bool,
-    status: Option<RunStatus>,
-    report: Option<SweepReport>,
-    /// Followers currently attached (able to claim a promotion).
-    subscribers: usize,
-    /// Leader re-elections still allowed for this run.
-    retries_left: u32,
-    /// A leader died with retries remaining; the first subscriber to
-    /// observe this claims it and retakes leadership.
-    promotion_pending: bool,
+    /// The final report of an accepted run, once it is done.
+    done: Option<Finished>,
 }
 
-/// What a promotion-aware follower observed (see [`SharedRun::follow`]).
-pub enum FollowEvent {
-    /// New cells past the follower's cursor (possibly empty) and whether
-    /// the run has finished.
-    Cells(Vec<SolveReport>, bool),
-    /// The leader died with retries remaining and this subscriber won the
-    /// promotion race: it must retake leadership and recompute. The cells
-    /// already published stay valid — the recomputation is deterministic,
-    /// so re-pushed cells are bitwise duplicates, and the final report is
-    /// authoritative.
-    Promoted,
-}
-
-/// One in-flight sweep shared between a leader and any followers.
+/// One in-flight sweep: written by its owner, read by its subscribers.
+#[derive(Default)]
 pub struct SharedRun {
     state: Mutex<RunState>,
     cond: Condvar,
 }
 
 impl SharedRun {
-    fn new(leader_retries: u32) -> Self {
-        SharedRun {
-            state: Mutex::new(RunState {
-                retries_left: leader_retries,
-                ..RunState::default()
-            }),
-            cond: Condvar::new(),
-        }
+    fn update(&self, apply: impl FnOnce(&mut RunState)) {
+        apply(&mut lock(&self.state));
+        self.cond.notify_all();
+    }
+
+    fn wait_for(&self, ready: impl Fn(&RunState) -> bool) -> MutexGuard<'_, RunState> {
+        self.cond
+            .wait_while(lock(&self.state), |st| !ready(st))
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    }
+
+    /// Accepts the run: subscribers start streaming or waiting for the
+    /// final report.
+    pub fn accept(&self) {
+        self.update(|st| st.verdict = Some(Ok(())));
+    }
+
+    /// Refuses the run: every subscriber answers with `refusal`.
+    pub fn refuse(&self, refusal: Refusal) {
+        self.update(|st| st.verdict = Some(Err(refusal)));
     }
 
     /// Appends freshly completed cells and wakes subscribers. Called from
-    /// sweep worker threads via the leader's observer.
+    /// sweep worker threads via the owner's observer.
     pub fn push_cells(&self, cells: &[SolveReport]) {
-        let mut st = lock(&self.state);
-        st.cells.extend_from_slice(cells);
-        self.cond.notify_all();
+        self.update(|st| st.cells.extend_from_slice(cells));
     }
 
-    /// Marks the run finished with its final report and wakes everyone.
+    /// Publishes an accepted run's final report and wakes everyone.
     pub fn finish(&self, report: SweepReport, status: RunStatus) {
-        let mut st = lock(&self.state);
-        st.done = true;
-        st.status = Some(status);
-        st.report = Some(report);
-        self.cond.notify_all();
+        self.update(|st| st.done = Some((Arc::new(report), status)));
     }
 
-    /// Blocks until cells beyond `cursor` exist or the run is done;
-    /// returns the new cells and whether the run has finished. A follower
-    /// loops on this to stream exactly what the leader streams.
-    pub fn next_cells(&self, cursor: usize) -> (Vec<SolveReport>, bool) {
-        let mut st = lock(&self.state);
-        loop {
-            if st.cells.len() > cursor || st.done {
-                return (st.cells[cursor.min(st.cells.len())..].to_vec(), st.done);
+    /// Ends a run whose owner is gone: subscribers still waiting for the
+    /// verdict get `refusal`, and an accepted run finishes as
+    /// [`RunStatus::Error`]. A run that already ended is left as it is.
+    pub fn abandon(&self, refusal: Refusal) {
+        self.update(|st| {
+            if st.verdict.is_none() {
+                st.verdict = Some(Err(refusal));
+            } else if st.done.is_none() {
+                st.done = Some((Arc::default(), RunStatus::Error));
             }
-            st = self
-                .cond
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
+        });
+    }
+
+    /// Blocks until the owner has accepted or refused the run.
+    pub fn verdict(&self) -> Result<(), Refusal> {
+        let st = self.wait_for(|st| st.verdict.is_some());
+        st.verdict.clone().expect("waited for the verdict")
+    }
+
+    /// Blocks until cells beyond `cursor` exist or the accepted run is
+    /// done; returns the new cells and, once the run is done, how it
+    /// finished.
+    pub fn next_cells(&self, cursor: usize) -> (Vec<SolveReport>, Option<Finished>) {
+        let st = self.wait_for(|st| st.cells.len() > cursor || st.done.is_some());
+        (st.cells[cursor..].to_vec(), st.done.clone())
+    }
+
+    /// Blocks until the run is refused or done; returns the refusal or the
+    /// final report and status.
+    pub fn outcome(&self) -> Result<Finished, Refusal> {
+        let st = self.wait_for(|st| matches!(st.verdict, Some(Err(_))) || st.done.is_some());
+        match (&st.verdict, &st.done) {
+            (Some(Err(refusal)), _) => Err(refusal.clone()),
+            (_, Some(done)) => Ok(done.clone()),
+            _ => unreachable!("waited for a refusal or the final report"),
         }
-    }
-
-    /// Blocks until the run finishes; returns the final report and status.
-    /// The report is `None` only for [`RunStatus::Error`].
-    pub fn wait_done(&self) -> (Option<SweepReport>, RunStatus) {
-        let mut st = lock(&self.state);
-        while !st.done {
-            st = self
-                .cond
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-        (st.report.clone(), st.status.unwrap_or(RunStatus::Error))
-    }
-
-    /// The promotion-aware variant of [`SharedRun::next_cells`]: blocks
-    /// until there is something past `cursor`, the run finishes, or a
-    /// pending promotion is claimed by this caller. Only subscribed
-    /// followers should call this — claiming a promotion obligates the
-    /// caller to retake leadership.
-    pub fn follow(&self, cursor: usize) -> FollowEvent {
-        let mut st = lock(&self.state);
-        loop {
-            if st.promotion_pending {
-                st.promotion_pending = false;
-                return FollowEvent::Promoted;
-            }
-            if st.cells.len() > cursor || st.done {
-                return FollowEvent::Cells(
-                    st.cells[cursor.min(st.cells.len())..].to_vec(),
-                    st.done,
-                );
-            }
-            st = self
-                .cond
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// The promotion-aware variant of [`SharedRun::wait_done`] for
-    /// followers that don't stream cells: `None` means this caller claimed
-    /// a pending promotion and must retake leadership.
-    pub fn wait_done_or_promote(&self) -> Option<(Option<SweepReport>, RunStatus)> {
-        let mut st = lock(&self.state);
-        loop {
-            if st.promotion_pending {
-                st.promotion_pending = false;
-                return None;
-            }
-            if st.done {
-                return Some((st.report.clone(), st.status.unwrap_or(RunStatus::Error)));
-            }
-            st = self
-                .cond
-                .wait(st)
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-        }
-    }
-
-    /// Counts a follower in. Claimable promotions require at least one
-    /// subscriber, so the count must cover every attached follower —
-    /// [`InflightTable::join_or_lead`] subscribes under the table lock
-    /// before the follower is even returned.
-    pub fn subscribe(&self) {
-        lock(&self.state).subscribers += 1;
-    }
-
-    /// Counts a follower out. Returns `true` if this was the last
-    /// subscriber leaving behind an *unclaimed* promotion — the caller
-    /// must then finish the run as [`RunStatus::Error`] and unpublish the
-    /// key, or the run would strand (nobody left to recompute, key still
-    /// blocking fresh leaders).
-    pub fn unsubscribe(&self) -> bool {
-        let mut st = lock(&self.state);
-        st.subscribers = st.subscribers.saturating_sub(1);
-        st.promotion_pending && st.subscribers == 0 && !st.done
-    }
-
-    /// Called when a leader unwinds: offers the retry to the followers.
-    /// Succeeds (and flags a pending promotion) only when retries remain
-    /// and somebody is subscribed to claim it; on success the key must
-    /// stay published so the promoted follower re-leads the same run.
-    fn offer_retry(&self) -> bool {
-        let mut st = lock(&self.state);
-        if st.done || st.retries_left == 0 || st.subscribers == 0 {
-            return false;
-        }
-        st.retries_left -= 1;
-        st.promotion_pending = true;
-        self.cond.notify_all();
-        true
-    }
-
-    fn is_done(&self) -> bool {
-        lock(&self.state).done
     }
 }
 
-/// How a connection joined the in-flight table.
-pub enum Joined {
-    /// First arrival: run the sweep (an admission slot was acquired by the
-    /// caller's gate closure before the key was published).
-    Leader(Arc<SharedRun>),
-    /// An identical spec is already in flight: subscribe to it.
-    Follower(Arc<SharedRun>),
-    /// No identical run in flight and the admission gate is full.
-    Rejected,
-}
-
-/// The table of in-flight runs, keyed by canonical-spec hash.
+/// The table of in-flight runs, keyed by canonical spec text.
 #[derive(Default)]
 pub struct InflightTable {
-    runs: Mutex<HashMap<u64, Arc<SharedRun>>>,
+    runs: Mutex<HashMap<String, Arc<SharedRun>>>,
 }
 
 impl InflightTable {
-    /// Joins the run for `key`, or leads a new one (with `leader_retries`
-    /// re-elections budgeted) if `admit` grants a slot. The whole decision
-    /// happens under the table lock, so a follower can never attach to a
-    /// key whose leader was rejected, two leaders can never race on one
-    /// key, and the follower is subscribed (promotion-eligible) before a
-    /// dying leader could possibly look for one.
-    pub fn join_or_lead(
-        &self,
-        key: u64,
-        leader_retries: u32,
-        admit: impl FnOnce() -> bool,
-    ) -> Joined {
+    /// Joins the in-flight run for `key`, or publishes a new pending one.
+    /// Returns the run and whether this call published it, in which case
+    /// the caller must start the run's owner.
+    pub fn join_or_start(&self, key: &str) -> (Arc<SharedRun>, bool) {
         regenr_failpoint::failpoint!("serve-coalesce");
         let mut runs = lock(&self.runs);
-        if let Some(run) = runs.get(&key) {
-            run.subscribe();
-            return Joined::Follower(run.clone());
+        if let Some(run) = runs.get(key) {
+            return (run.clone(), false);
         }
-        if !admit() {
-            return Joined::Rejected;
-        }
-        let run = Arc::new(SharedRun::new(leader_retries));
-        runs.insert(key, run.clone());
-        Joined::Leader(run)
+        let run = Arc::new(SharedRun::default());
+        runs.insert(key.to_string(), run.clone());
+        (run, true)
     }
 
     /// Removes a finished run. New identical specs after this start fresh
     /// computations (and hit the warmed artifact cache instead).
-    pub fn complete(&self, key: u64) {
-        lock(&self.runs).remove(&key);
+    pub fn complete(&self, key: &str) {
+        lock(&self.runs).remove(key);
     }
 
     /// Number of runs currently in flight.
@@ -288,213 +180,74 @@ impl InflightTable {
     }
 }
 
-/// Leader-side cleanup: if the handler unwinds (solver bug, broken pipe
-/// panic) before calling [`SharedRun::finish`], this guard finishes the
-/// run as [`RunStatus::Error`] and unpublishes the key so followers are
-/// released and later identical specs are not poisoned.
-pub struct LeaderGuard<'a> {
-    table: &'a InflightTable,
-    key: u64,
-    run: Arc<SharedRun>,
-}
-
-impl<'a> LeaderGuard<'a> {
-    /// Arms the guard for a leader of `key`.
-    pub fn new(table: &'a InflightTable, key: u64, run: Arc<SharedRun>) -> Self {
-        LeaderGuard { table, key, run }
-    }
-
-    /// The guarded run.
-    pub fn run(&self) -> &Arc<SharedRun> {
-        &self.run
-    }
-
-    /// Publishes the final report, releases followers, and unpublishes the
-    /// key — the normal completion path.
-    pub fn finish(self, report: SweepReport, status: RunStatus) {
-        self.run.finish(report, status);
-        self.table.complete(self.key);
-        std::mem::forget(self);
-    }
-}
-
-impl Drop for LeaderGuard<'_> {
-    fn drop(&mut self) {
-        // A dropped (not `finish`ed) guard means the leader unwound. If
-        // retries remain and a follower is subscribed, hand the run over
-        // instead of failing it: the key stays published and the promoted
-        // follower re-leads under a fresh guard.
-        if self.run.offer_retry() {
-            return;
-        }
-        if !self.run.is_done() {
-            self.run.finish(SweepReport::default(), RunStatus::Error);
-        }
-        self.table.complete(self.key);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn second_identical_key_becomes_follower() {
         let table = InflightTable::default();
-        let admits = AtomicUsize::new(0);
-        let admit = || {
-            admits.fetch_add(1, Ordering::SeqCst);
-            true
-        };
-        let Joined::Leader(run) = table.join_or_lead(7, 0, admit) else {
-            panic!("first arrival must lead");
-        };
-        let Joined::Follower(follower) = table.join_or_lead(7, 0, admit) else {
-            panic!("identical in-flight key must coalesce");
-        };
+        let (run, started) = table.join_or_start("a");
+        assert!(started, "first arrival must start the run");
+        let (follower, started) = table.join_or_start("a");
+        assert!(!started, "identical in-flight key must coalesce");
         assert!(Arc::ptr_eq(&run, &follower));
-        assert_eq!(admits.load(Ordering::SeqCst), 1, "followers skip admission");
-        // A different key needs its own slot.
-        assert!(matches!(
-            table.join_or_lead(8, 0, || false),
-            Joined::Rejected
-        ));
-        assert_eq!(table.len(), 1);
-        table.complete(7);
-        assert_eq!(table.len(), 0);
-        // After completion the key leads again (fresh computation).
-        assert!(matches!(
-            table.join_or_lead(7, 0, || true),
-            Joined::Leader(_)
-        ));
+        let (_, started) = table.join_or_start("b");
+        assert!(started, "a different key is a different run");
+        assert_eq!(table.len(), 2);
+        table.complete("a");
+        table.complete("b");
+        assert!(table.is_empty());
+        // After completion the key starts again (fresh computation).
+        assert!(table.join_or_start("a").1);
     }
 
     #[test]
     fn followers_stream_cells_then_final_report() {
-        let table = InflightTable::default();
-        let Joined::Leader(run) = table.join_or_lead(1, 0, || true) else {
-            panic!()
-        };
+        let run = Arc::new(SharedRun::default());
         let follower = run.clone();
         let t = std::thread::spawn(move || {
+            follower.verdict().expect("accepted");
             let mut seen = 0;
             loop {
                 let (cells, done) = follower.next_cells(seen);
                 seen += cells.len();
-                if done {
-                    let (report, status) = follower.wait_done();
-                    return (seen, report.is_some(), status);
+                if let Some((_, status)) = done {
+                    return (seen, status);
                 }
             }
         });
+        run.accept();
         // No real SolveReport constructor shortcut here — empty pushes
         // still exercise wake-ups; the done flag carries the report.
         run.push_cells(&[]);
         run.finish(SweepReport::default(), RunStatus::Ok);
-        let (seen, has_report, status) = t.join().unwrap();
+        let (seen, status) = t.join().unwrap();
         assert_eq!(seen, 0);
-        assert!(has_report);
         assert_eq!(status, RunStatus::Ok);
     }
 
+    /// An abandoned run releases every waiter: before the verdict with the
+    /// refusal, after it as an error; a finished run keeps its outcome.
     #[test]
-    fn leader_guard_releases_followers_on_unwind() {
-        let table = InflightTable::default();
-        let Joined::Leader(run) = table.join_or_lead(3, 0, || true) else {
-            panic!()
-        };
-        {
-            let _guard = LeaderGuard::new(&table, 3, run.clone());
-            // dropped without finish() — simulating a panicking handler
-        }
-        let (report, status) = run.wait_done();
-        assert_eq!(status, RunStatus::Error);
-        assert!(report.is_none() || report.unwrap().reports.is_empty());
-        assert_eq!(table.len(), 0, "the key must be unpublished");
-    }
+    fn abandoned_run_releases_its_subscribers() {
+        let refusal = || (503, "gone".to_string());
+        let pending = SharedRun::default();
+        pending.abandon(refusal());
+        assert_eq!(pending.verdict(), Err(refusal()));
+        assert_eq!(pending.outcome().map(|_| ()), Err(refusal()));
 
-    #[test]
-    fn dying_leader_promotes_a_subscribed_follower() {
-        let table = InflightTable::default();
-        let Joined::Leader(run) = table.join_or_lead(5, 2, || true) else {
-            panic!()
-        };
-        let Joined::Follower(follower) = table.join_or_lead(5, 2, || true) else {
-            panic!()
-        };
-        {
-            let _guard = LeaderGuard::new(&table, 5, run.clone());
-            // dropped without finish() — leader died
-        }
-        assert!(
-            !run.is_done(),
-            "with retries and a subscriber the run must not be failed"
-        );
-        assert_eq!(table.len(), 1, "the key must stay published for re-lead");
-        let FollowEvent::Promoted = follower.follow(0) else {
-            panic!("the subscribed follower must be promoted");
-        };
-        // The promoted follower re-leads and completes the run normally.
-        let guard = LeaderGuard::new(&table, 5, follower.clone());
-        guard.finish(SweepReport::default(), RunStatus::Ok);
-        let (report, status) = run.wait_done();
-        assert_eq!(status, RunStatus::Ok);
-        assert!(report.is_some());
-        assert_eq!(table.len(), 0);
-    }
+        let accepted = SharedRun::default();
+        accepted.accept();
+        accepted.abandon(refusal());
+        assert_eq!(accepted.verdict(), Ok(()));
+        assert_eq!(accepted.next_cells(0).1.unwrap().1, RunStatus::Error);
+        assert_eq!(accepted.outcome().unwrap().1, RunStatus::Error);
 
-    #[test]
-    fn promotion_is_claimed_exactly_once() {
-        let table = InflightTable::default();
-        let Joined::Leader(run) = table.join_or_lead(6, 1, || true) else {
-            panic!()
-        };
-        let Joined::Follower(a) = table.join_or_lead(6, 1, || true) else {
-            panic!()
-        };
-        let Joined::Follower(_b) = table.join_or_lead(6, 1, || true) else {
-            panic!()
-        };
-        drop(LeaderGuard::new(&table, 6, run.clone()));
-        assert!(matches!(a.follow(0), FollowEvent::Promoted));
-        // The second follower must block on cells, not double-claim: finish
-        // the run and verify it observes completion instead.
-        run.finish(SweepReport::default(), RunStatus::Ok);
-        let (report, status) = run.wait_done();
-        assert!(report.is_some());
-        assert_eq!(status, RunStatus::Ok);
-        table.complete(6);
-    }
-
-    #[test]
-    fn leader_without_followers_or_retries_fails_the_run() {
-        let table = InflightTable::default();
-        // Retries budgeted but nobody subscribed: the retry has no one to
-        // run it, so the run fails instead of stranding the key.
-        let Joined::Leader(run) = table.join_or_lead(9, 3, || true) else {
-            panic!()
-        };
-        drop(LeaderGuard::new(&table, 9, run.clone()));
-        assert_eq!(run.wait_done().1, RunStatus::Error);
-        assert_eq!(table.len(), 0);
-    }
-
-    #[test]
-    fn last_unsubscriber_reports_an_unclaimed_promotion() {
-        let table = InflightTable::default();
-        let Joined::Leader(run) = table.join_or_lead(11, 1, || true) else {
-            panic!()
-        };
-        let Joined::Follower(follower) = table.join_or_lead(11, 1, || true) else {
-            panic!()
-        };
-        drop(LeaderGuard::new(&table, 11, run.clone()));
-        // The only follower leaves without claiming the promotion — it must
-        // learn it is abandoning the run so it can fail it cleanly.
-        assert!(follower.unsubscribe(), "unclaimed promotion must surface");
-        run.finish(SweepReport::default(), RunStatus::Error);
-        table.complete(11);
-        assert_eq!(run.wait_done().1, RunStatus::Error);
+        let finished = SharedRun::default();
+        finished.accept();
+        finished.finish(SweepReport::default(), RunStatus::Deadline);
+        finished.abandon(refusal());
+        assert_eq!(finished.outcome().unwrap().1, RunStatus::Deadline);
     }
 }

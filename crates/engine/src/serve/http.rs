@@ -10,6 +10,7 @@
 
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::TcpStream;
+use std::time::Instant;
 
 /// A parsed request: method, path (query split off), and the body.
 #[derive(Debug)]
@@ -117,6 +118,33 @@ pub fn read_request(stream: impl Read, max_body: usize) -> Result<Request, HttpE
         query,
         body,
     })
+}
+
+/// Reads a socket under one deadline for a whole request: before each
+/// read, the socket's read timeout becomes the time left. A per-read
+/// timeout alone never trips on a client that trickles a byte at a time.
+pub struct DeadlineReader<'a> {
+    stream: &'a TcpStream,
+    deadline: Instant,
+}
+
+impl<'a> DeadlineReader<'a> {
+    /// Reads `stream` until `deadline`, then fails with
+    /// [`std::io::ErrorKind::TimedOut`].
+    pub fn new(stream: &'a TcpStream, deadline: Instant) -> Self {
+        DeadlineReader { stream, deadline }
+    }
+}
+
+impl Read for DeadlineReader<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(std::io::ErrorKind::TimedOut.into());
+        }
+        self.stream.set_read_timeout(Some(left))?;
+        self.stream.read(buf)
+    }
 }
 
 /// Reads one head line, newline included, adding its length to
@@ -318,6 +346,37 @@ mod tests {
                 src.read
             );
         }
+    }
+
+    /// A client that trickles one byte every 20 ms never trips a per-read
+    /// timeout; the request deadline still ends the read.
+    #[test]
+    fn trickled_request_hits_the_deadline() {
+        use std::time::Duration;
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let client = std::thread::spawn(move || {
+            let mut stream = TcpStream::connect(addr).unwrap();
+            for byte in b"GET /healthz HTTP/1.1\r\nX-Slow: "
+                .iter()
+                .cycle()
+                .take(100)
+            {
+                if stream.write_all(&[*byte]).is_err() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+        });
+        let (stream, _) = listener.accept().unwrap();
+        let t0 = Instant::now();
+        let reader = DeadlineReader::new(&stream, t0 + Duration::from_millis(200));
+        let res = read_request(reader, 1024);
+        let took = t0.elapsed();
+        assert!(matches!(res, Err(HttpError::Io(_))), "{res:?}");
+        assert!(took < Duration::from_secs(1), "read took {took:?}");
+        drop(stream);
+        client.join().unwrap();
     }
 
     #[test]

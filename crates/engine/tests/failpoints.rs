@@ -8,6 +8,7 @@
 #![cfg(feature = "failpoints")]
 
 use regenr_engine::serve::http::http_request;
+use regenr_engine::serve::RUN_RETRIES;
 use regenr_engine::{Engine, Json, Method, ServeConfig, Server, SweepSpec};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -99,13 +100,13 @@ fn exhausted_recovery_is_an_infrastructure_failure() {
     assert!(report.robustness.health_failures >= 2, "retry also failed");
 }
 
-/// Satellite (d): a request whose deadline expires while its leader is
-/// killed. The promoted follower must come back with a *clean* status
-/// (`deadline` or `ok`, depending on who wins the race) — it must never
-/// hang and never see a malformed stream.
+/// A request whose deadline expires while its run's owner is killed. The
+/// owner's retry must bring every subscriber back with a *clean* status
+/// (`deadline` or `ok`, depending on who wins the race) — none may hang
+/// or see a malformed stream.
 #[test]
-fn deadline_expiry_racing_leader_death_stays_clean() {
-    let _lock = armed("serve-leader=panic,count=1");
+fn deadline_expiry_racing_owner_death_stays_clean() {
+    let _lock = armed("serve-owner=panic,count=1");
     let _clean = Disarm;
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -117,9 +118,9 @@ fn deadline_expiry_racing_leader_death_stays_clean() {
     let runner = Arc::clone(&server);
     let run_handle = std::thread::spawn(move || runner.run().expect("accept loop"));
 
-    // The stall lets followers subscribe before the injected death; the
+    // The stall lets every client subscribe before the injected death; the
     // deadline (measured from each compute attempt) expires mid-stall, so
-    // the promoted recompute races deadline expiry by construction.
+    // the retried attempt races deadline expiry by construction.
     let spec = r#"{"horizons":[1,10,100,1000],"models":[{"kind":"cyclic","n":6}],
                    "epsilon":1e-10,"debug_stall_ms":300,"deadline_ms":100}"#;
     let (tx, rx) = std::sync::mpsc::channel();
@@ -134,7 +135,7 @@ fn deadline_expiry_racing_leader_death_stays_clean() {
     for i in 0..4 {
         let (status, body) = rx
             .recv_timeout(Duration::from_secs(30))
-            .unwrap_or_else(|_| panic!("client {i} hung: a follower was stranded"));
+            .unwrap_or_else(|_| panic!("client {i} hung: a subscriber was stranded"));
         assert_eq!(status, 200, "{body}");
         let summary = body.lines().last().expect("stream ends with a summary");
         let doc = Json::parse(summary).expect("summary is valid JSON");
@@ -150,8 +151,8 @@ fn deadline_expiry_racing_leader_death_stays_clean() {
         }
     }
     assert!(
-        server.stats().promotions >= 1,
-        "the dying leader must have promoted a follower"
+        server.stats().run_retries >= 1,
+        "the owner must have retried the attempt that died"
     );
 
     // The server survived the race: the same spec, unarmed and undeadlined,
@@ -165,18 +166,17 @@ fn deadline_expiry_racing_leader_death_stays_clean() {
     run_handle.join().expect("drain");
 }
 
-/// A leader that dies with nobody to promote (no followers) and no budget
-/// left reports `503 infrastructure` on `/sweep/report` — the spec was
-/// fine, the infrastructure was not, and the client may simply retry.
+/// A run whose owner dies on every attempt reports `503 infrastructure`
+/// on `/sweep/report` — the spec was fine, the infrastructure was not, and
+/// the client may simply retry.
 #[test]
 fn lone_leader_death_is_a_503_not_a_model_error() {
-    // `every=1` keeps killing the leader through its entire retry budget.
-    let _lock = armed("serve-leader=panic,every=1");
+    // `every=1` keeps killing the owner through its entire retry budget.
+    let _lock = armed("serve-owner=panic,every=1");
     let _clean = Disarm;
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
         threads: 2,
-        leader_retries: 0,
         ..ServeConfig::default()
     })
     .expect("bind loopback");
@@ -189,11 +189,87 @@ fn lone_leader_death_is_a_503_not_a_model_error() {
     let body = String::from_utf8_lossy(&body);
     assert_eq!(status, 503, "{body}");
     assert!(body.contains("infrastructure"), "{body}");
-    assert!(server.stats().handler_panics >= 1);
+    let stats = server.stats();
+    assert_eq!(stats.run_retries, u64::from(RUN_RETRIES));
+    assert_eq!(stats.handler_panics, u64::from(RUN_RETRIES) + 1);
 
     // Disarmed, the identical request succeeds — proof the 503 described
     // the infrastructure, not the spec.
     regenr_failpoint::clear();
+    let (status, _) = http_request(addr, "POST", "/sweep/report", spec).expect("request");
+    assert_eq!(status, 200);
+
+    let (status, _) = http_request(addr, "POST", "/shutdown", "").expect("shutdown");
+    assert_eq!(status, 200);
+    run_handle.join().expect("drain");
+}
+
+/// Coalesced requests never build the spec: the run's owner builds it
+/// once, and every other connection only parses the document. A delay of
+/// zero at the model-build site counts the builds without changing them.
+#[test]
+fn coalesced_requests_build_the_spec_once() {
+    let _lock = armed("ctmc-csr-build=delay:0");
+    let _clean = Disarm;
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        ..ServeConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = server.local_addr();
+    let runner = Arc::clone(&server);
+    let run_handle = std::thread::spawn(move || runner.run().expect("accept loop"));
+
+    let spec = r#"{"horizons":[1,10],"debug_stall_ms":300,"epsilon":1e-10,
+                   "models":[{"kind":"compose","components":[
+                     {"name":"m","count":3,"lambda":0.1,"mu":1.0}]}]}"#;
+    let clients: Vec<_> = (0..8)
+        .map(|_| std::thread::spawn(move || http_request(addr, "POST", "/sweep/report", spec)))
+        .collect();
+    let bodies: Vec<Vec<u8>> = clients
+        .into_iter()
+        .map(|c| {
+            let (status, body) = c.join().unwrap().expect("request");
+            assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+            body
+        })
+        .collect();
+    assert!(bodies.windows(2).all(|w| w[0] == w[1]), "one run, one body");
+    let stats = server.stats();
+    assert_eq!((stats.sweeps, stats.coalesced), (1, 7));
+    assert_eq!(regenr_failpoint::fired_count("ctmc-csr-build"), 1);
+
+    let (status, _) = http_request(addr, "POST", "/shutdown", "").expect("shutdown");
+    assert_eq!(status, 200);
+    run_handle.join().expect("drain");
+}
+
+/// A panic while the run's owner builds the spec is the server's fault:
+/// every subscriber gets `503 infrastructure`, the panic counts once, and
+/// the identical spec builds and runs once the fault is gone.
+#[test]
+fn owner_build_panic_is_a_503() {
+    let _lock = armed("ctmc-csr-build=panic,count=1");
+    let _clean = Disarm;
+    let server = Server::bind(ServeConfig {
+        addr: "127.0.0.1:0".into(),
+        threads: 2,
+        ..ServeConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = server.local_addr();
+    let runner = Arc::clone(&server);
+    let run_handle = std::thread::spawn(move || runner.run().expect("accept loop"));
+
+    let spec = r#"{"horizons":[1],"epsilon":1e-10,"models":[{"kind":"compose",
+                   "components":[{"name":"m","count":2,"lambda":0.1,"mu":1.0}]}]}"#;
+    let (status, body) = http_request(addr, "POST", "/sweep/report", spec).expect("request");
+    let body = String::from_utf8_lossy(&body);
+    assert_eq!(status, 503, "{body}");
+    assert!(body.contains("infrastructure"), "{body}");
+    let stats = server.stats();
+    assert_eq!((stats.handler_panics, stats.sweeps), (1, 0));
     let (status, _) = http_request(addr, "POST", "/sweep/report", spec).expect("request");
     assert_eq!(status, 200);
 

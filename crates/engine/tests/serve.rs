@@ -2,9 +2,10 @@
 //! control, validation errors, and graceful lifecycle — all against a real
 //! listener on a loopback port.
 
-use regenr_engine::serve::http::http_request;
+use regenr_engine::serve::http::{http_request, send_request_head};
 use regenr_engine::{Engine, ServeConfig, Server, SweepSpec};
-use std::net::SocketAddr;
+use std::io::{BufRead, BufReader, Read};
+use std::net::{SocketAddr, TcpStream};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -59,20 +60,22 @@ fn shutdown(server: &Arc<Server>, addr: SocketAddr, handle: std::thread::JoinHan
 #[test]
 fn identical_concurrent_requests_coalesce_to_one_computation() {
     let (server, addr, handle) = start_server(default_cfg());
-    // The stall keeps the leader's run in flight long enough for the
-    // second request to attach deterministically.
+    // The stall keeps the first request's run in flight long enough for
+    // the second request to attach deterministically.
     let spec = with_field(SPEC_BODY, r#""debug_stall_ms":400"#);
 
-    let leader_spec = spec.clone();
-    let leader_addr = addr;
-    let leader =
-        std::thread::spawn(move || post(leader_addr, "/sweep/report?stable=1", &leader_spec));
-    wait_until("leader admitted", || server.stats().sweeps == 1);
-    let (f_status, f_body) = post(addr, "/sweep/report?stable=1", &spec);
-    let (l_status, l_body) = leader.join().unwrap();
+    let first_spec = spec.clone();
+    let first_addr = addr;
+    let first = std::thread::spawn(move || post(first_addr, "/sweep/report?stable=1", &first_spec));
+    wait_until("run accepted", || server.stats().sweeps == 1);
+    let (second_status, second_body) = post(addr, "/sweep/report?stable=1", &spec);
+    let (first_status, first_body) = first.join().unwrap();
 
-    assert_eq!((l_status, f_status), (200, 200));
-    assert_eq!(l_body, f_body, "coalesced bodies must be byte-identical");
+    assert_eq!((first_status, second_status), (200, 200));
+    assert_eq!(
+        first_body, second_body,
+        "coalesced bodies must be byte-identical"
+    );
     let stats = server.stats();
     assert_eq!(stats.sweeps, 1, "one computation for two requests");
     assert_eq!(stats.coalesced, 1);
@@ -86,14 +89,17 @@ fn identical_concurrent_requests_coalesce_to_one_computation() {
     assert_eq!(
         server.engine().cache().stats().uniformized.misses,
         offline_report.cache.uniformized.misses,
-        "followers must not touch the engine"
+        "subscribers must not touch the engine"
     );
     // Served stable body == offline stable report (plus the CLI newline).
     let offline_body = format!(
         "{}\n",
         regenr_engine::stable_report_to_json(&offline_report)
     );
-    assert_eq!(l_body, offline_body, "served --stable must match offline");
+    assert_eq!(
+        first_body, offline_body,
+        "served --stable must match offline"
+    );
 
     shutdown(&server, addr, handle);
 }
@@ -154,9 +160,9 @@ fn admission_control_rejects_distinct_but_coalesces_identical() {
     let (server, addr, handle) = start_server(cfg);
     let stalled = with_field(SPEC_BODY, r#""debug_stall_ms":500"#);
 
-    let leader_spec = stalled.clone();
-    let leader = std::thread::spawn(move || post(addr, "/sweep", &leader_spec));
-    wait_until("leader admitted", || server.stats().sweeps == 1);
+    let first_spec = stalled.clone();
+    let first = std::thread::spawn(move || post(addr, "/sweep", &first_spec));
+    wait_until("run accepted", || server.stats().sweeps == 1);
 
     // Distinct spec: the only slot is taken → 429 with a structured body.
     let distinct = r#"{"horizons":[1], "models":[{"kind":"cyclic","n":4}]}"#;
@@ -169,16 +175,24 @@ fn admission_control_rejects_distinct_but_coalesces_identical() {
     );
     assert_eq!(doc.get("max_inflight").and_then(|n| n.as_f64()), Some(1.0));
 
+    // A bad spec is still a 400, not a 429: the build comes before the
+    // admission gate.
+    let bad = r#"{"horizons":[1], "models":[{"kind":"cyclic"}]}"#;
+    let (status, body) = post(addr, "/sweep/report", bad);
+    assert_eq!(status, 400, "body: {body}");
+    assert!(body.contains("bad_spec"), "{body}");
+
     // Identical spec: coalesces onto the in-flight run, no slot needed.
     let (status, _body) = post(addr, "/sweep/report", &stalled);
     assert_eq!(status, 200);
-    let (status, _) = leader.join().unwrap();
+    let (status, _) = first.join().unwrap();
     assert_eq!(status, 200);
 
     let stats = server.stats();
     assert_eq!(stats.sweeps, 1);
     assert_eq!(stats.coalesced, 1);
     assert_eq!(stats.rejected, 1);
+    assert_eq!(stats.bad_requests, 1);
     assert_eq!(stats.inflight_highwater, 1);
 
     shutdown(&server, addr, handle);
@@ -315,4 +329,92 @@ fn lifecycle_healthz_stats_routing_and_drain() {
     let stats = server.stats();
     assert_eq!(stats.sweeps, 1);
     assert_eq!(stats.bad_requests, 0);
+}
+
+/// The run belongs to its owner, not to the connection that started it:
+/// when the first of two streaming clients hangs up after the headers, the
+/// other still gets the whole stream, from the same single computation.
+#[test]
+fn first_client_hanging_up_leaves_the_run_to_the_others() {
+    let (server, addr, handle) = start_server(default_cfg());
+    let spec = with_field(SPEC_BODY, r#""debug_stall_ms":400"#);
+
+    let mut first = TcpStream::connect(addr).unwrap();
+    send_request_head(&mut first, "POST", "/sweep", &spec).unwrap();
+    let mut head = Vec::new();
+    let mut byte = [0u8; 1];
+    while !head.ends_with(b"\r\n\r\n") {
+        first.read_exact(&mut byte).expect("response headers");
+        head.push(byte[0]);
+    }
+    assert!(head.starts_with(b"HTTP/1.1 200"), "{head:?}");
+
+    let second_spec = spec.clone();
+    let second = std::thread::spawn(move || post(addr, "/sweep", &second_spec));
+    wait_until("second client subscribed", || server.stats().coalesced == 1);
+    drop(first);
+
+    let (status, body) = second.join().unwrap();
+    assert_eq!(status, 200);
+    let summary = regenr_engine::Json::parse(body.lines().last().unwrap()).unwrap();
+    assert_eq!(summary.get("status").and_then(|s| s.as_str()), Some("ok"));
+    assert_eq!(summary.get("cells").and_then(|n| n.as_f64()), Some(4.0));
+    assert_eq!(body.lines().count(), 5, "four cells and the summary");
+    let stats = server.stats();
+    assert_eq!((stats.sweeps, stats.run_retries), (1, 0));
+    shutdown(&server, addr, handle);
+}
+
+/// Running out of file descriptors is an accept error to wait out, not a
+/// reason to exit: idle connections fill a small descriptor limit, and the
+/// server keeps running, then serves and drains once they close.
+#[cfg(unix)]
+#[test]
+fn running_out_of_descriptors_does_not_end_the_server() {
+    use std::process::{Command, Stdio};
+    let mut child = Command::new("sh")
+        .args([
+            "-c",
+            r#"ulimit -n 64 && exec "$0" serve --addr 127.0.0.1:0"#,
+            env!("CARGO_BIN_EXE_regenr"),
+        ])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn regenr serve");
+    let mut log = BufReader::new(child.stderr.take().unwrap());
+    let addr: SocketAddr = loop {
+        let mut line = String::new();
+        assert!(
+            log.read_line(&mut line).unwrap() > 0,
+            "exited before listening"
+        );
+        if let Some(rest) = line.split("listening on ").nth(1) {
+            break rest.split_whitespace().next().unwrap().parse().unwrap();
+        }
+    };
+    // Keep reading the log, so the exit summary never meets a closed pipe.
+    let log = std::thread::spawn(move || std::io::copy(&mut log, &mut std::io::sink()));
+
+    let idle: Vec<TcpStream> = (0..100)
+        .filter_map(|_| TcpStream::connect(addr).ok())
+        .collect();
+    std::thread::sleep(Duration::from_millis(300));
+    assert!(
+        child.try_wait().unwrap().is_none(),
+        "the server exited while idle connections held its descriptors"
+    );
+    assert_eq!(idle.len(), 100, "every idle connection got through");
+    drop(idle);
+    wait_until("healthz", || {
+        matches!(http_request(addr, "GET", "/healthz", ""), Ok((200, _)))
+    });
+    let (status, _) = post(addr, "/shutdown", "");
+    assert_eq!(status, 200);
+    assert!(
+        child.wait().unwrap().success(),
+        "clean exit after the drain"
+    );
+    log.join().unwrap().unwrap();
 }

@@ -21,7 +21,7 @@
 //!           | 'every=' N     fire on every N-th evaluation (N, 2N, ...)
 //! ```
 //!
-//! Examples: `serve-leader=panic,count=1`, `sr-nan=nan,every=3`,
+//! Examples: `serve-owner=panic,count=1`, `sr-nan=nan,every=3`,
 //! `serve-write=delay:25`.
 //!
 //! `panic` and `delay` are executed *inside* the registry (every site
