@@ -753,7 +753,6 @@ fn pool_vs_serial(w: &Workload) {
         // The comparison isolates the execution strategy, so the pool runs
         // the same generic loop as the serial product.
         kernel: regenr_sparse::KernelChoice::Generic,
-        ..Default::default()
     };
     let exec_threads = |kernel: &str| match kernel {
         "serial" => 1,
@@ -959,12 +958,11 @@ fn sensitivity() {
 
 /// Kernel ablation: warm repeated stepping on the uniformized `Pᵀ` of the
 /// paper's G=20/40 UR models, one timing per SpMV loop (generic and
-/// shortrow), then the blocked-RHS sweep on the loop Auto selects. All
-/// timings are single-threaded best-of-`rounds` so the numbers isolate the
-/// *kernel* (the pooled-vs-serial comparison in `engine` isolates the
-/// execution strategy). Every final iterate is asserted bitwise identical
-/// to the generic baseline, and blocked stepping must clear 1.5× per cell
-/// at k = 4 on G=40; `results/kernels.csv` records the grid.
+/// shortrow). All timings are single-threaded best-of-`rounds` so the
+/// numbers isolate the *kernel* (the pooled-vs-serial comparison in
+/// `engine` isolates the execution strategy). Every final iterate is
+/// asserted bitwise identical to the generic baseline;
+/// `results/kernels.csv` records the grid.
 fn kernel_ablation(w: &Workload) {
     use regenr_ctmc::Uniformized;
     use regenr_sparse::{ChunkPlan, CsrMatrix, KernelChoice, WorkerPool};
@@ -976,7 +974,7 @@ fn kernel_ablation(w: &Workload) {
     );
     let mut csv = CsvWriter::create(
         "kernels",
-        "model,kernel,selected,rhs_block,steps,seconds,speedup_vs_generic,speedup_vs_k1",
+        "model,kernel,selected,steps,seconds,speedup_vs_generic",
     )
     .unwrap();
     // Names derive from KernelKind::name() — the same strings the CLI and
@@ -1067,111 +1065,11 @@ fn kernel_ablation(w: &Workload) {
                 model.to_string(),
                 kind.name().to_string(),
                 is_selected.to_string(),
-                "1".to_string(),
                 steps.to_string(),
                 format!("{secs:.6}"),
                 format!("{vs_generic:.3}"),
-                "1.000".to_string(),
             ])
             .unwrap();
-        }
-
-        // Blocked-RHS ablation: k sweep cells stepped through one k-column
-        // SpMM under the Auto kernel. Column j enters the block j serial
-        // steps ahead, so the bitwise check proves per-column independence,
-        // not just that k copies of one vector agree. `speedup_vs_generic`
-        // is per-cell against the generic single-RHS baseline;
-        // `speedup_vs_k1` is per-cell against this kernel's own k=1 row —
-        // the matrix streams through memory once per step for all k cells,
-        // which is where the bandwidth-wall win comes from.
-        const KS: [usize; 4] = [1, 2, 4, 8];
-        let max_k = *KS.last().unwrap();
-        let pool = WorkerPool::global();
-        let n = m.nrows();
-        // Serial reference trajectory: seeds are states 0..max_k, the
-        // expected block outputs are states steps..steps+max_k.
-        let mut seeds: Vec<Vec<f64>> = Vec::with_capacity(max_k);
-        let mut refs: Vec<Vec<u64>> = Vec::with_capacity(max_k);
-        {
-            let mut cur = x0.clone();
-            let mut nxt = vec![0.0; n];
-            for step in 0..steps + max_k {
-                if step < max_k {
-                    seeds.push(cur.clone());
-                }
-                if step >= steps {
-                    refs.push(cur.iter().map(|v| v.to_bits()).collect());
-                }
-                m.mul_vec_pooled_into(&cur, &mut nxt, &auto_plan, pool);
-                std::mem::swap(&mut cur, &mut nxt);
-            }
-            refs.push(cur.iter().map(|v| v.to_bits()).collect());
-        }
-        let pass_block = |k: usize| -> f64 {
-            let mut pi = vec![0.0; n * k];
-            for (j, seed) in seeds.iter().take(k).enumerate() {
-                for (s, &v) in seed.iter().enumerate() {
-                    pi[s * k + j] = v;
-                }
-            }
-            let mut next = vec![0.0; n * k];
-            let t0 = std::time::Instant::now();
-            for _ in 0..steps {
-                m.mul_mat_pooled_into(&pi, &mut next, &auto_plan, pool, k);
-                std::mem::swap(&mut pi, &mut next);
-            }
-            let secs = t0.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
-            // Column j advanced from state j to state j + steps.
-            for j in 0..k {
-                for s in 0..n {
-                    assert_eq!(
-                        pi[s * k + j].to_bits(),
-                        refs[j][s],
-                        "{model} rhs_block {k}: column {j} must be bitwise \
-                         identical to the serial iterate"
-                    );
-                }
-            }
-            secs
-        };
-        let mut best_k = vec![f64::INFINITY; KS.len()];
-        for _ in 0..rounds {
-            for (slot, &k) in KS.iter().enumerate() {
-                best_k[slot] = best_k[slot].min(pass_block(k));
-            }
-        }
-        let t1 = best_k[0];
-        for (&k, &tk) in KS.iter().zip(&best_k) {
-            let per_cell_vs_generic = generic_secs * k as f64 / tk;
-            let per_cell_vs_k1 = t1 * k as f64 / tk;
-            println!(
-                "  {:>10}  rhs_block {k}: {tk:>9.4}s  per-cell {:>5.2}x vs k=1, \
-                 {:>5.2}x vs generic",
-                selected.name(),
-                per_cell_vs_k1,
-                per_cell_vs_generic,
-            );
-            csv.row(&[
-                model.to_string(),
-                selected.name().to_string(),
-                "true".to_string(),
-                k.to_string(),
-                steps.to_string(),
-                format!("{tk:.6}"),
-                format!("{per_cell_vs_generic:.3}"),
-                format!("{per_cell_vs_k1:.3}"),
-            ])
-            .unwrap();
-            if model == "ur_g40" && k == 4 {
-                // The blocked layer's acceptance bar: at G=40, four cells
-                // per pass must cost well under four serial passes — >= 1.5x
-                // per cell over this kernel's own k=1 row.
-                assert!(
-                    per_cell_vs_k1 >= 1.5,
-                    "rhs_block 4 must be >= 1.5x per cell over k=1 at G=40, \
-                     got {per_cell_vs_k1:.3}x"
-                );
-            }
         }
     }
     println!("  (* = what Auto selects for this matrix; results/kernels.csv records the grid)");

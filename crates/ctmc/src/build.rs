@@ -26,8 +26,10 @@ pub trait ModelSpec {
     /// Initial states with their probabilities (must sum to 1).
     fn initial(&self) -> Vec<(Self::State, f64)>;
 
-    /// Outgoing transitions `(target, rate)` of a state; rates must be > 0.
-    /// An empty vector makes the state absorbing.
+    /// Outgoing transitions `(target, rate)` of a state; rates must be
+    /// positive and finite ([`CtmcBuilder`] rejects any other rate with
+    /// [`CtmcError::InvalidRate`]). An empty vector makes the state
+    /// absorbing.
     fn transitions(&self, state: &Self::State) -> Vec<(Self::State, f64)>;
 
     /// Reward rate of a state (≥ 0).
@@ -76,8 +78,9 @@ impl CtmcBuilder {
 
     /// Explores the reachable state space of `spec` and compiles it.
     ///
-    /// Exceeding `max_states` returns [`CtmcError::StateSpaceExceeded`] — a
-    /// clean input-level error, so generated models (spec files) can be
+    /// Exceeding `max_states` returns [`CtmcError::StateSpaceExceeded`] and a
+    /// non-positive or non-finite rate returns [`CtmcError::InvalidRate`] —
+    /// clean input-level errors, so generated models (spec files) can be
     /// rejected without panicking.
     pub fn explore<M: ModelSpec>(&self, spec: &M) -> Result<BuiltModel<M::State>, CtmcError> {
         regenr_failpoint::failpoint_return!(
@@ -116,10 +119,9 @@ impl CtmcBuilder {
         while let Some(id) = queue.pop_front() {
             let from = states[id].clone();
             for (target, rate) in spec.transitions(&from) {
-                assert!(
-                    rate > 0.0 && rate.is_finite(),
-                    "model produced a non-positive or non-finite rate {rate}"
-                );
+                if !(rate > 0.0 && rate.is_finite()) {
+                    return Err(CtmcError::InvalidRate { from: id, rate });
+                }
                 let tid = match index.entry(target.clone()) {
                     Entry::Occupied(e) => *e.get(),
                     Entry::Vacant(e) => {
@@ -224,10 +226,9 @@ impl CtmcBuilder {
 
         while let Some((from, id)) = queue.pop_front() {
             for (target, rate) in spec.transitions(&from) {
-                assert!(
-                    rate > 0.0 && rate.is_finite(),
-                    "model produced a non-positive or non-finite rate {rate}"
-                );
+                if !(rate > 0.0 && rate.is_finite()) {
+                    return Err(CtmcError::InvalidRate { from: id, rate });
+                }
                 let tid = match index.entry(target.clone()) {
                     Entry::Occupied(e) => *e.get(),
                     Entry::Vacant(e) => {
@@ -384,6 +385,42 @@ mod tests {
             match result {
                 Err(CtmcError::StateSpaceExceeded { max_states }) => assert_eq!(max_states, 100),
                 other => panic!("expected StateSpaceExceeded, got {other:?}"),
+            }
+        }
+    }
+
+    /// A model whose state 1 leaves at a caller-chosen rate.
+    struct BadRate(f64);
+    impl ModelSpec for BadRate {
+        type State = u8;
+        fn initial(&self) -> Vec<(u8, f64)> {
+            vec![(0, 1.0)]
+        }
+        fn transitions(&self, &s: &u8) -> Vec<(u8, f64)> {
+            match s {
+                0 => vec![(1, 1.0)],
+                _ => vec![(0, self.0)],
+            }
+        }
+        fn reward(&self, _: &u8) -> f64 {
+            0.0
+        }
+    }
+
+    #[test]
+    fn non_positive_or_non_finite_rates_are_clean_errors() {
+        let builder = CtmcBuilder::default();
+        for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
+            for result in [
+                builder.explore(&BadRate(rate)).map(|_| ()),
+                builder.explore_streaming(&BadRate(rate)).map(|_| ()),
+            ] {
+                match result {
+                    Err(CtmcError::InvalidRate { from: 1, rate: r }) => {
+                        assert_eq!(r.to_bits(), rate.to_bits())
+                    }
+                    other => panic!("rate {rate}: expected InvalidRate, got {other:?}"),
+                }
             }
         }
     }

@@ -8,6 +8,9 @@ use std::fmt;
 pub enum CtmcError {
     /// An off-diagonal generator entry was negative.
     NegativeRate { from: usize, to: usize, rate: f64 },
+    /// A [`ModelSpec`](crate::ModelSpec) produced a transition whose rate
+    /// is not positive and finite.
+    InvalidRate { from: usize, rate: f64 },
     /// A generator row does not sum to ~0.
     RowSumNonZero { state: usize, sum: f64 },
     /// The initial distribution has negative mass or does not sum to 1.
@@ -42,6 +45,12 @@ impl fmt::Display for CtmcError {
                 write!(
                     f,
                     "negative transition rate {rate} from state {from} to {to}"
+                )
+            }
+            CtmcError::InvalidRate { from, rate } => {
+                write!(
+                    f,
+                    "model produced a non-positive or non-finite rate {rate} out of state {from}"
                 )
             }
             CtmcError::RowSumNonZero { state, sum } => {

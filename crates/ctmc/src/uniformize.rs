@@ -8,12 +8,12 @@
 use crate::chain::Ctmc;
 use regenr_sparse::{
     effective_threads, Backend, ChunkPlan, CsrMatrix, KernelChoice, KernelKind, ParallelConfig,
-    WorkerPool, MAX_RHS_BLOCK,
+    WorkerPool,
 };
 use std::sync::{Arc, Mutex};
 
 /// Shared memo of nnz-balanced [`ChunkPlan`]s for `Pᵀ`, keyed by
-/// [`PlanKey`] `(chunks, kernel, block)` — a plan carries the resolved SpMV
+/// [`PlanKey`] `(chunks, kernel)` — a plan carries the resolved SpMV
 /// loop, so forcing a different kernel yields a distinct plan. Wrapped in
 /// an `Arc` so clones of a [`Uniformized`] share the same plans (they
 /// describe the same matrix); the inner list is tiny — one entry per
@@ -22,13 +22,11 @@ use std::sync::{Arc, Mutex};
 struct PlanCache(Arc<Mutex<PlanList>>);
 
 /// Everything that distinguishes one cached plan from another: the chunk
-/// decomposition, the kernel resolution, and the blocked-RHS width the
-/// stepper will drive it at.
+/// decomposition and the kernel resolution.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 struct PlanKey {
     chunks: usize,
     kernel: KernelChoice,
-    block: usize,
 }
 
 /// `(key, plan)` pairs; linear scan — a handful of entries at most.
@@ -82,30 +80,12 @@ pub struct Stepper<'a> {
     /// one thread requested).
     plan: Arc<ChunkPlan>,
     pool: &'static Arc<WorkerPool>,
-    /// Blocked-RHS width `k` this stepper was planned for: how many
-    /// interleaved distributions one [`Stepper::step_block`] pass moves.
-    block: usize,
 }
 
 impl Stepper<'_> {
     /// One DTMC step: `out = Pᵀ·π`.
     pub fn step(&self, pi: &[f64], out: &mut [f64]) {
         self.p_t.mul_vec_pooled_into(pi, out, &self.plan, self.pool);
-    }
-
-    /// One blocked DTMC step over `k = self.block()` interleaved
-    /// distributions (`pi[s*k + j]` is column `j`'s mass in state `s`):
-    /// every column is stepped exactly as [`Stepper::step`] would step it
-    /// alone — bitwise identical per column — but the matrix streams
-    /// through memory once for all `k`.
-    pub fn step_block(&self, pi: &[f64], out: &mut [f64]) {
-        self.p_t
-            .mul_mat_pooled_into(pi, out, &self.plan, self.pool, self.block);
-    }
-
-    /// The blocked-RHS width this stepper was planned for (1 = serial).
-    pub fn block(&self) -> usize {
-        self.block
     }
 
     /// Whether steps are dispatched to the worker pool (`false` ⇒ the
@@ -169,26 +149,10 @@ impl Uniformized {
     }
 
     /// A stepping kernel with its chunk plan (and SpMV loop) resolved once
-    /// under `cfg` (see [`Stepper`]). Solver loops
-    /// should build this once per solve and call [`Stepper::step`] per
-    /// product; [`Uniformized::step_into`] re-plans on every call.
+    /// under `cfg` (see [`Stepper`]) and cached per `(chunks, kernel)`.
+    /// Solver loops build this once per solve and call [`Stepper::step`]
+    /// per product.
     pub fn stepper(&self, cfg: &ParallelConfig) -> Stepper<'_> {
-        self.stepper_block(cfg, 1)
-    }
-
-    /// Like [`Uniformized::stepper`] planned for blocked-RHS stepping:
-    /// [`Stepper::step_block`] moves `block` interleaved distributions per
-    /// streaming pass of `Pᵀ`. Plans are cached per
-    /// `(chunks, kernel, block)`, so mixing serial and blocked steppers over
-    /// one uniformization never re-plans a key it already has.
-    ///
-    /// # Panics
-    /// If `block` is 0 or exceeds [`MAX_RHS_BLOCK`].
-    pub fn stepper_block(&self, cfg: &ParallelConfig, block: usize) -> Stepper<'_> {
-        assert!(
-            (1..=MAX_RHS_BLOCK).contains(&block),
-            "rhs block {block} out of range"
-        );
         let threads = effective_threads(cfg.threads);
         let chunks = if self.p_t.nnz() >= cfg.min_nnz && threads > 1 {
             threads
@@ -201,21 +165,12 @@ impl Uniformized {
         let key = PlanKey {
             chunks,
             kernel: cfg.kernel,
-            block,
         };
         Stepper {
             p_t: &self.p_t,
             plan: self.plans.get_or_plan(&self.p_t, key),
             pool: WorkerPool::global(),
-            block,
         }
-    }
-
-    /// One DTMC step: `out = πᵀP` computed as `Pᵀ·π` (gather), optionally in
-    /// parallel. Convenience wrapper around [`Uniformized::stepper`] for
-    /// one-shot steps.
-    pub fn step_into(&self, pi: &[f64], out: &mut [f64], cfg: &ParallelConfig) {
-        self.stepper(cfg).step(pi, out);
     }
 
     /// Number of states.
@@ -408,11 +363,11 @@ mod tests {
     #[test]
     fn step_preserves_mass() {
         let u = Uniformized::new(&chain(), 0.0);
-        let cfg = ParallelConfig::default();
+        let stepper = u.stepper(&ParallelConfig::default());
         let mut pi = vec![1.0, 0.0, 0.0];
         let mut next = vec![0.0; 3];
         for _ in 0..50 {
-            u.step_into(&pi, &mut next, &cfg);
+            stepper.step(&pi, &mut next);
             std::mem::swap(&mut pi, &mut next);
             let mass: f64 = pi.iter().sum();
             assert!((mass - 1.0).abs() < 1e-12);
@@ -456,7 +411,6 @@ mod tests {
             min_nnz: 0,
             threads: 2,
             kernel: KernelChoice::ShortRow,
-            ..Default::default()
         };
         let _ = donor.stepper(&cfg);
         let _ = donor.stepper(&ParallelConfig {
@@ -513,7 +467,6 @@ mod tests {
             min_nnz: 0,
             threads: 4,
             kernel: KernelChoice::Auto,
-            ..Default::default()
         };
         let stepper = u.stepper(&cfg);
         assert!(stepper.is_pooled());
@@ -543,42 +496,5 @@ mod tests {
         assert_eq!(a, c, "forced kernel must be bitwise identical");
         // Below the nnz threshold the stepper runs serially.
         assert!(!u.stepper(&ParallelConfig::default()).is_pooled());
-    }
-
-    /// Blocked steppers: each interleaved column steps bitwise identically
-    /// to the serial stepper, and plans are cached per block width.
-    #[test]
-    fn blocked_stepper_is_bitwise_serial_per_column_and_caches_per_block() {
-        let u = Uniformized::new(&chain(), 0.0);
-        let cfg = ParallelConfig {
-            min_nnz: 0,
-            threads: 3,
-            ..Default::default()
-        };
-        let serial = u.stepper(&cfg);
-        let pi = [0.2, 0.3, 0.5];
-        let mut want = vec![0.0; 3];
-        serial.step(&pi, &mut want);
-        for k in [1usize, 2, 4, 8] {
-            let blocked = u.stepper_block(&cfg, k);
-            assert_eq!(blocked.block(), k);
-            let xk: Vec<f64> = (0..3 * k).map(|i| pi[i / k]).collect();
-            let mut got = vec![0.0; 3 * k];
-            blocked.step_block(&xk, &mut got);
-            for s in 0..3 {
-                for j in 0..k {
-                    assert_eq!(
-                        got[s * k + j].to_bits(),
-                        want[s].to_bits(),
-                        "k={k} state {s} col {j}"
-                    );
-                }
-            }
-        }
-        // block=1 shares the serial plan; other widths resolve their own.
-        assert!(Arc::ptr_eq(&serial.plan, &u.stepper_block(&cfg, 1).plan));
-        let b4 = u.stepper_block(&cfg, 4);
-        assert!(!Arc::ptr_eq(&serial.plan, &b4.plan));
-        assert!(Arc::ptr_eq(&b4.plan, &u.stepper_block(&cfg, 4).plan));
     }
 }

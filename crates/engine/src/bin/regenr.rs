@@ -23,6 +23,10 @@
 //! dependencies, built through streaming state exploration; the `specs/`
 //! corpus at the repo root holds ready-to-run examples), and `inline` rate
 //! matrices. See `regenr_engine::spec` for the full schema.
+//!
+//! Exit codes: 0 ok, 1 a sweep with failed requests, 2 a usage or spec
+//! error — an unknown flag, a missing flag value or an extra argument
+//! prints the usage line and exits 2.
 
 use regenr_engine::{
     report_to_json, stable_report_to_json, Engine, Json, ServeConfig, Server, SweepSpec,
@@ -30,67 +34,101 @@ use regenr_engine::{
 };
 use std::io::Read;
 
+const USAGE: &str =
+    "usage: regenr <sweep <spec.json|->|demo [G]|methods|serve> [--pretty] [--stable]\n\
+     serve flags: --addr HOST:PORT  --threads N  --max-inflight K\n\
+     see the module docs of regenr_engine::spec for the spec schema";
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let pretty = args.iter().any(|a| a == "--pretty");
-    let stable = args.iter().any(|a| a == "--stable");
-    let positional: Vec<&String> = args.iter().filter(|a| !a.starts_with("--")).collect();
-    let code = match positional.first().map(|s| s.as_str()) {
-        Some("sweep") => sweep(positional.get(1).map(|s| s.as_str()), pretty, stable),
-        Some("demo") => match positional.get(1) {
-            None => demo(20, pretty, stable),
-            Some(arg) => match arg.parse() {
-                Ok(g) => demo(g, pretty, stable),
-                Err(_) => {
-                    eprintln!("usage: regenr demo [G] — G must be a positive integer, got {arg:?}");
-                    2
-                }
-            },
-        },
-        Some("methods") => {
-            methods(pretty);
-            0
-        }
-        Some("serve") => serve(&args),
-        _ => {
-            eprintln!(
-                "usage: regenr <sweep <spec.json|->|demo [G]|methods|serve> [--pretty] [--stable]\n\
-                 serve flags: --addr HOST:PORT  --threads N  --max-inflight K\n\
-                 see the module docs of regenr_engine::spec for the spec schema"
-            );
-            2
-        }
-    };
+    let code = run(&args).unwrap_or_else(|why| {
+        eprintln!("regenr: {why}\n{USAGE}");
+        2
+    });
     std::process::exit(code);
 }
 
-/// Parses a `--flag VALUE` pair from the raw argument list.
-fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .map(|s| s.as_str())
+/// Dispatches a command line; `Err` is a usage error (exit 2).
+fn run(args: &[String]) -> Result<i32, String> {
+    let Some((command, rest)) = args.split_first() else {
+        return Err("missing command".into());
+    };
+    match command.as_str() {
+        "sweep" => {
+            let (positional, pretty, stable) = split_flags(rest, true)?;
+            match positional[..] {
+                [path] => Ok(sweep(path, pretty, stable)),
+                _ => Err("sweep takes exactly one spec path ('-' for stdin)".into()),
+            }
+        }
+        "demo" => {
+            let (positional, pretty, stable) = split_flags(rest, true)?;
+            let g = match positional[..] {
+                [] => 20,
+                [g] => g
+                    .parse()
+                    .map_err(|_| format!("demo G must be a positive integer, got {g:?}"))?,
+                _ => return Err("demo takes at most one argument, G".into()),
+            };
+            Ok(demo(g, pretty, stable))
+        }
+        "methods" => {
+            let (positional, pretty, _) = split_flags(rest, false)?;
+            if !positional.is_empty() {
+                return Err("methods takes no arguments".into());
+            }
+            methods(pretty);
+            Ok(0)
+        }
+        "serve" => Ok(serve(serve_config(rest)?)),
+        other => Err(format!("unknown command {other:?}")),
+    }
 }
 
-fn serve(args: &[String]) -> i32 {
-    let mut cfg = ServeConfig::default();
-    if let Some(addr) = flag_value(args, "--addr") {
-        cfg.addr = addr.to_string();
+/// Splits a command's arguments into positionals and the output flags:
+/// `--pretty`, and `--stable` where `stable_ok`. Any other flag is an error.
+fn split_flags(args: &[String], stable_ok: bool) -> Result<(Vec<&str>, bool, bool), String> {
+    let (mut positional, mut pretty, mut stable) = (Vec::new(), false, false);
+    for arg in args {
+        match arg.as_str() {
+            "--pretty" => pretty = true,
+            "--stable" if stable_ok => stable = true,
+            flag if flag.starts_with('-') && flag != "-" => {
+                return Err(format!("unknown flag {flag:?}"))
+            }
+            p => positional.push(p),
+        }
     }
-    for (flag, slot) in [
-        ("--threads", &mut cfg.threads),
-        ("--max-inflight", &mut cfg.max_inflight),
-    ] {
-        if let Some(value) = flag_value(args, flag) {
-            match value.parse() {
-                Ok(n) => *slot = n,
-                Err(_) => {
-                    eprintln!("regenr serve: {flag} needs a non-negative integer, got {value:?}");
-                    return 2;
-                }
+    Ok((positional, pretty, stable))
+}
+
+/// Reads `serve`'s `--flag VALUE` pairs; anything else is an error.
+fn serve_config(args: &[String]) -> Result<ServeConfig, String> {
+    let mut cfg = ServeConfig::default();
+    let mut args = args.iter();
+    while let Some(flag) = args.next() {
+        let count = match flag.as_str() {
+            "--addr" => None,
+            "--threads" => Some(&mut cfg.threads),
+            "--max-inflight" => Some(&mut cfg.max_inflight),
+            other => return Err(format!("unknown serve argument {other:?}")),
+        };
+        let value = args
+            .next()
+            .ok_or_else(|| format!("serve {flag} needs a value"))?;
+        match count {
+            None => cfg.addr = value.clone(),
+            Some(slot) => {
+                *slot = value.parse().map_err(|_| {
+                    format!("serve {flag} needs a non-negative integer, got {value:?}")
+                })?
             }
         }
     }
+    Ok(cfg)
+}
+
+fn serve(cfg: ServeConfig) -> i32 {
     let max_inflight = cfg.max_inflight;
     let server = match Server::bind(cfg) {
         Ok(server) => server,
@@ -157,11 +195,7 @@ fn run_spec(text: &str, pretty: bool, stable: bool) -> i32 {
     }
 }
 
-fn sweep(path: Option<&str>, pretty: bool, stable: bool) -> i32 {
-    let Some(path) = path else {
-        eprintln!("usage: regenr sweep <spec.json|->");
-        return 2;
-    };
+fn sweep(path: &str, pretty: bool, stable: bool) -> i32 {
     let text = if path == "-" {
         let mut buf = String::new();
         match std::io::stdin().read_to_string(&mut buf) {

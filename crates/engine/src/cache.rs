@@ -1113,7 +1113,6 @@ mod tests {
                 min_nnz: 0,
                 threads: 1,
                 kernel: KernelChoice::ShortRow,
-                ..Default::default()
             });
             weak = Arc::downgrade(&unif);
             drop(unif);
@@ -1248,7 +1247,6 @@ mod tests {
             min_nnz: 0,
             threads: 1,
             kernel: KernelChoice::ShortRow,
-            ..Default::default()
         };
         let _ = ua.stepper(&cfg);
 

@@ -34,10 +34,9 @@ use crate::EngineError;
 use regenr_ctmc::{Ctmc, CtmcError};
 use regenr_laplace::InverterOptions;
 use regenr_sparse::{
-    effective_threads, ParallelConfig, RhsBlockChoice, WorkerPool, WorkerPoolStats, Workspace,
-    WorkspaceStats,
+    effective_threads, ParallelConfig, WorkerPool, WorkerPoolStats, Workspace, WorkspaceStats,
 };
-use regenr_transient::{solve_block_with, MeasureKind, SrBlockCell, SrOptions};
+use regenr_transient::MeasureKind;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -250,16 +249,6 @@ pub struct ExecStats {
     /// Workspace activity summed over the sweep's workers. `fresh_allocs`
     /// far below `takes` is the zero-steady-state-allocation property.
     pub workspace: WorkspaceStats,
-    /// Sweep cells (horizons) solved inside blocked propagations: SR jobs
-    /// whose models share a generator (same uniformization fingerprint) and
-    /// error budget are grouped — up to [`regenr_sparse::MAX_RHS_BLOCK`]
-    /// per group, width set by [`ParallelConfig::rhs_block`] — and stepped
-    /// through one multi-vector SpMM instead of one SpMV per job, reading
-    /// the matrix once per step for the whole group. Values stay bitwise
-    /// identical to the per-job path; this counter is the only observable
-    /// difference. `0` when nothing grouped (distinct generators, mixed
-    /// tolerances, or `rhs_block = 1`).
-    pub blocked_cells: usize,
 }
 
 /// Supervisor accounting for one sweep: how often solutions failed the
@@ -451,9 +440,9 @@ struct Job {
     /// hashing the full CSR is `O(nnz)`, workers must not redo it. The
     /// generator-only `unif` fingerprint keys the uniformization artifact
     /// (uniformization never sees initials or rewards, so models differing
-    /// only in those share one cached `Uniformized`) and groups blocked
-    /// sweep execution; `unif_structure` lets the cache rebuild a rate
-    /// variant's uniformization by re-binding a structural donor's plans.
+    /// only in those share one cached `Uniformized`); `unif_structure` lets
+    /// the cache rebuild a rate variant's uniformization by re-binding a
+    /// structural donor's plans.
     fps: ModelFps,
     /// Structure facts, resolved once at plan time.
     facts: Arc<ChainFacts>,
@@ -556,79 +545,26 @@ fn health_check(req: &SolveRequest, reports: &[SolveReport]) -> Result<(), Strin
     Ok(())
 }
 
-/// One claimable unit of sweep execution: a lone job, or a group of SR jobs
-/// sharing a generator and error budget that one worker solves as a single
-/// blocked propagation (see [`Engine::run_block`]).
-enum SweepUnit {
-    Single(usize),
-    Block(Vec<usize>),
-}
-
-/// Groups planned jobs into sweep units. SR jobs bucket by
-/// `(unif_fingerprint, epsilon)` — equal keys uniformize identically and
-/// share `SrOptions` — and each bucket is chunked to the width
-/// [`RhsBlockChoice::plan_width`] picks (`Auto` → the maximum block width
-/// when a bucket has company — the executing worker sub-splits to the
-/// resolved kernel's preferred width once it knows it, see
-/// [`Engine::run_block`] — `1` disables grouping entirely). Everything
-/// else — other methods, singleton buckets, odd tail chunks of one — stays
-/// a `Single` unit and runs exactly as before.
-///
-/// Units come out in claim order. RSD, RR and RRL singles come first, by
-/// descending generator nnz: these are the long-horizon methods, and a
-/// job's cost grows with its matrix, so the longest jobs start together
-/// instead of one after the other at the tail of the sweep (on the paper
-/// grid, the G = 40 RSD and RRL jobs). Every other unit — SR blocks, SR,
-/// Adaptive and ODE singles — keeps first-job order behind them. The sort
-/// is stable and keyed on properties of the input only, so the order is
-/// deterministic; `--stable` output does not depend on it, because results
-/// are collected by (request, horizon) slot.
-fn plan_units(jobs: &[Job], reqs: &[SolveRequest], rhs_block: RhsBlockChoice) -> Vec<SweepUnit> {
+/// The sweep's claim order over planned jobs, as job indices. RSD, RR and
+/// RRL jobs come first, by descending generator nnz: these are the
+/// long-horizon methods, and a job's cost grows with its matrix, so the
+/// longest jobs start together instead of one after the other at the tail
+/// of the sweep (on the paper grid, the G = 40 RSD and RRL jobs). Every
+/// other job — SR, Adaptive and ODE — keeps first-job order behind them.
+/// The sort is stable and keyed on properties of the input only, so the
+/// order is deterministic; `--stable` output does not depend on it, because
+/// results are collected by (request, horizon) slot.
+fn plan_units(jobs: &[Job], reqs: &[SolveRequest]) -> Vec<usize> {
     use std::cmp::Reverse;
-    use std::collections::HashMap;
-    let mut buckets: HashMap<(u64, u64), Vec<usize>> = HashMap::new();
-    for (i, job) in jobs.iter().enumerate() {
-        if job.method == Method::Sr {
-            buckets
-                .entry((job.fps.unif, reqs[job.req_idx].epsilon.to_bits()))
-                .or_default()
-                .push(i);
-        }
-    }
-    let mut blocks: HashMap<usize, Vec<usize>> = HashMap::new();
-    let mut follower = vec![false; jobs.len()];
-    for members in buckets.into_values() {
-        let width = rhs_block.plan_width(members.len());
-        if width < 2 {
-            continue;
-        }
-        for chunk in members.chunks(width) {
-            if chunk.len() < 2 {
-                continue;
-            }
-            for &j in &chunk[1..] {
-                follower[j] = true;
-            }
-            blocks.insert(chunk[0], chunk.to_vec());
-        }
-    }
-    let mut units: Vec<SweepUnit> = (0..jobs.len())
-        .filter(|i| !follower[*i])
-        .map(|i| match blocks.remove(&i) {
-            Some(members) => SweepUnit::Block(members),
-            None => SweepUnit::Single(i),
-        })
-        .collect();
-    // `sort_by_key` is stable: units with equal keys keep first-job order.
-    units.sort_by_key(|unit| match *unit {
-        SweepUnit::Single(i)
-            if matches!(jobs[i].method, Method::Rsd | Method::Rr | Method::Rrl) =>
-        {
+    let mut order: Vec<usize> = (0..jobs.len()).collect();
+    // `sort_by_key` is stable: jobs with equal keys keep first-job order.
+    order.sort_by_key(|&i| match jobs[i].method {
+        Method::Rsd | Method::Rr | Method::Rrl => {
             (0, Reverse(reqs[jobs[i].req_idx].model.generator().nnz()))
         }
         _ => (1, Reverse(0)),
     });
-    units
+    order
 }
 
 impl Engine {
@@ -890,9 +826,8 @@ impl Engine {
         job: &Job,
         ws: &mut Workspace,
         counters: &RobustCounters,
-        prior_failures: u32,
     ) -> Result<Vec<SolveReport>, EngineError> {
-        let mut attempts: u32 = prior_failures;
+        let mut attempts: u32 = 0;
         let mut last_err: Option<EngineError> = None;
         for (mi, method) in std::iter::once(job.method)
             .chain(fallback_chain(job.method).iter().copied())
@@ -911,8 +846,7 @@ impl Engine {
                 &fallback_job
             };
             for _ in 0..tries {
-                // Any attempt after the first (counting failures inherited
-                // from a blocked group) is a retry.
+                // Any attempt after the first is a retry.
                 if attempts > 0 {
                     counters.retries.fetch_add(1, Ordering::Relaxed);
                     std::thread::sleep(Duration::from_millis(u64::from(attempts.min(4))));
@@ -968,122 +902,6 @@ impl Engine {
             }
         }
         Err(last_err.expect("supervisor made at least one attempt"))
-    }
-
-    /// Executes a group of SR jobs whose models share a generator as one
-    /// blocked propagation over a single cached uniformization: the members'
-    /// initial distributions ride in separate block columns of a k-RHS SpMM,
-    /// so the matrix streams through memory once per step for the whole
-    /// group. Returns `(job index, reports)` per member, reports in the
-    /// member's slot order. Every value is **bitwise identical** to running
-    /// the members through [`Engine::run_job`] one at a time (the blocked
-    /// kernels are the serial kernel applied column-wise), so grouping is an
-    /// execution detail — invisible in `--stable` reports, surfaced only as
-    /// [`ExecStats::blocked_cells`].
-    fn run_block(
-        &self,
-        reqs: &[SolveRequest],
-        jobs: &[Job],
-        members: &[usize],
-        ws: &mut Workspace,
-    ) -> Vec<(usize, Vec<SolveReport>)> {
-        // Same test seam as `run_job`: the panic surfaces here and the
-        // worker's serial fallback re-runs the members individually, which
-        // is exactly the isolation property the seam exists to exercise.
-        #[cfg(test)]
-        for &j in members {
-            if reqs[jobs[j].req_idx].name == "__panic_injection__" {
-                panic!("injected solver panic (test seam)");
-            }
-        }
-        let first = &jobs[members[0]];
-        let first_req = &reqs[first.req_idx];
-        let cfg = self.solve_config(first_req);
-        // One shared uniformization for the whole group, under the same
-        // generator-only key `run_job` uses — blocked and per-job execution
-        // hit the identical cache entry (delta-aware, like `run_job`).
-        let (unif, unif_hit) = self.cache.uniformized_delta(
-            first.fps.unif,
-            first.fps.unif_structure,
-            &first_req.model,
-            cfg.theta,
-        );
-        let (kind, kernel, backend) = {
-            let stepper = unif.stepper(&cfg.parallel);
-            let kind = stepper.kernel_kind();
-            (kind, kind.name(), stepper.backend().name())
-        };
-        // Grouping guarantees equal epsilon (it is part of the bucket key),
-        // and theta/parallel are engine-global, so one SrOptions serves
-        // every member.
-        let opts = SrOptions {
-            epsilon: cfg.epsilon,
-            theta: cfg.theta,
-            parallel: cfg.parallel,
-        };
-        let cells: Vec<SrBlockCell<'_>> = members
-            .iter()
-            .map(|&j| {
-                let req = &reqs[jobs[j].req_idx];
-                SrBlockCell {
-                    ctmc: &req.model,
-                    measure: req.measure,
-                    ts: &jobs[j].ts,
-                }
-            })
-            .collect();
-        let t0 = Instant::now();
-        // The planner grouped at the maximum block width; now that the
-        // kernel is known, sub-split to the width it prefers (short-row
-        // kernels take the full block, the rest peak at 4). Each chunk is
-        // one blocked solve, and member order is preserved.
-        let width = cfg
-            .parallel
-            .rhs_block
-            .resolve_for(kind, members.len())
-            .max(1);
-        let mut solutions = Vec::with_capacity(cells.len());
-        for chunk in cells.chunks(width) {
-            solutions.extend(solve_block_with(&unif, &opts, chunk, ws));
-        }
-        let total_cells: usize = members.iter().map(|&j| jobs[j].ts.len()).sum();
-        let per_cell = t0.elapsed() / total_cells.max(1) as u32;
-        members
-            .iter()
-            .zip(solutions)
-            .map(|(&j, sols)| {
-                let job = &jobs[j];
-                let req = &reqs[job.req_idx];
-                let lambda = self.lambda(&job.facts);
-                let reports = job
-                    .ts
-                    .iter()
-                    .zip(&sols)
-                    .map(|(&t, sol)| SolveReport {
-                        model: req.name.clone(),
-                        fingerprint: job.fps.full,
-                        measure: req.measure,
-                        t,
-                        method: job.method,
-                        reason: job.reason,
-                        value: sol.value,
-                        steps: sol.steps,
-                        error_bound: sol.error_bound,
-                        abscissae: 0,
-                        converged: true,
-                        lambda_t: lambda * t,
-                        kernel,
-                        backend,
-                        unif_cache_hit: unif_hit,
-                        params_cache_hit: false,
-                        wall: per_cell,
-                        attempts: 1,
-                        recovered_via: None,
-                    })
-                    .collect();
-                (j, reports)
-            })
-            .collect()
     }
 
     /// Shared regenerative fast path: killed-chain parameters come from
@@ -1203,35 +1021,22 @@ impl Engine {
             }
         }
 
-        // Blocked execution planning: SR jobs over the same generator and
-        // tolerance become one multi-RHS unit a single worker solves in one
-        // streaming pass (`run_block`); long-horizon singles are claimed
-        // first (see `plan_units`).
-        let units = plan_units(&jobs, reqs, self.opts.parallel.rhs_block);
+        // Long-horizon jobs are claimed first (see `plan_units`).
+        let order = plan_units(&jobs, reqs);
         let results: Vec<JobCell> = jobs.iter().map(|_| Mutex::new(None)).collect();
         let next = AtomicUsize::new(0);
-        let workers = effective_threads(self.opts.threads).min(units.len().max(1));
+        let workers = effective_threads(self.opts.threads).min(jobs.len().max(1));
         let ws_totals: Mutex<WorkspaceStats> = Mutex::new(WorkspaceStats::default());
-        let blocked_cells = AtomicUsize::new(0);
 
         // Every job runs under the supervisor: panics are caught (isolated
-        // from the worker pool and from groupmates), every solution is
+        // from the worker pool and from other jobs), every solution is
         // health-checked, and failing jobs retry down the method-fallback
         // chain before they are reported as that request's failure. The job
         // cells themselves are written only after the catch, so they can
         // never be poisoned by solver code. Each worker owns one workspace
-        // for all the units it claims, so scratch vectors are reused across
+        // for all the jobs it claims, so scratch vectors are reused across
         // jobs, not just across the horizons of one.
         let robust = RobustCounters::default();
-        let run_recover = |i: usize, ws: &mut Workspace, prior_failures: u32| {
-            let job = &jobs[i];
-            let outcome = self.run_supervised(&reqs[job.req_idx], job, ws, &robust, prior_failures);
-            if let Ok(reports) = &outcome {
-                progress.on_reports(reports);
-            }
-            *crate::cache::lock(&results[i]) = Some(outcome);
-        };
-        let run_single = |i: usize, ws: &mut Workspace| run_recover(i, ws, 0);
         let run_worker = || {
             let mut ws = Workspace::new();
             loop {
@@ -1239,48 +1044,13 @@ impl Engine {
                     break;
                 }
                 let u = next.fetch_add(1, Ordering::Relaxed);
-                let Some(unit) = units.get(u) else { break };
-                match unit {
-                    SweepUnit::Single(i) => run_single(*i, &mut ws),
-                    SweepUnit::Block(members) => {
-                        // The whole group shares one catch_unwind; a panic
-                        // falls back to per-job execution (each with its own
-                        // catch), so a poisoned member fails alone instead
-                        // of taking its groupmates down with it.
-                        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            self.run_block(reqs, &jobs, members, &mut ws)
-                        })) {
-                            Ok(per_member) => {
-                                for (j, reports) in per_member {
-                                    // Health-check each member individually:
-                                    // an unhealthy member *re-solves* under
-                                    // the supervisor (inheriting its failed
-                                    // attempt) instead of being dropped,
-                                    // while healthy groupmates publish
-                                    // their blocked results untouched.
-                                    let req = &reqs[jobs[j].req_idx];
-                                    if health_check(req, &reports).is_ok() {
-                                        blocked_cells
-                                            .fetch_add(jobs[j].ts.len(), Ordering::Relaxed);
-                                        progress.on_reports(&reports);
-                                        *crate::cache::lock(&results[j]) = Some(Ok(reports));
-                                    } else {
-                                        robust.health_failures.fetch_add(1, Ordering::Relaxed);
-                                        run_recover(j, &mut ws, 1);
-                                    }
-                                }
-                            }
-                            Err(_) => {
-                                // The group panicked as a whole: the arena
-                                // may hold the unwound propagation's state.
-                                ws.discard_all();
-                                for &j in members {
-                                    run_single(j, &mut ws);
-                                }
-                            }
-                        }
-                    }
+                let Some(&i) = order.get(u) else { break };
+                let job = &jobs[i];
+                let outcome = self.run_supervised(&reqs[job.req_idx], job, &mut ws, &robust);
+                if let Ok(reports) = &outcome {
+                    progress.on_reports(reports);
                 }
+                *crate::cache::lock(&results[i]) = Some(outcome);
             }
             crate::cache::lock(&ws_totals).merge(&ws.stats());
         };
@@ -1363,7 +1133,6 @@ impl Engine {
                 workspace: ws_totals
                     .into_inner()
                     .unwrap_or_else(std::sync::PoisonError::into_inner),
-                blocked_cells: blocked_cells.into_inner(),
             },
             robustness: robust.snapshot(),
             wall: t0.elapsed(),
@@ -1615,59 +1384,8 @@ mod tests {
         }
     }
 
-    /// The tentpole property at the engine layer: sweep requests whose
-    /// models share a generator (different initials / rewards / measures /
-    /// horizons) are solved in one blocked propagation — visible only as
-    /// `exec.blocked_cells` — and every value is bitwise identical to an
-    /// ungrouped (`rhs_block = 1`, single-thread) sweep.
-    #[test]
-    fn sweep_blocks_shared_generator_requests_bitwise() {
-        let base = repairable();
-        let rewarded = Arc::new(base.with_rewards(vec![0.5, 0.25]).unwrap());
-        let shifted = Arc::new(base.with_initial(vec![0.25, 0.75]).unwrap());
-        let reqs = vec![
-            SolveRequest::new("a", base.clone(), vec![1.0, 5.0]),
-            SolveRequest::new("b", rewarded, vec![2.0]).measure(MeasureKind::Mrr),
-            SolveRequest::new("c", shifted, vec![0.0, 3.0]),
-            // Different generator: must stay outside the block.
-            SolveRequest::new("d", non_repairable(), vec![1.0]),
-        ];
-        let blocked = Engine::new().sweep(&reqs);
-        assert!(blocked.failures.is_empty(), "{:?}", blocked.failures);
-        // a(2 cells) + b(1) + c(2) group under one generator; d does not.
-        assert_eq!(blocked.exec.blocked_cells, 5);
-
-        let mut serial_opts = EngineOptions {
-            threads: 1,
-            ..Default::default()
-        };
-        serial_opts.parallel.rhs_block = RhsBlockChoice::Fixed(1);
-        let serial = Engine::with_options(serial_opts).sweep(&reqs);
-        assert!(serial.failures.is_empty());
-        assert_eq!(
-            serial.exec.blocked_cells, 0,
-            "rhs_block=1 disables grouping"
-        );
-
-        assert_eq!(blocked.reports.len(), serial.reports.len());
-        for (b, s) in blocked.reports.iter().zip(&serial.reports) {
-            assert_eq!((b.model.as_str(), b.t), (s.model.as_str(), s.t));
-            assert_eq!(b.method, s.method);
-            assert_eq!(
-                b.value.to_bits(),
-                s.value.to_bits(),
-                "{} t={} must be bitwise identical",
-                b.model,
-                b.t
-            );
-            assert_eq!(b.steps, s.steps);
-            assert_eq!(b.error_bound.to_bits(), s.error_bound.to_bits());
-            assert_eq!((b.kernel, b.backend), (s.kernel, s.backend));
-        }
-    }
-
-    /// Claim order: RSD/RR/RRL singles first by descending generator nnz,
-    /// ties and every other unit in first-job order, SR blocks intact.
+    /// Claim order: RSD/RR/RRL jobs first by descending generator nnz, ties
+    /// and every other job in first-job order.
     #[test]
     fn plan_units_claims_long_horizon_singles_first_by_nnz() {
         let small = large_birth_chain(10);
@@ -1697,40 +1415,7 @@ mod tests {
             .collect();
         // Fixed methods: one job per request, so job index = request index.
         assert_eq!(jobs.len(), reqs.len());
-        let order = |rhs_block| -> Vec<Vec<usize>> {
-            plan_units(&jobs, &reqs, rhs_block)
-                .into_iter()
-                .map(|unit| match unit {
-                    SweepUnit::Single(i) => vec![i],
-                    SweepUnit::Block(members) => members,
-                })
-                .collect()
-        };
-        assert_eq!(
-            order(RhsBlockChoice::Auto),
-            [
-                vec![3],
-                vec![4],
-                vec![2],
-                vec![6],
-                vec![0, 5],
-                vec![1],
-                vec![7]
-            ]
-        );
-        assert_eq!(
-            order(RhsBlockChoice::Fixed(1)),
-            [
-                vec![3],
-                vec![4],
-                vec![2],
-                vec![6],
-                vec![0],
-                vec![1],
-                vec![5],
-                vec![7]
-            ]
-        );
+        assert_eq!(plan_units(&jobs, &reqs), [3, 4, 2, 6, 0, 1, 5, 7]);
     }
 
     /// Regression (PR 2): a panicking solver job used to unwind through the

@@ -219,10 +219,9 @@ pub fn model_fps(ctmc: &Ctmc) -> ModelFps {
 
 /// Fingerprint of the chain's *generator alone* — states and rate matrix,
 /// ignoring initial distribution and rewards. Two chains with equal
-/// generator fingerprints uniformize to the identical `P`/`Pᵀ`/`Λ`, so the
-/// engine may solve their sweep cells in one blocked propagation over a
-/// shared [`regenr_ctmc::Uniformized`] (different initials and rewards ride
-/// in separate block columns). A distinguishing constant keeps this hash
+/// generator fingerprints uniformize to the identical `P`/`Pᵀ`/`Λ`, so it
+/// keys the cached [`regenr_ctmc::Uniformized`]: models differing only in
+/// initials or rewards share one. A distinguishing constant keeps this hash
 /// domain-separated from [`fingerprint`].
 pub fn unif_fingerprint(ctmc: &Ctmc) -> u64 {
     let mut h = Fnv::new();
@@ -279,9 +278,9 @@ mod tests {
         assert_ne!(fingerprint(&a), fingerprint(&b));
     }
 
-    /// The generator-only fingerprint ignores initials/rewards (so blocked
-    /// grouping sees through them) but still separates different generators
-    /// and never collides with the full fingerprint.
+    /// The generator-only fingerprint ignores initials/rewards (so the
+    /// uniformization cache sees through them) but still separates
+    /// different generators and never collides with the full fingerprint.
     #[test]
     fn unif_fingerprint_ignores_initials_and_rewards() {
         let a = chain(1e-3);

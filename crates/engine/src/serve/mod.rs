@@ -42,12 +42,12 @@
 //!    never masquerade as model errors, which keep their structured `4xx`
 //!    bodies.
 //!
-//! Engine-wide knobs (`threads`, `kernel`, `rhs_block`, `theta`, dispatch
-//! thresholds, `cache`) are fixed at server startup — a spec carrying them
-//! is rejected with `400`, because silently serving it with different
-//! options would produce reports that diverge from the same spec run
-//! offline. Per-model fields (`epsilon`, `method`, `horizons`, `measures`,
-//! `regen_state`) remain fully per-request.
+//! Engine-wide knobs (`threads`, `kernel`, `theta`, dispatch thresholds,
+//! `cache`) are fixed at server startup — a spec carrying them is rejected
+//! with `400`, because silently serving it with different options would
+//! produce reports that diverge from the same spec run offline. Per-model
+//! fields (`epsilon`, `method`, `horizons`, `measures`, `regen_state`)
+//! remain fully per-request.
 
 pub mod coalesce;
 pub mod http;
@@ -420,7 +420,6 @@ fn infrastructure_refusal() -> Refusal {
 const FIXED_ENGINE_KEYS: &[&str] = &[
     "threads",
     "kernel",
-    "rhs_block",
     "theta",
     "small_lambda_t",
     "tiny_lambda_t",
@@ -945,18 +944,12 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.0, 400);
         assert!(err.1.contains("fixed_engine_option"), "{}", err.1);
-        // The blocked-stepping knob is engine-wide too: the server's
-        // stepper plans are shared across requests, so a posted spec may
-        // not retune it per request.
-        let err = parse_posted_spec(
-            br#"{"horizons":[1],"rhs_block":4,"models":[{"kind":"cyclic","n":3}]}"#,
-        )
-        .map(|_| ())
-        .unwrap_err();
-        assert_eq!(err.0, 400);
-        assert!(err.1.contains("fixed_engine_option"), "{}", err.1);
         // Keys that are no knob at all are the parser's unknown-key error.
-        for knob in [r#""backend":"auto""#, r#""index_width":"16""#] {
+        for knob in [
+            r#""backend":"auto""#,
+            r#""index_width":"16""#,
+            r#""rhs_block":4"#,
+        ] {
             let body = format!(r#"{{"horizons":[1],{knob},"models":[{{"kind":"cyclic","n":3}}]}}"#);
             let err = parse_posted_spec(body.as_bytes()).map(|_| ()).unwrap_err();
             assert_eq!(err.0, 400, "{knob}");

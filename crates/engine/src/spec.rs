@@ -97,13 +97,6 @@
 //! `--stable` reports diff byte-for-byte — the CI determinism jobs rely on
 //! that, and use `"generic"` to run the reference loop.
 //!
-//! `"rhs_block"` (`auto`, `1`, `2`, `4`, `8`; string or bare integer) sets
-//! how many sweep cells sharing a generator and tolerance ride one
-//! multi-vector SpMM — `auto` groups whenever cells qualify (eight wide on
-//! the shortrow loop, four on generic), `1` disables grouping. Every width
-//! is bitwise identical to the serial product, so forced `--stable`
-//! reports diff byte-for-byte.
-//!
 //! Unknown top-level keys are rejected by name (a typo like `"kernal"`
 //! must be an error, not a silently ignored knob). Two keys exist for the
 //! `regenr serve` subsystem and are ignored by the offline CLI:
@@ -167,7 +160,6 @@ const KNOWN_SPEC_KEYS: &[&str] = &[
     "method",
     "threads",
     "kernel",
-    "rhs_block",
     "cache",
     "horizons",
     "measures",
@@ -204,6 +196,16 @@ fn parse_method_choice(s: &str) -> Result<MethodChoice, String> {
     }
 }
 
+fn get_str<'a>(obj: &'a Json, key: &str) -> Result<Option<&'a str>, String> {
+    match obj.get(key) {
+        None | Some(Json::Null) => Ok(None),
+        Some(v) => v
+            .as_str()
+            .map(Some)
+            .ok_or_else(|| format!("field {key:?} must be a string")),
+    }
+}
+
 fn get_f64(obj: &Json, key: &str) -> Result<Option<f64>, String> {
     match obj.get(key) {
         None | Some(Json::Null) => Ok(None),
@@ -211,22 +213,6 @@ fn get_f64(obj: &Json, key: &str) -> Result<Option<f64>, String> {
             .as_f64()
             .map(Some)
             .ok_or_else(|| format!("field {key:?} must be a number")),
-    }
-}
-
-/// Reads a knob that accepts either a string token or a bare integer —
-/// `"rhs_block": 4` and `"rhs_block": "4"` both read naturally (the token
-/// still goes through the knob's own `parse`, which names the valid set).
-fn get_knob_token(obj: &Json, key: &str) -> Result<Option<String>, String> {
-    match obj.get(key) {
-        None => Ok(None),
-        Some(Json::Str(s)) => Ok(Some(s.clone())),
-        Some(Json::Num(x)) if x.fract() == 0.0 && *x >= 0.0 && *x <= u32::MAX as f64 => {
-            Ok(Some(format!("{}", *x as u64)))
-        }
-        Some(_) => Err(format!(
-            "field {key:?} must be a string token or a non-negative integer"
-        )),
     }
 }
 
@@ -446,6 +432,20 @@ fn apply_rate_scale(
     ))
 }
 
+/// Rejects a negative or non-finite rate, naming the model kind and the
+/// field: the model constructors take non-negative rates as a
+/// precondition, and a spec value must never reach them unchecked.
+fn check_rates(kind: &str, rates: &[(&str, f64)]) -> Result<(), String> {
+    for &(key, v) in rates {
+        if !(v.is_finite() && v >= 0.0) {
+            return Err(format!(
+                "{kind} {key:?} must be a non-negative finite number, got {v}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Rejects unknown keys in `obj` by name, listing the keys `what` accepts.
 /// Mirrors the top-level typo guard: `{"kind": "duplex", "coverge": 0.9}`
 /// must be an error naming `"coverge"`, never a silently ignored knob.
@@ -520,17 +520,14 @@ fn build_multiproc_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(Stri
             params.coverage
         ));
     }
-    for (key, v) in [
-        ("lambda_p", params.lambda_p),
-        ("lambda_m", params.lambda_m),
-        ("mu", params.mu),
-    ] {
-        if !(v.is_finite() && v >= 0.0) {
-            return Err(format!(
-                "multiproc {key:?} must be a non-negative finite number, got {v}"
-            ));
-        }
-    }
+    check_rates(
+        "multiproc",
+        &[
+            ("lambda_p", params.lambda_p),
+            ("lambda_m", params.lambda_m),
+            ("mu", params.mu),
+        ],
+    )?;
     let built = MultiprocModel::new(params)
         .build()
         .map_err(|e| format!("multiproc model failed to build: {e}"))?;
@@ -803,14 +800,23 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
     let (default_name, ctmc) = match kind {
         "raid" => {
             let g = get_u32(obj, "g")?.ok_or_else(|| "raid model needs \"g\"".to_string())?;
-            let mut params = RaidParams::paper(g);
-            if let Some(c_h) = get_u32(obj, "c_h")? {
-                params.c_h = c_h;
+            if g == 0 {
+                return Err("raid \"g\" must be at least 1, got 0".to_string());
             }
-            if let Some(d_h) = get_u32(obj, "d_h")? {
-                params.d_h = d_h;
+            let mut params = RaidParams::paper(g);
+            // The state stores spare counts in a byte.
+            for (key, slot) in [("c_h", &mut params.c_h), ("d_h", &mut params.d_h)] {
+                if let Some(v) = get_u32(obj, key)? {
+                    if v > u8::MAX as u32 {
+                        return Err(format!("raid {key:?} must be at most 255, got {v}"));
+                    }
+                    *slot = v;
+                }
             }
             if let Some(p_r) = get_f64(obj, "p_r")? {
+                if !(p_r > 0.0 && p_r <= 1.0) {
+                    return Err(format!("raid \"p_r\" must be in (0, 1], got {p_r}"));
+                }
                 params.p_r = p_r;
             }
             apply_rate_scale(
@@ -850,6 +856,7 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
                     scale,
                     &mut [("lambda", &mut lambda)],
                 )?;
+                check_rates("two_state", &[("lambda", lambda)])?;
                 (
                     "two_state_nonrepairable".to_string(),
                     regenr_models::two_state::non_repairable_unit(lambda),
@@ -862,6 +869,7 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
                     scale,
                     &mut [("lambda", &mut lambda), ("mu", &mut mu)],
                 )?;
+                check_rates("two_state", &[("lambda", lambda), ("mu", mu)])?;
                 (
                     "two_state".to_string(),
                     regenr_models::two_state::repairable_unit(lambda, mu),
@@ -870,6 +878,12 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
         }
         "cyclic" => {
             let n = get_u32(obj, "n")?.ok_or_else(|| "cyclic needs \"n\"".to_string())?;
+            let max_states = CtmcBuilder::default().max_states;
+            if !(2..=max_states).contains(&(n as usize)) {
+                return Err(format!(
+                    "cyclic \"n\" must be in [2, {max_states}], got {n}"
+                ));
+            }
             apply_rate_scale("cyclic", scale, &mut [])?;
             (
                 format!("cyclic_{n}"),
@@ -892,6 +906,7 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
                     "duplex \"coverage\" must be in [0, 1], got {coverage}"
                 ));
             }
+            check_rates("duplex", &[("lambda", lambda), ("mu", mu)])?;
             (
                 "duplex".to_string(),
                 regenr_models::redundant::duplex_with_coverage(lambda, mu, coverage),
@@ -912,6 +927,10 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
                 scale,
                 &mut [("lambda", &mut model.lambda), ("mu", &mut model.mu)],
             )?;
+            if model.repairmen == 0 {
+                return Err("machines \"repairmen\" must be at least 1, got 0".to_string());
+            }
+            check_rates("machines", &[("lambda", model.lambda), ("mu", model.mu)])?;
             let built = model
                 .build()
                 .map_err(|e| format!("machines model failed to build: {e}"))?;
@@ -930,9 +949,7 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
             ))
         }
     };
-    let name = obj
-        .get("name")
-        .and_then(Json::as_str)
+    let name = get_str(obj, "name")?
         .map(str::to_string)
         .unwrap_or(default_name);
     Ok((name, ctmc))
@@ -987,9 +1004,6 @@ impl SweepSpec {
                 .ok_or_else(|| "field \"kernel\" must be a string".to_string())?;
             options.parallel.kernel = regenr_sparse::KernelChoice::parse(s)?;
         }
-        if let Some(s) = get_knob_token(doc, "rhs_block")? {
-            options.parallel.rhs_block = regenr_sparse::RhsBlockChoice::parse(&s)?;
-        }
         if let Some(x) = get_f64(doc, "theta")? {
             if !x.is_finite() || x < 0.0 {
                 return Err(format!(
@@ -1001,7 +1015,7 @@ impl SweepSpec {
 
         let cache = get_cache_config(doc)?;
         let default_epsilon = get_epsilon(doc)?.unwrap_or(1e-12);
-        let default_method = match doc.get("method").and_then(Json::as_str) {
+        let default_method = match get_str(doc, "method")? {
             Some(s) => parse_method_choice(s)?,
             None => MethodChoice::Auto,
         };
@@ -1054,7 +1068,7 @@ impl SweepSpec {
                         format!("model {name:?} has no horizons (none at the top level either)")
                     })?;
                 let epsilon = get_epsilon(model_obj)?.unwrap_or(default_epsilon);
-                let method = match model_obj.get("method").and_then(Json::as_str) {
+                let method = match get_str(model_obj, "method")? {
                     Some(s) => parse_method_choice(s)?,
                     None => default_method,
                 };
@@ -1273,10 +1287,6 @@ fn report_to_json_opts(report: &SweepReport, stable: bool) -> Json {
                         ("reused".into(), Json::Num(exec.workspace.reused as f64)),
                     ]),
                 ),
-                // Cells solved inside blocked multi-RHS propagations —
-                // execution accounting like the rest of this object (the
-                // values themselves are bitwise independent of grouping).
-                ("blocked_cells".into(), Json::Num(exec.blocked_cells as f64)),
                 // The artifact-graph reuse counters repeated here: how much
                 // of this sweep's build work was served by the graph
                 // (derived facts, plan rebinds) vs. lost to parent
@@ -1592,68 +1602,29 @@ mod tests {
         }
     }
 
-    /// The blocked-stepping knob forces the RHS block width engine-wide;
-    /// every width produces a `--stable` report byte-for-byte identical to
-    /// `auto` (the CI determinism job diffs exactly this). The grid
-    /// includes a two-measure model so shared-generator grouping actually
-    /// engages under `auto`.
-    #[test]
-    fn forced_rhs_block_sweeps_match_auto_byte_for_byte() {
-        let spec_for = |rhs: &str| {
-            format!(
-                r#"{{"epsilon": 1e-10, "rhs_block": {rhs},
-                    "horizons": [1, 100], "measures": ["trr", "mrr"],
-                    "models": [{{"kind": "raid", "g": 2}},
-                               {{"kind": "two_state", "lambda": 1e-3, "mu": 1.0}}]}}"#
-            )
-        };
-        let run = |rhs: &str| {
-            let spec = SweepSpec::parse(&spec_for(rhs)).unwrap();
-            let engine = crate::Engine::with_cache_config(spec.options, spec.cache);
-            let report = engine.sweep(&spec.requests);
-            assert!(
-                report.failures.is_empty(),
-                "rhs_block {rhs}: {:?}",
-                report.failures
-            );
-            (
-                report.exec.blocked_cells,
-                stable_report_to_json(&report).to_string(),
-            )
-        };
-        let (auto_cells, auto) = run("\"auto\"");
-        assert!(auto_cells > 0, "two-measure grid must group under auto");
-        let (serial_cells, serial) = run("1");
-        assert_eq!(serial_cells, 0, "rhs_block 1 must disable grouping");
-        assert_eq!(auto, serial, "blocked and serial reports must match");
-        // String and bare-integer spellings, every block.
-        for rhs in ["2", "\"4\"", "8"] {
-            let (_, out) = run(rhs);
-            assert_eq!(auto, out, "rhs_block {rhs}");
-        }
-    }
-
+    /// `"rhs_block"` and `"index_width"` are no longer knobs: any value,
+    /// even one they used to accept, is the unknown-key error, which names
+    /// the key.
     #[test]
     fn rejects_bad_rhs_block_and_index_width_knobs() {
-        for bad in ["\"3\"", "3", "\"wide\"", "true", "2.5", "-1"] {
-            let doc = format!(
-                r#"{{"rhs_block": {bad}, "horizons": [1],
-                    "models": [{{"kind": "cyclic", "n": 3}}]}}"#
-            );
-            assert!(SweepSpec::parse(&doc).is_err(), "rhs_block {bad} accepted");
-        }
-        // `"index_width"` is no longer a knob: any value, even a width it
-        // used to accept, is the unknown-key error, which names the key.
-        for bad in ["\"auto\"", "16", "\"32\"", "\"48\"", "false"] {
-            let doc = format!(
-                r#"{{"index_width": {bad}, "horizons": [1],
-                    "models": [{{"kind": "cyclic", "n": 3}}]}}"#
-            );
-            let err = SweepSpec::parse(&doc).map(|_| ()).unwrap_err();
-            assert!(
-                err.contains("unknown spec field") && err.contains("\"index_width\""),
-                "index_width {bad}: {err}"
-            );
+        for (key, values) in [
+            ("rhs_block", ["\"auto\"", "1", "\"4\"", "8", "true"]),
+            (
+                "index_width",
+                ["\"auto\"", "16", "\"32\"", "\"48\"", "false"],
+            ),
+        ] {
+            for bad in values {
+                let doc = format!(
+                    r#"{{"{key}": {bad}, "horizons": [1],
+                        "models": [{{"kind": "cyclic", "n": 3}}]}}"#
+                );
+                let err = SweepSpec::parse(&doc).map(|_| ()).unwrap_err();
+                assert!(
+                    err.contains("unknown spec field") && err.contains(&format!("{key:?}")),
+                    "{key} {bad}: {err}"
+                );
+            }
         }
     }
 
@@ -2040,5 +2011,76 @@ mod tests {
             .is_err(),
             "a mistyped regen_state must be rejected, not silently defaulted"
         );
+        // Wrong-typed strings are named errors, never silently defaulted.
+        for (doc, field) in [
+            (
+                r#"{"horizons": [1], "method": 5, "models": [{"kind": "cyclic", "n": 3}]}"#,
+                "method",
+            ),
+            (
+                r#"{"horizons": [1], "models": [{"kind": "cyclic", "n": 3, "method": ["sr"]}]}"#,
+                "method",
+            ),
+            (
+                r#"{"horizons": [1], "models": [{"kind": "cyclic", "n": 3, "name": 7}]}"#,
+                "name",
+            ),
+        ] {
+            let err = SweepSpec::parse(doc).map(|_| ()).unwrap_err();
+            assert!(
+                err.contains(&format!("{field:?} must be a string")),
+                "{doc}: {err}"
+            );
+        }
+        // Values a model constructor or the chain builder cannot take are
+        // spec errors naming the field, never a panic.
+        for (model, field) in [
+            (r#"{"kind": "raid", "g": 0}"#, "\"g\""),
+            (r#"{"kind": "raid", "g": 2, "p_r": 0}"#, "\"p_r\""),
+            (r#"{"kind": "raid", "g": 2, "p_r": 1.5}"#, "\"p_r\""),
+            (r#"{"kind": "raid", "g": 2, "d_h": 256}"#, "\"d_h\""),
+            (
+                r#"{"kind": "machines", "machines": 4, "repairmen": 0, "lambda": 0.1, "mu": 1}"#,
+                "\"repairmen\"",
+            ),
+            (
+                r#"{"kind": "machines", "machines": 4, "repairmen": 1, "lambda": -1, "mu": 1}"#,
+                "\"lambda\"",
+            ),
+            // A zero rate passes the spec checks and reaches the builder.
+            (
+                r#"{"kind": "machines", "machines": 4, "repairmen": 1, "lambda": 0, "mu": 1}"#,
+                "failed to build",
+            ),
+            (r#"{"kind": "cyclic", "n": 0}"#, "\"n\""),
+            (r#"{"kind": "cyclic", "n": 1}"#, "\"n\""),
+            (r#"{"kind": "cyclic", "n": 4000000000}"#, "\"n\""),
+            (
+                r#"{"kind": "two_state", "lambda": -1, "mu": 1}"#,
+                "\"lambda\"",
+            ),
+            (
+                r#"{"kind": "two_state", "lambda": -1, "absorbing": true}"#,
+                "\"lambda\"",
+            ),
+            (
+                r#"{"kind": "duplex", "lambda": 0.1, "mu": -1, "coverage": 0.9}"#,
+                "\"mu\"",
+            ),
+            (
+                r#"{"kind": "duplex", "lambda": -1, "mu": 1, "coverage": 0.9}"#,
+                "\"lambda\"",
+            ),
+            // A rate that underflows to zero reaches the chain builder.
+            (
+                r#"{"kind": "raid", "g": 2,
+                    "sensitivity": {"param": "lambda_d", "grid": [1e-320]}}"#,
+                "failed to build",
+            ),
+        ] {
+            let doc = format!(r#"{{"horizons": [1], "models": [{model}]}}"#);
+            let err = SweepSpec::parse(&doc).map(|_| ()).unwrap_err();
+            assert!(err.contains(field), "{model}: {err}");
+        }
     }
 }

@@ -118,7 +118,6 @@ fn approx_bytes_matches_allocator_truth() {
                 min_nnz: 0,
                 threads,
                 kernel,
-                ..Default::default()
             })
         })
         .collect();

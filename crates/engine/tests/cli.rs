@@ -1,0 +1,87 @@
+//! The `regenr` command line: unknown flags, missing flag values and extra
+//! arguments are usage errors, and spec values no model accepts are spec
+//! errors — both exit 2 with a message, never a panic and never a run.
+
+use std::io::Write;
+use std::process::{Command, Stdio};
+use std::time::{Duration, Instant};
+
+/// Runs `regenr args…` with `stdin` and returns its exit code and stderr.
+/// A run still going after 30 s (a server that started instead of
+/// refusing its arguments) is killed and fails the test.
+fn regenr(args: &[&str], stdin: &str) -> (Option<i32>, String) {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_regenr"))
+        .args(args)
+        .stdin(Stdio::piped())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn regenr");
+    // A usage error exits before reading stdin; the broken pipe is fine.
+    let _ = child.stdin.take().unwrap().write_all(stdin.as_bytes());
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while child.try_wait().unwrap().is_none() {
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("regenr {args:?} did not exit");
+        }
+        std::thread::sleep(Duration::from_millis(10));
+    }
+    let out = child.wait_with_output().unwrap();
+    (
+        out.status.code(),
+        String::from_utf8_lossy(&out.stderr).into_owned(),
+    )
+}
+
+#[test]
+fn unknown_flags_and_extra_arguments_are_usage_errors() {
+    let spec = std::path::Path::new(env!("CARGO_TARGET_TMPDIR")).join("cli_tiny_spec.json");
+    std::fs::write(
+        &spec,
+        r#"{"horizons": [1], "models": [{"kind": "cyclic", "n": 3}]}"#,
+    )
+    .unwrap();
+    let spec = spec.to_str().unwrap();
+    let (code, stderr) = regenr(&["sweep", spec, "--stable"], "");
+    assert_eq!(code, Some(0), "the spec itself is fine: {stderr}");
+    for args in [
+        &["sweep", spec, "--stabel"][..],
+        &["sweep", spec, spec],
+        &["sweep"],
+        &["demo", "20", "--bogus"],
+        &["methods", "extra"],
+        &["serve", "--threads"],
+        &["serve", "--max-inflight", "many"],
+        &["serve", "--adr", "127.0.0.1:0"],
+        &[],
+    ] {
+        let (code, stderr) = regenr(args, "");
+        assert_eq!(code, Some(2), "{args:?}: {stderr}");
+        assert!(stderr.contains("usage: regenr"), "{args:?}: {stderr}");
+        assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
+    }
+}
+
+#[test]
+fn spec_values_no_model_accepts_exit_2() {
+    let (code, stderr) = regenr(&["demo", "0"], "");
+    assert_eq!(code, Some(2), "{stderr}");
+    assert!(
+        stderr.contains("spec error") && stderr.contains("\"g\""),
+        "{stderr}"
+    );
+    for model in [
+        r#"{"kind":"raid","g":2,"p_r":0}"#,
+        r#"{"kind":"machines","machines":4,"repairmen":0,"lambda":0.1,"mu":1}"#,
+        r#"{"kind":"cyclic","n":1}"#,
+        r#"{"kind":"two_state","lambda":-1,"mu":1}"#,
+        r#"{"kind":"cyclic","n":3,"method":["sr"]}"#,
+    ] {
+        let spec = format!(r#"{{"horizons":[1],"models":[{model}]}}"#);
+        let (code, stderr) = regenr(&["sweep", "-"], &spec);
+        assert_eq!(code, Some(2), "{model}: {stderr}");
+        assert!(stderr.starts_with("spec error"), "{model}: {stderr}");
+    }
+}

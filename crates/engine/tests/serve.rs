@@ -199,7 +199,8 @@ fn admission_control_rejects_distinct_but_coalesces_identical() {
 }
 
 /// Spec validation surfaces as structured 400s: unknown keys are named,
-/// engine-wide knobs are refused, bad JSON reports its offset.
+/// engine-wide knobs are refused, bad JSON reports its offset, and model
+/// values no constructor accepts are spec errors.
 #[test]
 fn validation_errors_are_structured_400s() {
     let (server, addr, handle) = start_server(default_cfg());
@@ -227,8 +228,43 @@ fn validation_errors_are_structured_400s() {
     assert_eq!(status, 400);
     assert!(body.contains("bad_json"), "{body}");
 
-    assert_eq!(server.stats().bad_requests, 3);
-    assert_eq!(server.stats().sweeps, 0, "no computation was started");
+    // Values a model constructor or the chain builder cannot take, and
+    // wrong-typed strings, are the spec's fault: a 400, never a handler
+    // panic answered as an infrastructure 5xx.
+    let models = [
+        r#"{"kind":"raid","g":0}"#,
+        r#"{"kind":"raid","g":2,"p_r":0}"#,
+        r#"{"kind":"raid","g":2,"p_r":1.5}"#,
+        r#"{"kind":"machines","machines":4,"repairmen":0,"lambda":0.1,"mu":1}"#,
+        r#"{"kind":"cyclic","n":0}"#,
+        r#"{"kind":"cyclic","n":1}"#,
+        r#"{"kind":"two_state","lambda":-1,"mu":1}"#,
+        r#"{"kind":"duplex","lambda":-1,"mu":1,"coverage":0.9}"#,
+        r#"{"kind":"raid","g":2,"sensitivity":{"param":"lambda_d","grid":[1e-320]}}"#,
+        r#"{"kind":"cyclic","n":3,"method":["sr"]}"#,
+        r#"{"kind":"cyclic","n":3,"name":7}"#,
+    ];
+    for model in models {
+        let spec = format!(r#"{{"horizons":[1],"models":[{model}]}}"#);
+        let (status, body) = post(addr, "/sweep/report", &spec);
+        assert_eq!(status, 400, "{model}: {body}");
+        assert!(
+            body.contains("bad_spec") || body.contains("model_build_failed"),
+            "{model}: {body}"
+        );
+    }
+    let (status, body) = post(
+        addr,
+        "/sweep/report",
+        r#"{"horizons":[1],"method":5,"models":[{"kind":"cyclic","n":3}]}"#,
+    );
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("must be a string"), "{body}");
+
+    let stats = server.stats();
+    assert_eq!(stats.bad_requests, 3 + models.len() as u64 + 1);
+    assert_eq!(stats.handler_panics, 0);
+    assert_eq!(stats.sweeps, 0, "no computation was started");
     shutdown(&server, addr, handle);
 }
 

@@ -119,53 +119,6 @@ impl CsrMatrix {
         y
     }
 
-    /// Blocked product `Y = A·X` over `k` right-hand sides stored
-    /// **interleaved**: column `j` of `X` lives at `x[col*k + j]`, and column
-    /// `j` of `Y` at `y[row*k + j]`. One streaming pass of the matrix
-    /// advances all `k` vectors — the point of blocked stepping — and each
-    /// output column is accumulated with its own accumulator in the row's
-    /// CSR entry order, so column `j` of the result is **bitwise identical**
-    /// to a [`CsrMatrix::mul_vec_into`] call on column `j` alone. This is
-    /// the serial ground truth the blocked kernels must match.
-    ///
-    /// # Panics
-    /// If `k == 0`, `x.len() != ncols·k` or `y.len() != nrows·k`.
-    pub fn mul_mat_into(&self, x: &[f64], y: &mut [f64], k: usize) {
-        assert!(k > 0, "rhs block must be positive");
-        assert!(k <= crate::kernel::MAX_RHS_BLOCK, "rhs block too large");
-        assert_eq!(x.len(), self.ncols * k, "x length mismatch");
-        assert_eq!(y.len(), self.nrows * k, "y length mismatch");
-        // Monomorphized per width so the accumulator is a const-size array —
-        // the runtime-length slice version spends most of its time in
-        // per-row memset/memcpy calls on short-row matrices.
-        match k {
-            1 => self.mul_mat_into_k::<1>(x, y),
-            2 => self.mul_mat_into_k::<2>(x, y),
-            3 => self.mul_mat_into_k::<3>(x, y),
-            4 => self.mul_mat_into_k::<4>(x, y),
-            5 => self.mul_mat_into_k::<5>(x, y),
-            6 => self.mul_mat_into_k::<6>(x, y),
-            7 => self.mul_mat_into_k::<7>(x, y),
-            8 => self.mul_mat_into_k::<8>(x, y),
-            _ => unreachable!("rhs block validated against MAX_RHS_BLOCK"),
-        }
-    }
-
-    /// Const-width body of [`CsrMatrix::mul_mat_into`].
-    fn mul_mat_into_k<const K: usize>(&self, x: &[f64], y: &mut [f64]) {
-        for i in 0..self.nrows {
-            let mut acc = [0.0f64; K];
-            for e in self.row_ptr[i]..self.row_ptr[i + 1] {
-                let v = self.values[e];
-                let c = self.col_idx[e] as usize * K;
-                for (j, a) in acc.iter_mut().enumerate() {
-                    *a += v * x[c + j];
-                }
-            }
-            y[i * K..(i + 1) * K].copy_from_slice(&acc);
-        }
-    }
-
     /// `yᵀ = xᵀ·A` (scatter form, serial).
     ///
     /// Solvers prefer the gather form on the transposed matrix; this exists for
@@ -390,24 +343,6 @@ mod tests {
         let mut yt = vec![0.0; 3];
         m.vec_mul_into(&[1.0, 2.0], &mut yt);
         assert_eq!(yt, vec![1.0, 6.0, 2.0]);
-    }
-
-    #[test]
-    fn blocked_product_matches_columns_bitwise() {
-        let m = small();
-        for k in 1..=8usize {
-            let x: Vec<f64> = (0..3 * k).map(|i| (i as f64 * 0.7).sin() + 0.1).collect();
-            let mut y = vec![9.0; 2 * k];
-            m.mul_mat_into(&x, &mut y, k);
-            for j in 0..k {
-                let xj: Vec<f64> = (0..3).map(|c| x[c * k + j]).collect();
-                let mut yj = vec![0.0; 2];
-                m.mul_vec_into(&xj, &mut yj);
-                for r in 0..2 {
-                    assert_eq!(y[r * k + j].to_bits(), yj[r].to_bits(), "k={k} col={j}");
-                }
-            }
-        }
     }
 
     #[test]

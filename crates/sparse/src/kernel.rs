@@ -19,17 +19,12 @@
 //! deterministic function of the matrix and neither loop keeps a layout of
 //! its own: a plan holds no copy of any matrix array.
 //!
-//! Both loops also come blocked: [`MAX_RHS_BLOCK`] or fewer interleaved
-//! right-hand sides advance in one streaming pass of the matrix, through a
-//! const-generic body per block width.
-//!
 //! ## Bitwise identity
 //!
 //! Both loops accumulate each output row's products **in the row's CSR
-//! order with a single accumulator** (one per right-hand side when
-//! blocked), exactly like the serial [`CsrMatrix::mul_vec_into`]. The
-//! proptests pin both to that serial result bit for bit, non-finite inputs
-//! included.
+//! order with a single accumulator**, exactly like the serial
+//! [`CsrMatrix::mul_vec_into`]. The proptests pin both to that serial
+//! result bit for bit, non-finite inputs included.
 //!
 //! ## Safety
 //!
@@ -37,14 +32,10 @@
 //! invariant: every stored column is `< ncols`. [`CooBuilder`](crate::CooBuilder)
 //! enforces it and every transform preserves it; `Kernel::build`
 //! re-validates it with one scan before the unchecked loop is ever
-//! selected, and `mul_rows`/`mul_rows_block` assert that the matrix and
-//! slices they are handed have the shape the kernel was built for.
+//! selected, and `mul_rows` asserts that the matrix and slices it is
+//! handed have the shape the kernel was built for.
 
 use crate::csr::CsrMatrix;
-
-/// Largest supported right-hand-side block for the blocked (multi-vector)
-/// SpMM entry points. Bounds the per-row accumulator arrays.
-pub const MAX_RHS_BLOCK: usize = 8;
 
 /// Below this nnz the generic loop runs: the shortrow loop's one-time
 /// column scan would rival the products a matrix this small ever receives.
@@ -165,121 +156,6 @@ unsafe fn mul_rows_unchecked(
     }
 }
 
-/// Safe blocked generic CSR loop — the blocked reference semantics: `k`
-/// interleaved right-hand sides, each output column accumulated with its
-/// own accumulator in the row's CSR entry order (column `j` is bitwise
-/// equal to [`mul_rows_generic`] on column `j` alone).
-fn mul_rows_block_generic(
-    m: &CsrMatrix,
-    x: &[f64],
-    out: &mut [f64],
-    range: std::ops::Range<usize>,
-    k: usize,
-) {
-    // Monomorphized per width like the unchecked loop (see
-    // `mul_rows_block_unchecked`): the const-size accumulator is what keeps
-    // the bounds-checked ground truth within sight of it.
-    match k {
-        1 => mul_rows_block_generic_k::<1>(m, x, out, range),
-        2 => mul_rows_block_generic_k::<2>(m, x, out, range),
-        3 => mul_rows_block_generic_k::<3>(m, x, out, range),
-        4 => mul_rows_block_generic_k::<4>(m, x, out, range),
-        5 => mul_rows_block_generic_k::<5>(m, x, out, range),
-        6 => mul_rows_block_generic_k::<6>(m, x, out, range),
-        7 => mul_rows_block_generic_k::<7>(m, x, out, range),
-        8 => mul_rows_block_generic_k::<8>(m, x, out, range),
-        _ => unreachable!("rhs block validated against MAX_RHS_BLOCK"),
-    }
-}
-
-/// Const-width body of [`mul_rows_block_generic`] (fully bounds-checked).
-fn mul_rows_block_generic_k<const K: usize>(
-    m: &CsrMatrix,
-    x: &[f64],
-    out: &mut [f64],
-    range: std::ops::Range<usize>,
-) {
-    let row_ptr = m.row_ptr();
-    let col_idx = m.col_idx();
-    let values = m.values();
-    for (local, i) in range.enumerate() {
-        let mut acc = [0.0f64; K];
-        for e in row_ptr[i]..row_ptr[i + 1] {
-            let v = values[e];
-            let c = col_idx[e] as usize * K;
-            for (j, a) in acc.iter_mut().enumerate() {
-                *a += v * x[c + j];
-            }
-        }
-        out[local * K..(local + 1) * K].copy_from_slice(&acc);
-    }
-}
-
-/// Unchecked blocked row-wise loop. One streaming pass of the row's entries
-/// advances all `k` columns.
-///
-/// Dispatches the runtime width to a const-generic monomorphization:
-/// a `[f64; K]` accumulator compiles to straight-line register code, where
-/// a runtime-length `&mut acc[..k]` costs a `memset`/`memcpy` call pair
-/// per row — on short-row matrices those calls dominate the products
-/// themselves. Bits are unchanged: each column's accumulation order is
-/// identical at every width.
-///
-/// # Safety
-/// Contract of [`mul_rows_unchecked`], with `x`/`out` holding `k`
-/// interleaved columns (`out.len() == range.len()·k`).
-unsafe fn mul_rows_block_unchecked(
-    m: &CsrMatrix,
-    x: &[f64],
-    out: &mut [f64],
-    range: std::ops::Range<usize>,
-    k: usize,
-) {
-    unsafe {
-        match k {
-            1 => mul_rows_block_unchecked_k::<1>(m, x, out, range),
-            2 => mul_rows_block_unchecked_k::<2>(m, x, out, range),
-            3 => mul_rows_block_unchecked_k::<3>(m, x, out, range),
-            4 => mul_rows_block_unchecked_k::<4>(m, x, out, range),
-            5 => mul_rows_block_unchecked_k::<5>(m, x, out, range),
-            6 => mul_rows_block_unchecked_k::<6>(m, x, out, range),
-            7 => mul_rows_block_unchecked_k::<7>(m, x, out, range),
-            8 => mul_rows_block_unchecked_k::<8>(m, x, out, range),
-            _ => unreachable!("rhs block validated against MAX_RHS_BLOCK"),
-        }
-    }
-}
-
-/// Const-width body of [`mul_rows_block_unchecked`].
-///
-/// # Safety
-/// Contract of [`mul_rows_block_unchecked`] with `k = K`.
-unsafe fn mul_rows_block_unchecked_k<const K: usize>(
-    m: &CsrMatrix,
-    x: &[f64],
-    out: &mut [f64],
-    range: std::ops::Range<usize>,
-) {
-    let (row_ptr, cols, values) = (m.row_ptr(), m.col_idx(), m.values());
-    unsafe {
-        for (local, i) in range.enumerate() {
-            let s = *row_ptr.get_unchecked(i);
-            let e = *row_ptr.get_unchecked(i + 1);
-            let mut acc = [0.0f64; K];
-            for kk in s..e {
-                let v = *values.get_unchecked(kk);
-                let c = *cols.get_unchecked(kk) as usize * K;
-                for (j, a) in acc.iter_mut().enumerate() {
-                    *a += v * x.get_unchecked(c + j);
-                }
-            }
-            for (j, a) in acc.iter().enumerate() {
-                *out.get_unchecked_mut(local * K + j) = *a;
-            }
-        }
-    }
-}
-
 /// A resolved kernel bound to one matrix's shape. Built once per
 /// [`ChunkPlan`](crate::ChunkPlan) and reused across millions of products;
 /// it reads every index and value from the matrix it is handed.
@@ -343,46 +219,6 @@ impl Kernel {
             // invariant, re-validated in `build`), and ncols == x.len();
             // rows and `out` are bounded by the asserts above.
             KernelKind::ShortRow => unsafe { mul_rows_unchecked(m, x, out, range) },
-        }
-    }
-
-    /// Blocked (multi-vector) product: computes rows `range` of `Y = m·X`
-    /// over `k` **interleaved** right-hand sides (`x[col·k + j]`,
-    /// `out[(row − range.start)·k + j]`) in one streaming pass of the
-    /// matrix. Each output column is bitwise identical to a single-vector
-    /// [`Kernel::mul_rows`] call on that column — the blocked layer never
-    /// trades identity for speed.
-    ///
-    /// # Panics
-    /// As [`Kernel::mul_rows`], plus if `k` is 0 or above
-    /// [`MAX_RHS_BLOCK`], or the slice lengths disagree with `range`/`k`.
-    pub(crate) fn mul_rows_block(
-        &self,
-        m: &CsrMatrix,
-        x: &[f64],
-        out: &mut [f64],
-        range: std::ops::Range<usize>,
-        k: usize,
-    ) {
-        assert!((1..=MAX_RHS_BLOCK).contains(&k), "rhs block out of range");
-        if k == 1 {
-            // Identical bits, better-tuned single-vector loops.
-            self.mul_rows(m, x, out, range);
-            return;
-        }
-        assert!(
-            m.nrows() == self.nrows && m.ncols() == self.ncols && m.nnz() == self.nnz,
-            "kernel was built for a different matrix"
-        );
-        assert_eq!(x.len(), self.ncols * k, "x length mismatch");
-        assert!(range.end <= self.nrows, "row range out of bounds");
-        assert_eq!(out.len(), range.len() * k, "output slice mismatch");
-        match self.kind {
-            KernelKind::Generic => mul_rows_block_generic(m, x, out, range, k),
-            // SAFETY: every stored column is < ncols (the CSR construction
-            // invariant, re-validated in `build`), so `col·k + j < ncols·k
-            // == x.len()`; rows and `out` are bounded by the asserts above.
-            KernelKind::ShortRow => unsafe { mul_rows_block_unchecked(m, x, out, range, k) },
         }
     }
 }
@@ -543,54 +379,6 @@ mod tests {
                 kernel.mul_rows(&a, &x, &mut got[lo..hi], lo..hi);
             }
             assert_eq!(bits(&want), bits(&got), "{choice:?} chunked");
-        }
-    }
-
-    /// Every (kernel, k) blocked product must be bitwise identical per
-    /// column to the serial single-vector product — including odd k, chunk
-    /// boundaries, and non-finite inputs.
-    #[test]
-    fn blocked_products_are_bitwise_identical_to_serial_columns() {
-        for (n, m, seed) in [(67usize, 67usize, 1u64), (123, 51, 2), (9, 9, 4)] {
-            let a = dense_to_csr(&pseudo_random(n, m, seed, 0.4));
-            for k in [1usize, 2, 3, 4, 5, 8] {
-                let mut x: Vec<f64> = (0..m * k)
-                    .map(|j| ((j * 37 + 11) % 23) as f64 - 11.0)
-                    .collect();
-                x[0] = f64::INFINITY;
-                if m * k > 5 {
-                    x[5] = f64::NAN;
-                }
-                let mut want = vec![0.0; n * k];
-                // Column-wise serial ground truth.
-                for j in 0..k {
-                    let xj: Vec<f64> = (0..m).map(|c| x[c * k + j]).collect();
-                    let mut yj = vec![0.0; n];
-                    a.mul_vec_into(&xj, &mut yj);
-                    for r in 0..n {
-                        want[r * k + j] = yj[r];
-                    }
-                }
-                let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-                // The serial blocked reference itself.
-                let mut got = vec![1.0; n * k];
-                a.mul_mat_into(&x, &mut got, k);
-                assert_eq!(bits(&want), bits(&got), "mul_mat_into k={k}");
-                for choice in ALL_FORCED {
-                    let kernel = Kernel::build(&a, choice);
-                    let mut got = vec![1.0; n * k];
-                    kernel.mul_rows_block(&a, &x, &mut got, 0..n, k);
-                    assert_eq!(bits(&want), bits(&got), "{choice:?} k={k}");
-                    let mut got = vec![1.0; n * k];
-                    let mut start = 0;
-                    while start < n {
-                        let end = (start + 7).min(n);
-                        kernel.mul_rows_block(&a, &x, &mut got[start * k..end * k], start..end, k);
-                        start = end;
-                    }
-                    assert_eq!(bits(&want), bits(&got), "{choice:?} k={k} chunked");
-                }
-            }
         }
     }
 

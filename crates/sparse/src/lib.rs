@@ -8,7 +8,7 @@
 //! both stored as [`CsrMatrix`]. Probability distributions are *row* vectors
 //! propagated as `πᵀ ← πᵀ P`; for cache-friendly, parallelizable gathers the
 //! solvers keep `Pᵀ` in CSR form and compute `π ← Pᵀ·π` (see
-//! [`CsrMatrix::mul_vec_into`] and [`CsrMatrix::mul_vec_parallel_into`]).
+//! [`CsrMatrix::mul_vec_into`] and [`CsrMatrix::mul_vec_pooled_into`]).
 //!
 //! Parallel products distribute disjoint row chunks over a persistent
 //! [`WorkerPool`] of parked threads — no locks or atomics inside a product,
@@ -28,8 +28,8 @@ pub mod workspace;
 
 pub use builder::CooBuilder;
 pub use csr::CsrMatrix;
-pub use kernel::{KernelChoice, KernelKind, MAX_RHS_BLOCK};
-pub use parallel::{effective_threads, ChunkPlan, ParallelConfig, RhsBlockChoice};
+pub use kernel::{KernelChoice, KernelKind};
+pub use parallel::{effective_threads, ChunkPlan, ParallelConfig};
 pub use pool::{WorkerPool, WorkerPoolStats};
 pub use simd::{Backend, BackendChoice};
 pub use workspace::{Workspace, WorkspaceStats};
@@ -111,13 +111,8 @@ mod tests {
         let mut serial = vec![0.0; 301];
         let mut par = vec![0.0; 301];
         m.mul_vec_into(&x, &mut serial);
-        let cfg = ParallelConfig {
-            min_nnz: 0,
-            threads: 4,
-            kernel: KernelChoice::Auto,
-            ..Default::default()
-        };
-        m.mul_vec_parallel_into(&x, &mut par, &cfg);
+        let plan = ChunkPlan::new(&m, 4);
+        m.mul_vec_pooled_into(&x, &mut par, &plan, WorkerPool::global());
         for (s, p) in serial.iter().zip(&par) {
             assert_eq!(s, p, "parallel result must be bitwise identical per row");
         }

@@ -12,116 +12,18 @@
 //! unchecked short-row — that every chunk then executes. Steppers compute
 //! the plan **once per matrix** and reuse it across millions of products
 //! (`Uniformized::stepper` in `regenr-ctmc` caches plans per
-//! `(chunk count, kernel choice, block width)`).
+//! `(chunk count, kernel choice)`).
 //!
 //! [`CsrMatrix::mul_vec_pooled_into`] runs a plan's chunks on a persistent
 //! [`WorkerPool`] of parked threads; this is what the solvers use (via
 //! `Uniformized::stepper`), because repeated products pay only a condvar
-//! wake instead of per-product thread creation.
-//! [`CsrMatrix::mul_vec_parallel_into`] keeps its historical signature and
-//! routes through the shared global pool; small matrices fall back to the
-//! serial path under [`ParallelConfig::min_nnz`] (a pool wake ≫ product cost
-//! there).
+//! wake instead of per-product thread creation. Steppers plan small
+//! matrices as one chunk under [`ParallelConfig::min_nnz`] (a pool wake ≫
+//! product cost there), which runs on the calling thread.
 
 use crate::csr::CsrMatrix;
-use crate::kernel::{Kernel, KernelChoice, KernelKind, MAX_RHS_BLOCK};
+use crate::kernel::{Kernel, KernelChoice, KernelKind};
 use crate::pool::WorkerPool;
-
-/// How many right-hand sides one streaming pass of the matrix should move
-/// (blocked SpMM). The matrix is the bandwidth bottleneck: stepping `k`
-/// vectors per pass amortizes the stream over `k` results, so per-vector
-/// cost drops nearly `k`-fold once the kernels are memory-bound. Affects
-/// speed only — each of the `k` columns is accumulated exactly as the
-/// serial single-vector product would, so every column stays bitwise
-/// identical to [`CsrMatrix::mul_vec_into`].
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum RhsBlockChoice {
-    /// Let the caller's grouping logic pick a width **per resolved kernel**
-    /// (see [`RhsBlockChoice::auto_width`]) whenever at least two
-    /// compatible computations can share a pass, else serial.
-    #[default]
-    Auto,
-    /// A fixed block width (1, 2, 4, or 8); `1` disables blocking.
-    Fixed(usize),
-}
-
-impl RhsBlockChoice {
-    /// Parses `"auto" | "1" | "2" | "4" | "8"`.
-    pub fn parse(s: &str) -> Result<Self, String> {
-        match s {
-            "auto" => Ok(Self::Auto),
-            "1" => Ok(Self::Fixed(1)),
-            "2" => Ok(Self::Fixed(2)),
-            "4" => Ok(Self::Fixed(4)),
-            "8" => Ok(Self::Fixed(8)),
-            other => Err(format!(
-                "unknown rhs_block {other:?} (expected auto, 1, 2, 4, or 8)"
-            )),
-        }
-    }
-
-    /// The canonical spelling [`RhsBlockChoice::parse`] accepts.
-    pub fn name(self) -> &'static str {
-        match self {
-            Self::Auto => "auto",
-            Self::Fixed(1) => "1",
-            Self::Fixed(2) => "2",
-            Self::Fixed(4) => "4",
-            Self::Fixed(8) => "8",
-            Self::Fixed(_) => "fixed",
-        }
-    }
-
-    /// The measured `Auto` block width for each resolved kernel (the
-    /// blocked-RHS ablation in `repro kernels` / `results/kernels.csv`):
-    /// shortrow's per-cell speedup keeps growing through `k = 8` (2.19× at
-    /// G=40, 2.83× at G=20 over `k = 1`, vs 1.99×/2.43× at `k = 4`) because
-    /// its bitwise in-order reduction is latency-bound and wider blocks hide
-    /// more of it; generic stays at the all-round `k = 4`, where its
-    /// bounds-checked blocked loop plateaus.
-    pub fn auto_width(kind: KernelKind) -> usize {
-        match kind {
-            KernelKind::ShortRow => MAX_RHS_BLOCK,
-            KernelKind::Generic => 4,
-        }
-    }
-
-    /// The width the caller's *grouping* stage should chunk compatible
-    /// computations to, before the kernel is resolved: `Auto` groups up to
-    /// [`MAX_RHS_BLOCK`] (execution narrows to
-    /// [`RhsBlockChoice::resolve_for`]'s per-kernel width once the kernel
-    /// is known), fixed widths are clamped to `[1, MAX_RHS_BLOCK]`.
-    pub fn plan_width(self, group: usize) -> usize {
-        match self {
-            Self::Auto => {
-                if group >= 2 {
-                    MAX_RHS_BLOCK
-                } else {
-                    1
-                }
-            }
-            Self::Fixed(k) => k.clamp(1, MAX_RHS_BLOCK),
-        }
-    }
-
-    /// Resolves the *execution* block width for a group of `group`
-    /// compatible computations running on kernel `kind`: `Auto` uses the
-    /// per-kernel [`RhsBlockChoice::auto_width`] table when there is
-    /// anything to group, fixed widths are clamped to
-    /// `[1, MAX_RHS_BLOCK]`.
-    pub fn resolve_for(self, kind: KernelKind, group: usize) -> usize {
-        match self {
-            Self::Auto => {
-                if group >= 2 {
-                    Self::auto_width(kind)
-                } else {
-                    1
-                }
-            }
-            Self::Fixed(k) => k.clamp(1, MAX_RHS_BLOCK),
-        }
-    }
-}
 
 /// Tuning for the parallel SpMV kernels.
 #[derive(Clone, Copy, Debug)]
@@ -134,16 +36,9 @@ pub struct ParallelConfig {
     pub threads: usize,
     /// Which SpMV loop plan-driven products run (steppers and explicit
     /// [`ChunkPlan`]s) — [`KernelChoice::Auto`] picks from the matrix's
-    /// size. [`CsrMatrix::mul_vec_parallel_into`] ignores this field and
-    /// always runs the generic loop: it re-plans every call, where the
-    /// short-row loop's one-time column validation would rival the product
-    /// it serves. Both loops are bitwise identical to the serial product,
-    /// so this knob affects speed only.
+    /// size. Both loops are bitwise identical to the serial product, so
+    /// this knob affects speed only.
     pub kernel: KernelChoice,
-    /// Blocked-RHS stepping width for callers that can batch compatible
-    /// computations over one matrix (see [`RhsBlockChoice`]). Speed only:
-    /// every blocked column is bitwise identical to the serial product.
-    pub rhs_block: RhsBlockChoice,
 }
 
 impl Default for ParallelConfig {
@@ -154,7 +49,6 @@ impl Default for ParallelConfig {
             min_nnz: 50_000,
             threads: 0,
             kernel: KernelChoice::Auto,
-            rhs_block: RhsBlockChoice::Auto,
         }
     }
 }
@@ -309,77 +203,6 @@ impl CsrMatrix {
             plan.kernel().mul_rows(self, x, slice, range);
         });
     }
-
-    /// Blocked `Y = A·X` for `k` interleaved right-hand sides over a
-    /// precomputed [`ChunkPlan`] on a persistent [`WorkerPool`]: `x` holds
-    /// `ncols` rows of `k` columns (`x[c*k + j]`), `y` receives `nrows`
-    /// rows of `k` columns. One streaming pass of the matrix moves all `k`
-    /// vectors, which is what breaks the bandwidth wall for multi-horizon
-    /// sweeps. Every column is bitwise identical to the serial
-    /// [`CsrMatrix::mul_vec_into`] on that column alone, regardless of the
-    /// kernel, block width, pool size, or chunking.
-    ///
-    /// # Panics
-    /// If `k` is 0 or exceeds [`MAX_RHS_BLOCK`], `x`/`y` lengths mismatch
-    /// `ncols*k`/`nrows*k`, or the plan was built from a different matrix.
-    pub fn mul_mat_pooled_into(
-        &self,
-        x: &[f64],
-        y: &mut [f64],
-        plan: &ChunkPlan,
-        pool: &WorkerPool,
-        k: usize,
-    ) {
-        assert!(
-            (1..=MAX_RHS_BLOCK).contains(&k),
-            "rhs block {k} out of range"
-        );
-        if k == 1 {
-            return self.mul_vec_pooled_into(x, y, plan, pool);
-        }
-        assert_eq!(x.len(), self.ncols() * k, "x length mismatch");
-        assert_eq!(y.len(), self.nrows() * k, "y length mismatch");
-        plan.check_matrix(self);
-        if plan.len() <= 1 {
-            if let Some(range) = plan.ranges.first() {
-                regenr_failpoint::failpoint!("pool-chunk");
-                plan.kernel().mul_rows_block(self, x, y, range.clone(), k);
-            }
-            return;
-        }
-        let out = SendPtr(y.as_mut_ptr());
-        pool.run(plan.len(), move |c| {
-            let out = out;
-            let range = plan.ranges[c].clone();
-            // SAFETY: plan ranges are disjoint and within nrows, so each
-            // chunk writes a private `k`-column slice of `y`.
-            let slice = unsafe {
-                std::slice::from_raw_parts_mut(out.0.add(range.start * k), range.len() * k)
-            };
-            plan.kernel().mul_rows_block(self, x, slice, range, k);
-        });
-    }
-
-    /// `y = A·x` through the shared global [`WorkerPool`], planning chunks
-    /// per call. Falls back to [`CsrMatrix::mul_vec_into`] when the matrix
-    /// is small or only one thread is requested. Results are bitwise
-    /// identical to the serial product.
-    ///
-    /// Callers issuing *repeated* products over one matrix should prefer a
-    /// cached plan (`Uniformized::stepper` in `regenr-ctmc`) — this entry
-    /// point re-plans every call, so it always uses the generic kernel (a
-    /// per-call column validation would rival the product it serves).
-    pub fn mul_vec_parallel_into(&self, x: &[f64], y: &mut [f64], cfg: &ParallelConfig) {
-        assert_eq!(x.len(), self.ncols(), "x length mismatch");
-        assert_eq!(y.len(), self.nrows(), "y length mismatch");
-        let threads = effective_threads(cfg.threads);
-        if self.nnz() < cfg.min_nnz || threads <= 1 {
-            self.mul_vec_into(x, y);
-            return;
-        }
-        let plan = ChunkPlan::with_kernel(self, threads, KernelChoice::Generic);
-        self.mul_vec_pooled_into(x, y, &plan, WorkerPool::global());
-    }
 }
 
 #[cfg(test)]
@@ -408,26 +231,6 @@ mod tests {
     ];
 
     #[test]
-    fn parallel_equals_serial_various_thread_counts() {
-        let n = 997;
-        let m = band_matrix(n);
-        let x: Vec<f64> = (0..n).map(|i| ((i * 31) % 17) as f64 - 8.0).collect();
-        let mut want = vec![0.0; n];
-        m.mul_vec_into(&x, &mut want);
-        for threads in [1, 2, 3, 8, 64] {
-            let cfg = ParallelConfig {
-                min_nnz: 0,
-                threads,
-                kernel: KernelChoice::Auto,
-                ..Default::default()
-            };
-            let mut got = vec![0.0; n];
-            m.mul_vec_parallel_into(&x, &mut got, &cfg);
-            assert_eq!(got, want, "pooled threads={threads}");
-        }
-    }
-
-    #[test]
     fn pooled_with_explicit_plan_and_pool() {
         let n = 503;
         let m = band_matrix(n);
@@ -448,64 +251,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    /// Pooled blocked products: every column bitwise identical to serial,
-    /// across kernels, pool sizes, chunk counts, and block widths.
-    #[test]
-    fn pooled_blocked_product_is_bitwise_serial_per_column() {
-        let n = 337;
-        let m = band_matrix(n);
-        let mut want = vec![0.0; n];
-        let x: Vec<f64> = (0..n).map(|i| ((i * 13) % 29) as f64 - 14.0).collect();
-        m.mul_vec_into(&x, &mut want);
-        let pool = WorkerPool::new(3);
-        for k in [1usize, 2, 4, 8] {
-            let xk: Vec<f64> = (0..n * k).map(|i| x[i / k]).collect();
-            for chunks in [1, 2, 7] {
-                for choice in ALL_CHOICES {
-                    let plan = ChunkPlan::with_kernel(&m, chunks, choice);
-                    let mut got = vec![0.0; n * k];
-                    m.mul_mat_pooled_into(&xk, &mut got, &plan, &pool, k);
-                    for r in 0..n {
-                        for j in 0..k {
-                            assert_eq!(
-                                got[r * k + j].to_bits(),
-                                want[r].to_bits(),
-                                "k={k} chunks={chunks} {choice:?} row {r}"
-                            );
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn rhs_block_choice_parses_and_resolves() {
-        assert_eq!(RhsBlockChoice::parse("auto"), Ok(RhsBlockChoice::Auto));
-        assert_eq!(RhsBlockChoice::parse("4"), Ok(RhsBlockChoice::Fixed(4)));
-        assert!(RhsBlockChoice::parse("3").is_err());
-        assert!(RhsBlockChoice::parse("16").is_err());
-        // Grouping width: Auto chunks to the table maximum (execution
-        // narrows per kernel), singleton groups never block.
-        assert_eq!(RhsBlockChoice::Auto.plan_width(1), 1);
-        assert_eq!(RhsBlockChoice::Auto.plan_width(2), MAX_RHS_BLOCK);
-        assert_eq!(RhsBlockChoice::Fixed(1).plan_width(100), 1);
-        assert_eq!(RhsBlockChoice::Fixed(8).plan_width(2), 8);
-        // Execution width: per-kernel under Auto, clamped fixed otherwise.
-        for kind in [KernelKind::Generic, KernelKind::ShortRow] {
-            assert_eq!(RhsBlockChoice::Auto.resolve_for(kind, 1), 1, "{kind:?}");
-            assert_eq!(
-                RhsBlockChoice::Auto.resolve_for(kind, 2),
-                RhsBlockChoice::auto_width(kind),
-                "{kind:?}"
-            );
-            assert_eq!(RhsBlockChoice::Fixed(8).resolve_for(kind, 2), 8);
-        }
-        assert_eq!(RhsBlockChoice::auto_width(KernelKind::ShortRow), 8);
-        assert_eq!(RhsBlockChoice::auto_width(KernelKind::Generic), 4);
-        assert_eq!(RhsBlockChoice::Fixed(4).name(), "4");
     }
 
     /// Rebinding a plan to a same-structure different-values matrix must
@@ -537,16 +282,6 @@ mod tests {
                     want[r].to_bits(),
                     "{choice:?} row {r} after rebind"
                 );
-            }
-            // Blocked path too.
-            let k = 4;
-            let xk: Vec<f64> = (0..n * k).map(|i| x[i / k]).collect();
-            let mut gotk = vec![0.0; n * k];
-            b.mul_mat_pooled_into(&xk, &mut gotk, &rebound, &pool, k);
-            for r in 0..n {
-                for j in 0..k {
-                    assert_eq!(gotk[r * k + j].to_bits(), want[r].to_bits());
-                }
             }
         }
     }
@@ -592,17 +327,6 @@ mod tests {
     }
 
     #[test]
-    fn small_matrix_uses_serial_path() {
-        let m = band_matrix(4);
-        let cfg = ParallelConfig::default(); // min_nnz = 50k > nnz
-        let mut y = vec![0.0; 4];
-        m.mul_vec_parallel_into(&[1.0; 4], &mut y, &cfg);
-        let mut want = vec![0.0; 4];
-        m.mul_vec_into(&[1.0; 4], &mut want);
-        assert_eq!(y, want);
-    }
-
-    #[test]
     fn effective_threads_resolution() {
         assert_eq!(effective_threads(3), 3);
         assert!(effective_threads(0) >= 1);
@@ -611,14 +335,10 @@ mod tests {
     #[test]
     fn more_threads_than_rows() {
         let m = band_matrix(3);
-        let cfg = ParallelConfig {
-            min_nnz: 0,
-            threads: 16,
-            kernel: KernelChoice::Auto,
-            ..Default::default()
-        };
+        let plan = ChunkPlan::new(&m, 16);
+        assert!(plan.len() <= 3, "never more chunks than rows");
         let mut y = vec![0.0; 3];
-        m.mul_vec_parallel_into(&[1.0, 2.0, 3.0], &mut y, &cfg);
+        m.mul_vec_pooled_into(&[1.0, 2.0, 3.0], &mut y, &plan, &WorkerPool::new(4));
         let mut want = vec![0.0; 3];
         m.mul_vec_into(&[1.0, 2.0, 3.0], &mut want);
         assert_eq!(y, want);

@@ -104,14 +104,6 @@ impl Workspace {
         buf
     }
 
-    /// A zero-filled buffer for `rows` rows of `k` interleaved columns —
-    /// the blocked-stepping (multi-RHS) variant of
-    /// [`Workspace::take_zeroed`]. Same free list, so blocked and serial
-    /// solves share buffers when `rows * k` sizes coincide.
-    pub fn take_zeroed_block(&mut self, rows: usize, k: usize) -> Vec<f64> {
-        self.take_zeroed(rows * k)
-    }
-
     /// A buffer holding a copy of `src`.
     pub fn take_copied(&mut self, src: &[f64]) -> Vec<f64> {
         let mut buf = self.pop(src.len());

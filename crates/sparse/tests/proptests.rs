@@ -2,9 +2,7 @@
 //! against a dense reference on random matrices.
 
 use proptest::prelude::*;
-use regenr_sparse::{
-    ChunkPlan, CooBuilder, CsrMatrix, KernelChoice, ParallelConfig, WorkerPool, MAX_RHS_BLOCK,
-};
+use regenr_sparse::{ChunkPlan, CooBuilder, CsrMatrix, KernelChoice, WorkerPool};
 
 /// Every kernel selection a plan accepts.
 const ALL_CHOICES: [KernelChoice; 3] = [
@@ -90,18 +88,6 @@ proptest! {
         for (i, j, v) in c.iter() {
             prop_assert_eq!(tt.get(i, j), v);
         }
-    }
-
-    #[test]
-    fn parallel_product_is_bitwise_serial((rows, n, m) in arb_matrix(), threads in 1usize..6) {
-        let c = to_csr(&rows, n, m);
-        let x: Vec<f64> = (0..m).map(|j| 1.0 / (j + 1) as f64).collect();
-        let mut serial = vec![0.0; n];
-        let mut par = vec![0.0; n];
-        c.mul_vec_into(&x, &mut serial);
-        let cfg = ParallelConfig { min_nnz: 0, threads, kernel: KernelChoice::Auto, ..Default::default() };
-        c.mul_vec_parallel_into(&x, &mut par, &cfg);
-        prop_assert_eq!(&serial, &par);
     }
 
     /// The pooled kernel is bitwise identical to the serial one on random
@@ -213,76 +199,6 @@ proptest! {
         // An independently rebuilt identical matrix selects identically.
         let again = to_csr(&rows, n, m);
         prop_assert_eq!(first, ChunkPlan::new(&again, chunks_b).kernel_kind());
-    }
-
-    /// Blocked SpMM over `k` interleaved right-hand sides is bitwise
-    /// identical to `k` independent serial `mul_vec_into` products, for
-    /// every kernel, pool size, chunk count, and block width — on
-    /// adversarial inputs (ragged rows, emptied rows, and non-finite
-    /// poison values where any reordered reduction would change bits).
-    #[test]
-    fn blocked_spmm_is_bitwise_k_serial_columns(
-        (rows, n, m) in arb_matrix(),
-        pool_threads in 1usize..4,
-        chunks in 1usize..9,
-        k in 1usize..MAX_RHS_BLOCK + 1,
-        poison in 0usize..4,
-        long_row in 0usize..12,
-    ) {
-        let mut rows = rows;
-        if n > 1 {
-            let lr = long_row % n;
-            for (j, v) in rows[lr].iter_mut().enumerate() {
-                *v = 0.5 + j as f64 * 1e-3;
-            }
-            rows[(lr + 1) % n].iter_mut().for_each(|v| *v = 0.0);
-        }
-        let c = to_csr(&rows, n, m);
-        // k distinct columns; poison one entry of one column.
-        let mut cols_x: Vec<Vec<f64>> = (0..k)
-            .map(|j| (0..m).map(|i| ((i * 13 + 5 + j * 7) % 11) as f64 - 5.0).collect())
-            .collect();
-        match poison {
-            0 => cols_x[0][0] = f64::INFINITY,
-            1 => cols_x[k - 1][m - 1] = f64::NAN,
-            2 => cols_x[k / 2][m / 2] = f64::NEG_INFINITY,
-            _ => {}
-        }
-        // Serial reference: one mul_vec_into per column.
-        let mut want_bits = vec![0u64; n * k];
-        for (j, xj) in cols_x.iter().enumerate() {
-            let mut yj = vec![0.0; n];
-            c.mul_vec_into(xj, &mut yj);
-            for (i, v) in yj.iter().enumerate() {
-                want_bits[i * k + j] = v.to_bits();
-            }
-        }
-        // Interleave the inputs.
-        let mut x = vec![0.0; m * k];
-        for (j, xj) in cols_x.iter().enumerate() {
-            for (i, v) in xj.iter().enumerate() {
-                x[i * k + j] = *v;
-            }
-        }
-        let pool = WorkerPool::new(pool_threads);
-        for choice in ALL_CHOICES {
-            let plan = ChunkPlan::with_kernel(&c, chunks, choice);
-            let mut y = vec![1.0; n * k];
-            for _ in 0..2 {
-                c.mul_mat_pooled_into(&x, &mut y, &plan, &pool, k);
-                let got: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(
-                    &want_bits, &got,
-                    "kernel {:?} k {} (resolved {:?})",
-                    choice, k, plan.kernel_kind()
-                );
-            }
-        }
-        // The serial blocked entry point obeys the same contract.
-        let mut y = vec![1.0; n * k];
-        c.mul_mat_into(&x, &mut y, k);
-        let got: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
-        prop_assert_eq!(&want_bits, &got, "serial mul_mat_into k {}", k);
     }
 
     #[test]

@@ -46,7 +46,7 @@ pub mod stationary;
 pub use adaptive::{AdaptiveOptions, AdaptiveSolver};
 pub use ode::{OdeOptions, OdeSolver};
 pub use rsd::{RsdOptions, RsdSolver};
-pub use sr::{solve_block_with, SrBlockCell, SrOptions, SrSolver};
+pub use sr::{SrOptions, SrSolver};
 pub use stationary::{stationary_distribution, stationary_distribution_with};
 
 // The execution-layer scratch arena every `_with` solver entry point takes;

@@ -17,7 +17,7 @@
 use crate::{MeasureKind, Solution};
 use regenr_ctmc::{Ctmc, Uniformized};
 use regenr_numeric::{KahanSum, PoissonWeights};
-use regenr_sparse::{ParallelConfig, Workspace, MAX_RHS_BLOCK};
+use regenr_sparse::{ParallelConfig, Workspace};
 use std::sync::Arc;
 
 /// Options for [`SrSolver`].
@@ -262,203 +262,6 @@ impl<'a> SrSolver<'a> {
     }
 }
 
-/// One member of a blocked standard-randomization solve (see
-/// [`solve_block_with`]): a chain built over the *same generator* as the
-/// group's shared uniformization — initial distribution, rewards, measure,
-/// and horizon grid are the cell's own.
-#[derive(Clone, Copy, Debug)]
-pub struct SrBlockCell<'a> {
-    /// The cell's chain. Its generator must match the shared
-    /// uniformization (checked via [`Uniformized::assert_built_from`]).
-    pub ctmc: &'a Ctmc,
-    /// Which reward measure this cell computes.
-    pub measure: MeasureKind,
-    /// The cell's horizon grid (what [`SrSolver::solve_many_with`] would
-    /// receive).
-    pub ts: &'a [f64],
-}
-
-/// Per-cell propagation state for [`solve_block_with`].
-struct BlockCellRun {
-    weights: Vec<Option<PoissonWeights>>,
-    accs: Vec<KahanSum>,
-    /// The cell's own largest right truncation point — accumulation stops
-    /// here even though the shared propagation may continue for other
-    /// cells (exactly the per-horizon skip `solve_many_with` applies).
-    right: u64,
-}
-
-/// One strided reward dot, replicating [`Ctmc::reward_dot`]'s exact
-/// operation order on column `j` of a `k`-interleaved blocked state:
-/// `Σ_s pi[s*k + j] · r_s`, accumulated left to right from `0.0` like the
-/// serial `sum()`. Same adds in the same order ⇒ bitwise identical to
-/// `reward_dot` on the extracted column.
-fn reward_dot_strided(rewards: &[f64], pi: &[f64], k: usize, j: usize) -> f64 {
-    let mut acc = 0.0;
-    for (s, r) in rewards.iter().enumerate() {
-        acc += pi[s * k + j] * r;
-    }
-    acc
-}
-
-/// Solves every cell's horizon grid in **one blocked propagation**: the
-/// cells' state distributions are interleaved into a `k`-column block and
-/// every DTMC step is a single streaming pass of `Pᵀ` moving all `k`
-/// (see [`regenr_ctmc::Stepper::step_block`]) — this is what breaks the
-/// memory-bandwidth wall when an engine sweep holds many cells over one
-/// uniformization (different initial distributions, rewards, measures, or
-/// horizon grids).
-///
-/// Every cell's solutions are **bitwise identical** to what
-/// [`SrSolver::solve_many_with`] would produce for that cell alone: blocked
-/// stepping is bitwise per column, the strided reward dot replicates the
-/// serial operation order, and each cell's accumulators see exactly the
-/// same terms in the same order (cells stop accumulating at their own
-/// right truncation point while the shared propagation continues).
-///
-/// Degenerate cells (no horizons, zero rewards, all-zero horizons) take
-/// the serial path, as does a single-cell group.
-///
-/// # Panics
-/// If `cells` is empty or longer than [`MAX_RHS_BLOCK`], a cell's chain
-/// does not match `unif`, or a horizon is negative.
-pub fn solve_block_with(
-    unif: &Arc<Uniformized>,
-    opts: &SrOptions,
-    cells: &[SrBlockCell<'_>],
-    ws: &mut Workspace,
-) -> Vec<Vec<Solution>> {
-    assert!(
-        (1..=MAX_RHS_BLOCK).contains(&cells.len()),
-        "block of {} cells out of range",
-        cells.len()
-    );
-    let n = unif.n_states();
-    let mut out: Vec<Option<Vec<Solution>>> = vec![None; cells.len()];
-    // Split serial-path cells (the degenerate predicates of
-    // `solve_many_with`) from cells that propagate.
-    let mut active: Vec<usize> = Vec::new();
-    for (i, cell) in cells.iter().enumerate() {
-        let solver = SrSolver::with_uniformized(cell.ctmc, unif.clone(), *opts);
-        let degenerate = cell.ts.is_empty()
-            || cell.ctmc.max_reward() == 0.0
-            || cell.ts.iter().all(|&t| t == 0.0);
-        if degenerate {
-            out[i] = Some(solver.solve_many_with(cell.measure, cell.ts, ws));
-        } else {
-            active.push(i);
-        }
-    }
-    if active.len() == 1 {
-        let i = active[0];
-        let solver = SrSolver::with_uniformized(cells[i].ctmc, unif.clone(), *opts);
-        out[i] = Some(solver.solve_many_with(cells[i].measure, cells[i].ts, ws));
-    } else if !active.is_empty() {
-        let k = active.len();
-        // Per-cell weights and accumulators, mirroring `solve_many_with`.
-        let mut runs: Vec<BlockCellRun> = active
-            .iter()
-            .map(|&i| {
-                let cell = &cells[i];
-                let r_max = cell.ctmc.max_reward();
-                let delta = (opts.epsilon / r_max).min(0.5);
-                let weights: Vec<Option<PoissonWeights>> = cell
-                    .ts
-                    .iter()
-                    .map(|&t| {
-                        assert!(t >= 0.0, "time must be non-negative");
-                        (t > 0.0).then(|| PoissonWeights::new(unif.lambda * t, delta))
-                    })
-                    .collect();
-                let right = weights
-                    .iter()
-                    .flatten()
-                    .map(|w| w.right)
-                    .max()
-                    .expect("active cell has a positive horizon");
-                BlockCellRun {
-                    accs: vec![KahanSum::new(); weights.len()],
-                    weights,
-                    right,
-                }
-            })
-            .collect();
-        let global_right = runs.iter().map(|r| r.right).max().unwrap();
-
-        let stepper = unif.stepper_block(&opts.parallel, k);
-        let mut pi = ws.take_zeroed_block(n, k);
-        for (j, &i) in active.iter().enumerate() {
-            for (s, &v) in cells[i].ctmc.initial().iter().enumerate() {
-                pi[s * k + j] = v;
-            }
-        }
-        regenr_failpoint::failpoint!("sr-block-nan", |_fired| {
-            if let Some(slot) = pi.first_mut() {
-                *slot = f64::NAN;
-            }
-        });
-        let mut next = ws.take_zeroed_block(n, k);
-        for step in 0..=global_right {
-            for (j, &i) in active.iter().enumerate() {
-                let run = &mut runs[j];
-                if step > run.right {
-                    continue;
-                }
-                let rr = reward_dot_strided(cells[i].ctmc.rewards(), &pi, k, j);
-                for (acc, w) in run.accs.iter_mut().zip(&run.weights) {
-                    let Some(w) = w else { continue };
-                    if step > w.right {
-                        continue;
-                    }
-                    match cells[i].measure {
-                        MeasureKind::Trr => {
-                            let wn = w.pmf(step);
-                            if wn > 0.0 {
-                                acc.add(wn * rr);
-                            }
-                        }
-                        MeasureKind::Mrr => acc.add(w.survival(step + 1) * rr),
-                    }
-                }
-            }
-            if step < global_right {
-                stepper.step_block(&pi, &mut next);
-                std::mem::swap(&mut pi, &mut next);
-            }
-        }
-        ws.give(pi);
-        ws.give(next);
-        for (run, &i) in runs.into_iter().zip(&active) {
-            let cell = &cells[i];
-            out[i] = Some(
-                run.accs
-                    .iter()
-                    .zip(&run.weights)
-                    .zip(cell.ts)
-                    .map(|((acc, w), &t)| match w {
-                        None => Solution {
-                            value: cell.ctmc.reward_dot(cell.ctmc.initial()),
-                            steps: 0,
-                            error_bound: 0.0,
-                        },
-                        Some(w) => Solution {
-                            value: match cell.measure {
-                                MeasureKind::Trr => acc.value(),
-                                MeasureKind::Mrr => acc.value() / (unif.lambda * t),
-                            },
-                            steps: w.right as usize,
-                            error_bound: opts.epsilon,
-                        },
-                    })
-                    .collect(),
-            );
-        }
-    }
-    out.into_iter()
-        .map(|sols| sols.expect("every cell solved"))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,77 +397,6 @@ mod tests {
             after_warmup,
             "warmed-up solve_many must not allocate scratch vectors"
         );
-    }
-
-    /// Blocked multi-cell solves must be bitwise identical per cell to the
-    /// serial `solve_many_with` — different initials, rewards, measures,
-    /// horizon grids, and degenerate members included.
-    #[test]
-    fn blocked_solve_is_bitwise_identical_to_serial_per_cell() {
-        let n = 40;
-        let mut rates = Vec::new();
-        for i in 0..n - 1 {
-            rates.push((i, i + 1, 1.0 + i as f64 * 0.01));
-            rates.push((i + 1, i, 0.5));
-        }
-        let mut init_a = vec![0.0; n];
-        init_a[0] = 1.0;
-        let base = Ctmc::from_rates(n, &rates, init_a, vec![1.0; n]).unwrap();
-        let mut init_b = vec![0.0; n];
-        init_b[n - 1] = 0.25;
-        init_b[n / 2] = 0.75;
-        let cell_b = base
-            .with_initial(init_b)
-            .unwrap()
-            .with_rewards((0..n).map(|i| (i % 3) as f64).collect())
-            .unwrap();
-        let cell_c = base.with_rewards(vec![0.0; n]).unwrap(); // degenerate
-        let opts = SrOptions::default();
-        let unif = Arc::new(Uniformized::new(&base, opts.theta));
-        let grids: [&[f64]; 4] = [&[0.5, 3.0, 10.0], &[7.0, 0.0], &[1.0], &[2.5, 40.0]];
-        let cells = [
-            SrBlockCell {
-                ctmc: &base,
-                measure: MeasureKind::Trr,
-                ts: grids[0],
-            },
-            SrBlockCell {
-                ctmc: &cell_b,
-                measure: MeasureKind::Mrr,
-                ts: grids[1],
-            },
-            SrBlockCell {
-                ctmc: &cell_c,
-                measure: MeasureKind::Trr,
-                ts: grids[2],
-            },
-            SrBlockCell {
-                ctmc: &base,
-                measure: MeasureKind::Mrr,
-                ts: grids[3],
-            },
-        ];
-        for take in 1..=cells.len() {
-            let mut ws = Workspace::new();
-            let got = solve_block_with(&unif, &opts, &cells[..take], &mut ws);
-            assert_eq!(got.len(), take);
-            for (cell, sols) in cells[..take].iter().zip(&got) {
-                let solver = SrSolver::with_uniformized(cell.ctmc, unif.clone(), opts);
-                let want = solver.solve_many_with(cell.measure, cell.ts, &mut Workspace::new());
-                assert_eq!(want.len(), sols.len());
-                for (w, g) in want.iter().zip(sols) {
-                    assert_eq!(
-                        w.value.to_bits(),
-                        g.value.to_bits(),
-                        "take={take} {:?} ts={:?}",
-                        cell.measure,
-                        cell.ts
-                    );
-                    assert_eq!(w.steps, g.steps);
-                    assert_eq!(w.error_bound, g.error_bound);
-                }
-            }
-        }
     }
 
     #[test]
