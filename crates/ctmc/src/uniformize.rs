@@ -3,14 +3,16 @@
 //! Given a CTMC with generator `Q` and a rate `Λ ≥ max_i |q_ii|`, the
 //! randomized DTMC has transition matrix `P = I + Q/Λ`; the CTMC at time `t`
 //! equals the DTMC observed at a Poisson(`Λt`) number of steps. Every solver
-//! in the workspace starts from a [`Uniformized`] view.
+//! in the workspace starts from a [`Uniformized`] view, and every one of
+//! them steps `π ← Pᵀπ`, so the view holds `Pᵀ` alone, built straight from
+//! `Q` without materializing `P`.
 
 use crate::chain::Ctmc;
 use regenr_sparse::{
     effective_threads, Backend, ChunkPlan, CsrMatrix, KernelChoice, KernelKind, ParallelConfig,
     WorkerPool,
 };
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 /// Shared memo of nnz-balanced [`ChunkPlan`]s for `Pᵀ`, keyed by
 /// [`PlanKey`] `(chunks, kernel)` — a plan carries the resolved SpMV
@@ -44,27 +46,80 @@ impl PlanCache {
     }
 }
 
-/// A uniformized view of a CTMC: the randomized DTMC matrix `P`, its transpose
-/// (for gather-style products) and the randomization rate `Λ`.
+/// A uniformized view of a CTMC: the transpose `Pᵀ` of the randomized DTMC
+/// matrix `P = I + Q/Λ` (for gather-style products) and the randomization
+/// rate `Λ`. `P` itself is never stored: `Pᵀ` is built from `Q` directly
+/// ([`CsrMatrix::identity_plus_scaled_transposed`]), and `P`'s row pattern
+/// is `Q`'s plus the diagonal.
 #[derive(Clone, Debug)]
 pub struct Uniformized {
     /// Randomization rate `Λ`.
     pub lambda: f64,
-    /// `P = I + Q/Λ` (row-stochastic).
-    pub p: CsrMatrix,
-    /// `Pᵀ`, used to propagate row distributions as `π ← Pᵀπ`.
+    /// `Pᵀ = (I + Q/Λ)ᵀ` (column-stochastic), used to propagate row
+    /// distributions as `π ← Pᵀπ`.
     pub p_t: CsrMatrix,
     /// Chunk plans for `p_t`, computed once per chunk count (see
     /// [`Uniformized::stepper`]).
     plans: PlanCache,
-    /// Source position in `p`'s value array for each `p_t` entry — the
-    /// transpose permutation, computed lazily by the first
+    /// The lineage's [`RebindMap`], computed lazily by the first
     /// [`Uniformized::rebind_values`] and shared with every rebound
-    /// descendant (same pattern ⇒ same permutation). Later rebinds fill
-    /// `Pᵀ` with a sequential-write gather instead of re-running the
-    /// transpose counting sort.
-    t_perm: std::sync::OnceLock<Arc<Vec<u32>>>,
+    /// descendant (same pattern ⇒ same map).
+    rebind_map: OnceLock<Arc<RebindMap>>,
 }
+
+/// Where each generator entry lands in `Pᵀ`, for one **lineage** — a cold
+/// uniformization plus every rate variant rebound from it, which all share
+/// one sparsity pattern. `slots[k]` is the `Pᵀ` position of `Q`'s `k`-th
+/// stored entry (row-major order); the slots from `q_nnz` on are the
+/// diagonals `Pᵀ` materializes for rows where `Q` stores none, whose value
+/// is always `1.0`. A rebind then fills `Pᵀ` in one pass over `Q`.
+#[derive(Debug)]
+struct RebindMap {
+    slots: Vec<u32>,
+    q_nnz: usize,
+}
+
+impl RebindMap {
+    /// Replays [`CsrMatrix::identity_plus_scaled_transposed`]'s fill pass
+    /// for `q` against `p_t`'s pattern, recording each entry's slot.
+    ///
+    /// # Panics
+    /// If `q`'s uniformized pattern is not exactly `p_t`'s.
+    fn new(q: &CsrMatrix, p_t: &CsrMatrix) -> Self {
+        let n = p_t.nrows();
+        assert!(q.nrows() == n, "{STRUCTURE}");
+        let (row_ptr, cols) = (p_t.row_ptr(), p_t.col_idx());
+        let mut cursor = row_ptr[..n].to_vec();
+        let mut take = |i: usize, j: usize| {
+            let dst = cursor[j];
+            assert!(
+                dst < row_ptr[j + 1] && cols[dst] as usize == i,
+                "{STRUCTURE}"
+            );
+            cursor[j] += 1;
+            u32::try_from(dst).expect("a rebind map indexes Pᵀ with u32 slots")
+        };
+        let mut slots = Vec::with_capacity(p_t.nnz());
+        let mut diags = Vec::new();
+        for i in 0..n {
+            let mut has_diag = false;
+            for (j, _) in q.row(i) {
+                has_diag |= j == i;
+                slots.push(take(i, j));
+            }
+            if !has_diag {
+                diags.push(take(i, i));
+            }
+        }
+        let q_nnz = slots.len();
+        slots.extend(diags);
+        assert!(slots.len() == p_t.nnz(), "{STRUCTURE}");
+        RebindMap { slots, q_nnz }
+    }
+}
+
+/// Panic message of a rebind across different sparsity structures.
+const STRUCTURE: &str = "uniformization rebind requires identical sparsity structure";
 
 /// A DTMC stepping kernel bound to one uniformization: the chunk plan — and
 /// with it the SpMV loop the plan resolved — is computed **once** (and
@@ -136,15 +191,15 @@ impl Uniformized {
             lambda >= max_rate * (1.0 - 1e-12),
             "uniformization rate {lambda} below max output rate {max_rate}"
         );
-        let p = ctmc.generator().identity_plus_scaled(1.0 / lambda);
-        debug_assert!(p.is_row_stochastic(1e-9));
-        let p_t = p.transpose();
+        let p_t = ctmc
+            .generator()
+            .identity_plus_scaled_transposed(1.0 / lambda);
+        debug_assert!(p_t.is_column_stochastic(1e-9));
         Uniformized {
             lambda,
-            p,
             p_t,
             plans: PlanCache::default(),
-            t_perm: std::sync::OnceLock::new(),
+            rebind_map: OnceLock::new(),
         }
     }
 
@@ -175,16 +230,17 @@ impl Uniformized {
 
     /// Number of states.
     pub fn n_states(&self) -> usize {
-        self.p.nrows()
+        self.p_t.nrows()
     }
 
-    /// Approximate heap footprint in bytes: both CSR matrices by allocator
-    /// capacity (see [`CsrMatrix::heap_bytes`]). Cached chunk plans hold no
-    /// copy of either matrix, so this is the whole footprint; it is fixed
-    /// at construction. Audited against a counting allocator by the
-    /// engine's byte-accounting test.
+    /// Approximate heap footprint in bytes: `Pᵀ` by allocator capacity (see
+    /// [`CsrMatrix::heap_bytes`]). Cached chunk plans hold no copy of the
+    /// matrix, and the lineage's rebind map is shared by every rate
+    /// variant, so this is the artifact's own footprint; it is fixed at
+    /// construction. Audited against a counting allocator by the engine's
+    /// byte-accounting test.
     pub fn approx_bytes(&self) -> usize {
-        self.p.heap_bytes() + self.p_t.heap_bytes()
+        self.p_t.heap_bytes()
     }
 
     /// Heap bytes held by cached chunk plans beyond [`Uniformized::approx_bytes`]:
@@ -201,10 +257,10 @@ impl Uniformized {
     /// new `Pᵀ` via [`ChunkPlan::rebind`], so the returned artifact answers
     /// its first stepper request without a chunking pass or column scan.
     ///
-    /// `Λ` is derived exactly as [`Uniformized::new`] would for `ctmc`, so
-    /// the result is bitwise identical to a cold `Uniformized::new(ctmc,
-    /// theta)` in `lambda`, `p`, and `p_t`; only the plan cache seeding
-    /// differs.
+    /// `Λ` is derived exactly as [`Uniformized::new`] would for `ctmc`, and
+    /// every value is the builder's scalar operation, so the result is
+    /// bitwise identical to a cold `Uniformized::new(ctmc, theta)` in
+    /// `lambda` and `p_t`; only the plan cache seeding differs.
     ///
     /// # Panics
     /// If `ctmc`'s uniformized matrix has a different sparsity pattern
@@ -218,74 +274,40 @@ impl Uniformized {
         } else {
             max_rate * (1.0 + theta)
         };
-        // Fill `P = I + Q/Λ` values straight through the donor's pattern: a
-        // lockstep walk of each donor `P` row against the corresponding `Q`
-        // row. `P`'s pattern is `Q`'s plus a materialized diagonal (see
-        // `identity_plus_scaled`), so the only donor entry allowed to miss
-        // in `Q` is the diagonal — any other mismatch, or a `Q` entry the
-        // donor lacks, means the chains are structurally different and the
-        // walk panics rather than rebinding garbage. This replaces a full
-        // `identity_plus_scaled` + `transpose` (allocation, counting sort)
-        // with two value passes over cloned patterns, which is what makes a
-        // delta-warm grid point cheap relative to a cold build.
+        // One pass over `Q` through the lineage's map into a clone of the
+        // donor's pattern: no count pass and no cursor table. Each entry's
+        // row and column are checked against the slot it lands in, so a
+        // structurally different chain panics rather than rebinding
+        // garbage.
         let q = ctmc.generator();
-        let n = self.p.nrows();
-        let scale = 1.0 / lambda;
-        assert!(
-            q.nrows() == n && self.p.nnz() <= q.nnz() + n,
-            "uniformization rebind requires identical sparsity structure"
-        );
-        let mut vals = vec![0.0; self.p.nnz()];
-        for i in 0..n {
-            let mut qk = q.row_ptr()[i];
-            let qe = q.row_ptr()[i + 1];
-            let (ps, pe) = (self.p.row_ptr()[i], self.p.row_ptr()[i + 1]);
-            for (&j, v) in self.p.col_idx()[ps..pe].iter().zip(&mut vals[ps..pe]) {
-                if qk < qe && q.col_idx()[qk] == j {
-                    let x = q.values()[qk] * scale;
-                    *v = if j as usize == i { 1.0 + x } else { x };
-                    qk += 1;
-                } else {
-                    // Donor-only entry: must be the materialized diagonal.
-                    assert!(
-                        j as usize == i,
-                        "uniformization rebind requires identical sparsity structure"
-                    );
-                    *v = 1.0;
-                }
-            }
-            assert!(
-                qk == qe,
-                "uniformization rebind requires identical sparsity structure"
-            );
-        }
-        let p = self.p.with_values(vals);
-        debug_assert!(p.is_row_stochastic(1e-9));
-        // `Pᵀ` values via the cached transpose permutation: the donor's
-        // `Pᵀ` row_ptr already *is* the counting sort's prefix table, and
-        // within a transpose row the entries appear in source-row order —
-        // exactly the order a row-major walk of `P` emits them. The
-        // permutation is computed once per donor lineage and shared, so
-        // every later grid point fills `Pᵀ` with one sequential-write
-        // gather pass.
-        let src = self
-            .t_perm
-            .get_or_init(|| {
-                let mut next: Vec<usize> = self.p_t.row_ptr()[..n].to_vec();
-                let mut src = vec![0u32; self.p.nnz()];
-                for i in 0..n {
-                    for pk in self.p.row_ptr()[i]..self.p.row_ptr()[i + 1] {
-                        let j = self.p.col_idx()[pk] as usize;
-                        src[next[j]] = pk as u32;
-                        next[j] += 1;
-                    }
-                }
-                Arc::new(src)
-            })
+        let map = self
+            .rebind_map
+            .get_or_init(|| Arc::new(RebindMap::new(q, &self.p_t)))
             .clone();
-        let p_vals = p.values();
-        let tvals: Vec<f64> = src.iter().map(|&k| p_vals[k as usize]).collect();
-        let p_t = self.p_t.with_values(tvals);
+        let n = self.p_t.nrows();
+        assert!(q.nrows() == n && q.nnz() == map.q_nnz, "{STRUCTURE}");
+        let (row_ptr, cols) = (self.p_t.row_ptr(), self.p_t.col_idx());
+        let alpha = 1.0 / lambda;
+        let mut vals = vec![0.0; self.p_t.nnz()];
+        let (q_slots, diag_slots) = map.slots.split_at(map.q_nnz);
+        let mut k = 0;
+        for i in 0..n {
+            for (j, v) in q.row(i) {
+                let dst = q_slots[k] as usize;
+                assert!(
+                    cols[dst] as usize == i && (row_ptr[j]..row_ptr[j + 1]).contains(&dst),
+                    "{STRUCTURE}"
+                );
+                let x = alpha * v;
+                vals[dst] = if j == i { x + 1.0 } else { x };
+                k += 1;
+            }
+        }
+        for &dst in diag_slots {
+            vals[dst as usize] = 1.0;
+        }
+        let p_t = self.p_t.with_values(vals);
+        debug_assert!(p_t.is_column_stochastic(1e-9));
         let plans = PlanCache::default();
         {
             let donor = regenr_sparse::pool::lock(&self.plans.0);
@@ -296,10 +318,9 @@ impl Uniformized {
         }
         Uniformized {
             lambda,
-            p,
             p_t,
             plans,
-            t_perm: std::sync::OnceLock::from(src),
+            rebind_map: OnceLock::from(map),
         }
     }
 
@@ -343,11 +364,11 @@ mod tests {
     fn rate_is_max_exit_rate() {
         let u = Uniformized::new(&chain(), 0.0);
         assert_eq!(u.lambda, 4.0);
-        assert!(u.p.is_row_stochastic(1e-12));
-        // P[1][1] = 1 - 4/4 = 0, P[0][0] = 1 - 2/4 = 0.5.
-        assert_eq!(u.p.get(1, 1), 0.0);
-        assert_eq!(u.p.get(0, 0), 0.5);
-        assert_eq!(u.p.get(0, 1), 0.5);
+        assert!(u.p_t.is_column_stochastic(1e-12));
+        // P[1][1] = 1 - 4/4 = 0, P[0][0] = 1 - 2/4 = 0.5, P[0][1] = 2/4.
+        assert_eq!(u.p_t.get(1, 1), 0.0);
+        assert_eq!(u.p_t.get(0, 0), 0.5);
+        assert_eq!(u.p_t.get(1, 0), 0.5);
     }
 
     #[test]
@@ -356,7 +377,7 @@ mod tests {
         assert!((u.lambda - 4.4).abs() < 1e-12);
         // Every diagonal entry now strictly positive => aperiodic.
         for i in 0..3 {
-            assert!(u.p.get(i, i) > 0.0, "state {i} lacks self-loop");
+            assert!(u.p_t.get(i, i) > 0.0, "state {i} lacks self-loop");
         }
     }
 
@@ -379,8 +400,8 @@ mod tests {
         let c = Ctmc::from_rates(2, &[], vec![1.0, 0.0], vec![0.0, 0.0]).unwrap();
         let u = Uniformized::new(&c, 0.0);
         assert_eq!(u.lambda, 1.0);
-        assert_eq!(u.p.get(0, 0), 1.0);
-        assert_eq!(u.p.get(1, 1), 1.0);
+        assert_eq!(u.p_t.get(0, 0), 1.0);
+        assert_eq!(u.p_t.get(1, 1), 1.0);
     }
 
     #[test]
@@ -444,19 +465,33 @@ mod tests {
     }
 
     /// Rebinding across genuinely different structures is rejected — a
-    /// donor from another chain must never silently produce wrong plans.
+    /// donor from another chain must never silently produce wrong plans:
+    /// a chain with fewer transitions while the lineage's map is built,
+    /// and one with the same nnz but an entry moved to another column by
+    /// the per-entry check once the map exists.
     #[test]
     #[should_panic(expected = "identical sparsity structure")]
     fn rebind_values_rejects_different_structure() {
+        let with_rates = |rates: &[(usize, usize, f64)]| {
+            Ctmc::from_rates(3, rates, vec![1.0, 0.0, 0.0], vec![1.0, 0.5, 0.0]).unwrap()
+        };
         let u = Uniformized::new(&chain(), 0.0);
-        let other = Ctmc::from_rates(
-            3,
-            &[(0, 1, 2.0), (1, 2, 3.0), (2, 0, 0.5)],
-            vec![1.0, 0.0, 0.0],
-            vec![1.0, 0.5, 0.0],
-        )
-        .unwrap();
-        let _ = u.rebind_values(&other, 0.0);
+        let fewer = with_rates(&[(0, 1, 2.0), (1, 2, 3.0), (2, 0, 0.5)]);
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            u.rebind_values(&fewer, 0.0)
+        }))
+        .expect_err("fewer transitions must be rejected");
+        assert!(err
+            .downcast_ref::<String>()
+            .is_some_and(|m| m.contains("identical sparsity structure")));
+        // A rate variant builds the lineage's map; the moved entry then
+        // lands in a `Pᵀ` row other than its column.
+        let warm = u.rebind_values(
+            &with_rates(&[(0, 1, 4.0), (1, 0, 1.0), (1, 2, 3.0), (2, 0, 0.5)]),
+            0.0,
+        );
+        let moved = with_rates(&[(0, 1, 2.0), (1, 0, 1.0), (1, 2, 3.0), (2, 1, 0.5)]);
+        let _ = warm.rebind_values(&moved, 0.0);
     }
 
     #[test]

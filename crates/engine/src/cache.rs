@@ -18,13 +18,14 @@
 //!   a rate variant is a cache hit — a *derived* hit
 //!   ([`CacheStats::derived_hits`]) that re-scans only the diagonal for the
 //!   new maximum exit rate,
-//! * **uniformizations** — `P = I + Q/Λ` and its transpose, keyed by the
-//!   generator's value fingerprint and the safety factor `θ` (shared by SR,
-//!   RSD, adaptive, RR and RRL through the solvers' `with_uniformized`
-//!   constructors). A miss whose generator *structure* has a live sibling
-//!   in the pool rebuilds by [`Uniformized::rebind_values`] — the sibling
-//!   donates its chunk plans and kernel selections, and only the numbers
-//!   are refilled ([`CacheStats::rebinds`]),
+//! * **uniformizations** — `Pᵀ = (I + Q/Λ)ᵀ`, the one matrix every solver
+//!   steps, keyed by the generator's value fingerprint and the safety
+//!   factor `θ` (shared by SR, RSD, adaptive, RR and RRL through the
+//!   solvers' `with_uniformized` constructors). A miss whose generator
+//!   *structure* has a live sibling in the pool rebuilds by
+//!   [`Uniformized::rebind_values`] — the sibling donates its `Pᵀ` pattern,
+//!   chunk plans and kernel selections, and only the numbers are refilled
+//!   ([`CacheStats::rebinds`]),
 //! * **regenerative parameters** — the killed-chain sequences
 //!   (`a(k)`, …) consumed by RR *and* RRL, keyed by
 //!   `(regenerative state, ε, θ)`. The two methods construct identical
@@ -45,13 +46,18 @@
 //! for a long-running service that sees an open-ended stream of models. A
 //! [`CacheConfig`] (via [`ArtifactCache::with_config`] or
 //! `Engine::with_cache_config`) puts per-pool caps on entry count and
-//! approximate byte footprint; on overflow, eviction is **cost-aware**: the
-//! evicted entry is the one with the minimum `(rebuild cost × (1 +
-//! dependents), LRU stamp)` — a uniformization that regenerative
-//! parameters hang off is weighted by what losing it would cost, not just
-//! its bytes, and evicting it anyway counts the dependents as
-//! [`CacheStats::orphaned`]. Among equal weights the
-//! policy degrades to exact LRU. Eviction only drops the cache's reference
+//! approximate byte footprint; on overflow, eviction is **cost-aware with
+//! GreedyDual aging** (Cao & Irani, USENIX 1997). Each pool keeps an
+//! inflation value `L`; an entry's weight is `L` at its last use plus
+//! `rebuild cost × (1 + dependents)`, the entry with the minimum `(weight,
+//! LRU stamp)` is evicted, and evicting it raises `L` to its weight. A
+//! uniformization that regenerative parameters hang off is weighted by
+//! what losing it would cost, not just its bytes, and evicting it anyway
+//! counts the dependents as [`CacheStats::orphaned`]. A small entry that
+//! keeps being used is no longer the first to go whenever a larger one
+//! arrives, and a large entry that is not used again ages out. Among equal
+//! weights the policy degrades to exact LRU.
+//! Eviction only drops the cache's reference
 //! — in-flight solvers holding an `Arc` to an evicted artifact keep it
 //! alive until they finish. Per-pool counters ([`PoolStats`]: hits, misses,
 //! evictions, plus the live entry/byte/rebuild-cost gauges) are embedded in
@@ -80,7 +86,7 @@ use std::sync::{Arc, Mutex, MutexGuard};
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct CacheConfig {
     /// Maximum live entries per pool (`None` = unbounded). On overflow the
-    /// least-recently-used entry is evicted.
+    /// entry with the lowest eviction weight goes (see the module docs).
     pub max_entries: Option<usize>,
     /// Maximum approximate bytes per pool (`None` = unbounded). Accounting
     /// uses the artifacts' `approx_bytes` estimates, not allocator truth.
@@ -131,7 +137,7 @@ pub struct PoolStats {
     pub hits: u64,
     /// Requests that had to build the artifact.
     pub misses: u64,
-    /// Entries dropped by the LRU capacity limits.
+    /// Entries dropped by the capacity limits.
     pub evictions: u64,
     /// Live entries right now.
     pub entries: usize,
@@ -228,19 +234,36 @@ struct PoolEntry<V> {
     /// may be evicted for — the capacity limits: an empty in-flight build
     /// slot must never cost a live artifact its place.
     filled: bool,
+    /// The pool's inflation value when this entry was last used
+    /// (inserted, filled or looked up) — its GreedyDual age credit.
+    inflation: u64,
     /// LRU stamp from the pool clock; smallest is evicted first among
     /// equal eviction weights.
     stamp: u64,
 }
 
-/// A mutex-free cost-aware LRU map (callers wrap it in a `Mutex`).
-/// Eviction scans for the minimum `(rebuild cost × (1 + dependents), LRU
-/// stamp)` — `O(entries)`, fine at the capacities this cache is configured
-/// with (the artifacts themselves dwarf the scan). Entries with equal
-/// weights degrade to exact least-recently-used order.
+impl<V> PoolEntry<V> {
+    /// GreedyDual weight: the inflation value at last use plus the rebuild
+    /// cost scaled by what evicting the entry would orphan.
+    fn weight(&self) -> u64 {
+        self.inflation
+            .saturating_add(self.cost.saturating_mul(1 + self.dependents))
+    }
+}
+
+/// A mutex-free cost-aware map with GreedyDual aging (Cao & Irani, USENIX
+/// 1997; callers wrap it in a `Mutex`). Eviction scans for the minimum
+/// `(weight, LRU stamp)` — `O(entries)`, fine at the capacities this cache
+/// is configured with (the artifacts themselves dwarf the scan) — and
+/// raises the pool's inflation value to the evicted weight, so an entry
+/// that is used again outranks one of equal cost that is not, and a large
+/// entry that is never used again ages out. Entries with equal weights
+/// degrade to exact least-recently-used order.
 struct LruPool<K, V> {
     map: HashMap<K, PoolEntry<V>>,
     clock: u64,
+    /// GreedyDual inflation value `L`: the weight of the last eviction.
+    inflation: u64,
     bytes: usize,
     evictions: u64,
     /// Dependents orphaned by evictions (cumulative).
@@ -252,6 +275,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruPool<K, V> {
         LruPool {
             map: HashMap::new(),
             clock: 0,
+            inflation: 0,
             bytes: 0,
             evictions: 0,
             orphaned: 0,
@@ -263,11 +287,13 @@ impl<K: Eq + Hash + Clone, V: Clone> LruPool<K, V> {
         self.clock
     }
 
-    /// Looks up `key`, refreshing its LRU stamp.
+    /// Looks up `key`, refreshing its LRU stamp and age credit.
     fn get(&mut self, key: &K) -> Option<V> {
         let stamp = self.tick();
+        let inflation = self.inflation;
         self.map.get_mut(key).map(|e| {
             e.stamp = stamp;
+            e.inflation = inflation;
             e.value.clone()
         })
     }
@@ -297,6 +323,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruPool<K, V> {
                 cost: 0,
                 dependents: 0,
                 filled: false,
+                inflation: self.inflation,
                 stamp,
             },
         );
@@ -327,6 +354,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruPool<K, V> {
                 e.bytes = bytes;
                 e.cost = cost;
                 e.filled = true;
+                e.inflation = self.inflation;
                 self.enforce(cfg);
             }
         }
@@ -359,13 +387,17 @@ impl<K: Eq + Hash + Clone, V: Clone> LruPool<K, V> {
     }
 
     /// Evicts the cheapest-to-lose **filled** entries until both caps
-    /// hold. "Cheapest to lose" is the minimum of `(rebuild cost × (1 +
-    /// dependents), LRU stamp)`: an artifact that derived artifacts hang
-    /// off is weighted by what evicting it would orphan, not just its own
-    /// rebuild, and among equal weights the least-recently-used entry
-    /// goes first (pools whose entries all cost the same — e.g. variants
-    /// of one model family — behave exactly like plain LRU). Evicting a
-    /// parent with registered dependents counts them as `orphaned`.
+    /// hold. "Cheapest to lose" is the minimum of `(weight, LRU stamp)`,
+    /// where the weight is the inflation value at the entry's last use
+    /// plus `rebuild cost × (1 + dependents)`: an artifact that derived
+    /// artifacts hang off is weighted by what evicting it would orphan,
+    /// not just its own rebuild, and each eviction raises the inflation
+    /// value to the evicted weight, so recency counts in whole rebuild
+    /// costs rather than only breaking ties. Among equal weights the
+    /// least-recently-used entry goes first (pools whose entries all cost
+    /// the same — e.g. variants of one model family — behave exactly like
+    /// plain LRU). Evicting a parent with registered dependents counts
+    /// them as `orphaned`.
     ///
     /// Unfilled in-flight build slots neither count toward `max_entries`
     /// nor get evicted — they resolve through their own `set_bytes` or
@@ -383,12 +415,13 @@ impl<K: Eq + Hash + Clone, V: Clone> LruPool<K, V> {
                 .map
                 .iter()
                 .filter(|(_, e)| e.filled)
-                .min_by_key(|(_, e)| (e.cost.saturating_mul(1 + e.dependents), e.stamp))
+                .min_by_key(|(_, e)| (e.weight(), e.stamp))
                 .map(|(k, _)| k.clone())
             else {
                 return;
             };
             if let Some(e) = self.map.remove(&cheapest) {
+                self.inflation = self.inflation.max(e.weight());
                 self.bytes -= e.bytes;
                 self.evictions += 1;
                 self.orphaned += e.dependents;
@@ -409,6 +442,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruPool<K, V> {
 
     fn clear(&mut self) {
         self.map.clear();
+        self.inflation = 0;
         self.bytes = 0;
     }
 }
@@ -676,8 +710,10 @@ impl ArtifactCache {
         *guard = Some(unif.clone());
         cleanup.disarm();
         drop(guard);
-        // Cold-rebuild cost: build `P` (nnz), transpose it (2·nnz), scan
-        // the diagonal (n).
+        // Cold-rebuild cost of `Pᵀ`: the count pass with its prefix sum
+        // (nnz + n), the fill pass with its scatter (2·nnz), and the
+        // diagonal scan (n). A rebound entry is charged the same: evicting
+        // it may cost a cold build.
         let cost = (3 * ctmc.generator().nnz() + 2 * ctmc.n_states()) as u64;
         lock(&self.uniformized).set_bytes(
             &key,
@@ -1278,6 +1314,47 @@ mod tests {
         assert_eq!(cache.stats().rebinds, 1);
     }
 
+    /// Whether the uniformization keyed `(fp, θ)` is resident — unlike
+    /// [`ArtifactCache::uniformized`], a probe that never inserts, so it
+    /// cannot evict anything itself.
+    fn unif_resident(cache: &ArtifactCache, fp: u64, theta: f64) -> bool {
+        lock(&cache.uniformized)
+            .map
+            .get(&(fp, norm_key_bits(theta)))
+            .is_some_and(|e| e.filled)
+    }
+
+    /// GreedyDual aging: a small chain looked up every round keeps hitting
+    /// in most rounds through a stream of larger one-off chains under an
+    /// entry cap. Without aging the small chain is the cheapest entry on
+    /// every insertion: once the pool is full it evicts itself and never
+    /// hits again.
+    #[test]
+    fn aging_keeps_a_hot_small_entry_over_large_one_offs() {
+        let cap = 4;
+        let cache = ArtifactCache::with_config(CacheConfig::with_max_entries(cap));
+        let hot = chain_with_states(32);
+        let hot_fp = fingerprint(&hot);
+        let rounds = 40;
+        let mut hits = 0;
+        for r in 0..rounds {
+            let (_, hit) = cache.uniformized(hot_fp, &hot, 0.0);
+            if r >= cap && hit {
+                hits += 1;
+            }
+            // A distinct, larger chain each round, never requested again.
+            let one_off = scaled_chain(48, 1.0 + r as f64 / 64.0);
+            cache.uniformized(fingerprint(&one_off), &one_off, 0.0);
+        }
+        let stats = cache.stats().uniformized;
+        assert_eq!(stats.entries, cap, "the cap holds");
+        assert!(
+            2 * hits >= rounds - cap,
+            "the hot chain hit in only {hits} of {} rounds",
+            rounds - cap
+        );
+    }
+
     /// Acceptance: under a byte cap, a leaf artifact with no dependents is
     /// evicted before a cheaper-by-bytes uniformization that regenerative
     /// parameters hang off — and without the dependent edge, the same
@@ -1314,9 +1391,10 @@ mod tests {
                     .unwrap();
             }
             cache.uniformized(fp_l, &leaf, opts.regen.theta);
-            // Who survived? A hit means the entry is still resident.
-            let parent_resident = cache.uniformized(fp_p, &parent, opts.regen.theta).1;
-            let leaf_resident = cache.uniformized(fp_l, &leaf, opts.regen.theta).1;
+            // Who survived? Probed without inserting: a missing lookup
+            // would rebuild, and its insertion would evict again.
+            let parent_resident = unif_resident(&cache, fp_p, opts.regen.theta);
+            let leaf_resident = unif_resident(&cache, fp_l, opts.regen.theta);
             if linked {
                 assert!(
                     parent_resident,

@@ -401,6 +401,13 @@ impl Default for Engine {
 /// A sweep job's result slot, filled by whichever worker executes it.
 type JobCell = Mutex<Option<Result<Vec<SolveReport>, EngineError>>>;
 
+/// Largest `Λt` a request may ask for. Every randomization solver builds a
+/// Poisson window of about `20·√(Λt)` weights, so an unbounded horizon
+/// grows memory until the process is killed (`Λt = 10¹⁴` already peaks
+/// near 5 GB). The limit is about 2,000× the largest `Λt` of any benchmark
+/// or corpus spec.
+const MAX_LAMBDA_T: f64 = 1e10;
+
 /// Longest panic message a report will carry. Panic payloads are
 /// attacker/bug-controlled strings that end up in failure reports and
 /// NDJSON streams; a pathological payload must not bloat them.
@@ -677,6 +684,12 @@ impl Engine {
             if !t.is_finite() || t < 0.0 {
                 return Err(EngineError::InvalidRequest(format!(
                     "horizon must be non-negative and finite, got {t}"
+                )));
+            }
+            let lambda_t = self.lambda(&facts) * t;
+            if lambda_t > MAX_LAMBDA_T {
+                return Err(EngineError::InvalidRequest(format!(
+                    "horizon {t} gives Λt = {lambda_t:e}, above the limit {MAX_LAMBDA_T:e}"
                 )));
             }
             let (method, reason) = match req.method {

@@ -73,7 +73,8 @@ fn assert_close(what: &str, measured: i64, estimate: usize, tol: f64) {
 /// its process-global counter). Both artifacts are audited sequentially.
 #[test]
 fn approx_bytes_matches_allocator_truth() {
-    // Uniformized: both CSR matrices, capacity-accounted.
+    // Uniformized: `Pᵀ` alone, capacity-accounted — the builder's count
+    // and cursor tables are freed before the window closes.
     let chain = birth_chain(4_000);
     // Dry run so lazy one-time allocations don't pollute the window.
     drop(Uniformized::new(&chain, 0.0));
@@ -81,6 +82,7 @@ fn approx_bytes_matches_allocator_truth() {
     let unif = Uniformized::new(&chain, 0.0);
     let measured = live_bytes() - before;
     assert_close("Uniformized", measured, unif.approx_bytes(), 0.10);
+    assert_eq!(unif.approx_bytes(), unif.p_t.heap_bytes());
     drop(unif);
     assert!(
         live_bytes() <= before,

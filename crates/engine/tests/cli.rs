@@ -1,19 +1,20 @@
 //! The `regenr` command line: unknown flags, missing flag values and extra
 //! arguments are usage errors, and spec values no model accepts are spec
 //! errors — both exit 2 with a message, never a panic and never a run.
+//! Horizons beyond the engine's `Λt` limit are request failures (exit 1).
 
 use std::io::Write;
 use std::process::{Command, Stdio};
 use std::time::{Duration, Instant};
 
-/// Runs `regenr args…` with `stdin` and returns its exit code and stderr.
-/// A run still going after 30 s (a server that started instead of
+/// Runs `regenr args…` with `stdin` and returns its exit code, stdout and
+/// stderr. A run still going after 30 s (a server that started instead of
 /// refusing its arguments) is killed and fails the test.
-fn regenr(args: &[&str], stdin: &str) -> (Option<i32>, String) {
+fn regenr(args: &[&str], stdin: &str) -> (Option<i32>, String, String) {
     let mut child = Command::new(env!("CARGO_BIN_EXE_regenr"))
         .args(args)
         .stdin(Stdio::piped())
-        .stdout(Stdio::null())
+        .stdout(Stdio::piped())
         .stderr(Stdio::piped())
         .spawn()
         .expect("spawn regenr");
@@ -31,6 +32,7 @@ fn regenr(args: &[&str], stdin: &str) -> (Option<i32>, String) {
     let out = child.wait_with_output().unwrap();
     (
         out.status.code(),
+        String::from_utf8_lossy(&out.stdout).into_owned(),
         String::from_utf8_lossy(&out.stderr).into_owned(),
     )
 }
@@ -44,7 +46,7 @@ fn unknown_flags_and_extra_arguments_are_usage_errors() {
     )
     .unwrap();
     let spec = spec.to_str().unwrap();
-    let (code, stderr) = regenr(&["sweep", spec, "--stable"], "");
+    let (code, _, stderr) = regenr(&["sweep", spec, "--stable"], "");
     assert_eq!(code, Some(0), "the spec itself is fine: {stderr}");
     for args in [
         &["sweep", spec, "--stabel"][..],
@@ -57,7 +59,7 @@ fn unknown_flags_and_extra_arguments_are_usage_errors() {
         &["serve", "--adr", "127.0.0.1:0"],
         &[],
     ] {
-        let (code, stderr) = regenr(args, "");
+        let (code, _, stderr) = regenr(args, "");
         assert_eq!(code, Some(2), "{args:?}: {stderr}");
         assert!(stderr.contains("usage: regenr"), "{args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "{args:?}: {stderr}");
@@ -66,7 +68,7 @@ fn unknown_flags_and_extra_arguments_are_usage_errors() {
 
 #[test]
 fn spec_values_no_model_accepts_exit_2() {
-    let (code, stderr) = regenr(&["demo", "0"], "");
+    let (code, _, stderr) = regenr(&["demo", "0"], "");
     assert_eq!(code, Some(2), "{stderr}");
     assert!(
         stderr.contains("spec error") && stderr.contains("\"g\""),
@@ -80,8 +82,33 @@ fn spec_values_no_model_accepts_exit_2() {
         r#"{"kind":"cyclic","n":3,"method":["sr"]}"#,
     ] {
         let spec = format!(r#"{{"horizons":[1],"models":[{model}]}}"#);
-        let (code, stderr) = regenr(&["sweep", "-"], &spec);
+        let (code, _, stderr) = regenr(&["sweep", "-"], &spec);
         assert_eq!(code, Some(2), "{model}: {stderr}");
         assert!(stderr.starts_with("spec error"), "{model}: {stderr}");
+    }
+}
+
+/// A horizon whose `Λt` is above the engine's limit fails as a request,
+/// named under `"failures"`, before any Poisson window is built: just
+/// above the limit, and at `t = 1e20`, which would otherwise allocate
+/// until the process is killed.
+#[test]
+fn horizons_beyond_the_lambda_t_limit_fail_fast() {
+    for t in ["1.0000001e10", "1e20"] {
+        let spec = format!(
+            r#"{{"horizons":[{t}],"models":[{{"kind":"two_state","lambda":1,"absorbing":true}}]}}"#
+        );
+        let start = Instant::now();
+        let (code, stdout, stderr) = regenr(&["sweep", "-"], &spec);
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "t = {t} took too long"
+        );
+        assert_eq!(code, Some(1), "t = {t}: {stderr}");
+        assert!(stdout.contains(r#""reports":[]"#), "t = {t}: {stdout}");
+        assert!(
+            stdout.contains("Λt = ") && stdout.contains("above the limit 1e10"),
+            "t = {t}: {stdout}"
+        );
     }
 }

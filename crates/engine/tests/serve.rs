@@ -268,6 +268,24 @@ fn validation_errors_are_structured_400s() {
     shutdown(&server, addr, handle);
 }
 
+/// A horizon beyond the engine's `Λt` limit is a request failure that the
+/// report and the stream summary name, not a handler panic and not a run
+/// that grows the server until it is killed.
+#[test]
+fn horizon_beyond_the_lambda_t_limit_is_a_named_failure() {
+    let (server, addr, handle) = start_server(default_cfg());
+    let spec = r#"{"horizons":[1.0000001e10],"models":[{"kind":"two_state","lambda":1,"absorbing":true}]}"#;
+    let (status, body) = post(addr, "/sweep/report", spec);
+    assert_eq!(status, 200, "{body}");
+    assert!(body.contains("above the limit 1e10"), "{body}");
+    let (status, body) = post(addr, "/sweep", spec);
+    assert_eq!(status, 200, "{body}");
+    let summary = body.lines().last().expect("stream ends with a summary");
+    assert!(summary.contains("above the limit 1e10"), "{summary}");
+    assert_eq!(server.stats().handler_panics, 0);
+    shutdown(&server, addr, handle);
+}
+
 /// A body nested far past the parser's depth cap is a structured 400, not
 /// a stack overflow that aborts the server.
 #[test]

@@ -30,7 +30,7 @@ mod tests {
         assert!(analyze(&c).unwrap().is_irreducible());
         let u = Uniformized::new(&c, 0.0);
         for i in 0..6 {
-            assert_eq!(u.p.get(i, i), 0.0, "θ=0 ring must lack self-loops");
+            assert_eq!(u.p_t.get(i, i), 0.0, "θ=0 ring must lack self-loops");
         }
     }
 

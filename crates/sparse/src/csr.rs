@@ -177,53 +177,74 @@ impl CsrMatrix {
             .fold(0.0, f64::max)
     }
 
-    /// Checks row-stochasticity to tolerance `tol` (each row sums to 1, all
-    /// entries non-negative).
-    pub fn is_row_stochastic(&self, tol: f64) -> bool {
-        self.values.iter().all(|&v| v >= -tol)
-            && self.row_sums().iter().all(|s| (s - 1.0).abs() <= tol)
+    /// Checks column-stochasticity to tolerance `tol` (each column sums to
+    /// 1, all entries non-negative): what the transpose of a row-stochastic
+    /// matrix, such as a uniformized `Pᵀ`, must be.
+    pub fn is_column_stochastic(&self, tol: f64) -> bool {
+        let mut sums = vec![0.0; self.ncols];
+        for (&c, &v) in self.col_idx.iter().zip(&self.values) {
+            sums[c as usize] += v;
+        }
+        self.values.iter().all(|&v| v >= -tol) && sums.iter().all(|s| (s - 1.0).abs() <= tol)
     }
 
-    /// Returns `I + α·A` for square `A` (used to uniformize generators:
-    /// `P = I + Q/Λ`). The diagonal is materialized even where `A` has none.
+    /// Returns `(I + α·A)ᵀ` for square `A` (used to uniformize generators:
+    /// `Pᵀ = (I + Q/Λ)ᵀ`), by one counting sort over `A`'s columns and
+    /// without materializing `I + α·A`. Each entry is the scalar operation
+    /// of the row-major form: `α·a_ij` off the diagonal, `α·a_ii + 1.0` on
+    /// it, and `1.0` where `A` stores no diagonal — the diagonal is
+    /// materialized in every row. Within a result row, entries appear in
+    /// source-row order, as [`CsrMatrix::transpose`] emits them.
     ///
-    /// Built directly in CSR form rather than via [`CooBuilder`](crate::builder::CooBuilder) (which
+    /// Built directly rather than via [`CooBuilder`](crate::builder::CooBuilder) (which
     /// drops exact zeros): the result's pattern must be a pure function of
     /// `A`'s pattern, never of value cancellation. `1 + α·a_ii` rounds to
     /// exactly `0.0` for the row attaining the uniformization rate, and
     /// dropping that entry would give structurally identical chains
-    /// different `P` patterns, breaking plan re-binding across rate
-    /// variants.
-    pub fn identity_plus_scaled(&self, alpha: f64) -> CsrMatrix {
+    /// different patterns, breaking plan re-binding across rate variants.
+    pub fn identity_plus_scaled_transposed(&self, alpha: f64) -> CsrMatrix {
         assert_eq!(self.nrows, self.ncols, "matrix must be square");
-        let mut row_ptr = Vec::with_capacity(self.nrows + 1);
-        let mut col_idx: Vec<u32> = Vec::with_capacity(self.values.len() + self.nrows);
-        let mut values: Vec<f64> = Vec::with_capacity(self.values.len() + self.nrows);
-        row_ptr.push(0usize);
-        for i in 0..self.nrows {
+        let n = self.nrows;
+        // Count pass: every column's entries, plus the materialized
+        // diagonal of each row that stores none.
+        let mut row_ptr = vec![0usize; n + 1];
+        for i in 0..n {
+            let mut has_diag = false;
+            for &j in &self.col_idx[self.row_ptr[i]..self.row_ptr[i + 1]] {
+                row_ptr[j as usize + 1] += 1;
+                has_diag |= j as usize == i;
+            }
+            if !has_diag {
+                row_ptr[i + 1] += 1;
+            }
+        }
+        for j in 0..n {
+            row_ptr[j + 1] += row_ptr[j];
+        }
+        // Fill pass: scatter row by row, so each result row lists its
+        // source rows in ascending order.
+        let mut col_idx = vec![0u32; row_ptr[n]];
+        let mut values = vec![0.0; row_ptr[n]];
+        let mut cursor = row_ptr[..n].to_vec();
+        for i in 0..n {
             let mut has_diag = false;
             for (j, v) in self.row(i) {
-                if !has_diag && j > i {
-                    // Column-sorted insert of a missing diagonal.
-                    col_idx.push(i as u32);
-                    values.push(1.0);
-                    has_diag = true;
-                }
                 let mut val = alpha * v;
                 if j == i {
                     val += 1.0;
                     has_diag = true;
                 }
-                col_idx.push(j as u32);
-                values.push(val);
+                col_idx[cursor[j]] = i as u32;
+                values[cursor[j]] = val;
+                cursor[j] += 1;
             }
             if !has_diag {
-                col_idx.push(i as u32);
-                values.push(1.0);
+                col_idx[cursor[i]] = i as u32;
+                values[cursor[i]] = 1.0;
+                cursor[i] += 1;
             }
-            row_ptr.push(col_idx.len());
         }
-        CsrMatrix::from_parts(self.nrows, self.ncols, row_ptr, col_idx, values)
+        CsrMatrix::from_parts(n, n, row_ptr, col_idx, values)
     }
 
     /// A matrix with this one's exact sparsity pattern and `values` in
@@ -363,11 +384,11 @@ mod tests {
         b.push(1, 0, 2.0);
         b.push(1, 1, -2.0);
         let q = b.build();
-        let p = q.identity_plus_scaled(1.0 / 2.0);
-        assert!(p.is_row_stochastic(1e-14));
-        assert_eq!(p.get(0, 0), 0.5);
-        assert_eq!(p.get(1, 0), 1.0);
-        assert_eq!(p.get(1, 1), 0.0);
+        let p_t = q.identity_plus_scaled_transposed(1.0 / 2.0);
+        assert!(p_t.is_column_stochastic(1e-14));
+        assert_eq!(p_t.get(0, 0), 0.5);
+        assert_eq!(p_t.get(0, 1), 1.0);
+        assert_eq!(p_t.get(1, 1), 0.0);
         assert_eq!(q.max_abs_diag(), 2.0);
     }
 
@@ -376,10 +397,11 @@ mod tests {
         let mut b = CooBuilder::new(2, 2);
         b.push(0, 1, 1.0); // no (0,0) and no row-1 entries at all
         let a = b.build();
-        let p = a.identity_plus_scaled(0.5);
-        assert_eq!(p.get(0, 0), 1.0);
-        assert_eq!(p.get(0, 1), 0.5);
-        assert_eq!(p.get(1, 1), 1.0);
+        let p_t = a.identity_plus_scaled_transposed(0.5);
+        assert_eq!(p_t.nnz(), 3);
+        assert_eq!(p_t.get(0, 0), 1.0);
+        assert_eq!(p_t.get(1, 0), 0.5);
+        assert_eq!(p_t.get(1, 1), 1.0);
     }
 
     #[test]
@@ -402,7 +424,7 @@ mod tests {
     fn row_sums_and_stochastic_check() {
         let m = small();
         assert_eq!(m.row_sums(), vec![3.0, 3.0]);
-        assert!(!m.is_row_stochastic(1e-12));
-        assert!(CsrMatrix::identity(4).is_row_stochastic(0.0));
+        assert!(!m.is_column_stochastic(1e-12));
+        assert!(CsrMatrix::identity(4).is_column_stochastic(0.0));
     }
 }

@@ -30,6 +30,32 @@ fn arb_matrix() -> impl Strategy<Value = (Vec<Vec<f64>>, usize, usize)> {
     })
 }
 
+/// Random square matrix mixing empty rows, rows without a stored diagonal
+/// and rows with one (plus a random off-diagonal sparsity pattern).
+fn arb_square() -> impl Strategy<Value = (Vec<Vec<f64>>, usize)> {
+    (1usize..12, 0usize..1000).prop_flat_map(|(n, seed)| {
+        prop::collection::vec(prop::collection::vec(-5.0f64..5.0, n), n).prop_map(
+            move |mut rows| {
+                for (i, row) in rows.iter_mut().enumerate() {
+                    // 0: empty row, 1: no diagonal, 2 and 3: diagonal kept.
+                    let kind = (i + seed) % 4;
+                    for (j, v) in row.iter_mut().enumerate() {
+                        let drop = if j == i {
+                            kind < 2
+                        } else {
+                            kind == 0 || (i * 31 + j * 17 + seed) % 2 == 0
+                        };
+                        if drop {
+                            *v = 0.0;
+                        }
+                    }
+                }
+                (rows, n)
+            },
+        )
+    })
+}
+
 fn to_csr(rows: &[Vec<f64>], n: usize, m: usize) -> CsrMatrix {
     let mut b = CooBuilder::new(n, m);
     for (i, row) in rows.iter().enumerate() {
@@ -199,6 +225,29 @@ proptest! {
         // An independently rebuilt identical matrix selects identically.
         let again = to_csr(&rows, n, m);
         prop_assert_eq!(first, ChunkPlan::new(&again, chunks_b).kernel_kind());
+    }
+
+    /// The direct `(I + αA)ᵀ` builder is bit for bit the two-step form:
+    /// `I + αA` assembled by `CooBuilder`, then transposed.
+    #[test]
+    fn identity_plus_scaled_transposed_is_bitwise_two_step(
+        (rows, n) in arb_square(),
+        alpha in 0.01f64..2.0,
+    ) {
+        let a = to_csr(&rows, n, n);
+        let mut b = CooBuilder::new(n, n);
+        for i in 0..n {
+            b.push(i, i, 1.0);
+        }
+        for (i, j, v) in a.iter() {
+            b.push(i, j, alpha * v);
+        }
+        let want = b.build().transpose();
+        let got = a.identity_plus_scaled_transposed(alpha);
+        prop_assert_eq!(got.row_ptr(), want.row_ptr());
+        prop_assert_eq!(got.col_idx(), want.col_idx());
+        let bits = |m: &CsrMatrix| m.values().iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        prop_assert_eq!(bits(&got), bits(&want));
     }
 
     #[test]

@@ -141,9 +141,11 @@ impl<'a> AdaptiveSolver<'a> {
 
         // Frontier bookkeeping: `active` lists states that can carry mass at
         // the current step; each step extends it with successors of newly
-        // activated states. Uses the transposed matrix rows = predecessor
-        // lists, so we instead track activation via the forward matrix.
-        let p = &self.unif.p;
+        // activated states. `Pᵀ`'s rows are predecessor lists, so successors
+        // come from the generator's rows instead: `P`'s row pattern is
+        // `Q`'s plus the diagonal, and the state being expanded is already
+        // active, so `active`'s order is the same as walking `P`.
+        let q = self.ctmc.generator();
         let p_t = &self.unif.p_t;
         let mut is_active = vec![false; n];
         let mut active: Vec<u32> = Vec::new();
@@ -202,7 +204,7 @@ impl<'a> AdaptiveSolver<'a> {
             // are expanded at the next step).
             let frontier = active.len();
             for k in expanded..frontier {
-                for (j, _) in p.row(active[k] as usize) {
+                for (j, _) in q.row(active[k] as usize) {
                     if !is_active[j] {
                         is_active[j] = true;
                         active.push(j as u32);
@@ -286,5 +288,48 @@ mod tests {
         let ad = AdaptiveSolver::new(&c, AdaptiveOptions::default());
         let rep = ad.solve_report(MeasureKind::Trr, 1000.0);
         assert_eq!(rep.final_active, 50);
+    }
+
+    /// Expanding through the generator's rows activates exactly what
+    /// expanding through `P`'s rows (`Pᵀ` transposed back) does, on a chain
+    /// whose absorbing states store no diagonal in `Q` but get one in `P`.
+    #[test]
+    fn frontier_matches_expansion_over_p_rows() {
+        let n = 30;
+        let mut rates = Vec::new();
+        for i in (0..n).filter(|i| i % 7 != 6) {
+            rates.push((i, (i + 1) % n, 1.0));
+            rates.push((i, (5 * i + 3) % n, 0.3));
+        }
+        let mut init = vec![0.0; n];
+        init[0] = 0.5;
+        init[13] = 0.5;
+        let rewards: Vec<f64> = (0..n).map(|i| (i % 3) as f64).collect();
+        let c = Ctmc::from_rates(n, &rates, init, rewards).unwrap();
+        assert!((0..n).any(|i| c.generator().row(i).all(|(j, _)| j != i)));
+        let ad = AdaptiveSolver::new(&c, AdaptiveOptions::default());
+        let p = ad.unif.p_t.transpose();
+        for &t in &[0.5, 2.0, 8.0] {
+            let rep = ad.solve_report(MeasureKind::Trr, t);
+            let mut is_active: Vec<bool> = c.initial().iter().map(|&a| a > 0.0).collect();
+            let mut active: Vec<usize> = (0..n).filter(|&i| is_active[i]).collect();
+            let mut touched = 0;
+            for _ in 0..rep.solution.steps {
+                for k in 0..active.len() {
+                    for (j, _) in p.row(active[k]) {
+                        if !is_active[j] {
+                            is_active[j] = true;
+                            active.push(j);
+                        }
+                    }
+                }
+                touched += active
+                    .iter()
+                    .map(|&i| ad.unif.p_t.row(i).count())
+                    .sum::<usize>();
+            }
+            assert_eq!(rep.final_active, active.len(), "t={t}");
+            assert_eq!(rep.touched_nnz, touched, "t={t}");
+        }
     }
 }
