@@ -34,7 +34,6 @@ fn bench_spmv(c: &mut Criterion) {
         let cfg = ParallelConfig {
             min_nnz: 0,
             threads,
-            ..Default::default()
         };
         // Warm pool + cached chunk plan: what the solvers' steppers run.
         let stepper = unif.stepper(&cfg);

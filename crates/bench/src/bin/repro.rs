@@ -730,11 +730,12 @@ fn engine_grid(w: &Workload) {
 
 /// Measures the execution layer directly: repeated SpMV stepping over the
 /// G=40 RAID matrix (the hot loop of every randomization solver) through
-/// the persistent worker pool with a cached chunk plan, against serial
-/// stepping. Both produce bitwise-identical iterates.
+/// an N-chunk plan on the persistent worker pool, against a one-chunk plan
+/// on the calling thread. Both plans run the loop the matrix selects and
+/// produce bitwise-identical iterates.
 fn pool_vs_serial(w: &Workload) {
     use regenr_ctmc::Uniformized;
-    use regenr_sparse::{ParallelConfig, WorkerPool};
+    use regenr_sparse::{ChunkPlan, WorkerPool};
 
     println!("\n== execution core: pooled vs serial SpMV (G=40 UR stepping) ==");
     let chain = w.chain(40, Variant::Ur);
@@ -745,37 +746,36 @@ fn pool_vs_serial(w: &Workload) {
     // the global pool (and degrades to inline/serial on a single-core
     // pool). The CSV records the executing thread count so the artifact
     // never overstates the pool's concurrency.
-    let pool_threads = WorkerPool::global().threads();
+    let pool = WorkerPool::global();
+    let pool_threads = pool.threads();
     let chunks = pool_threads.max(4);
-    let cfg = ParallelConfig {
-        min_nnz: 0,
-        threads: chunks,
-        // The comparison isolates the execution strategy, so the pool runs
-        // the same generic loop as the serial product.
-        kernel: regenr_sparse::KernelChoice::Generic,
-    };
-    let exec_threads = |kernel: &str| match kernel {
+    let serial_plan = ChunkPlan::new(&unif.p_t, 1);
+    let pooled_plan = ChunkPlan::new(&unif.p_t, chunks);
+    let kernel = serial_plan.kernel_kind();
+    assert_eq!(kernel, pooled_plan.kernel_kind(), "one loop per matrix");
+    let exec_threads = |name: &str| match name {
         "serial" => 1,
         _ => pool_threads.min(chunks),
     };
 
     let mut csv =
         CsvWriter::create("exec_pool", "kernel,chunks,exec_threads,steps,seconds").unwrap();
-    let mut run = |name: &str, step: &mut dyn FnMut(&[f64], &mut [f64])| -> f64 {
+    let mut finals = Vec::new();
+    let mut run = |name: &str, plan: &ChunkPlan| -> f64 {
         let mut pi = chain.initial().to_vec();
         let mut next = vec![0.0; n];
-        // Warm-up step so thread creation / plan caching settles.
-        step(&pi, &mut next);
+        // Warm-up step so thread wake-up and caches settle.
+        unif.p_t.mul_vec_pooled_into(&pi, &mut next, plan, pool);
         let t0 = std::time::Instant::now();
         for _ in 0..steps {
-            step(&pi, &mut next);
+            unif.p_t.mul_vec_pooled_into(&pi, &mut next, plan, pool);
             std::mem::swap(&mut pi, &mut next);
         }
         let secs = t0.elapsed().as_secs_f64();
-        std::hint::black_box(pi.iter().sum::<f64>());
+        finals.push(pi.iter().map(|v| v.to_bits()).collect::<Vec<_>>());
         csv.row(&[
             name.into(),
-            chunks.to_string(),
+            plan.len().to_string(),
             exec_threads(name).to_string(),
             steps.to_string(),
             format!("{secs:.6}"),
@@ -784,13 +784,14 @@ fn pool_vs_serial(w: &Workload) {
         secs.max(f64::MIN_POSITIVE)
     };
 
-    let serial = run("serial", &mut |pi, next| {
-        unif.p_t.mul_vec_into(pi, next);
-    });
-    let stepper = unif.stepper(&cfg);
-    let pooled = run("pooled", &mut |pi, next| stepper.step(pi, next));
+    let serial = run("serial", &serial_plan);
+    let pooled = run("pooled", &pooled_plan);
+    assert_eq!(
+        finals[0], finals[1],
+        "pooled iterates must be bitwise serial"
+    );
     println!(
-        "  {steps} steps over {n} states x {} nnz, {chunks} chunks \
+        "  {steps} steps over {n} states x {} nnz, {chunks} chunks, {kernel} loop \
          (pool executes on {} thread(s)):",
         unif.p_t.nnz(),
         exec_threads("pooled"),
@@ -812,18 +813,22 @@ fn pool_vs_serial(w: &Workload) {
 
 /// The artifact-graph delta-warm path under a sensitivity sweep: a G=40
 /// RAID rate grid (`lambda_d` scaled over 40 points, expressed through the
-/// spec layer's `"sensitivity"` form) solved twice — *cold*, clearing the
-/// cache before every point so each grid point pays the full uniformize +
-/// Tarjan + chunk-plan build, and *delta-warm*, sharing one engine so every
-/// point after the first re-binds the cached plans/facts onto its
-/// own rates. Asserts the reuse actually happened (`derived_hits > 0`, the
-/// process-global structure-analysis counter flat across the warm grid),
-/// that warm results are bitwise identical to cold, and that the warm
-/// median per-point time beats cold by ≥ 2×. `results/sensitivity.csv`
-/// records the per-point build/solve breakdown for both modes.
+/// spec layer's `"sensitivity"` form) solved on two engines — *cold*,
+/// clearing its cache before every point so each point pays the full
+/// uniformize + Tarjan + chunk-plan build, and *delta-warm*, primed with
+/// the first point so every later point re-binds the cached `Pᵀ` pattern
+/// and facts onto its own rates. Each point's cold and warm solves run back
+/// to back, the first of the pair alternating from point to point, so host
+/// drift lands on both sides alike and neither inherits the other's warm
+/// CPU caches. Asserts the reuse actually happened (`derived_hits > 0`, the
+/// process-global structure-analysis counter flat across every warm
+/// solve), that warm results are bitwise identical to cold, and that the
+/// warm median per-point time beats cold by ≥ 2×.
+/// `results/sensitivity.csv` records the per-point build/solve breakdown
+/// of both modes, in the order they ran.
 fn sensitivity() {
     use regenr_ctmc::analysis_runs;
-    use regenr_engine::{Engine, SolveReport, SweepSpec};
+    use regenr_engine::{Engine, SolveReport, SolveRequest, SweepSpec};
 
     println!("\n== sensitivity: G=40 RAID lambda_d grid, cold vs delta-warm ==");
     let grid: Vec<String> = (0..40)
@@ -844,16 +849,11 @@ fn sensitivity() {
         "point,factor,mode,build_seconds,solve_seconds,total_seconds,unif_hit",
     )
     .unwrap();
-    // One grid pass: per point, total wall of the sweep call split into the
-    // solver cells' own wall (solve) and the remainder (artifact builds +
-    // dispatch). Returns (per-point totals, reports).
-    let mut run_grid = |mode: &str, engine: &Engine, cold: bool| -> (Vec<f64>, Vec<SolveReport>) {
-        let mut totals = Vec::with_capacity(spec.requests.len());
-        let mut reports = Vec::new();
-        for (i, req) in spec.requests.iter().enumerate() {
-            if cold {
-                engine.cache().clear();
-            }
+    // One solve of one grid point: total wall of the sweep call split into
+    // the solver cells' own wall (solve) and the remainder (artifact builds
+    // + dispatch). Returns the total and the reports.
+    let mut solve_point =
+        |i: usize, req: &SolveRequest, mode: &str, engine: &Engine| -> (f64, Vec<SolveReport>) {
             let t0 = std::time::Instant::now();
             let sweep = engine.sweep(std::slice::from_ref(req));
             let total = t0.elapsed().as_secs_f64();
@@ -870,11 +870,8 @@ fn sensitivity() {
                 sweep.reports.iter().any(|r| r.unif_cache_hit).to_string(),
             ])
             .unwrap();
-            totals.push(total);
-            reports.extend(sweep.reports);
-        }
-        (totals, reports)
-    };
+            (total, sweep.reports)
+        };
 
     // Both engines honour the spec's cache cap. Warm, the cap matters: an
     // unbounded pool would retain all 40 uniformizations, so every point
@@ -883,25 +880,35 @@ fn sensitivity() {
     // dependent-weighted and survives) and the allocator recycles their
     // pages. Cold clears the cache per point anyway.
     let cold_engine = Engine::with_cache_config(spec.options, spec.cache);
-    let (cold_totals, cold_reports) = run_grid("cold", &cold_engine, true);
-
     let warm_engine = Engine::with_cache_config(spec.options, spec.cache);
-    // Prime with the first grid point, then count structure analyses: the
-    // remaining 39 points must not trigger a single fresh Tarjan pass.
-    let t0 = std::time::Instant::now();
+    // Prime the warm engine with the first grid point: every warm solve
+    // after it must not trigger a single fresh Tarjan pass.
     let first = warm_engine.sweep(std::slice::from_ref(&spec.requests[0]));
-    let first_total = t0.elapsed().as_secs_f64();
     assert!(first.failures.is_empty(), "{:?}", first.failures);
-    let analyses_before = analysis_runs();
-    // Replay the whole grid warm: point 0 hits the just-primed cache,
-    // points 1.. ride the delta path (derived facts + plan rebinds).
-    let (warm_points, warm_reports) = run_grid("warm", &warm_engine, false);
-    let warm_tail: Vec<f64> = std::iter::once(first_total)
-        .chain(warm_points.iter().copied())
-        .collect();
+    let mut warm_analyses = 0;
+    let (mut cold_totals, mut warm_totals) = (Vec::new(), Vec::new());
+    let (mut cold_reports, mut warm_reports) = (Vec::new(), Vec::new());
+    for (i, req) in spec.requests.iter().enumerate() {
+        // Point 0 hits the just-primed cache; points 1.. ride the delta
+        // path (derived facts + `Pᵀ` rebinds). Even points run cold first,
+        // odd points warm first.
+        for cold in [i % 2 == 0, i % 2 == 1] {
+            if cold {
+                cold_engine.cache().clear();
+                let (total, reports) = solve_point(i, req, "cold", &cold_engine);
+                cold_totals.push(total);
+                cold_reports.extend(reports);
+            } else {
+                let before = analysis_runs();
+                let (total, reports) = solve_point(i, req, "warm", &warm_engine);
+                warm_analyses += analysis_runs() - before;
+                warm_totals.push(total);
+                warm_reports.extend(reports);
+            }
+        }
+    }
     assert_eq!(
-        analysis_runs(),
-        analyses_before,
+        warm_analyses, 0,
         "warm grid points must re-bind cached chain facts, not re-analyze"
     );
     let stats = warm_engine.cache().stats();
@@ -911,7 +918,7 @@ fn sensitivity() {
     );
     assert!(
         stats.rebinds > 0,
-        "rate variants must re-bind plans: {stats:?}"
+        "rate variants must re-bind Pᵀ: {stats:?}"
     );
 
     // Warm results are bitwise identical to cleared-cache cold solves.
@@ -932,22 +939,17 @@ fn sensitivity() {
         s.sort_by(f64::total_cmp);
         s[s.len() / 2]
     };
-    // Skip the priming point when judging the warm path — it is a cold
-    // build by construction.
     let cold_med = median(&cold_totals);
-    let warm_med = median(&warm_tail[1..]);
+    let warm_med = median(&warm_totals);
     let speedup = cold_med / warm_med;
     println!(
         "  40 points x 2 horizons; cold median {:.4}s, delta-warm median {:.4}s ({speedup:.2}x)",
         cold_med, warm_med
     );
     println!(
-        "  warm cache: derived_hits {}, rebinds {}, unif {}h/{}m; analyses flat at {}",
-        stats.derived_hits,
-        stats.rebinds,
-        stats.uniformized.hits,
-        stats.uniformized.misses,
-        analyses_before
+        "  warm cache: derived_hits {}, rebinds {}, unif {}h/{}m; no structure analysis on \
+         warm points",
+        stats.derived_hits, stats.rebinds, stats.uniformized.hits, stats.uniformized.misses,
     );
     assert!(
         speedup >= 2.0,
@@ -957,15 +959,16 @@ fn sensitivity() {
 }
 
 /// Kernel ablation: warm repeated stepping on the uniformized `Pᵀ` of the
-/// paper's G=20/40 UR models, one timing per SpMV loop (generic and
-/// shortrow). All timings are single-threaded best-of-`rounds` so the
-/// numbers isolate the *kernel* (the pooled-vs-serial comparison in
-/// `engine` isolates the execution strategy). Every final iterate is
-/// asserted bitwise identical to the generic baseline;
-/// `results/kernels.csv` records the grid.
+/// paper's G=20/40 UR models, one timing per SpMV loop: the serial
+/// reference `CsrMatrix::mul_vec_into` as the generic baseline, and a
+/// one-chunk plan running the loop the matrix selects. All timings are
+/// single-threaded best-of-`rounds` so the numbers isolate the *loop* (the
+/// pooled-vs-serial comparison in `engine` isolates the execution
+/// strategy). Every final iterate is asserted bitwise identical to the
+/// baseline; `results/kernels.csv` records the grid.
 fn kernel_ablation(w: &Workload) {
     use regenr_ctmc::Uniformized;
-    use regenr_sparse::{ChunkPlan, CsrMatrix, KernelChoice, WorkerPool};
+    use regenr_sparse::{ChunkPlan, CsrMatrix, KernelKind, WorkerPool};
 
     let steps = 400usize;
     let rounds = 5usize;
@@ -977,24 +980,19 @@ fn kernel_ablation(w: &Workload) {
         "model,kernel,selected,steps,seconds,speedup_vs_generic",
     )
     .unwrap();
-    // Names derive from KernelKind::name() — the same strings the CLI and
-    // reports use — so the CSV can never drift.
-    let kernels = [KernelChoice::Generic, KernelChoice::ShortRow];
-    // One timed pass of `steps` products through a prebuilt plan (serial:
-    // single-chunk plans run on the calling thread). Every pass restarts
-    // from `x0`, so final-iterate bits are comparable across kernels.
-    // Timing takes the minimum over `rounds` passes interleaved *across*
-    // configurations (round-robin) — consecutive-pass timing on a busy
-    // machine lets frequency/noise drift hit one configuration wholesale;
+    // One timed pass of `steps` products through `step`. Every pass
+    // restarts from `x0`, so final-iterate bits are comparable across
+    // loops. Timing takes the minimum over `rounds` passes interleaved
+    // *across* loops (round-robin) — consecutive-pass timing on a busy
+    // machine lets frequency/noise drift hit one loop wholesale;
     // interleaving spreads it evenly so the ratios are fair.
-    let pass = |m: &CsrMatrix, x0: &[f64], plan: &ChunkPlan| -> (f64, Vec<u64>) {
-        let pool = WorkerPool::global();
-        let n = m.nrows();
+    type Step<'a> = &'a dyn Fn(&[f64], &mut [f64]);
+    let pass = |x0: &[f64], step: Step| -> (f64, Vec<u64>) {
         let mut pi = x0.to_vec();
-        let mut next = vec![0.0; n];
+        let mut next = vec![0.0; x0.len()];
         let t0 = std::time::Instant::now();
         for _ in 0..steps {
-            m.mul_vec_pooled_into(&pi, &mut next, plan, pool);
+            step(&pi, &mut next);
             std::mem::swap(&mut pi, &mut next);
         }
         let secs = t0.elapsed().as_secs_f64().max(f64::MIN_POSITIVE);
@@ -1017,43 +1015,41 @@ fn kernel_ablation(w: &Workload) {
     ];
 
     for (model, m, x0) in grid {
-        let auto_plan = ChunkPlan::new(m, 1);
-        let selected = auto_plan.kernel_kind();
+        // A one-chunk plan runs on the calling thread.
+        let plan = ChunkPlan::new(m, 1);
+        let selected = plan.kernel_kind();
         println!(
             "  {model}: {} rows, {} nnz, mean row {:.1} -> selected kernel: {selected}",
             m.nrows(),
             m.nnz(),
             m.nnz() as f64 / m.nrows().max(1) as f64,
         );
-        let plans: Vec<ChunkPlan> = kernels
-            .iter()
-            .map(|&choice| ChunkPlan::with_kernel(m, 1, choice))
-            .collect();
-        // Correctness pass: every loop bitwise identical to the generic
-        // baseline (this also warms caches).
-        let generic_bits = pass(m, &x0, &plans[0]).1;
-        for plan in &plans {
-            let (_, bits) = pass(m, &x0, plan);
-            assert_eq!(
-                &bits,
-                &generic_bits,
-                "{model} kernel {}: iterates must be bitwise identical to generic",
-                plan.kernel_kind()
-            );
-        }
-        // Timing: round-robin over configurations, min per configuration.
-        let mut best = vec![f64::INFINITY; plans.len()];
+        let reference = |x: &[f64], y: &mut [f64]| m.mul_vec_into(x, y);
+        let planned =
+            |x: &[f64], y: &mut [f64]| m.mul_vec_pooled_into(x, y, &plan, WorkerPool::global());
+        // Names derive from KernelKind::name() — the same strings the CLI
+        // and reports use — so the CSV can never drift.
+        let loops: [(KernelKind, Step); 2] =
+            [(KernelKind::Generic, &reference), (selected, &planned)];
+        // Correctness pass: the planned loop bitwise identical to the
+        // reference (this also warms caches).
+        let generic_bits = pass(&x0, &reference).1;
+        let (_, bits) = pass(&x0, &planned);
+        assert_eq!(
+            bits, generic_bits,
+            "{model} kernel {selected}: iterates must be bitwise identical to generic"
+        );
+        // Timing: round-robin over loops, min per loop.
+        let mut best = [f64::INFINITY; 2];
         for _ in 0..rounds {
-            for (slot, plan) in plans.iter().enumerate() {
-                let (secs, _) = pass(m, &x0, plan);
-                best[slot] = best[slot].min(secs);
+            for (slot, (_, step)) in loops.iter().enumerate() {
+                best[slot] = best[slot].min(pass(&x0, *step).0);
             }
         }
         let generic_secs = best[0];
-        for (plan, &secs) in plans.iter().zip(&best) {
-            let kind = plan.kernel_kind();
+        for ((kind, _), &secs) in loops.iter().zip(&best) {
             let vs_generic = generic_secs / secs;
-            let is_selected = kind == selected;
+            let is_selected = *kind == selected;
             println!(
                 "  {:>10}{} {:>9.4}s  {:>5.2}x vs generic",
                 kind.name(),

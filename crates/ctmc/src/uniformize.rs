@@ -9,39 +9,32 @@
 
 use crate::chain::Ctmc;
 use regenr_sparse::{
-    effective_threads, Backend, ChunkPlan, CsrMatrix, KernelChoice, KernelKind, ParallelConfig,
-    WorkerPool,
+    effective_threads, Backend, ChunkPlan, CsrMatrix, KernelKind, ParallelConfig, WorkerPool,
 };
 use std::sync::{Arc, Mutex, OnceLock};
 
-/// Shared memo of nnz-balanced [`ChunkPlan`]s for `Pᵀ`, keyed by
-/// [`PlanKey`] `(chunks, kernel)` — a plan carries the resolved SpMV
-/// loop, so forcing a different kernel yields a distinct plan. Wrapped in
-/// an `Arc` so clones of a [`Uniformized`] share the same plans (they
-/// describe the same matrix); the inner list is tiny — one entry per
-/// distinct configuration ever requested.
+/// Shared memo of nnz-balanced [`ChunkPlan`]s for `Pᵀ`, one per chunk
+/// count. Wrapped in an `Arc` so clones of a [`Uniformized`] share the
+/// same plans (they describe the same matrix); the inner list is tiny —
+/// one entry per chunk count ever requested. A rate variant rebound from
+/// this artifact starts with an empty memo and plans on its first
+/// [`Uniformized::stepper`] call, as a cold build does.
 #[derive(Clone, Debug, Default)]
 struct PlanCache(Arc<Mutex<PlanList>>);
 
-/// Everything that distinguishes one cached plan from another: the chunk
-/// decomposition and the kernel resolution.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-struct PlanKey {
-    chunks: usize,
-    kernel: KernelChoice,
-}
-
-/// `(key, plan)` pairs; linear scan — a handful of entries at most.
-type PlanList = Vec<(PlanKey, Arc<ChunkPlan>)>;
+/// `(chunk count, plan)` pairs; linear scan — a handful of entries at most.
+type PlanList = Vec<(usize, Arc<ChunkPlan>)>;
 
 impl PlanCache {
-    fn get_or_plan(&self, matrix: &CsrMatrix, key: PlanKey) -> Arc<ChunkPlan> {
+    fn get_or_plan(&self, matrix: &CsrMatrix, chunks: usize) -> Arc<ChunkPlan> {
         let mut plans = regenr_sparse::pool::lock(&self.0);
-        if let Some((_, plan)) = plans.iter().find(|(k, _)| *k == key) {
+        // A plan over a matrix with fewer rows than `chunks` holds fewer
+        // chunks, so the memo keys by the requested count, not `len()`.
+        if let Some((_, plan)) = plans.iter().find(|(c, _)| *c == chunks) {
             return plan.clone();
         }
-        let plan = Arc::new(ChunkPlan::with_kernel(matrix, key.chunks, key.kernel));
-        plans.push((key, plan.clone()));
+        let plan = Arc::new(ChunkPlan::new(matrix, chunks));
+        plans.push((chunks, plan.clone()));
         plan
     }
 }
@@ -204,7 +197,7 @@ impl Uniformized {
     }
 
     /// A stepping kernel with its chunk plan (and SpMV loop) resolved once
-    /// under `cfg` (see [`Stepper`]) and cached per `(chunks, kernel)`.
+    /// under `cfg` (see [`Stepper`]) and cached per chunk count.
     /// Solver loops build this once per solve and call [`Stepper::step`]
     /// per product.
     pub fn stepper(&self, cfg: &ParallelConfig) -> Stepper<'_> {
@@ -217,13 +210,9 @@ impl Uniformized {
             // without pool dispatch.
             1
         };
-        let key = PlanKey {
-            chunks,
-            kernel: cfg.kernel,
-        };
         Stepper {
             p_t: &self.p_t,
-            plan: self.plans.get_or_plan(&self.p_t, key),
+            plan: self.plans.get_or_plan(&self.p_t, chunks),
             pool: WorkerPool::global(),
         }
     }
@@ -251,16 +240,16 @@ impl Uniformized {
     }
 
     /// Rebuilds this uniformization for a **rate variant** of the chain it
-    /// was built from — same sparsity structure, different numbers — while
-    /// reusing every cached chunk plan's row chunking and kernel selection
-    /// instead of re-deriving them. The donor's plans are re-bound to the
-    /// new `Pᵀ` via [`ChunkPlan::rebind`], so the returned artifact answers
-    /// its first stepper request without a chunking pass or column scan.
+    /// was built from — same sparsity structure, different numbers — by
+    /// filling a clone of this `Pᵀ`'s pattern in one pass over the new `Q`
+    /// through the lineage's slot map, instead of re-running the
+    /// counting sort. The result holds no chunk plan yet: it plans on its
+    /// first [`Uniformized::stepper`] call, as a cold build does.
     ///
     /// `Λ` is derived exactly as [`Uniformized::new`] would for `ctmc`, and
     /// every value is the builder's scalar operation, so the result is
     /// bitwise identical to a cold `Uniformized::new(ctmc, theta)` in
-    /// `lambda` and `p_t`; only the plan cache seeding differs.
+    /// `lambda` and `p_t`.
     ///
     /// # Panics
     /// If `ctmc`'s uniformized matrix has a different sparsity pattern
@@ -308,18 +297,10 @@ impl Uniformized {
         }
         let p_t = self.p_t.with_values(vals);
         debug_assert!(p_t.is_column_stochastic(1e-9));
-        let plans = PlanCache::default();
-        {
-            let donor = regenr_sparse::pool::lock(&self.plans.0);
-            let mut inner = regenr_sparse::pool::lock(&plans.0);
-            for (key, plan) in donor.iter() {
-                inner.push((*key, Arc::new(plan.rebind(&self.p_t, &p_t))));
-            }
-        }
         Uniformized {
             lambda,
             p_t,
-            plans,
+            plans: PlanCache::default(),
             rebind_map: OnceLock::from(map),
         }
     }
@@ -411,11 +392,13 @@ mod tests {
     }
 
     /// `rebind_values` on a rate-scaled chain is bitwise identical to a
-    /// cold build — matrices, `Λ`, and stepped products — while arriving
-    /// with the donor's plans already re-bound.
+    /// cold build — matrices, `Λ`, and stepped products — and, like a cold
+    /// build, holds no chunk plan until its first stepper request, which
+    /// then plans exactly the ranges and loop a cold build plans.
     #[test]
-    fn rebind_values_matches_cold_build_and_preseeds_plans() {
-        let n = 64;
+    fn rebind_values_matches_cold_build_and_plans_on_first_stepper() {
+        // Above the shortrow threshold: Pᵀ stores 3n − 2 entries.
+        let n = 1_500;
         let mut rates = Vec::new();
         for i in 0..n - 1 {
             rates.push((i, i + 1, 1.0 + i as f64 * 0.01));
@@ -427,45 +410,36 @@ mod tests {
         let scaled_rates: Vec<_> = rates.iter().map(|&(i, j, r)| (i, j, r * 1.75)).collect();
         let variant = Ctmc::from_rates(n, &scaled_rates, init, vec![1.0; n]).unwrap();
         let donor = Uniformized::new(&base, 0.0);
-        // Populate the donor with a plan per kernel.
         let cfg = ParallelConfig {
             min_nnz: 0,
             threads: 2,
-            kernel: KernelChoice::ShortRow,
         };
         let _ = donor.stepper(&cfg);
-        let _ = donor.stepper(&ParallelConfig {
-            kernel: KernelChoice::Generic,
-            ..cfg
-        });
         let warm = donor.rebind_values(&variant, 0.0);
         let cold = Uniformized::new(&variant, 0.0);
         assert_eq!(warm.lambda.to_bits(), cold.lambda.to_bits());
         assert_eq!(warm.p_t.values(), cold.p_t.values());
         assert_eq!(warm.p_t.row_ptr(), cold.p_t.row_ptr());
-        // Both donor plans arrived re-bound, under the donor's keys,
-        // before the first stepper request.
-        let keys = |u: &Uniformized| -> Vec<PlanKey> {
-            regenr_sparse::pool::lock(&u.plans.0)
-                .iter()
-                .map(|(k, _)| *k)
-                .collect()
-        };
-        assert_eq!(keys(&warm), keys(&donor));
-        assert_eq!(keys(&warm).len(), 2);
+        assert_eq!(warm.p_t.col_idx(), cold.p_t.col_idx());
+        let planned = |u: &Uniformized| regenr_sparse::pool::lock(&u.plans.0).len();
+        assert_eq!(planned(&warm), 0, "the donor's plan is not handed over");
+        let (warm_stepper, cold_stepper) = (warm.stepper(&cfg), cold.stepper(&cfg));
+        assert_eq!(warm_stepper.plan.ranges(), cold_stepper.plan.ranges());
+        assert_eq!(warm_stepper.kernel_kind(), cold_stepper.kernel_kind());
+        assert_eq!(warm_stepper.kernel_kind(), KernelKind::ShortRow);
+        assert_eq!(planned(&warm), 1);
         let pi: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
         let mut got = vec![0.0; n];
         let mut want = vec![0.0; n];
-        warm.stepper(&cfg).step(&pi, &mut got);
-        cold.stepper(&cfg).step(&pi, &mut want);
+        warm_stepper.step(&pi, &mut got);
+        cold_stepper.step(&pi, &mut want);
         for (a, b) in got.iter().zip(&want) {
             assert_eq!(a.to_bits(), b.to_bits(), "rebound step must be bitwise");
         }
-        assert_eq!(keys(&warm).len(), 2, "the preseeded plan served the step");
     }
 
     /// Rebinding across genuinely different structures is rejected — a
-    /// donor from another chain must never silently produce wrong plans:
+    /// donor from another chain must never silently produce a wrong `Pᵀ`:
     /// a chain with fewer transitions while the lineage's map is built,
     /// and one with the same nnz but an entry moved to another column by
     /// the per-entry check once the map exists.
@@ -501,7 +475,6 @@ mod tests {
         let cfg = ParallelConfig {
             min_nnz: 0,
             threads: 4,
-            kernel: KernelChoice::Auto,
         };
         let stepper = u.stepper(&cfg);
         assert!(stepper.is_pooled());
@@ -517,18 +490,8 @@ mod tests {
             Arc::ptr_eq(&stepper.plan, &again.plan),
             "plan must be computed once per matrix"
         );
-        // A forced kernel resolves its own plan, and tiny matrices
-        // auto-select the generic kernel.
-        let forced = u.stepper(&ParallelConfig {
-            kernel: KernelChoice::ShortRow,
-            ..cfg
-        });
-        assert!(!Arc::ptr_eq(&stepper.plan, &forced.plan));
-        assert_eq!(forced.kernel_kind(), KernelKind::ShortRow);
+        // Tiny matrices select the generic kernel.
         assert_eq!(stepper.kernel_kind(), KernelKind::Generic);
-        let mut c = vec![0.0; 3];
-        forced.step(&pi, &mut c);
-        assert_eq!(a, c, "forced kernel must be bitwise identical");
         // Below the nnz threshold the stepper runs serially.
         assert!(!u.stepper(&ParallelConfig::default()).is_pooled());
     }

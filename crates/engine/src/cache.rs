@@ -23,9 +23,10 @@
 //!   factor `θ` (shared by SR, RSD, adaptive, RR and RRL through the
 //!   solvers' `with_uniformized` constructors). A miss whose generator
 //!   *structure* has a live sibling in the pool rebuilds by
-//!   [`Uniformized::rebind_values`] — the sibling donates its `Pᵀ` pattern,
-//!   chunk plans and kernel selections, and only the numbers are refilled
-//!   ([`CacheStats::rebinds`]),
+//!   [`Uniformized::rebind_values`] — the sibling donates its `Pᵀ` pattern
+//!   and the lineage's slot map, and only the numbers are refilled
+//!   ([`CacheStats::rebinds`]); the rebuilt artifact plans its own chunks
+//!   on first use, as a cold one does,
 //! * **regenerative parameters** — the killed-chain sequences
 //!   (`a(k)`, …) consumed by RR *and* RRL, keyed by
 //!   `(regenerative state, ε, θ)`. The two methods construct identical
@@ -73,8 +74,8 @@
 //! tolerate poisoning: a panicking solver job must not take the cache down
 //! with it.
 
-use crate::fingerprint::{fingerprint, model_fps, ModelFps};
-use regenr_core::{RegenOptions, RegenParams, RrlOptions, RrlSolver};
+use crate::fingerprint::ModelFps;
+use regenr_core::{RegenOptions, RegenParams};
 use regenr_ctmc::{analyze, Ctmc, CtmcError, Uniformized};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -167,10 +168,10 @@ pub struct CacheStats {
     /// too — this splits out how many of those hits crossed a value
     /// fingerprint.
     pub derived_hits: u64,
-    /// Uniformizations rebuilt for new rates by re-binding a structural
-    /// donor's chunk plans instead of re-planning from scratch
+    /// Uniformizations rebuilt for new rates by filling a structural
+    /// donor's `Pᵀ` pattern instead of building it from scratch
     /// ([`Uniformized::rebind_values`]). Counted inside the uniformized
-    /// pool's `misses` too (a rebind still builds matrices).
+    /// pool's `misses` too (a rebind still builds a matrix).
     pub rebinds: u64,
     /// Dependent artifacts orphaned by evicting their parent: when
     /// eviction drops a uniformization that regenerative parameters were
@@ -296,6 +297,13 @@ impl<K: Eq + Hash + Clone, V: Clone> LruPool<K, V> {
             e.inflation = inflation;
             e.value.clone()
         })
+    }
+
+    /// Looks up `key` without counting a use: a structural donor lent to a
+    /// rebind. Refreshing the donor there would let it outrank, and evict
+    /// at insertion, the artifact the request actually asked for.
+    fn peek(&self, key: &K) -> Option<V> {
+        self.map.get(key).map(|e| e.value.clone())
     }
 
     /// Returns the slot for `key`, inserting `make()` (unfilled, zero
@@ -515,8 +523,8 @@ pub struct ArtifactCache {
     /// structure fingerprint, θ bits) → pool key` of the latest artifact
     /// with that structure. A miss whose structure has a live donor
     /// rebuilds by [`Uniformized::rebind_values`] — reusing the donor's
-    /// chunk plans and kernel selections — instead of planning from
-    /// scratch. Entries are three words each; stale ones (donor
+    /// `Pᵀ` pattern and slot map — instead of building from scratch.
+    /// Entries are three words each; stale ones (donor
     /// evicted) fail the pool lookup harmlessly and are overwritten by
     /// the next fresh build.
     unif_donors: Mutex<HashMap<(u64, u64), UnifKey>>,
@@ -559,22 +567,6 @@ impl ArtifactCache {
     /// The capacity limits in effect.
     pub fn config(&self) -> CacheConfig {
         self.cfg
-    }
-
-    /// The chain's fingerprint (convenience re-export).
-    pub fn fingerprint_of(&self, ctmc: &Ctmc) -> u64 {
-        fingerprint(ctmc)
-    }
-
-    /// Structure facts for `ctmc` by its full fingerprint `fp` (which must
-    /// equal [`fingerprint`]`(ctmc)`). Compatibility wrapper around
-    /// [`ArtifactCache::facts_for`] that re-derives the model's structural
-    /// fingerprint; callers that already hold a [`ModelFps`] (the engine's
-    /// planner) should pass it directly.
-    pub fn facts(&self, fp: u64, ctmc: &Ctmc) -> Result<Arc<ChainFacts>, CtmcError> {
-        let fps = model_fps(ctmc);
-        debug_assert_eq!(fps.full, fp, "fp must be fingerprint(ctmc)");
-        self.facts_for(&fps, ctmc)
     }
 
     /// Structure facts for `ctmc`, keyed **structurally**: Tarjan SCC
@@ -643,37 +635,21 @@ impl ArtifactCache {
     }
 
     /// The uniformized view of `ctmc` at safety factor `theta`, built
-    /// exactly once per live `(fingerprint, θ)` entry. Returns the artifact
-    /// and whether it was a cache hit. The entry is charged the artifact's
-    /// [`Uniformized::approx_bytes`] when it materializes; chunk plans built
-    /// on it later hold no matrix copy and add nothing.
-    pub fn uniformized(&self, fp: u64, ctmc: &Ctmc, theta: f64) -> (Arc<Uniformized>, bool) {
-        self.uniformized_inner(fp, None, ctmc, theta)
-    }
-
-    /// [`ArtifactCache::uniformized`] with the generator's **structural**
-    /// fingerprint alongside the full one — the delta-aware entry point
-    /// the engine uses. A miss first consults the structural donor index:
-    /// if a live artifact with the same generator structure (at the same
-    /// `θ`) exists, the new artifact is built by
-    /// [`Uniformized::rebind_values`] — fresh matrices, but every chunk
-    /// plan and kernel selection re-bound from the donor instead of
-    /// re-planned — and counted in [`CacheStats::rebinds`]. The result
-    /// is bitwise identical to a cold build; only the build cost differs.
+    /// exactly once per live `(fp, θ)` entry, where `fp` is the generator's
+    /// fingerprint and `structure_fp` its **structural** one. Returns the
+    /// artifact and whether it was a cache hit. A miss first consults the
+    /// structural donor index: if a live artifact with the same generator
+    /// structure (at the same `θ`) exists, the new artifact is built by
+    /// [`Uniformized::rebind_values`] — the donor's `Pᵀ` pattern filled
+    /// with the new values in one pass over `Q` — and counted in
+    /// [`CacheStats::rebinds`]. The result is bitwise identical to a cold
+    /// build; only the build cost differs. The entry is charged the
+    /// artifact's [`Uniformized::approx_bytes`] when it materializes;
+    /// chunk plans built on it later hold no matrix copy and add nothing.
     pub fn uniformized_delta(
         &self,
         fp: u64,
         structure_fp: u64,
-        ctmc: &Ctmc,
-        theta: f64,
-    ) -> (Arc<Uniformized>, bool) {
-        self.uniformized_inner(fp, Some(structure_fp), ctmc, theta)
-    }
-
-    fn uniformized_inner(
-        &self,
-        fp: u64,
-        structure_fp: Option<u64>,
         ctmc: &Ctmc,
         theta: f64,
     ) -> (Arc<Uniformized>, bool) {
@@ -687,22 +663,22 @@ impl ArtifactCache {
         let cleanup = SlotCleanup::new(&self.uniformized, key, slot.clone());
         regenr_failpoint::failpoint!("cache-build-unif");
         // Structural-donor path: a live artifact with this generator
-        // structure donates its plans. Lock order: our (still
+        // structure donates its `Pᵀ` pattern. Lock order: our (still
         // unfilled) slot → donor index → pool → donor slot; donor slots
         // are always *filled* (registered at materialization), and filled
         // slots are only ever locked briefly by hit readers or rebinders,
         // never while waiting on another slot — no cycle.
-        let donated = structure_fp.and_then(|sfp| {
-            let dkey = *lock(&self.unif_donors).get(&(sfp, norm_key_bits(theta)))?;
-            if dkey == key {
-                return None;
-            }
-            let donor_slot = lock(&self.uniformized).get(&dkey)?;
-            let donor = lock(&donor_slot).clone()?;
-            Some(Arc::new(donor.rebind_values(ctmc, theta)))
+        let donor_key = (structure_fp, norm_key_bits(theta));
+        let dkey = lock(&self.unif_donors).get(&donor_key).copied();
+        let donor_slot = dkey
+            .filter(|&dkey| dkey != key)
+            .and_then(|dkey| lock(&self.uniformized).peek(&dkey));
+        let donor = donor_slot.and_then(|slot| lock(&slot).clone());
+        let rebound = donor.is_some();
+        let unif = Arc::new(match donor {
+            Some(donor) => donor.rebind_values(ctmc, theta),
+            None => Uniformized::new(ctmc, theta),
         });
-        let rebound = donated.is_some();
-        let unif = donated.unwrap_or_else(|| Arc::new(Uniformized::new(ctmc, theta)));
         self.uniformized_counters.record(false);
         if rebound {
             self.rebinds.fetch_add(1, Ordering::Relaxed);
@@ -722,11 +698,9 @@ impl ArtifactCache {
             cost,
             &self.cfg,
         );
-        if let Some(sfp) = structure_fp {
-            // Latest artifact wins the donor role for its structure; a
-            // stale entry (evicted donor) is just a failed lookup later.
-            lock(&self.unif_donors).insert((sfp, norm_key_bits(theta)), key);
-        }
+        // Latest artifact wins the donor role for its structure; a stale
+        // entry (evicted donor) is just a failed lookup later.
+        lock(&self.unif_donors).insert(donor_key, key);
         (unif, false)
     }
 
@@ -739,6 +713,14 @@ impl ArtifactCache {
     /// parameters cover **at least** `t`; slice them with
     /// [`RegenParams::depth_for_horizon`] + [`RegenParams::truncated`].
     ///
+    /// The built parameters are registered as a **dependent** of the
+    /// uniformization they were constructed on (keyed by `parent_unif_fp`
+    /// at `θ = regen.theta`, the key the solver's uniformization was cached
+    /// under): cost-aware eviction then weighs that parent by the artifacts
+    /// hanging off it, and evicting it anyway counts the dependents as
+    /// [`CacheStats::orphaned`]. Registration happens once per first
+    /// build — widening an entry does not re-register.
+    ///
     /// A *first* build runs under the per-key slot lock, so two threads
     /// missing on the same key no longer both pay the full `parameters(t)`
     /// computation with one result dropped: the second blocks, then reads
@@ -746,41 +728,10 @@ impl ArtifactCache {
     /// lock while stepping — readers covered by the existing entry must not
     /// wait behind it (racing wideners may duplicate work; the widest
     /// result wins).
-    pub fn regen_params(
-        &self,
-        fp: u64,
-        regen: &RegenOptions,
-        r: usize,
-        t: f64,
-        build: impl FnMut(f64) -> Result<RegenParams, CtmcError>,
-    ) -> Result<(Arc<RegenParams>, bool), CtmcError> {
-        self.regen_params_inner(fp, None, regen, r, t, build)
-    }
-
-    /// [`ArtifactCache::regen_params`] that also registers the built
-    /// parameters as a **dependent** of the uniformization they were
-    /// constructed on (keyed by `parent_unif_fp` at `θ = regen.theta`, the
-    /// key the solver's uniformization was cached under): cost-aware
-    /// eviction then weighs that parent by the artifacts hanging off it,
-    /// and evicting it anyway counts the dependents as
-    /// [`CacheStats::orphaned`]. Registration happens once per first
-    /// build — widening an entry does not re-register.
     pub fn regen_params_linked(
         &self,
         fp: u64,
         parent_unif_fp: u64,
-        regen: &RegenOptions,
-        r: usize,
-        t: f64,
-        build: impl FnMut(f64) -> Result<RegenParams, CtmcError>,
-    ) -> Result<(Arc<RegenParams>, bool), CtmcError> {
-        self.regen_params_inner(fp, Some(parent_unif_fp), regen, r, t, build)
-    }
-
-    fn regen_params_inner(
-        &self,
-        fp: u64,
-        parent_unif_fp: Option<u64>,
         regen: &RegenOptions,
         r: usize,
         t: f64,
@@ -824,9 +775,7 @@ impl ArtifactCache {
         // First build: hang this entry off its uniformization. Params pool
         // locks are all released here, so the established lock order
         // (never hold two pools at once) is kept.
-        if let Some(pfp) = parent_unif_fp {
-            lock(&self.uniformized).bump_dependents(&(pfp, norm_key_bits(regen.theta)));
-        }
+        lock(&self.uniformized).bump_dependents(&(parent_unif_fp, norm_key_bits(regen.theta)));
         Ok((params, false))
     }
 
@@ -891,27 +840,47 @@ impl ArtifactCache {
     }
 }
 
-/// Convenience wrapper for [`ArtifactCache::regen_params`] callers that
-/// need a solver first: builds an [`RrlSolver`] on the cached uniformization
-/// and the cached structure facts (no duplicate Tarjan pass).
-pub fn rrl_on_cache<'a>(
-    cache: &ArtifactCache,
-    fp: u64,
-    ctmc: &'a Ctmc,
-    r: usize,
-    opts: RrlOptions,
-) -> Result<(RrlSolver<'a>, bool), CtmcError> {
-    let facts = cache.facts(fp, ctmc)?;
-    let (unif, hit) = cache.uniformized(fp, ctmc, opts.regen.theta);
-    Ok((
-        RrlSolver::with_uniformized_facts(ctmc, r, unif, facts.absorbing.clone(), opts)?,
-        hit,
-    ))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fingerprint::model_fps;
+    use regenr_core::{RrlOptions, RrlSolver};
+
+    /// `c`'s uniformization through the engine's entry point, keyed by its
+    /// own generator fingerprints.
+    fn unif(cache: &ArtifactCache, c: &Ctmc, theta: f64) -> (Arc<Uniformized>, bool) {
+        let fps = model_fps(c);
+        cache.uniformized_delta(fps.unif, fps.unif_structure, c, theta)
+    }
+
+    fn facts(cache: &ArtifactCache, c: &Ctmc) -> Result<Arc<ChainFacts>, CtmcError> {
+        cache.facts_for(&model_fps(c), c)
+    }
+
+    /// An RRL solver on `c`'s cached uniformization and structure facts,
+    /// as the engine builds one (no duplicate Tarjan pass).
+    fn rrl_on_cache<'a>(cache: &ArtifactCache, c: &'a Ctmc, opts: RrlOptions) -> RrlSolver<'a> {
+        let facts = facts(cache, c).unwrap();
+        let (u, _) = unif(cache, c, opts.regen.theta);
+        RrlSolver::with_uniformized_facts(c, 0, u, facts.absorbing.clone(), opts).unwrap()
+    }
+
+    /// Regenerative parameters for `c` at regenerative state 0, hung off
+    /// the uniformization keyed `parent` (at `opts.regen.theta`).
+    fn linked_params(
+        cache: &ArtifactCache,
+        c: &Ctmc,
+        parent: u64,
+        solver: &RrlSolver<'_>,
+        t: f64,
+    ) -> (Arc<RegenParams>, bool) {
+        let regen = solver.options().regen;
+        cache
+            .regen_params_linked(model_fps(c).full, parent, &regen, 0, t, |h| {
+                solver.parameters(h)
+            })
+            .unwrap()
+    }
 
     fn chain() -> Ctmc {
         Ctmc::from_rates(
@@ -923,7 +892,8 @@ mod tests {
         .unwrap()
     }
 
-    /// A family of structurally distinct chains (distinct fingerprints).
+    /// A family of rate variants of one structure (distinct fingerprints,
+    /// one structural fingerprint).
     fn chain_with_rate(lambda: f64) -> Ctmc {
         Ctmc::from_rates(
             2,
@@ -938,14 +908,13 @@ mod tests {
     fn uniformized_hits_on_second_request() {
         let cache = ArtifactCache::new();
         let c = chain();
-        let fp = fingerprint(&c);
-        let (a, hit_a) = cache.uniformized(fp, &c, 0.0);
-        let (b, hit_b) = cache.uniformized(fp, &c, 0.0);
+        let (a, hit_a) = unif(&cache, &c, 0.0);
+        let (b, hit_b) = unif(&cache, &c, 0.0);
         assert!(!hit_a);
         assert!(hit_b);
         assert!(Arc::ptr_eq(&a, &b));
         // Different θ is a different artifact.
-        let (_, hit_theta) = cache.uniformized(fp, &c, 0.1);
+        let (_, hit_theta) = unif(&cache, &c, 0.1);
         assert!(!hit_theta);
         let stats = cache.stats().uniformized;
         assert_eq!((stats.hits, stats.misses), (1, 2));
@@ -957,9 +926,8 @@ mod tests {
     fn negative_zero_theta_shares_the_entry() {
         let cache = ArtifactCache::new();
         let c = chain();
-        let fp = fingerprint(&c);
-        let (a, _) = cache.uniformized(fp, &c, 0.0);
-        let (b, hit) = cache.uniformized(fp, &c, -0.0);
+        let (a, _) = unif(&cache, &c, 0.0);
+        let (b, hit) = unif(&cache, &c, -0.0);
         assert!(hit, "-0.0 and 0.0 must key the same artifact");
         assert!(Arc::ptr_eq(&a, &b));
         assert_eq!(cache.stats().uniformized.entries, 1);
@@ -969,9 +937,8 @@ mod tests {
     fn facts_cached_and_correct() {
         let cache = ArtifactCache::new();
         let c = chain();
-        let fp = fingerprint(&c);
-        let f1 = cache.facts(fp, &c).unwrap();
-        let f2 = cache.facts(fp, &c).unwrap();
+        let f1 = facts(&cache, &c).unwrap();
+        let f2 = facts(&cache, &c).unwrap();
         assert!(Arc::ptr_eq(&f1, &f2));
         assert!(f1.irreducible);
         assert_eq!(f1.max_rate, 1.0);
@@ -983,18 +950,15 @@ mod tests {
     fn regen_params_widen_with_horizon() {
         let cache = ArtifactCache::new();
         let c = chain();
-        let fp = fingerprint(&c);
-        let opts = RrlOptions::default();
-        let (solver, _) = rrl_on_cache(&cache, fp, &c, 0, opts).unwrap();
-        let regen = opts.regen;
-        let build = |h| solver.parameters(h);
-        let (_, hit1) = cache.regen_params(fp, &regen, 0, 10.0, build).unwrap();
+        let parent = model_fps(&c).unif;
+        let solver = rrl_on_cache(&cache, &c, RrlOptions::default());
+        let (_, hit1) = linked_params(&cache, &c, parent, &solver, 10.0);
         assert!(!hit1);
-        let (_, hit2) = cache.regen_params(fp, &regen, 0, 5.0, build).unwrap();
+        let (_, hit2) = linked_params(&cache, &c, parent, &solver, 5.0);
         assert!(hit2, "smaller horizon must reuse the wider computation");
-        let (_, hit3) = cache.regen_params(fp, &regen, 0, 100.0, build).unwrap();
+        let (_, hit3) = linked_params(&cache, &c, parent, &solver, 100.0);
         assert!(!hit3, "larger horizon must recompute (and widen the entry)");
-        let (_, hit4) = cache.regen_params(fp, &regen, 0, 50.0, build).unwrap();
+        let (_, hit4) = linked_params(&cache, &c, parent, &solver, 50.0);
         assert!(hit4);
         assert_eq!(cache.stats().regen_params.entries, 1, "widening replaces");
     }
@@ -1007,7 +971,7 @@ mod tests {
     fn regen_params_contention_builds_once() {
         let cache = Arc::new(ArtifactCache::new());
         let c = Arc::new(chain());
-        let fp = fingerprint(&c);
+        let parent = model_fps(&c).unif;
         let opts = RrlOptions::default();
         let n_threads = 8;
         let barrier = Arc::new(std::sync::Barrier::new(n_threads));
@@ -1017,11 +981,9 @@ mod tests {
                 let c = c.clone();
                 let barrier = barrier.clone();
                 scope.spawn(move || {
-                    let (solver, _) = rrl_on_cache(&cache, fp, &c, 0, opts).unwrap();
+                    let solver = rrl_on_cache(&cache, &c, opts);
                     barrier.wait();
-                    let (params, _) = cache
-                        .regen_params(fp, &opts.regen, 0, 1_000.0, |h| solver.parameters(h))
-                        .unwrap();
+                    let (params, _) = linked_params(&cache, &c, parent, &solver, 1_000.0);
                     assert!(params
                         .depth_for_horizon(1_000.0, opts.regen.epsilon)
                         .is_some());
@@ -1050,17 +1012,14 @@ mod tests {
             vec![0.0; 3],
         )
         .unwrap();
-        let fp = fingerprint(&bad);
         for _ in 0..3 {
-            assert!(cache.facts(fp, &bad).is_err());
+            assert!(facts(&cache, &bad).is_err());
         }
         let stats = cache.stats().structure;
         assert_eq!(stats.entries, 0, "failed builds must not occupy entries");
         assert_eq!(stats.bytes, 0);
         // A valid chain still caches normally afterwards.
-        let good = chain();
-        let good_fp = fingerprint(&good);
-        assert!(cache.facts(good_fp, &good).is_ok());
+        assert!(facts(&cache, &chain()).is_ok());
         assert_eq!(cache.stats().structure.entries, 1);
     }
 
@@ -1086,9 +1045,8 @@ mod tests {
         // mere rate variants would share one entry).
         let a = chain_with_states(2);
         let b = chain_with_states(3);
-        let (fa, fb) = (fingerprint(&a), fingerprint(&b));
-        cache.facts(fa, &a).unwrap();
-        cache.facts(fb, &b).unwrap();
+        facts(&cache, &a).unwrap();
+        facts(&cache, &b).unwrap();
 
         let bad = Ctmc::from_rates(
             3,
@@ -1097,17 +1055,16 @@ mod tests {
             vec![0.0; 3],
         )
         .unwrap();
-        let bad_fp = fingerprint(&bad);
         for _ in 0..4 {
-            assert!(cache.facts(bad_fp, &bad).is_err());
+            assert!(facts(&cache, &bad).is_err());
         }
 
         let stats = cache.stats().structure;
         assert_eq!(stats.evictions, 0, "no live artifact may be displaced");
         assert_eq!(stats.entries, 2);
         // Both live artifacts are still served from the pool.
-        cache.facts(fa, &a).unwrap();
-        cache.facts(fb, &b).unwrap();
+        facts(&cache, &a).unwrap();
+        facts(&cache, &b).unwrap();
         assert_eq!(cache.stats().structure.hits, 2);
     }
 
@@ -1118,16 +1075,14 @@ mod tests {
     fn panicking_build_does_not_leak_a_pool_entry() {
         let cache = ArtifactCache::with_config(CacheConfig::with_max_entries(2));
         let c = chain();
-        let fp = fingerprint(&c);
         // θ < 0 panics inside Uniformized::new (the engine validates θ
         // upstream; the cache API is public).
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            cache.uniformized(fp, &c, -1.0)
-        }));
+        let result =
+            std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| unif(&cache, &c, -1.0)));
         assert!(result.is_err(), "negative θ must panic");
         assert_eq!(cache.stats().uniformized.entries, 0);
         // The pool still serves fresh builds afterwards.
-        let (_, hit) = cache.uniformized(fp, &c, 0.0);
+        let (_, hit) = unif(&cache, &c, 0.0);
         assert!(!hit);
         assert_eq!(cache.stats().uniformized.entries, 1);
     }
@@ -1137,21 +1092,19 @@ mod tests {
     /// are gone, the artifact (the largest object in the system) is freed.
     #[test]
     fn dropping_cache_and_holders_frees_the_artifact() {
-        use regenr_sparse::{KernelChoice, ParallelConfig};
+        use regenr_sparse::ParallelConfig;
         let c = chain();
-        let fp = fingerprint(&c);
         let weak;
         {
             let cache = ArtifactCache::new();
-            let (unif, _) = cache.uniformized(fp, &c, 0.0);
+            let (u, _) = unif(&cache, &c, 0.0);
             // Cache a plan on it, as a solver's stepper does.
-            let _ = unif.stepper(&ParallelConfig {
+            let _ = u.stepper(&ParallelConfig {
                 min_nnz: 0,
                 threads: 1,
-                kernel: KernelChoice::ShortRow,
             });
-            weak = Arc::downgrade(&unif);
-            drop(unif);
+            weak = Arc::downgrade(&u);
+            drop(u);
             assert!(weak.upgrade().is_some(), "cache keeps the artifact alive");
         }
         assert!(
@@ -1160,6 +1113,8 @@ mod tests {
         );
     }
 
+    /// The three chains are rate variants of one structure, so every miss
+    /// after the first rebinds the latest resident variant.
     #[test]
     fn max_entries_evicts_least_recently_used() {
         let cache = ArtifactCache::with_config(CacheConfig::with_max_entries(2));
@@ -1167,33 +1122,34 @@ mod tests {
             .iter()
             .map(|&l| chain_with_rate(l))
             .collect();
-        let fps: Vec<u64> = chains.iter().map(fingerprint).collect();
+        let fps: Vec<u64> = chains.iter().map(|c| model_fps(c).unif).collect();
         assert_eq!(
             fps.iter().collect::<std::collections::HashSet<_>>().len(),
             3
         );
 
-        cache.uniformized(fps[0], &chains[0], 0.0);
-        cache.uniformized(fps[1], &chains[1], 0.0);
+        unif(&cache, &chains[0], 0.0);
+        unif(&cache, &chains[1], 0.0);
         // Touch 0 so 1 becomes the LRU entry, then overflow with 2.
-        let (_, hit0) = cache.uniformized(fps[0], &chains[0], 0.0);
+        let (_, hit0) = unif(&cache, &chains[0], 0.0);
         assert!(hit0);
-        cache.uniformized(fps[2], &chains[2], 0.0);
+        unif(&cache, &chains[2], 0.0);
 
-        let stats = cache.stats().uniformized;
-        assert_eq!(stats.entries, 2, "cap must hold");
-        assert_eq!(stats.evictions, 1);
+        let stats = cache.stats();
+        assert_eq!(stats.uniformized.entries, 2, "cap must hold");
+        assert_eq!(stats.uniformized.evictions, 1);
+        assert_eq!(stats.rebinds, 2, "1 and 2 rebind their predecessor");
         // 1 was evicted (LRU); 0 and 2 survive.
-        let (_, hit0) = cache.uniformized(fps[0], &chains[0], 0.0);
-        let (_, hit1) = cache.uniformized(fps[1], &chains[1], 0.0);
+        let (_, hit0) = unif(&cache, &chains[0], 0.0);
+        let (_, hit1) = unif(&cache, &chains[1], 0.0);
         assert!(hit0, "recently used entry must survive");
         assert!(!hit1, "LRU entry must have been evicted");
+        assert_eq!(cache.stats().rebinds, 3, "1 is rebuilt by a rebind");
     }
 
     #[test]
     fn max_bytes_evicts_and_oversized_artifact_is_not_retained() {
         let c = chain();
-        let fp = fingerprint(&c);
         let one = Uniformized::new(&c, 0.0).approx_bytes();
 
         // Budget for one artifact: inserting a second evicts the first.
@@ -1201,8 +1157,8 @@ mod tests {
             max_entries: None,
             max_bytes: Some(one + one / 2),
         });
-        cache.uniformized(fp, &c, 0.0);
-        cache.uniformized(fp, &c, 0.5);
+        unif(&cache, &c, 0.0);
+        unif(&cache, &c, 0.5);
         let stats = cache.stats().uniformized;
         assert_eq!(stats.entries, 1);
         assert_eq!(stats.evictions, 1);
@@ -1214,9 +1170,9 @@ mod tests {
             max_entries: None,
             max_bytes: Some(1),
         });
-        let (unif, hit) = tiny.uniformized(fp, &c, 0.0);
+        let (u, hit) = unif(&tiny, &c, 0.0);
         assert!(!hit);
-        assert_eq!(unif.n_states(), 2, "caller still gets the artifact");
+        assert_eq!(u.n_states(), 2, "caller still gets the artifact");
         let stats = tiny.stats().uniformized;
         assert_eq!(stats.entries, 0);
         assert_eq!(stats.bytes, 0);
@@ -1264,12 +1220,12 @@ mod tests {
     }
 
     /// The delta-aware lookup rebuilds a rate variant's uniformization by
-    /// re-binding the structural donor's plans — bitwise identical to a
-    /// cold build, with the donor's plans carried over instead of
-    /// re-planned.
+    /// re-binding the structural donor's `Pᵀ` pattern — bitwise identical
+    /// to a cold build, stepped products included, while each artifact
+    /// plans its own chunks.
     #[test]
     fn uniformized_rebind_reuses_donor_plans_bitwise() {
-        use regenr_sparse::{KernelChoice, ParallelConfig};
+        use regenr_sparse::ParallelConfig;
         let a = scaled_chain(64, 1.0);
         let b = scaled_chain(64, 1.75);
         let fa = model_fps(&a);
@@ -1282,7 +1238,6 @@ mod tests {
         let cfg = ParallelConfig {
             min_nnz: 0,
             threads: 1,
-            kernel: KernelChoice::ShortRow,
         };
         let _ = ua.stepper(&cfg);
 
@@ -1315,8 +1270,8 @@ mod tests {
     }
 
     /// Whether the uniformization keyed `(fp, θ)` is resident — unlike
-    /// [`ArtifactCache::uniformized`], a probe that never inserts, so it
-    /// cannot evict anything itself.
+    /// [`ArtifactCache::uniformized_delta`], a probe that never inserts, so
+    /// it cannot evict anything itself.
     fn unif_resident(cache: &ArtifactCache, fp: u64, theta: f64) -> bool {
         lock(&cache.uniformized)
             .map
@@ -1328,24 +1283,26 @@ mod tests {
     /// in most rounds through a stream of larger one-off chains under an
     /// entry cap. Without aging the small chain is the cheapest entry on
     /// every insertion: once the pool is full it evicts itself and never
-    /// hits again.
+    /// hits again. The one-offs are rate variants of one structure: each
+    /// after the first rebinds its predecessor, which its own insertion
+    /// never evicts.
     #[test]
     fn aging_keeps_a_hot_small_entry_over_large_one_offs() {
         let cap = 4;
         let cache = ArtifactCache::with_config(CacheConfig::with_max_entries(cap));
         let hot = chain_with_states(32);
-        let hot_fp = fingerprint(&hot);
         let rounds = 40;
         let mut hits = 0;
         for r in 0..rounds {
-            let (_, hit) = cache.uniformized(hot_fp, &hot, 0.0);
+            let (_, hit) = unif(&cache, &hot, 0.0);
             if r >= cap && hit {
                 hits += 1;
             }
             // A distinct, larger chain each round, never requested again.
             let one_off = scaled_chain(48, 1.0 + r as f64 / 64.0);
-            cache.uniformized(fingerprint(&one_off), &one_off, 0.0);
+            unif(&cache, &one_off, 0.0);
         }
+        assert_eq!(cache.stats().rebinds, rounds as u64 - 1);
         let stats = cache.stats().uniformized;
         assert_eq!(stats.entries, cap, "the cap holds");
         assert!(
@@ -1363,15 +1320,15 @@ mod tests {
     fn cost_aware_eviction_keeps_parent_with_dependents() {
         let parent = chain_with_states(48);
         let leaf = chain_with_states(64);
-        let (fp_p, fp_l) = (fingerprint(&parent), fingerprint(&leaf));
+        let (fps_p, fp_l) = (model_fps(&parent), model_fps(&leaf).unif);
+        let fp_p = fps_p.unif;
         let opts = RrlOptions::default();
 
         // Dry run (unbounded) to size the cap: parent's footprint plus the
         // leaf's, minus one byte — the leaf's insertion overflows.
         let dry = ArtifactCache::new();
-        let (solver, _) = rrl_on_cache(&dry, fp_p, &parent, 0, opts).unwrap();
-        dry.regen_params_linked(fp_p, fp_p, &opts.regen, 0, 10.0, |h| solver.parameters(h))
-            .unwrap();
+        let solver = rrl_on_cache(&dry, &parent, opts);
+        linked_params(&dry, &parent, fp_p, &solver, 10.0);
         let parent_bytes = dry.stats().uniformized.bytes;
         let leaf_bytes = Uniformized::new(&leaf, 0.0).approx_bytes();
 
@@ -1380,17 +1337,12 @@ mod tests {
                 max_entries: None,
                 max_bytes: Some(parent_bytes + leaf_bytes - 1),
             });
-            let (solver, _) = rrl_on_cache(&cache, fp_p, &parent, 0, opts).unwrap();
-            if linked {
-                cache
-                    .regen_params_linked(fp_p, fp_p, &opts.regen, 0, 10.0, |h| solver.parameters(h))
-                    .unwrap();
-            } else {
-                cache
-                    .regen_params(fp_p, &opts.regen, 0, 10.0, |h| solver.parameters(h))
-                    .unwrap();
-            }
-            cache.uniformized(fp_l, &leaf, opts.regen.theta);
+            let solver = rrl_on_cache(&cache, &parent, opts);
+            // Unlinked, the same parameters hang off a key no
+            // uniformization is cached under.
+            let link = if linked { fp_p } else { fps_p.full };
+            linked_params(&cache, &parent, link, &solver, 10.0);
+            unif(&cache, &leaf, opts.regen.theta);
             // Who survived? Probed without inserting: a missing lookup
             // would rebuild, and its insertion would evict again.
             let parent_resident = unif_resident(&cache, fp_p, opts.regen.theta);
@@ -1430,20 +1382,17 @@ mod tests {
     #[test]
     fn orphaned_counts_dependents_of_evicted_parents() {
         let parent = chain_with_states(16);
-        let fp_p = fingerprint(&parent);
         let opts = RrlOptions::default();
         let cache = ArtifactCache::with_config(CacheConfig {
             max_entries: Some(1),
             max_bytes: None,
         });
-        let (solver, _) = rrl_on_cache(&cache, fp_p, &parent, 0, opts).unwrap();
-        cache
-            .regen_params_linked(fp_p, fp_p, &opts.regen, 0, 10.0, |h| solver.parameters(h))
-            .unwrap();
+        let solver = rrl_on_cache(&cache, &parent, opts);
+        linked_params(&cache, &parent, model_fps(&parent).unif, &solver, 10.0);
         // Displace the parent with an artifact heavy enough that even the
         // dependent-weighted parent is the cheaper loss.
         let other = chain_with_states(128);
-        cache.uniformized(fingerprint(&other), &other, opts.regen.theta);
+        unif(&cache, &other, opts.regen.theta);
         let stats = cache.stats();
         assert_eq!(stats.uniformized.entries, 1, "cap must hold");
         assert_eq!(
@@ -1452,19 +1401,21 @@ mod tests {
         );
     }
 
+    /// `a` and `b` are rate variants of one structure, so each rebuild
+    /// after the first rebinds the one resident variant.
     #[test]
     fn eviction_then_reinsert_rebuilds() {
         let cache = ArtifactCache::with_config(CacheConfig::with_max_entries(1));
         let a = chain_with_rate(1e-3);
         let b = chain_with_rate(2e-3);
-        let (fa, fb) = (fingerprint(&a), fingerprint(&b));
-        assert!(!cache.uniformized(fa, &a, 0.0).1);
-        assert!(!cache.uniformized(fb, &b, 0.0).1); // evicts a
-        assert!(!cache.uniformized(fa, &a, 0.0).1); // rebuild, evicts b
-        assert!(!cache.uniformized(fb, &b, 0.0).1);
-        let stats = cache.stats().uniformized;
-        assert_eq!(stats.entries, 1);
-        assert_eq!(stats.evictions, 3);
-        assert_eq!(stats.misses, 4);
+        assert!(!unif(&cache, &a, 0.0).1);
+        assert!(!unif(&cache, &b, 0.0).1); // evicts a
+        assert!(!unif(&cache, &a, 0.0).1); // rebuild, evicts b
+        assert!(!unif(&cache, &b, 0.0).1);
+        let stats = cache.stats();
+        assert_eq!(stats.uniformized.entries, 1);
+        assert_eq!(stats.uniformized.evictions, 3);
+        assert_eq!(stats.uniformized.misses, 4);
+        assert_eq!(stats.rebinds, 3);
     }
 }

@@ -334,18 +334,6 @@ impl SweepProgress for NoProgress {}
 pub struct EngineOptions {
     /// Uniformization safety factor `θ` (`0` matches the paper).
     pub theta: f64,
-    /// `Λt` threshold below which `Auto` prefers SR. The paper's grids show
-    /// SR competitive through `Λt ≈ 10³` and hopeless beyond `10⁴`.
-    pub small_lambda_t: f64,
-    /// `Λt` threshold below which `Auto` prefers *adaptive* (active-set)
-    /// randomization on large sparse models: the Poisson window ends after
-    /// `≈ Λt + O(√(Λt))` steps, so the reachable frontier stays a fraction
-    /// of the state space and each step touches only the active rows.
-    pub tiny_lambda_t: f64,
-    /// Minimum state count before `Auto` considers adaptive randomization —
-    /// on small models the frontier saturates immediately and plain SR's
-    /// simpler loop wins.
-    pub adaptive_min_states: usize,
     /// Worker threads for sweeps (`0` = available parallelism). Sweep jobs
     /// run on the shared persistent worker pool; this caps how many run
     /// concurrently.
@@ -362,12 +350,6 @@ impl Default for EngineOptions {
     fn default() -> Self {
         EngineOptions {
             theta: 0.0,
-            small_lambda_t: 2_000.0,
-            // ≈ 2⁶ expected DTMC steps: deep enough to be worth solving,
-            // shallow enough that a breadth-`Λt` frontier stays local in
-            // the RAID-style models the paper evaluates.
-            tiny_lambda_t: 64.0,
-            adaptive_min_states: 2_048,
             threads: 0,
             dense_oracle_max_states: 1_000,
             inverter: InverterOptions::default(),
@@ -400,6 +382,24 @@ impl Default for Engine {
 
 /// A sweep job's result slot, filled by whichever worker executes it.
 type JobCell = Mutex<Option<Result<Vec<SolveReport>, EngineError>>>;
+
+/// `Λt` at or below which `Auto` prefers SR. The paper's grids show SR
+/// competitive through `Λt ≈ 10³` and hopeless beyond `10⁴`.
+pub const SMALL_LAMBDA_T: f64 = 2_000.0;
+
+/// `Λt` at or below which `Auto` prefers *adaptive* (active-set)
+/// randomization on large sparse models: the Poisson window ends after
+/// `≈ Λt + O(√(Λt))` steps, so the reachable frontier stays a fraction of
+/// the state space and each step touches only the active rows. About 2⁶
+/// expected DTMC steps: deep enough to be worth solving, shallow enough
+/// that a breadth-`Λt` frontier stays local in the RAID-style models the
+/// paper evaluates.
+pub const TINY_LAMBDA_T: f64 = 64.0;
+
+/// Minimum state count before `Auto` considers adaptive randomization — on
+/// small models the frontier saturates immediately and plain SR's simpler
+/// loop wins.
+pub const ADAPTIVE_MIN_STATES: usize = 2_048;
 
 /// Largest `Λt` a request may ask for. Every randomization solver builds a
 /// Poisson window of about `20·√(Λt)` weights, so an unbounded horizon
@@ -442,14 +442,14 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// method.
 struct Job {
     req_idx: usize,
-    /// All five model fingerprints (full/structure/value and the
-    /// generator-only full/structural pair), computed once at plan time —
-    /// hashing the full CSR is `O(nnz)`, workers must not redo it. The
+    /// All four model fingerprints (full/structure and the generator-only
+    /// full/structural pair), computed once at plan time — hashing the
+    /// full CSR is `O(nnz)`, workers must not redo it. The
     /// generator-only `unif` fingerprint keys the uniformization artifact
     /// (uniformization never sees initials or rewards, so models differing
     /// only in those share one cached `Uniformized`); `unif_structure` lets
     /// the cache rebuild a rate variant's uniformization by re-binding a
-    /// structural donor's plans.
+    /// structural donor's `Pᵀ` pattern.
     fps: ModelFps,
     /// Structure facts, resolved once at plan time.
     facts: Arc<ChainFacts>,
@@ -619,12 +619,9 @@ impl Engine {
     /// that, irreducible chains go to RSD and absorbing ones to RRL.
     pub fn auto_method(&self, facts: &ChainFacts, t: f64) -> (Method, DispatchReason) {
         let lambda = self.lambda(facts);
-        if t > 0.0
-            && lambda * t <= self.opts.tiny_lambda_t
-            && facts.n_states >= self.opts.adaptive_min_states
-        {
+        if t > 0.0 && lambda * t <= TINY_LAMBDA_T && facts.n_states >= ADAPTIVE_MIN_STATES {
             (Method::Adaptive, DispatchReason::TinyHorizonActiveSet)
-        } else if lambda * t <= self.opts.small_lambda_t {
+        } else if lambda * t <= SMALL_LAMBDA_T {
             (Method::Sr, DispatchReason::SmallHorizon)
         } else if facts.irreducible {
             (Method::Rsd, DispatchReason::IrreducibleSteadyState)
@@ -737,7 +734,7 @@ impl Engine {
         let cfg = self.solve_config(req);
         // The ODE oracle never randomizes — don't build (or count) a
         // uniformization for it. The delta-aware lookup lets a rate
-        // variant's miss rebind a structural donor's plans.
+        // variant's miss rebind a structural donor's `Pᵀ` pattern.
         let (unif, unif_hit) = if job.method == Method::Ode {
             (None, false)
         } else {
@@ -1178,7 +1175,7 @@ mod tests {
         }
     }
 
-    /// A birth–death chain big enough to clear `adaptive_min_states`.
+    /// A birth–death chain big enough to clear [`ADAPTIVE_MIN_STATES`].
     fn large_birth_chain(n: usize) -> Arc<Ctmc> {
         let mut rates = Vec::new();
         for i in 0..n - 1 {
@@ -1195,7 +1192,7 @@ mod tests {
     fn auto_picks_adaptive_for_tiny_horizons_on_large_models() {
         let engine = Engine::new();
         let model = large_birth_chain(2_500);
-        // Λ = 1.5, t = 10 → Λt = 15 ≤ tiny_lambda_t: the frontier stays
+        // Λ = 1.5, t = 10 → Λt = 15 ≤ TINY_LAMBDA_T: the frontier stays
         // tiny compared to the 2 500 states.
         let reports = engine
             .solve(&SolveRequest::new("big", model.clone(), vec![10.0]).epsilon(1e-10))
@@ -1527,36 +1524,37 @@ mod tests {
     }
 
     /// The per-cell kernel reflects what the solver's stepper actually
-    /// runs: stepping methods report the (possibly forced) resolved
-    /// kernel; Adaptive and the ODE oracle never build a stepper and
-    /// report `"none"`.
+    /// runs: stepping methods report the loop their plan selected — generic
+    /// on a small chain, shortrow on one above the threshold — and Adaptive
+    /// and the ODE oracle never build a stepper and report `"none"`.
     #[test]
     fn reported_kernel_tracks_solver_stepping() {
-        let forced = Engine::with_options(EngineOptions {
-            parallel: regenr_sparse::ParallelConfig {
-                kernel: regenr_sparse::KernelChoice::ShortRow,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        // SR and RSD cells step through the uniformization: forced kernel.
-        let reports = forced
+        let engine = Engine::new();
+        // SR and RSD cells step through the uniformization.
+        let reports = engine
             .solve(&SolveRequest::new("u", repairable(), vec![1.0, 1e6]))
             .unwrap();
         assert_eq!(reports[0].method, Method::Sr);
-        assert_eq!(reports[0].kernel, "shortrow");
+        assert_eq!(reports[0].kernel, "generic");
         assert_eq!(reports[1].method, Method::Rsd);
-        assert_eq!(reports[1].kernel, "shortrow");
+        assert_eq!(reports[1].kernel, "generic");
         // A stepping cell reports the scalar backend.
         assert_eq!(reports[0].backend, "scalar");
+        // Pᵀ of the 2,500-state chain stores 7,498 entries: shortrow.
+        // Λt = 150 is past the active-set regime, so SR steps it.
+        let big = engine
+            .solve(&SolveRequest::new("big", large_birth_chain(2_500), vec![100.0]).epsilon(1e-10))
+            .unwrap();
+        assert_eq!(big[0].method, Method::Sr);
+        assert_eq!(big[0].kernel, "shortrow");
         // Adaptive (active-set, no stepper) and ODE report no kernel.
-        let adaptive = forced
+        let adaptive = engine
             .solve(&SolveRequest::new("big", large_birth_chain(2_500), vec![10.0]).epsilon(1e-10))
             .unwrap();
         assert_eq!(adaptive[0].method, Method::Adaptive);
         assert_eq!(adaptive[0].kernel, "none");
         assert_eq!(adaptive[0].backend, "none");
-        let ode = forced
+        let ode = engine
             .solve(
                 &SolveRequest::new("u", repairable(), vec![1.0])
                     .method(MethodChoice::Fixed(Method::Ode)),

@@ -127,36 +127,32 @@ pub fn fingerprint(ctmc: &Ctmc) -> u64 {
 /// not a value change), the support of the initial distribution (initial
 /// mass on an absorbing state is a structural rejection), and the support of
 /// the reward vector. Two chains with equal `structure` fingerprints have
-/// identical topology facts and chunk plans; only the
-/// numbers differ — which is what `value` hashes. `unif`/`unif_structure`
-/// are the generator-only analogues (initials and rewards ignored), keying
-/// the uniformization pool and its delta-rebind donor index respectively.
+/// identical topology facts; only the numbers differ, which `full` covers.
+/// `unif`/`unif_structure` are the generator-only analogues (initials and
+/// rewards ignored), keying the uniformization pool and its delta-rebind
+/// donor index respectively.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ModelFps {
     /// The classic full fingerprint ([`fingerprint`]): structure + values.
     pub full: u64,
     /// Pattern + value/initial/reward supports — the structural key.
     pub structure: u64,
-    /// Rate, initial, and reward numbers — the value key.
-    pub value: u64,
     /// Generator-only full fingerprint ([`unif_fingerprint`]).
     pub unif: u64,
     /// Generator-only structural key: pattern + rate support. Equal
     /// `unif_structure` means an existing `Uniformized` can be rebound to
-    /// the new rates, reusing its plans.
+    /// the new rates, reusing its `Pᵀ` pattern.
     pub unif_structure: u64,
 }
 
 /// Domain separator for [`ModelFps::structure`].
 const STRUCT_FP_SEP: u64 = 0x7374_7275_6374_2d00; // "struct-"
-/// Domain separator for [`ModelFps::value`].
-const VALUE_FP_SEP: u64 = 0x7661_6c75_652d_6600; // "value-f"
 /// Domain separator for [`ModelFps::unif_structure`].
 const UNIF_STRUCT_FP_SEP: u64 = 0x7573_7472_7563_7400; // "ustruct"
 
 /// Computes every fingerprint of [`ModelFps`] in one traversal of the
-/// model's arrays (five running hash states fed per element), so a
-/// sensitivity grid pays one memory pass per point instead of five. The
+/// model's arrays (four running hash states fed per element), so a
+/// sensitivity grid pays one memory pass per point instead of four. The
 /// `full` and `unif` components are bit-identical to standalone
 /// [`fingerprint`] / [`unif_fingerprint`] calls.
 pub fn model_fps(ctmc: &Ctmc) -> ModelFps {
@@ -170,8 +166,6 @@ pub fn model_fps(ctmc: &Ctmc) -> ModelFps {
     let mut us = Fnv::new(); // unif structure
     s.write_u64(STRUCT_FP_SEP);
     us.write_u64(UNIF_STRUCT_FP_SEP);
-    let mut v = Fnv::new(); // value
-    v.write_u64(VALUE_FP_SEP);
 
     f.write_u64(n);
     u.write_u64(n);
@@ -195,23 +189,19 @@ pub fn model_fps(ctmc: &Ctmc) -> ModelFps {
         u.write_f64(x);
         s.write_u64(support);
         us.write_u64(support);
-        v.write_f64(x);
     }
     for &a in ctmc.initial() {
         f.write_f64(a);
         s.write_u64((a > 0.0) as u64);
-        v.write_f64(a);
     }
     for &r in ctmc.rewards() {
         f.write_f64(r);
         s.write_u64((r != 0.0) as u64);
-        v.write_f64(r);
     }
 
     ModelFps {
         full: f.0,
         structure: s.0,
-        value: v.0,
         unif: u.0,
         unif_structure: us.0,
     }
@@ -292,19 +282,18 @@ mod tests {
         assert_ne!(unif_fingerprint(&a), fingerprint(&a));
     }
 
-    /// Scaling a rate changes the value fingerprint but not the structural
-    /// one — the property the delta-aware artifact graph keys on.
+    /// Scaling a rate changes the full fingerprints but not the structural
+    /// ones — the property the delta-aware artifact graph keys on.
     #[test]
     fn rate_scaling_preserves_structure_fp_and_alters_value_fp() {
         let a = model_fps(&chain(1e-3));
         let b = model_fps(&chain(2e-3));
         assert_eq!(a.structure, b.structure);
         assert_eq!(a.unif_structure, b.unif_structure);
-        assert_ne!(a.value, b.value);
         assert_ne!(a.full, b.full);
         assert_ne!(a.unif, b.unif);
-        // The five hashes live in separate domains.
-        let fps = [a.full, a.structure, a.value, a.unif, a.unif_structure];
+        // The four hashes live in separate domains.
+        let fps = [a.full, a.structure, a.unif, a.unif_structure];
         for i in 0..fps.len() {
             for j in i + 1..fps.len() {
                 assert_ne!(fps[i], fps[j], "fp domains {i} and {j} collided");

@@ -15,10 +15,10 @@
 //!   (method chosen, dispatch reason, step counts, error bounds);
 //! * [`ArtifactCache`] — a two-level artifact graph: uniformizations,
 //!   structure analyses and RR/RRL killed-chain parameters keyed by a
-//!   *structural* and a *value* [fingerprint](fingerprint::model_fps), so
+//!   *structural* and a full [fingerprint](fingerprint::model_fps), so
 //!   repeated requests across horizons/tolerances skip the expensive
-//!   rebuilds and rate variants of one topology re-bind cached plans and
-//!   Tarjan facts instead of rebuilding them;
+//!   rebuilds and rate variants of one topology re-bind the cached `Pᵀ`
+//!   pattern and Tarjan facts instead of rebuilding them;
 //! * [`Engine::sweep`] — scoped-thread parallel execution over
 //!   `(model × measure × horizon)` grids, plus the `regenr` CLI binary that
 //!   runs a sweep from a JSON spec and prints a JSON report.
@@ -52,7 +52,8 @@ pub mod spec;
 pub use cache::{ArtifactCache, CacheConfig, CacheStats, ChainFacts, PoolStats};
 pub use engine::{
     DispatchReason, Engine, EngineOptions, ExecStats, MethodChoice, RobustnessStats, SolveReport,
-    SolveRequest, SweepFailure, SweepProgress, SweepReport,
+    SolveRequest, SweepFailure, SweepProgress, SweepReport, ADAPTIVE_MIN_STATES, SMALL_LAMBDA_T,
+    TINY_LAMBDA_T,
 };
 pub use fingerprint::{canonicalize_spec, fingerprint, model_fps, ModelFps};
 pub use json::Json;

@@ -417,15 +417,7 @@ fn infrastructure_refusal() -> Refusal {
 /// Engine-wide spec knobs that are fixed at server startup. Serving a spec
 /// that sets them would silently produce reports diverging from the same
 /// spec run offline, so they are rejected loudly instead.
-const FIXED_ENGINE_KEYS: &[&str] = &[
-    "threads",
-    "kernel",
-    "theta",
-    "small_lambda_t",
-    "tiny_lambda_t",
-    "adaptive_min_states",
-    "cache",
-];
+const FIXED_ENGINE_KEYS: &[&str] = &["threads", "theta", "cache"];
 
 /// Reads a posted body as a spec document, answered on the connection:
 /// UTF-8, JSON, and no engine-wide knob. Building the spec is the run
@@ -949,6 +941,10 @@ mod tests {
             r#""backend":"auto""#,
             r#""index_width":"16""#,
             r#""rhs_block":4"#,
+            r#""kernel":"auto""#,
+            r#""small_lambda_t":2000"#,
+            r#""tiny_lambda_t":64"#,
+            r#""adaptive_min_states":2048"#,
         ] {
             let body = format!(r#"{{"horizons":[1],{knob},"models":[{{"kind":"cyclic","n":3}}]}}"#);
             let err = parse_posted_spec(body.as_bytes()).map(|_| ()).unwrap_err();

@@ -8,7 +8,6 @@
 //!   "epsilon": 1e-12,
 //!   "method": "auto",
 //!   "threads": 4,
-//!   "kernel": "auto",
 //!   "cache": { "max_entries": 64, "max_bytes": 268435456 },
 //!   "horizons": [1, 10, 100, 1000, 10000, 100000],
 //!   "measures": ["trr"],
@@ -55,7 +54,8 @@
 //! system-down transition into the absorbing state; default false),
 //! `"reward"` (`"down"`, `"up"`, `"capacity"` or `{"working": "class"}`;
 //! default `"down"`), and `"max_states"` (exploration cap; exceeding it is
-//! a spec error, default 5,000,000). Components are sorted by name before
+//! a spec error, default and largest accepted value 5,000,000, the limit
+//! every other kind explores under). Components are sorted by name before
 //! compilation, so permuted listings produce the identical chain — same
 //! fingerprint, same artifact-cache key, same `--stable` report — and the
 //! chain itself is built by streaming exploration
@@ -75,8 +75,8 @@
 //! scaling a rate by a positive factor never changes which transitions
 //! exist, so every instance shares the base model's **structural**
 //! fingerprint by construction and the engine's artifact graph re-binds
-//! cached chunk plans and chain facts across the grid
-//! instead of rebuilding them (see `crate::cache`). Scalable parameters
+//! the cached `Pᵀ` pattern and chain facts across the grid instead of
+//! rebuilding them (see `crate::cache`). Scalable parameters
 //! per kind — probabilities like `p_r` and `coverage` are deliberately not
 //! scalable: `raid` → `lambda_d`, `lambda_s`, `lambda_c`, `mu_drc`,
 //! `mu_drp`, `mu_crp`, `mu_sr`, `mu_g`; `two_state`/`duplex`/`machines` →
@@ -90,14 +90,7 @@
 //! top-level keys: `{"kind": "duplex", "coverge": 0.9}` names the typo and
 //! lists the keys the kind accepts.
 //!
-//! `"kernel"` forces the SpMV loop every solver's stepper runs (`auto`,
-//! `generic`, `shortrow`; default `auto` picks from the matrix's size —
-//! generic below 4,096 entries or 8 rows, shortrow otherwise). Both loops
-//! are bitwise identical to the serial product, so forced-kernel
-//! `--stable` reports diff byte-for-byte — the CI determinism jobs rely on
-//! that, and use `"generic"` to run the reference loop.
-//!
-//! Unknown top-level keys are rejected by name (a typo like `"kernal"`
+//! Unknown top-level keys are rejected by name (a typo like `"thetta"`
 //! must be an error, not a silently ignored knob). Two keys exist for the
 //! `regenr serve` subsystem and are ignored by the offline CLI:
 //! `"deadline_ms"` (per-request deadline; the server cancels the sweep
@@ -152,21 +145,17 @@ pub struct SweepSpec {
 pub const MAX_DEBUG_STALL_MS: u64 = 1_000;
 
 /// Every key a spec may carry at the top level. `SweepSpec::from_json`
-/// rejects anything else by name, so a typo like `"kernal"` is a parse
+/// rejects anything else by name, so a typo like `"thetta"` is a parse
 /// error (HTTP 400 through the server) instead of a silently-ignored knob
 /// running a wrong-config sweep.
 const KNOWN_SPEC_KEYS: &[&str] = &[
     "epsilon",
     "method",
     "threads",
-    "kernel",
     "cache",
     "horizons",
     "measures",
     "models",
-    "small_lambda_t",
-    "tiny_lambda_t",
-    "adaptive_min_states",
     "theta",
     "deadline_ms",
     "debug_stall_ms",
@@ -659,10 +648,18 @@ fn build_compose_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String
             .map_err(|e| format!("compose model: {e}"))?,
         None => model,
     };
+    // A spec may lower the exploration cap, never raise it: every other
+    // kind explores under the builder's default limit, and a larger cap
+    // lets one spec grow the process until allocation fails.
+    let limit = CtmcBuilder::default().max_states;
     let max_states = match get_u32(obj, "max_states")? {
-        Some(0) => return Err("compose \"max_states\" must be at least 1".to_string()),
-        Some(n) => n as usize,
-        None => CtmcBuilder::default().max_states,
+        None => limit,
+        Some(n) if (1..=limit).contains(&(n as usize)) => n as usize,
+        Some(n) => {
+            return Err(format!(
+                "compose \"max_states\" must be in [1, {limit}], got {n}"
+            ))
+        }
     };
     let ctmc = model
         .build_streaming(max_states)
@@ -986,23 +983,8 @@ impl SweepSpec {
             ));
         }
         let mut options = EngineOptions::default();
-        if let Some(x) = get_f64(doc, "small_lambda_t")? {
-            options.small_lambda_t = x;
-        }
-        if let Some(x) = get_f64(doc, "tiny_lambda_t")? {
-            options.tiny_lambda_t = x;
-        }
-        if let Some(x) = get_u32(doc, "adaptive_min_states")? {
-            options.adaptive_min_states = x as usize;
-        }
         if let Some(x) = get_u32(doc, "threads")? {
             options.threads = x as usize;
-        }
-        if let Some(s) = doc.get("kernel") {
-            let s = s
-                .as_str()
-                .ok_or_else(|| "field \"kernel\" must be a string".to_string())?;
-            options.parallel.kernel = regenr_sparse::KernelChoice::parse(s)?;
         }
         if let Some(x) = get_f64(doc, "theta")? {
             if !x.is_finite() || x < 0.0 {
@@ -1037,8 +1019,8 @@ impl SweepSpec {
             // rate-scaled instance per grid point. Every instance shares
             // the base model's *structural* fingerprint by construction
             // (only rate values change, never which transitions exist), so
-            // the engine's artifact graph re-binds cached plans and chain
-            // facts across the whole grid.
+            // the engine's artifact graph re-binds the cached `Pᵀ` pattern
+            // and chain facts across the whole grid.
             let points: Vec<Option<(String, f64)>> = match parse_sensitivity(model_obj)? {
                 None => vec![None],
                 Some((param, grid)) => grid
@@ -1147,9 +1129,8 @@ pub fn cell_to_json(r: &SolveReport, stable: bool) -> Json {
         ("lambda_t".into(), Json::Num(r.lambda_t)),
     ];
     if !stable {
-        // The kernel and its backend are execution-tuning, not a
-        // result: forced-kernel --stable reports must stay
-        // byte-for-byte identical.
+        // The kernel and its backend are execution facts, not a result:
+        // --stable reports leave them out.
         fields.push(("kernel".into(), Json::Str(r.kernel.into())));
         fields.push(("backend".into(), Json::Str(r.backend.into())));
         fields.push(("unif_cache_hit".into(), Json::Bool(r.unif_cache_hit)));
@@ -1226,7 +1207,7 @@ pub fn cache_stats_json(stats: &crate::cache::CacheStats) -> Json {
         ("regen_params".into(), pool(stats.regen_params)),
         // Artifact-graph counters: structure facts served to rate variants
         // of a cached topology, uniformizations built by re-binding a
-        // structural donor's plans, and dependents orphaned by evicting
+        // structural donor's `Pᵀ` pattern, and dependents orphaned by evicting
         // their parent artifact.
         ("derived_hits".into(), Json::Num(stats.derived_hits as f64)),
         ("rebinds".into(), Json::Num(stats.rebinds as f64)),
@@ -1541,47 +1522,27 @@ mod tests {
         assert!(stable.contains("\"value\""));
     }
 
-    /// The `"kernel"` knob forces the SpMV kernel engine-wide; every forced
-    /// kernel produces a `--stable` report byte-for-byte identical to
-    /// `Auto` (the CI determinism job diffs exactly this).
-    #[test]
-    fn forced_kernel_sweeps_match_auto_byte_for_byte() {
-        let spec_for = |kernel: &str| {
-            format!(
-                r#"{{"epsilon": 1e-10, "kernel": "{kernel}", "horizons": [1, 100, 10000],
-                    "models": [{{"kind": "raid", "g": 2}},
-                               {{"kind": "two_state", "lambda": 1e-3, "absorbing": true}}]}}"#
-            )
-        };
-        let run = |kernel: &str| {
-            let spec = SweepSpec::parse(&spec_for(kernel)).unwrap();
-            assert_eq!(
-                spec.options.parallel.kernel,
-                regenr_sparse::KernelChoice::parse(kernel).unwrap()
-            );
-            let engine = crate::Engine::with_cache_config(spec.options, spec.cache);
-            let report = engine.sweep(&spec.requests);
-            assert!(
-                report.failures.is_empty(),
-                "{kernel}: {:?}",
-                report.failures
-            );
-            stable_report_to_json(&report).to_string()
-        };
-        let auto = run("auto");
-        for kernel in ["generic", "shortrow"] {
-            assert_eq!(auto, run(kernel), "kernel {kernel} must match auto");
-        }
-    }
-
+    /// `"kernel"` is no longer a knob: any value, even one it used to
+    /// accept, is the unknown-key error, which names the key.
     #[test]
     fn rejects_bad_kernel_knob() {
-        for bad in ["\"warp\"", "\"sliced\"", "\"diagsplit\"", "3", "true"] {
+        for bad in [
+            "\"auto\"",
+            "\"generic\"",
+            "\"shortrow\"",
+            "\"warp\"",
+            "3",
+            "true",
+        ] {
             let doc = format!(
                 r#"{{"kernel": {bad}, "horizons": [1],
                     "models": [{{"kind": "cyclic", "n": 3}}]}}"#
             );
-            assert!(SweepSpec::parse(&doc).is_err(), "kernel {bad} accepted");
+            let err = SweepSpec::parse(&doc).map(|_| ()).unwrap_err();
+            assert!(
+                err.contains("unknown spec field") && err.contains("\"kernel\""),
+                "kernel {bad}: {err}"
+            );
         }
     }
 
@@ -1649,6 +1610,17 @@ mod tests {
             err.contains("\"kernal\"") && err.contains("\"epsilonn\""),
             "{err}"
         );
+        // `Auto`'s thresholds are constants, not keys.
+        for key in ["small_lambda_t", "tiny_lambda_t", "adaptive_min_states"] {
+            let err = fail(&format!(
+                r#"{{"horizons": [1], "{key}": 64,
+                    "models": [{{"kind": "cyclic", "n": 3}}]}}"#
+            ));
+            assert!(
+                err.contains("unknown spec field") && err.contains(&format!("{key:?}")),
+                "{key}: {err}"
+            );
+        }
         // A non-object document is a clear error too.
         assert!(fail("[1, 2]").contains("object"));
     }

@@ -7,9 +7,8 @@
 
 use regenr_core::{RegenOptions, RegenParams};
 use regenr_ctmc::{Ctmc, Uniformized};
-use regenr_engine::fingerprint::unif_fingerprint;
-use regenr_engine::{ArtifactCache, CacheConfig};
-use regenr_sparse::{KernelChoice, ParallelConfig};
+use regenr_engine::{model_fps, ArtifactCache, CacheConfig};
+use regenr_sparse::ParallelConfig;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicI64, Ordering};
 
@@ -113,16 +112,10 @@ fn approx_bytes_matches_allocator_truth() {
     // artifact leave its charge (`approx_bytes`, taken once at insertion)
     // honest.
     let chain = birth_chain(4_000);
-    let configs: Vec<ParallelConfig> = [KernelChoice::ShortRow, KernelChoice::Generic]
-        .into_iter()
-        .flat_map(|kernel| {
-            [1, 4].map(|threads| ParallelConfig {
-                min_nnz: 0,
-                threads,
-                kernel,
-            })
-        })
-        .collect();
+    let configs = [1, 4].map(|threads| ParallelConfig {
+        min_nnz: 0,
+        threads,
+    });
     // Dry run on a twin artifact so pool/one-time allocations don't
     // pollute the measurement window.
     {
@@ -145,12 +138,12 @@ fn approx_bytes_matches_allocator_truth() {
 
     // End to end: a cache capped at the matrices keeps the entry however
     // many steppers run on it.
-    let fp = unif_fingerprint(&chain);
+    let fps = model_fps(&chain);
     let cache = ArtifactCache::with_config(CacheConfig {
         max_entries: None,
         max_bytes: Some(unif.approx_bytes()),
     });
-    let (cached, hit) = cache.uniformized(fp, &chain, 0.0);
+    let (cached, hit) = cache.uniformized_delta(fps.unif, fps.unif_structure, &chain, 0.0);
     assert!(!hit);
     for cfg in &configs {
         let _stepper = cached.stepper(cfg);

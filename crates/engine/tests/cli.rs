@@ -80,12 +80,18 @@ fn spec_values_no_model_accepts_exit_2() {
         r#"{"kind":"cyclic","n":1}"#,
         r#"{"kind":"two_state","lambda":-1,"mu":1}"#,
         r#"{"kind":"cyclic","n":3,"method":["sr"]}"#,
+        r#"{"kind":"compose","max_states":5000001,"components":[{"name":"m","count":2,"lambda":0.1,"mu":1.0}]}"#,
     ] {
         let spec = format!(r#"{{"horizons":[1],"models":[{model}]}}"#);
         let (code, _, stderr) = regenr(&["sweep", "-"], &spec);
         assert_eq!(code, Some(2), "{model}: {stderr}");
         assert!(stderr.starts_with("spec error"), "{model}: {stderr}");
     }
+    // A compose spec may lower the state-space cap to the builder's limit,
+    // not raise it past.
+    let spec = r#"{"horizons":[1],"models":[{"kind":"compose","max_states":5000000,"components":[{"name":"m","count":2,"lambda":0.1,"mu":1.0}]}]}"#;
+    let (code, _, stderr) = regenr(&["sweep", "-"], spec);
+    assert_eq!(code, Some(0), "{stderr}");
 }
 
 /// A horizon whose `Λt` is above the engine's limit fails as a request,

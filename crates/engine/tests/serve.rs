@@ -286,6 +286,25 @@ fn horizon_beyond_the_lambda_t_limit_is_a_named_failure() {
     shutdown(&server, addr, handle);
 }
 
+/// A compose spec asking for a state-space cap above the builder's limit
+/// is a spec error the run owner answers before exploring anything: a 400
+/// `bad_spec` naming the field, never a server that allocates until it
+/// aborts.
+#[test]
+fn compose_cap_above_the_limit_is_a_400() {
+    let (server, addr, handle) = start_server(default_cfg());
+    let spec = r#"{"horizons":[1],"models":[{"kind":"compose","max_states":5000001,
+        "components":[{"name":"m","count":2,"lambda":0.1,"mu":1.0}]}]}"#;
+    let (status, body) = post(addr, "/sweep/report", spec);
+    assert_eq!(status, 400, "{body}");
+    assert!(body.contains("bad_spec"), "{body}");
+    assert!(body.contains("max_states"), "{body}");
+    assert_eq!(server.stats().handler_panics, 0);
+    let (status, body) = post(addr, "/sweep/report", SPEC_BODY);
+    assert_eq!(status, 200, "the server keeps serving: {body}");
+    shutdown(&server, addr, handle);
+}
+
 /// A body nested far past the parser's depth cap is a structured 400, not
 /// a stack overflow that aborts the server.
 #[test]

@@ -201,7 +201,8 @@ impl CsrMatrix {
     /// `A`'s pattern, never of value cancellation. `1 + α·a_ii` rounds to
     /// exactly `0.0` for the row attaining the uniformization rate, and
     /// dropping that entry would give structurally identical chains
-    /// different patterns, breaking plan re-binding across rate variants.
+    /// different patterns, breaking the value rebind (`with_values` through
+    /// a lineage's slot map) across rate variants.
     pub fn identity_plus_scaled_transposed(&self, alpha: f64) -> CsrMatrix {
         assert_eq!(self.nrows, self.ncols, "matrix must be square");
         let n = self.nrows;

@@ -4,8 +4,8 @@
 //! one fixed matrix, and the models the paper evaluates produce short rows
 //! (the RAID generators store about seven entries per row). Per-element
 //! bounds checks and loop overhead rival the arithmetic there, so each
-//! [`ChunkPlan`](crate::ChunkPlan) resolves one of two loops **once**, at
-//! construction:
+//! [`ChunkPlan`](crate::ChunkPlan) selects one of two loops **once**, at
+//! construction, through `KernelKind::select`:
 //!
 //! * **generic** — the textbook bounds-checked CSR gather; the ground truth
 //!   the other loop must match bitwise, and the loop for matrices too small
@@ -30,10 +30,10 @@
 //!
 //! The shortrow loop indexes unchecked. Its soundness rests on one
 //! invariant: every stored column is `< ncols`. [`CooBuilder`](crate::CooBuilder)
-//! enforces it and every transform preserves it; `Kernel::build`
+//! enforces it and every transform preserves it; `ChunkPlan::new`
 //! re-validates it with one scan before the unchecked loop is ever
-//! selected, and `mul_rows` asserts that the matrix and slices it is
-//! handed have the shape the kernel was built for.
+//! selected, and `KernelKind::mul_rows` asserts that the input and
+//! output slices fit the matrix and row range it is handed.
 
 use crate::csr::CsrMatrix;
 
@@ -46,42 +46,7 @@ const MIN_KERNEL_NNZ: usize = 4_096;
 /// the unchecked loop exists for.
 const MIN_KERNEL_ROWS: usize = 8;
 
-/// A user-facing kernel selection: automatic, or one forced kernel.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq, Hash)]
-pub enum KernelChoice {
-    /// Pick from the matrix's size (the default).
-    #[default]
-    Auto,
-    /// Force the generic bounds-checked CSR loop.
-    Generic,
-    /// Force the unchecked short-row loop.
-    ShortRow,
-}
-
-impl KernelChoice {
-    /// The forced kind, or `None` for `Auto`.
-    pub fn forced(self) -> Option<KernelKind> {
-        match self {
-            KernelChoice::Auto => None,
-            KernelChoice::Generic => Some(KernelKind::Generic),
-            KernelChoice::ShortRow => Some(KernelKind::ShortRow),
-        }
-    }
-
-    /// Parses the CLI/spec spelling (`auto`, `generic`, `shortrow`).
-    pub fn parse(s: &str) -> Result<KernelChoice, String> {
-        match s.to_ascii_lowercase().as_str() {
-            "auto" => Ok(KernelChoice::Auto),
-            "generic" => Ok(KernelChoice::Generic),
-            "shortrow" => Ok(KernelChoice::ShortRow),
-            other => Err(format!(
-                "unknown kernel {other:?} (expected auto/generic/shortrow)"
-            )),
-        }
-    }
-}
-
-/// A resolved kernel.
+/// The SpMV loop a [`ChunkPlan`](crate::ChunkPlan) runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
 pub enum KernelKind {
     /// Bounds-checked CSR loop.
@@ -91,8 +56,8 @@ pub enum KernelKind {
 }
 
 impl KernelKind {
-    /// The kernel [`KernelChoice::Auto`] resolves to for a matrix with
-    /// `nnz` stored entries and `nrows` rows.
+    /// The loop for a matrix with `nnz` stored entries and `nrows` rows —
+    /// the one place the choice is made.
     pub(crate) fn select(nnz: usize, nrows: usize) -> KernelKind {
         if nnz < MIN_KERNEL_NNZ || nrows < MIN_KERNEL_ROWS {
             KernelKind::Generic
@@ -106,6 +71,32 @@ impl KernelKind {
         match self {
             KernelKind::Generic => "generic",
             KernelKind::ShortRow => "shortrow",
+        }
+    }
+
+    /// Computes rows `range` of `y = m·x` into `out` (chunk-local slice)
+    /// with this loop.
+    ///
+    /// # Panics
+    /// If `x.len() != m.ncols()`, `range.end > m.nrows()` or
+    /// `out.len() != range.len()`.
+    pub(crate) fn mul_rows(
+        self,
+        m: &CsrMatrix,
+        x: &[f64],
+        out: &mut [f64],
+        range: std::ops::Range<usize>,
+    ) {
+        assert_eq!(x.len(), m.ncols(), "x length mismatch");
+        assert!(range.end <= m.nrows(), "row range out of bounds");
+        assert_eq!(out.len(), range.len(), "output slice mismatch");
+        match self {
+            KernelKind::Generic => mul_rows_generic(m, x, out, range),
+            // SAFETY: every stored column is < ncols (the CSR construction
+            // invariant, re-validated by `ChunkPlan::new` before it selects
+            // this loop), and ncols == x.len(); rows and `out` are bounded
+            // by the asserts above.
+            KernelKind::ShortRow => unsafe { mul_rows_unchecked(m, x, out, range) },
         }
     }
 }
@@ -134,8 +125,9 @@ fn mul_rows_generic(m: &CsrMatrix, x: &[f64], out: &mut [f64], range: std::ops::
 /// Row-wise CSR loop with unchecked indexing — the shortrow kernel.
 ///
 /// # Safety
-/// Requires every stored column of `m` to be `< x.len()` (validated once by
-/// [`Kernel::build`]), `range.end <= nrows` and `out.len() == range.len()`.
+/// Requires every stored column of `m` to be `< x.len()` (the CSR
+/// invariant, validated once by `ChunkPlan::new`), `range.end <= nrows`
+/// and `out.len() == range.len()`.
 unsafe fn mul_rows_unchecked(
     m: &CsrMatrix,
     x: &[f64],
@@ -156,75 +148,8 @@ unsafe fn mul_rows_unchecked(
     }
 }
 
-/// A resolved kernel bound to one matrix's shape. Built once per
-/// [`ChunkPlan`](crate::ChunkPlan) and reused across millions of products;
-/// it reads every index and value from the matrix it is handed.
-#[derive(Clone, Debug)]
-pub struct Kernel {
-    kind: KernelKind,
-    nrows: usize,
-    ncols: usize,
-    nnz: usize,
-}
-
-impl Kernel {
-    /// Resolves `choice` for `m` (from its nnz and row count for `Auto`).
-    /// The unchecked loop validates the CSR column invariant once here.
-    pub(crate) fn build(m: &CsrMatrix, choice: KernelChoice) -> Kernel {
-        let kind = choice
-            .forced()
-            .unwrap_or_else(|| KernelKind::select(m.nnz(), m.nrows()));
-        // A matrix violating its own construction invariant never gets the
-        // unchecked loop (defense in depth; unreachable through CooBuilder).
-        let kind = if kind == KernelKind::ShortRow && !columns_in_range(m) {
-            KernelKind::Generic
-        } else {
-            kind
-        };
-        Kernel {
-            kind,
-            nrows: m.nrows(),
-            ncols: m.ncols(),
-            nnz: m.nnz(),
-        }
-    }
-
-    /// The resolved kind.
-    pub(crate) fn kind(&self) -> KernelKind {
-        self.kind
-    }
-
-    /// Computes rows `range` of `y = m·x` into `out` (chunk-local slice).
-    ///
-    /// # Panics
-    /// If `m` does not match the matrix this kernel was built from
-    /// (shape/nnz), or the slice lengths disagree with `range`.
-    pub(crate) fn mul_rows(
-        &self,
-        m: &CsrMatrix,
-        x: &[f64],
-        out: &mut [f64],
-        range: std::ops::Range<usize>,
-    ) {
-        assert!(
-            m.nrows() == self.nrows && m.ncols() == self.ncols && m.nnz() == self.nnz,
-            "kernel was built for a different matrix"
-        );
-        assert_eq!(x.len(), self.ncols, "x length mismatch");
-        assert!(range.end <= self.nrows, "row range out of bounds");
-        assert_eq!(out.len(), range.len(), "output slice mismatch");
-        match self.kind {
-            KernelKind::Generic => mul_rows_generic(m, x, out, range),
-            // SAFETY: every stored column is < ncols (the CSR construction
-            // invariant, re-validated in `build`), and ncols == x.len();
-            // rows and `out` are bounded by the asserts above.
-            KernelKind::ShortRow => unsafe { mul_rows_unchecked(m, x, out, range) },
-        }
-    }
-}
-
 /// Verifies the CSR construction invariant the unchecked loop relies on.
-fn columns_in_range(m: &CsrMatrix) -> bool {
+pub(crate) fn columns_in_range(m: &CsrMatrix) -> bool {
     let n = m.ncols();
     m.col_idx().iter().all(|&c| (c as usize) < n)
 }
@@ -233,6 +158,7 @@ fn columns_in_range(m: &CsrMatrix) -> bool {
 mod tests {
     use super::*;
     use crate::builder::CooBuilder;
+    use crate::{ChunkPlan, WorkerPool};
 
     fn dense_to_csr(rows: &[Vec<f64>]) -> CsrMatrix {
         let mut b = CooBuilder::new(rows.len(), rows[0].len());
@@ -270,7 +196,7 @@ mod tests {
             .collect()
     }
 
-    const ALL_FORCED: [KernelChoice; 2] = [KernelChoice::Generic, KernelChoice::ShortRow];
+    const ALL_KINDS: [KernelKind; 2] = [KernelKind::Generic, KernelKind::ShortRow];
 
     #[test]
     fn every_kernel_is_bitwise_identical_to_serial() {
@@ -285,20 +211,19 @@ mod tests {
             let mut want = vec![0.0; n];
             a.mul_vec_into(&x, &mut want);
             let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-            for choice in ALL_FORCED {
-                let kernel = Kernel::build(&a, choice);
+            for kind in ALL_KINDS {
                 // Whole matrix in one chunk, and split into odd chunks.
                 let mut got = vec![1.0; n];
-                kernel.mul_rows(&a, &x, &mut got, 0..n);
-                assert_eq!(bits(&want), bits(&got), "{choice:?} full");
+                kind.mul_rows(&a, &x, &mut got, 0..n);
+                assert_eq!(bits(&want), bits(&got), "{kind} full");
                 let mut got = vec![1.0; n];
                 let mut start = 0;
                 while start < n {
                     let end = (start + 7).min(n);
-                    kernel.mul_rows(&a, &x, &mut got[start..end], start..end);
+                    kind.mul_rows(&a, &x, &mut got[start..end], start..end);
                     start = end;
                 }
-                assert_eq!(bits(&want), bits(&got), "{choice:?} chunked");
+                assert_eq!(bits(&want), bits(&got), "{kind} chunked");
             }
         }
     }
@@ -327,11 +252,10 @@ mod tests {
             "test needs rows untouched by the non-finite entries"
         );
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        for choice in ALL_FORCED {
-            let kernel = Kernel::build(&a, choice);
+        for kind in ALL_KINDS {
             let mut got = vec![0.0; n];
-            kernel.mul_rows(&a, &x, &mut got, 0..n);
-            assert_eq!(bits(&want), bits(&got), "{choice:?}");
+            kind.mul_rows(&a, &x, &mut got, 0..n);
+            assert_eq!(bits(&want), bits(&got), "{kind}");
         }
     }
 
@@ -369,16 +293,15 @@ mod tests {
         let mut want = vec![0.0; n];
         a.mul_vec_into(&x, &mut want);
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
-        for choice in ALL_FORCED {
-            let kernel = Kernel::build(&a, choice);
+        for kind in ALL_KINDS {
             let mut got = vec![0.0; n];
-            kernel.mul_rows(&a, &x, &mut got, 0..n);
-            assert_eq!(bits(&want), bits(&got), "{choice:?} full");
+            kind.mul_rows(&a, &x, &mut got, 0..n);
+            assert_eq!(bits(&want), bits(&got), "{kind} full");
             let mut got = vec![0.0; n];
             for (lo, hi) in [(0usize, 5usize), (5, 9), (9, n)] {
-                kernel.mul_rows(&a, &x, &mut got[lo..hi], lo..hi);
+                kind.mul_rows(&a, &x, &mut got[lo..hi], lo..hi);
             }
-            assert_eq!(bits(&want), bits(&got), "{choice:?} chunked");
+            assert_eq!(bits(&want), bits(&got), "{kind} chunked");
         }
     }
 
@@ -386,10 +309,7 @@ mod tests {
     fn selection_is_deterministic_and_structure_driven() {
         // Too small => generic regardless of shape.
         let small = dense_to_csr(&pseudo_random(20, 20, 5, 0.5));
-        assert_eq!(
-            Kernel::build(&small, KernelChoice::Auto).kind(),
-            KernelKind::Generic
-        );
+        assert_eq!(ChunkPlan::new(&small, 1).kernel_kind(), KernelKind::Generic);
         // Large => shortrow, stable across rebuilds (the RAID-generator
         // shape).
         let n = 1200;
@@ -401,10 +321,10 @@ mod tests {
             }
         }
         let m = b.build();
-        let first = Kernel::build(&m, KernelChoice::Auto).kind();
+        let first = ChunkPlan::new(&m, 1).kernel_kind();
         assert_eq!(first, KernelKind::ShortRow);
-        for _ in 0..3 {
-            assert_eq!(Kernel::build(&m, KernelChoice::Auto).kind(), first);
+        for chunks in [1, 2, 3] {
+            assert_eq!(ChunkPlan::new(&m, chunks).kernel_kind(), first);
         }
         // Both thresholds bind: enough entries on too few rows stays
         // generic, and the boundaries are inclusive on the shortrow side.
@@ -422,24 +342,21 @@ mod tests {
         );
     }
 
+    /// A plan runs its loop only on the shape it was selected for: a matrix
+    /// with the same rows and entries but one more column is refused, even
+    /// though `x` fits that matrix.
     #[test]
-    fn forced_kernels_resolve_as_requested() {
-        let m = dense_to_csr(&pseudo_random(40, 40, 9, 0.4));
-        for choice in ALL_FORCED {
-            assert_eq!(Kernel::build(&m, choice).kind(), choice.forced().unwrap());
-        }
-        assert!(KernelChoice::parse("ShortRow").is_ok());
-        assert!(KernelChoice::parse("warp").is_err());
-        assert!(KernelChoice::parse("sliced").is_err());
-    }
-
-    #[test]
-    #[should_panic(expected = "different matrix")]
+    #[should_panic(expected = "chunk plan does not cover")]
     fn kernel_rejects_a_different_matrix() {
         let a = dense_to_csr(&pseudo_random(30, 30, 6, 0.4));
-        let b = dense_to_csr(&pseudo_random(31, 31, 7, 0.4));
-        let kernel = Kernel::build(&a, KernelChoice::ShortRow);
-        let mut out = vec![0.0; 31];
-        kernel.mul_rows(&b, &vec![1.0; 31], &mut out, 0..31);
+        let mut wider = CooBuilder::new(30, 31);
+        for (i, j, v) in a.iter() {
+            wider.push(i, j, v);
+        }
+        let b = wider.build();
+        assert_eq!((a.nrows(), a.nnz()), (b.nrows(), b.nnz()));
+        let plan = ChunkPlan::new(&a, 2);
+        let mut out = vec![0.0; 30];
+        b.mul_vec_pooled_into(&[1.0; 31], &mut out, &plan, WorkerPool::global());
     }
 }

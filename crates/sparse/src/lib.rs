@@ -13,7 +13,7 @@
 //! Parallel products distribute disjoint row chunks over a persistent
 //! [`WorkerPool`] of parked threads — no locks or atomics inside a product,
 //! data-race freedom by construction, and bitwise-identical results to the
-//! serial kernel. Each [`ChunkPlan`] also resolves one of the two SpMV
+//! serial kernel. Each [`ChunkPlan`] also selects one of the two SpMV
 //! [`kernel`] loops (generic or short-row) from the matrix's size. The
 //! [`Workspace`] arena gives solvers reusable scratch vectors so
 //! sweep-heavy workloads stop allocating in their inner loops.
@@ -28,7 +28,7 @@ pub mod workspace;
 
 pub use builder::CooBuilder;
 pub use csr::CsrMatrix;
-pub use kernel::{KernelChoice, KernelKind};
+pub use kernel::KernelKind;
 pub use parallel::{effective_threads, ChunkPlan, ParallelConfig};
 pub use pool::{WorkerPool, WorkerPoolStats};
 pub use simd::{Backend, BackendChoice};

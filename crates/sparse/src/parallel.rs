@@ -7,12 +7,11 @@
 //! inside the product, deterministic results (each row is reduced serially,
 //! so every parallel product is **bitwise identical** to the serial one).
 //!
-//! A [`ChunkPlan`] is more than the row ranges: at construction it resolves
+//! A [`ChunkPlan`] is more than the row ranges: at construction it selects
 //! one of the two SpMV loops (see [`crate::kernel`]) — generic CSR or
 //! unchecked short-row — that every chunk then executes. Steppers compute
 //! the plan **once per matrix** and reuse it across millions of products
-//! (`Uniformized::stepper` in `regenr-ctmc` caches plans per
-//! `(chunk count, kernel choice)`).
+//! (`Uniformized::stepper` in `regenr-ctmc` caches plans per chunk count).
 //!
 //! [`CsrMatrix::mul_vec_pooled_into`] runs a plan's chunks on a persistent
 //! [`WorkerPool`] of parked threads; this is what the solvers use (via
@@ -22,7 +21,7 @@
 //! product cost there), which runs on the calling thread.
 
 use crate::csr::CsrMatrix;
-use crate::kernel::{Kernel, KernelChoice, KernelKind};
+use crate::kernel::{columns_in_range, KernelKind};
 use crate::pool::WorkerPool;
 
 /// Tuning for the parallel SpMV kernels.
@@ -34,11 +33,6 @@ pub struct ParallelConfig {
     /// Chunk count / maximum SpMV concurrency; `0` means "use available
     /// parallelism".
     pub threads: usize,
-    /// Which SpMV loop plan-driven products run (steppers and explicit
-    /// [`ChunkPlan`]s) — [`KernelChoice::Auto`] picks from the matrix's
-    /// size. Both loops are bitwise identical to the serial product, so
-    /// this knob affects speed only.
-    pub kernel: KernelChoice,
 }
 
 impl Default for ParallelConfig {
@@ -48,7 +42,6 @@ impl Default for ParallelConfig {
             // overhead stops mattering relative to memory-bound SpMV work.
             min_nnz: 50_000,
             threads: 0,
-            kernel: KernelChoice::Auto,
         }
     }
 }
@@ -65,59 +58,39 @@ pub fn effective_threads(requested: usize) -> usize {
 }
 
 /// An nnz-balanced decomposition of a matrix's rows into contiguous chunks —
-/// the unit of work the parallel kernels distribute — plus the resolved
-/// [`Kernel`] every chunk executes. Computing the plan is `O(nrows)`, plus
-/// one `O(nnz)` column validation when the short-row loop is selected;
+/// the unit of work the parallel kernels distribute — plus the SpMV loop
+/// every chunk executes. Computing the plan is `O(nrows)`, plus one
+/// `O(nnz)` column validation when the short-row loop is selected;
 /// steppers compute it **once per matrix** and reuse it across millions of
 /// products. A plan holds no copy of the matrix: it serves any matrix of
 /// the shape and nnz it was built for.
 #[derive(Clone, Debug)]
 pub struct ChunkPlan {
     ranges: Vec<std::ops::Range<usize>>,
-    kernel: Kernel,
+    kernel: KernelKind,
     nrows: usize,
+    ncols: usize,
     nnz: usize,
 }
 
 impl ChunkPlan {
-    /// Plans `matrix`'s rows into at most `chunks` nnz-balanced pieces,
-    /// auto-selecting the kernel from the matrix's size.
+    /// Plans `matrix`'s rows into at most `chunks` nnz-balanced pieces and
+    /// selects the loop from the matrix's size (`KernelKind::select`).
     pub fn new(matrix: &CsrMatrix, chunks: usize) -> ChunkPlan {
-        Self::with_kernel(matrix, chunks, KernelChoice::Auto)
-    }
-
-    /// Like [`ChunkPlan::new`] with an explicit kernel choice.
-    pub fn with_kernel(matrix: &CsrMatrix, chunks: usize, choice: KernelChoice) -> ChunkPlan {
+        let kernel = match KernelKind::select(matrix.nnz(), matrix.nrows()) {
+            // A matrix violating its own construction invariant never gets
+            // the unchecked loop (defense in depth; unreachable through
+            // CooBuilder).
+            KernelKind::ShortRow if !columns_in_range(matrix) => KernelKind::Generic,
+            kind => kind,
+        };
         ChunkPlan {
             ranges: matrix.balanced_row_chunks(chunks),
-            kernel: Kernel::build(matrix, choice),
+            kernel,
             nrows: matrix.nrows(),
+            ncols: matrix.ncols(),
             nnz: matrix.nnz(),
         }
-    }
-
-    /// Rebinds this plan to `matrix`: a matrix with the **identical
-    /// sparsity structure** as `donor` (the matrix this plan was built
-    /// from) but new values. The nnz-balanced chunk ranges and the
-    /// resolved kernel carry over unchanged — both are deterministic
-    /// functions of the structure alone — so the rebound plan skips the
-    /// chunking pass and the column validation.
-    ///
-    /// # Panics
-    /// If this plan was not built from `donor`, or `donor` and `matrix`
-    /// differ in shape, row pointers, or column indices — the carried-over
-    /// column validation would not cover `matrix` otherwise, so the
-    /// structure match is asserted, not assumed.
-    pub fn rebind(&self, donor: &CsrMatrix, matrix: &CsrMatrix) -> ChunkPlan {
-        self.check_matrix(donor);
-        assert!(
-            donor.nrows() == matrix.nrows()
-                && donor.ncols() == matrix.ncols()
-                && donor.row_ptr() == matrix.row_ptr()
-                && donor.col_idx() == matrix.col_idx(),
-            "plan rebind requires identical sparsity structure"
-        );
-        self.clone()
     }
 
     /// The planned row ranges (contiguous, covering all rows in order).
@@ -135,22 +108,19 @@ impl ChunkPlan {
         self.ranges.is_empty()
     }
 
-    /// The kernel this plan resolved (selection is deterministic: a function
-    /// of the matrix alone, never of the chunk count).
+    /// The loop this plan selected (a function of the matrix alone, never
+    /// of the chunk count).
     pub fn kernel_kind(&self) -> KernelKind {
-        self.kernel.kind()
+        self.kernel
     }
 
-    /// The resolved kernel.
-    pub(crate) fn kernel(&self) -> &Kernel {
-        &self.kernel
-    }
-
-    /// Panics unless this plan covers `matrix`'s rows and entries.
+    /// Panics unless this plan was built for `matrix`'s shape and nnz.
     fn check_matrix(&self, matrix: &CsrMatrix) {
         assert!(
-            self.nrows == matrix.nrows() && self.nnz == matrix.nnz(),
-            "chunk plan does not cover this matrix's rows"
+            self.nrows == matrix.nrows()
+                && self.ncols == matrix.ncols()
+                && self.nnz == matrix.nnz(),
+            "chunk plan does not cover this matrix's shape"
         );
     }
 }
@@ -164,14 +134,14 @@ unsafe impl Sync for SendPtr {}
 
 impl CsrMatrix {
     /// `y = A·x` over a precomputed [`ChunkPlan`] on a persistent
-    /// [`WorkerPool`], through the plan's resolved kernel. Bitwise identical
+    /// [`WorkerPool`], through the plan's loop. Bitwise identical
     /// to [`CsrMatrix::mul_vec_into`] regardless of the kernel, the pool
     /// size, or how chunks get claimed; single-chunk plans skip the pool
     /// entirely and run the kernel on the calling thread.
     ///
     /// # Panics
-    /// If `x`/`y` lengths mismatch the matrix, or the plan was built from a
-    /// different matrix (shape/nnz mismatch).
+    /// If `x`/`y` lengths mismatch the matrix, or the plan was built for a
+    /// different shape or nnz.
     pub fn mul_vec_pooled_into(
         &self,
         x: &[f64],
@@ -188,7 +158,7 @@ impl CsrMatrix {
                 // (1-core machines) must still be able to inject a chunk
                 // death for the supervisor's recovery story.
                 regenr_failpoint::failpoint!("pool-chunk");
-                plan.kernel().mul_rows(self, x, y, range.clone());
+                plan.kernel.mul_rows(self, x, y, range.clone());
             }
             return;
         }
@@ -200,7 +170,7 @@ impl CsrMatrix {
             // so each chunk writes a private slice of `y`.
             let slice =
                 unsafe { std::slice::from_raw_parts_mut(out.0.add(range.start), range.len()) };
-            plan.kernel().mul_rows(self, x, slice, range);
+            plan.kernel.mul_rows(self, x, slice, range);
         });
     }
 }
@@ -224,80 +194,29 @@ mod tests {
         b.build()
     }
 
-    const ALL_CHOICES: [KernelChoice; 3] = [
-        KernelChoice::Auto,
-        KernelChoice::Generic,
-        KernelChoice::ShortRow,
-    ];
-
     #[test]
     fn pooled_with_explicit_plan_and_pool() {
-        let n = 503;
-        let m = band_matrix(n);
-        let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
-        let mut want = vec![0.0; n];
-        m.mul_vec_into(&x, &mut want);
-        for pool_threads in [1, 2, 5] {
-            let pool = WorkerPool::new(pool_threads);
-            for chunks in [1, 2, 7, 32] {
-                for choice in ALL_CHOICES {
-                    let plan = ChunkPlan::with_kernel(&m, chunks, choice);
+        // One band matrix below the shortrow threshold and one above it, so
+        // both loops run pooled.
+        for (n, kind) in [(503, KernelKind::Generic), (1_501, KernelKind::ShortRow)] {
+            let m = band_matrix(n);
+            let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.37).sin()).collect();
+            let mut want = vec![0.0; n];
+            m.mul_vec_into(&x, &mut want);
+            for pool_threads in [1, 2, 5] {
+                let pool = WorkerPool::new(pool_threads);
+                for chunks in [1, 2, 7, 32] {
+                    let plan = ChunkPlan::new(&m, chunks);
+                    assert_eq!(plan.kernel_kind(), kind, "n={n}");
                     let mut got = vec![0.0; n];
                     // Repeated products on the same warm pool and plan.
                     for _ in 0..3 {
                         m.mul_vec_pooled_into(&x, &mut got, &plan, &pool);
                     }
-                    assert_eq!(got, want, "pool={pool_threads} chunks={chunks} {choice:?}");
+                    assert_eq!(got, want, "n={n} pool={pool_threads} chunks={chunks}");
                 }
             }
         }
-    }
-
-    /// Rebinding a plan to a same-structure different-values matrix must
-    /// keep the resolved kernel and chunk ranges and produce products
-    /// bitwise identical to a plan built fresh on the new matrix.
-    #[test]
-    fn plan_rebind_matches_fresh_build_for_every_kernel() {
-        let n = 256;
-        let a = band_matrix(n);
-        let mut bld = CooBuilder::new(n, n);
-        for (i, j, v) in a.iter() {
-            bld.push(i, j, v * 1.75 + 0.125); // same pattern, new values
-        }
-        let b = bld.build();
-        let x: Vec<f64> = (0..n).map(|i| ((i * 7) % 23) as f64 - 11.0).collect();
-        let mut want = vec![0.0; n];
-        b.mul_vec_into(&x, &mut want);
-        let pool = WorkerPool::new(2);
-        for choice in ALL_CHOICES {
-            let donor_plan = ChunkPlan::with_kernel(&a, 3, choice);
-            let rebound = donor_plan.rebind(&a, &b);
-            assert_eq!(rebound.kernel_kind(), donor_plan.kernel_kind());
-            assert_eq!(rebound.ranges(), donor_plan.ranges());
-            let mut got = vec![0.0; n];
-            b.mul_vec_pooled_into(&x, &mut got, &rebound, &pool);
-            for r in 0..n {
-                assert_eq!(
-                    got[r].to_bits(),
-                    want[r].to_bits(),
-                    "{choice:?} row {r} after rebind"
-                );
-            }
-        }
-    }
-
-    /// Rebinding across different structures must be rejected loudly.
-    #[test]
-    #[should_panic(expected = "identical sparsity structure")]
-    fn rebind_across_structures_is_rejected() {
-        let a = band_matrix(64);
-        let mut bld = CooBuilder::new(64, 64);
-        for i in 0..64 {
-            bld.push(i, i, 1.0); // diagonal-only: different pattern
-        }
-        let b = bld.build();
-        let plan = ChunkPlan::new(&a, 2);
-        let _ = plan.rebind(&a, &b);
     }
 
     #[test]
@@ -311,13 +230,14 @@ mod tests {
     }
 
     /// A clone (bitwise-identical content, different allocation) is a valid
-    /// plan target.
+    /// plan target, for the unchecked loop too.
     #[test]
     fn plan_accepts_an_identical_clone() {
-        let n = 64;
+        let n = 1_501;
         let a = band_matrix(n);
         let b = a.clone();
-        let plan = ChunkPlan::with_kernel(&a, 2, KernelChoice::ShortRow);
+        let plan = ChunkPlan::new(&a, 2);
+        assert_eq!(plan.kernel_kind(), KernelKind::ShortRow);
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();
         let mut want = vec![0.0; n];
         a.mul_vec_into(&x, &mut want);

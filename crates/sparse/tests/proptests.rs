@@ -2,14 +2,11 @@
 //! against a dense reference on random matrices.
 
 use proptest::prelude::*;
-use regenr_sparse::{ChunkPlan, CooBuilder, CsrMatrix, KernelChoice, WorkerPool};
+use regenr_sparse::{ChunkPlan, CooBuilder, CsrMatrix, KernelKind, WorkerPool};
 
-/// Every kernel selection a plan accepts.
-const ALL_CHOICES: [KernelChoice; 3] = [
-    KernelChoice::Auto,
-    KernelChoice::Generic,
-    KernelChoice::ShortRow,
-];
+/// A matrix as `(rows, nrows, ncols)`, each row its `(column, value)`
+/// entries.
+type SparseRows = (Vec<Vec<(usize, f64)>>, usize, usize);
 
 /// Random dense matrix plus its CSR image.
 fn arb_matrix() -> impl Strategy<Value = (Vec<Vec<f64>>, usize, usize)> {
@@ -54,6 +51,118 @@ fn arb_square() -> impl Strategy<Value = (Vec<Vec<f64>>, usize)> {
             },
         )
     })
+}
+
+/// [`arb_matrix`] as sparse rows: at most 11×11, so every plan over it
+/// selects the generic loop.
+fn arb_small() -> impl Strategy<Value = SparseRows> {
+    arb_matrix().prop_map(|(rows, n, m)| {
+        let rows = rows
+            .iter()
+            .map(|row| {
+                row.iter()
+                    .enumerate()
+                    .filter(|&(_, &v)| v != 0.0)
+                    .map(|(j, &v)| (j, v))
+                    .collect()
+            })
+            .collect();
+        (rows, n, m)
+    })
+}
+
+/// Random square matrix past both shortrow thresholds: 600–999 rows of
+/// 8–12 entries at distinct columns (at least 4,800 stored entries), with
+/// seeded pseudo-random columns and values.
+fn arb_large() -> impl Strategy<Value = SparseRows> {
+    (600usize..1000, 0u64..u64::MAX).prop_map(|(n, seed)| {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 33
+        };
+        let stride = n / 12;
+        let rows = (0..n)
+            .map(|i| {
+                let offset = next() as usize;
+                let len = 8 + (next() % 5) as usize;
+                (0..len)
+                    .map(|k| {
+                        let value = (next() as f64 / (1u64 << 31) as f64 - 0.5) * 10.0;
+                        ((i + offset + k * stride) % n, value)
+                    })
+                    .collect()
+            })
+            .collect();
+        (rows, n, n)
+    })
+}
+
+/// The adversarial transforms: row `long_row % n` filled in every column
+/// and the row after it emptied, plus, by `poison`, one non-finite entry in
+/// the input vector (a reordered reduction would change bits on these).
+fn adversarial(
+    (mut rows, n, m): SparseRows,
+    long_row: usize,
+    poison: usize,
+) -> (SparseRows, Vec<f64>) {
+    if n > 1 {
+        let lr = long_row % n;
+        rows[lr] = (0..m).map(|j| (j, 0.5 + j as f64 * 1e-3)).collect();
+        rows[(lr + 1) % n].clear();
+    }
+    let mut x = probe_vector(m);
+    match poison {
+        0 => x[0] = f64::INFINITY,
+        1 => x[m - 1] = f64::NAN,
+        2 => x[m / 2] = f64::NEG_INFINITY,
+        _ => {}
+    }
+    ((rows, n, m), x)
+}
+
+fn probe_vector(m: usize) -> Vec<f64> {
+    (0..m).map(|j| ((j * 13 + 5) % 11) as f64 - 5.0).collect()
+}
+
+fn sparse_to_csr((rows, n, m): &SparseRows) -> CsrMatrix {
+    let mut b = CooBuilder::new(*n, *m);
+    for (i, row) in rows.iter().enumerate() {
+        for &(j, v) in row {
+            b.push(i, j, v);
+        }
+    }
+    b.build()
+}
+
+/// Asserts that a plan over `c` selects `kind` and that its pooled
+/// products, repeated on a warm pool, are bitwise the serial product.
+fn assert_plan_is_bitwise_serial(
+    c: &CsrMatrix,
+    x: &[f64],
+    chunks: usize,
+    pool: &WorkerPool,
+    kind: KernelKind,
+) {
+    let mut serial = vec![0.0; c.nrows()];
+    c.mul_vec_into(x, &mut serial);
+    let serial_bits: Vec<u64> = serial.iter().map(|v| v.to_bits()).collect();
+    let plan = ChunkPlan::new(c, chunks);
+    assert_eq!(
+        plan.kernel_kind(),
+        kind,
+        "{} rows, {} nnz",
+        c.nrows(),
+        c.nnz()
+    );
+    let mut pooled = vec![1.0; c.nrows()];
+    for _ in 0..2 {
+        c.mul_vec_pooled_into(x, &mut pooled, &plan, pool);
+        let got: Vec<u64> = pooled.iter().map(|v| v.to_bits()).collect();
+        assert_eq!(&serial_bits, &got, "kernel {kind}");
+    }
 }
 
 fn to_csr(rows: &[Vec<f64>], n: usize, m: usize) -> CsrMatrix {
@@ -138,74 +247,43 @@ proptest! {
         }
     }
 
-    /// Both kernels — forced via the plan — are bitwise
-    /// identical to the serial product on random matrices, for every
+    /// Both loops, each forced by a matrix size that selects it — the
+    /// generic one on small random matrices, the shortrow one on large
+    /// ones — are bitwise identical to the serial product for every
     /// combination of pool size and chunk count, including repeated
     /// products on a warm pool (the solver loop shape).
     #[test]
     fn every_forced_kernel_is_bitwise_serial(
-        (rows, n, m) in arb_matrix(),
+        small in arb_small(),
+        large in arb_large(),
         pool_threads in 1usize..5,
         chunks in 1usize..9,
     ) {
-        let c = to_csr(&rows, n, m);
-        let x: Vec<f64> = (0..m).map(|j| ((j * 13 + 5) % 11) as f64 - 5.0).collect();
-        let mut serial = vec![0.0; n];
-        c.mul_vec_into(&x, &mut serial);
-        let serial_bits: Vec<u64> = serial.iter().map(|v| v.to_bits()).collect();
         let pool = WorkerPool::new(pool_threads);
-        for choice in ALL_CHOICES {
-            let plan = ChunkPlan::with_kernel(&c, chunks, choice);
-            let mut pooled = vec![1.0; n];
-            for _ in 0..2 {
-                c.mul_vec_pooled_into(&x, &mut pooled, &plan, &pool);
-                let got: Vec<u64> = pooled.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(&serial_bits, &got, "kernel {:?}", choice);
-            }
+        for (rows, kind) in [(small, KernelKind::Generic), (large, KernelKind::ShortRow)] {
+            let c = sparse_to_csr(&rows);
+            assert_plan_is_bitwise_serial(&c, &probe_vector(rows.2), chunks, &pool, kind);
         }
     }
 
-    /// Every kernel is bitwise identical to the serial product on
-    /// adversarial inputs: empty and overlong rows, and input vectors
-    /// carrying non-finite values — the cases where a reordered reduction
-    /// would change bits.
+    /// Both loops are bitwise identical to the serial product on
+    /// adversarial inputs, small and large: empty and overlong rows, and
+    /// input vectors carrying non-finite values — the cases where a
+    /// reordered reduction would change bits.
     #[test]
     fn every_kernel_is_bitwise_serial_on_adversarial_inputs(
-        (rows, n, m) in arb_matrix(),
+        small in arb_small(),
+        large in arb_large(),
         pool_threads in 1usize..4,
         chunks in 1usize..9,
         poison in 0usize..4,
-        long_row in 0usize..12,
+        long_row in 0usize..1000,
     ) {
-        let mut rows = rows;
-        // One overlong row (every column filled) and one emptied row.
-        if n > 1 {
-            let lr = long_row % n;
-            for (j, v) in rows[lr].iter_mut().enumerate() {
-                *v = 0.5 + j as f64 * 1e-3;
-            }
-            rows[(lr + 1) % n].iter_mut().for_each(|v| *v = 0.0);
-        }
-        let c = to_csr(&rows, n, m);
-        let mut x: Vec<f64> = (0..m).map(|j| ((j * 13 + 5) % 11) as f64 - 5.0).collect();
-        match poison {
-            0 => x[0] = f64::INFINITY,
-            1 => x[m - 1] = f64::NAN,
-            2 => x[m / 2] = f64::NEG_INFINITY,
-            _ => {}
-        }
-        let mut serial = vec![0.0; n];
-        c.mul_vec_into(&x, &mut serial);
-        let serial_bits: Vec<u64> = serial.iter().map(|v| v.to_bits()).collect();
         let pool = WorkerPool::new(pool_threads);
-        for choice in ALL_CHOICES {
-            let plan = ChunkPlan::with_kernel(&c, chunks, choice);
-            let mut pooled = vec![1.0; n];
-            for _ in 0..2 {
-                c.mul_vec_pooled_into(&x, &mut pooled, &plan, &pool);
-                let got: Vec<u64> = pooled.iter().map(|v| v.to_bits()).collect();
-                prop_assert_eq!(&serial_bits, &got, "kernel {:?}", choice);
-            }
+        for (rows, kind) in [(small, KernelKind::Generic), (large, KernelKind::ShortRow)] {
+            let (rows, x) = adversarial(rows, long_row, poison);
+            let c = sparse_to_csr(&rows);
+            assert_plan_is_bitwise_serial(&c, &x, chunks, &pool, kind);
         }
     }
 

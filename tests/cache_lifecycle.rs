@@ -214,7 +214,7 @@ proptest! {
 
     /// The delta-rebind path must be invisible in the results: a
     /// sensitivity grid swept warm on one engine (every point after the
-    /// first re-binds the donor's uniformization, plans, and chain facts)
+    /// first re-binds the donor's `Pᵀ` pattern and chain facts)
     /// is bitwise identical to solving each point on a cache cleared
     /// before it (every point pays the full cold build) — across random
     /// chain families, scale grids, and thread counts.

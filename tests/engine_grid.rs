@@ -2,7 +2,9 @@
 //! dispatch, artifact-cache reuse across requests, and the cross-method
 //! agreement property on the small closed-form models.
 
-use regenr::engine::{report_to_json, DispatchReason, SweepSpec};
+use regenr::engine::{
+    report_to_json, DispatchReason, SweepSpec, ADAPTIVE_MIN_STATES, SMALL_LAMBDA_T, TINY_LAMBDA_T,
+};
 use regenr::models::{two_state, RaidModel, RaidParams};
 use regenr::prelude::*;
 use std::sync::Arc;
@@ -32,7 +34,6 @@ fn raid_grid_dispatches_and_caches() {
     assert!(sweep.failures.is_empty(), "{:?}", sweep.failures);
     assert_eq!(sweep.reports.len(), 12);
 
-    let opts = *engine.options();
     for r in &sweep.reports {
         // Mirror the documented dispatch ladder — tiny Λt on a large sparse
         // model → active-set, small Λt → SR, then RSD/RRL by structure —
@@ -40,16 +41,15 @@ fn raid_grid_dispatches_and_caches() {
         // Λ or state count if the grid is ever reparameterized).
         let model = if r.model == "raid_g20_ua" { &ua } else { &ur };
         let lambda = model.generator().max_abs_diag();
-        let expect =
-            if lambda * r.t <= opts.tiny_lambda_t && model.n_states() >= opts.adaptive_min_states {
-                (Method::Adaptive, DispatchReason::TinyHorizonActiveSet)
-            } else if lambda * r.t <= opts.small_lambda_t {
-                (Method::Sr, DispatchReason::SmallHorizon)
-            } else if r.model == "raid_g20_ua" {
-                (Method::Rsd, DispatchReason::IrreducibleSteadyState)
-            } else {
-                (Method::Rrl, DispatchReason::StiffLargeHorizon)
-            };
+        let expect = if lambda * r.t <= TINY_LAMBDA_T && model.n_states() >= ADAPTIVE_MIN_STATES {
+            (Method::Adaptive, DispatchReason::TinyHorizonActiveSet)
+        } else if lambda * r.t <= SMALL_LAMBDA_T {
+            (Method::Sr, DispatchReason::SmallHorizon)
+        } else if r.model == "raid_g20_ua" {
+            (Method::Rsd, DispatchReason::IrreducibleSteadyState)
+        } else {
+            (Method::Rrl, DispatchReason::StiffLargeHorizon)
+        };
         assert_eq!((r.method, r.reason), expect, "cell {} t={}", r.model, r.t);
         assert!(r.converged, "cell {} t={} did not converge", r.model, r.t);
     }

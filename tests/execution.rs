@@ -9,7 +9,7 @@
 use proptest::prelude::*;
 use regenr::ctmc::Ctmc;
 use regenr::prelude::*;
-use regenr::sparse::{KernelChoice, ParallelConfig};
+use regenr::sparse::ParallelConfig;
 use std::sync::Arc;
 
 /// Strategy: a random strongly connected CTMC with 2–7 states, optionally
@@ -69,13 +69,13 @@ proptest! {
     fn pooled_solver_is_bitwise_serial((chain, ts) in arb_chain_and_grid()) {
         let serial = SrSolver::new(&chain, SrOptions {
             epsilon: 1e-10,
-            parallel: ParallelConfig { min_nnz: usize::MAX, threads: 1, kernel: KernelChoice::Generic },
+            parallel: ParallelConfig { min_nnz: usize::MAX, threads: 1 },
             ..Default::default()
         });
         let pooled = SrSolver::new(&chain, SrOptions {
             epsilon: 1e-10,
             // Force the pooled kernel even on these tiny matrices.
-            parallel: ParallelConfig { min_nnz: 0, threads: 4, kernel: KernelChoice::Auto },
+            parallel: ParallelConfig { min_nnz: 0, threads: 4 },
             ..Default::default()
         });
         for m in [MeasureKind::Trr, MeasureKind::Mrr] {
