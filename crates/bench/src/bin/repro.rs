@@ -647,11 +647,9 @@ fn sweep() {
 fn engine_grid(w: &Workload) {
     use regenr_engine::{Engine, SolveRequest};
     println!("\n== engine: Auto dispatch over the paper grid ==");
-    let mut csv = CsvWriter::create(
-        "engine",
-        "g,variant,t,method,reason,steps,value,unif_cache_hit",
-    )
-    .unwrap();
+    // No cache column: which sweep worker builds a shared uniformization
+    // first varies run to run, and the file is tracked.
+    let mut csv = CsvWriter::create("engine", "g,variant,t,method,reason,steps,value").unwrap();
     let engine = Engine::new();
     let reqs: Vec<SolveRequest> = G_VALUES
         .iter()
@@ -698,7 +696,6 @@ fn engine_grid(w: &Workload) {
             r.reason.as_str().to_string(),
             r.steps.to_string(),
             format!("{:.10e}", r.value),
-            r.unif_cache_hit.to_string(),
         ])
         .unwrap();
     }

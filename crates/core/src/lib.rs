@@ -42,6 +42,7 @@
 //! ```
 
 pub mod params;
+pub mod regen;
 pub mod rr;
 pub mod rrl;
 pub mod select;
@@ -49,6 +50,7 @@ pub mod transform;
 pub mod vmodel;
 
 pub use params::{KilledChainParams, RegenOptions, RegenParams};
+pub use regen::{Construct, ParamSource, RegenMethod, RegenSolver};
 pub use rr::{RrOptions, RrSolution, RrSolver};
 pub use rrl::{RrlOptions, RrlSolution, RrlSolver};
 pub use select::{select_regenerative_state, select_regenerative_state_with, SelectOptions};

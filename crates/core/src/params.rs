@@ -178,41 +178,20 @@ impl RegenParams {
         opts: &RegenOptions,
     ) -> Result<RegenParams, CtmcError> {
         let info = analyze(ctmc)?;
-        if r >= ctmc.n_states() {
-            return Err(CtmcError::BadRegenerativeState {
-                state: r,
-                reason: "index out of range",
-            });
-        }
-        if info.absorbing.contains(&r) {
-            return Err(CtmcError::BadRegenerativeState {
-                state: r,
-                reason: "state is absorbing",
-            });
-        }
+        check_regen_state(ctmc, &info.absorbing, r)?;
         assert!(t >= 0.0, "time must be non-negative");
         assert!(opts.epsilon > 0.0, "epsilon must be positive");
 
         let unif = Uniformized::new(ctmc, opts.theta);
-        Self::compute_with(ctmc, &unif, &info.absorbing, r, t, opts)
+        let mut ws = Workspace::new();
+        Self::compute_with_ws(ctmc, &unif, &info.absorbing, r, t, opts, &mut ws)
     }
 
-    /// Like [`RegenParams::compute`] with a pre-built uniformization (used by
-    /// the solvers to share `P` across calls).
-    pub fn compute_with(
-        ctmc: &Ctmc,
-        unif: &Uniformized,
-        absorbing: &[usize],
-        r: usize,
-        t: f64,
-        opts: &RegenOptions,
-    ) -> Result<RegenParams, CtmcError> {
-        Self::compute_with_ws(ctmc, unif, absorbing, r, t, opts, &mut Workspace::new())
-    }
-
-    /// Like [`RegenParams::compute_with`] with caller-owned scratch: the
-    /// killed-chain stepping reuses `ws` buffers, so repeated computations
-    /// (horizon widening, sweeps) allocate no steady-state scratch vectors.
+    /// Like [`RegenParams::compute`] with a pre-built uniformization and
+    /// absorbing-state list (the solvers share them across calls) and
+    /// caller-owned scratch: the killed-chain stepping reuses `ws` buffers,
+    /// so repeated computations (horizon widening, sweeps) allocate no
+    /// steady-state scratch vectors.
     #[allow(clippy::too_many_arguments)]
     pub fn compute_with_ws(
         ctmc: &Ctmc,

@@ -2,12 +2,13 @@
 //! predecessor baseline: build `V_{K,L}`, then solve it with standard
 //! randomization.
 
-use crate::params::{check_regen_state, RegenOptions, RegenParams};
+use crate::params::{RegenOptions, RegenParams};
+use crate::regen::{RegenMethod, RegenSolver};
 use crate::vmodel::build_truncated_model;
-use regenr_ctmc::{analyze, Ctmc, CtmcError, Uniformized};
+use regenr_ctmc::CtmcError;
 use regenr_sparse::Workspace;
 use regenr_transient::{MeasureKind, SrOptions, SrSolver};
-use std::sync::Arc;
+use std::time::Duration;
 
 /// Options for [`RrSolver`].
 #[derive(Clone, Copy, Debug, Default)]
@@ -34,140 +35,47 @@ pub struct RrSolution {
     pub error_bound: f64,
 }
 
-/// Regenerative-randomization solver (truncated model solved by SR).
-pub struct RrSolver<'a> {
-    ctmc: &'a Ctmc,
-    unif: Arc<Uniformized>,
-    absorbing: Vec<usize>,
-    r: usize,
-    opts: RrOptions,
-}
+impl RegenMethod for RrOptions {
+    type Solution = RrSolution;
 
-impl<'a> RrSolver<'a> {
-    /// Checks the chain structure and the regenerative state; returns the
-    /// absorbing-state list on success. Runs *before* the `O(nnz)`
-    /// uniformization so invalid inputs fail cheaply.
-    fn validate(ctmc: &Ctmc, r: usize) -> Result<Vec<usize>, CtmcError> {
-        let info = analyze(ctmc)?;
-        check_regen_state(ctmc, &info.absorbing, r)?;
-        Ok(info.absorbing)
+    fn regen(&self) -> &RegenOptions {
+        &self.regen
     }
 
-    /// Validates the chain structure and the regenerative state, and
-    /// uniformizes once (shared across `solve` calls).
-    pub fn new(ctmc: &'a Ctmc, r: usize, opts: RrOptions) -> Result<Self, CtmcError> {
-        let absorbing = Self::validate(ctmc, r)?;
-        let unif = Arc::new(Uniformized::new(ctmc, opts.regen.theta));
-        Ok(RrSolver {
-            ctmc,
-            unif,
-            absorbing,
-            r,
-            opts,
-        })
+    fn at_zero(value: f64) -> RrSolution {
+        RrSolution {
+            value,
+            construction_steps: 0,
+            k: 0,
+            l: 0,
+            inner_steps: 0,
+            error_bound: 0.0,
+        }
     }
 
-    /// Reuses a prebuilt uniformization (the engine's artifact-cache path).
-    /// `unif` must have been built from `ctmc` at `opts.regen.theta`.
-    pub fn with_uniformized(
-        ctmc: &'a Ctmc,
-        r: usize,
-        unif: Arc<Uniformized>,
-        opts: RrOptions,
-    ) -> Result<Self, CtmcError> {
-        let absorbing = Self::validate(ctmc, r)?;
-        unif.assert_built_from(ctmc);
-        Ok(RrSolver {
-            ctmc,
-            unif,
-            absorbing,
-            r,
-            opts,
-        })
-    }
-
-    /// Reuses a prebuilt uniformization **and** a cached structure analysis:
-    /// `absorbing` must be the chain's ascending absorbing-state list as
-    /// produced by [`regenr_ctmc::analyze`] on this very chain (the engine
-    /// passes its cached `ChainFacts`). This skips the `O(n + nnz)` Tarjan
-    /// pass entirely — only the regenerative state is re-checked against the
-    /// supplied list — so a caller handing over facts from a *different*
-    /// chain gets whatever that list implies, not an error.
-    pub fn with_uniformized_facts(
-        ctmc: &'a Ctmc,
-        r: usize,
-        unif: Arc<Uniformized>,
-        absorbing: Vec<usize>,
-        opts: RrOptions,
-    ) -> Result<Self, CtmcError> {
-        check_regen_state(ctmc, &absorbing, r)?;
-        unif.assert_built_from(ctmc);
-        Ok(RrSolver {
-            ctmc,
-            unif,
-            absorbing,
-            r,
-            opts,
-        })
-    }
-
-    /// The randomization rate.
-    pub fn lambda(&self) -> f64 {
-        self.unif.lambda
-    }
-
-    /// The regenerative state in use (callers deriving cache keys must use
-    /// this, not re-run their own selection).
-    pub fn regenerative_state(&self) -> usize {
-        self.r
-    }
-
-    /// The options in effect.
-    pub fn options(&self) -> &RrOptions {
-        &self.opts
-    }
-
-    /// Computes the measure at horizon `t` with total error `≤ ε`
-    /// (`ε/2` model truncation + `ε/2` inner SR).
-    pub fn solve(&self, measure: MeasureKind, t: f64) -> Result<RrSolution, CtmcError> {
-        self.solve_with(measure, t, &mut Workspace::new())
-    }
-
-    /// Like [`RrSolver::solve`] with caller-owned scratch for the
-    /// construction stepping and the inner SR propagation.
-    pub fn solve_with(
-        &self,
+    fn solve_stage(
+        solver: &RrSolver<'_>,
+        params: &RegenParams,
         measure: MeasureKind,
         t: f64,
+        _built: Duration,
         ws: &mut Workspace,
     ) -> Result<RrSolution, CtmcError> {
-        assert!(t >= 0.0);
-        if t == 0.0 {
-            return Ok(RrSolution {
-                value: self.ctmc.reward_dot(self.ctmc.initial()),
-                construction_steps: 0,
-                k: 0,
-                l: 0,
-                inner_steps: 0,
-                error_bound: 0.0,
-            });
-        }
-        let params = RegenParams::compute_with_ws(
-            self.ctmc,
-            &self.unif,
-            &self.absorbing,
-            self.r,
-            t,
-            &self.opts.regen,
-            ws,
-        )?;
-        self.solve_from(&params, measure, t, ws)
+        solver.solve_from(params, measure, t, ws)
     }
+}
 
-    /// Solves the truncated model described by already-computed (and, for
-    /// `t` below their horizon, already-sliced) parameters — the stage
-    /// shared by [`RrSolver::solve`], [`RrSolver::solve_many`] and the
-    /// engine's cross-request parameter cache.
+/// Regenerative-randomization solver: the truncated model is solved by
+/// standard randomization, so the total error is `≤ ε` (`ε/2` model
+/// truncation + `ε/2` inner SR). A horizon grid shares one parameter
+/// construction, but each horizon's inner solve is still `Θ(Λt)` — RR's
+/// defining cost, which RRL eliminates.
+pub type RrSolver<'a> = RegenSolver<'a, RrOptions>;
+
+impl RrSolver<'_> {
+    /// RR's solve stage: solves the truncated model described by
+    /// already-computed (and, for `t` below their horizon, already-sliced)
+    /// parameters with an inner standard randomization.
     pub fn solve_from(
         &self,
         params: &RegenParams,
@@ -175,13 +83,14 @@ impl<'a> RrSolver<'a> {
         t: f64,
         ws: &mut Workspace,
     ) -> Result<RrSolution, CtmcError> {
+        let regen = self.options().regen;
         let (vmodel, _) = build_truncated_model(params)?;
         let inner = SrSolver::new(
             &vmodel,
             SrOptions {
-                epsilon: self.opts.regen.epsilon / 2.0,
-                theta: self.opts.regen.theta,
-                parallel: self.opts.regen.parallel,
+                epsilon: regen.epsilon / 2.0,
+                theta: regen.theta,
+                parallel: regen.parallel,
             },
         );
         let sol = inner.solve_with(measure, t, ws);
@@ -191,76 +100,15 @@ impl<'a> RrSolver<'a> {
             k: params.main.depth(),
             l: params.primed.as_ref().map_or(0, |p| p.depth()),
             inner_steps: sol.steps,
-            error_bound: self.opts.regen.epsilon,
+            error_bound: regen.epsilon,
         })
-    }
-
-    /// Solves the measure at *many* horizons, sharing a single parameter
-    /// computation (mirrors [`crate::RrlSolver::solve_many`]): the sequences
-    /// computed at `max(ts)` serve every smaller horizon by prefix
-    /// truncation, so the `Θ(K·nnz)` construction stepping is paid once.
-    /// The per-`t` inner standard-randomization solve is still `Θ(Λt)` —
-    /// that is RR's defining cost, which RRL eliminates.
-    pub fn solve_many(
-        &self,
-        measure: MeasureKind,
-        ts: &[f64],
-    ) -> Result<Vec<RrSolution>, CtmcError> {
-        self.solve_many_with(measure, ts, &mut Workspace::new())
-    }
-
-    /// Like [`RrSolver::solve_many`] with caller-owned scratch.
-    pub fn solve_many_with(
-        &self,
-        measure: MeasureKind,
-        ts: &[f64],
-        ws: &mut Workspace,
-    ) -> Result<Vec<RrSolution>, CtmcError> {
-        let t_max = ts.iter().copied().fold(0.0f64, f64::max);
-        if t_max == 0.0 {
-            return ts
-                .iter()
-                .map(|&t| self.solve_with(measure, t, ws))
-                .collect();
-        }
-        let params = self.parameters_with(t_max, ws)?;
-        ts.iter()
-            .map(|&t| {
-                if t == 0.0 {
-                    return self.solve_with(measure, t, ws);
-                }
-                let (k, l) = params
-                    .depth_for_horizon(t, self.opts.regen.epsilon)
-                    .expect("depth available: t <= t_max");
-                let sliced = params.truncated(k, l);
-                self.solve_from(&sliced, measure, t, ws)
-            })
-            .collect()
-    }
-
-    /// Exposes the computed parameters for a horizon (diagnostics, benches,
-    /// the engine's parameter cache).
-    pub fn parameters(&self, t: f64) -> Result<RegenParams, CtmcError> {
-        self.parameters_with(t, &mut Workspace::new())
-    }
-
-    /// Like [`RrSolver::parameters`] with caller-owned scratch.
-    pub fn parameters_with(&self, t: f64, ws: &mut Workspace) -> Result<RegenParams, CtmcError> {
-        RegenParams::compute_with_ws(
-            self.ctmc,
-            &self.unif,
-            &self.absorbing,
-            self.r,
-            t,
-            &self.opts.regen,
-            ws,
-        )
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regenr_ctmc::Ctmc;
 
     #[test]
     fn solve_many_matches_per_t_solves() {

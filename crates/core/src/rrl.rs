@@ -13,15 +13,15 @@
 //! `ε/4` to its series-truncation error via the `ε/100` convergence tolerance
 //! (a factor-25 reserve).
 
-use crate::params::{check_regen_state, RegenOptions, RegenParams};
+use crate::params::{RegenOptions, RegenParams};
+use crate::regen::{RegenMethod, RegenSolver};
 use crate::transform::TransformEvaluator;
-use regenr_ctmc::{analyze, Ctmc, CtmcError, Uniformized};
+use regenr_ctmc::CtmcError;
 use regenr_laplace::{
     damping_for_bounded, damping_for_linear_growth, DurbinInverter, InverterOptions,
 };
 use regenr_sparse::Workspace;
 use regenr_transient::MeasureKind;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Options for [`RrlSolver`].
@@ -50,7 +50,8 @@ pub struct RrlSolution {
     pub abscissae: usize,
     /// Whether the inversion's convergence criterion was met.
     pub inversion_converged: bool,
-    /// Wall time spent building the parameters (stepping the DTMC).
+    /// Wall time spent building the parameters (stepping the DTMC); every
+    /// positive horizon of a grid reports the one shared construction's.
     pub construction_time: Duration,
     /// Wall time spent in transform evaluation + inversion (the paper reports
     /// this at ~1–2% of the total).
@@ -59,99 +60,46 @@ pub struct RrlSolution {
     pub error_bound: f64,
 }
 
-/// The RRL solver.
-pub struct RrlSolver<'a> {
-    ctmc: &'a Ctmc,
-    unif: Arc<Uniformized>,
-    absorbing: Vec<usize>,
-    r: usize,
-    opts: RrlOptions,
+impl RegenMethod for RrlOptions {
+    type Solution = RrlSolution;
+
+    fn regen(&self) -> &RegenOptions {
+        &self.regen
+    }
+
+    fn at_zero(value: f64) -> RrlSolution {
+        RrlSolution {
+            value,
+            construction_steps: 0,
+            k: 0,
+            l: 0,
+            abscissae: 0,
+            inversion_converged: true,
+            construction_time: Duration::ZERO,
+            inversion_time: Duration::ZERO,
+            error_bound: 0.0,
+        }
+    }
+
+    fn solve_stage(
+        solver: &RrlSolver<'_>,
+        params: &RegenParams,
+        measure: MeasureKind,
+        t: f64,
+        built: Duration,
+        _ws: &mut Workspace,
+    ) -> Result<RrlSolution, CtmcError> {
+        Ok(RrlSolution {
+            construction_time: built,
+            ..solver.invert_params(params, measure, t)
+        })
+    }
 }
 
-impl<'a> RrlSolver<'a> {
-    /// Checks the chain structure and the regenerative state; returns the
-    /// absorbing-state list on success. Runs *before* the `O(nnz)`
-    /// uniformization so invalid inputs fail cheaply.
-    fn validate(ctmc: &Ctmc, r: usize) -> Result<Vec<usize>, CtmcError> {
-        let info = analyze(ctmc)?;
-        check_regen_state(ctmc, &info.absorbing, r)?;
-        Ok(info.absorbing)
-    }
+/// The RRL solver.
+pub type RrlSolver<'a> = RegenSolver<'a, RrlOptions>;
 
-    /// Validates the chain structure and the regenerative state, and
-    /// uniformizes once (shared across `solve` calls).
-    pub fn new(ctmc: &'a Ctmc, r: usize, opts: RrlOptions) -> Result<Self, CtmcError> {
-        let absorbing = Self::validate(ctmc, r)?;
-        let unif = Arc::new(Uniformized::new(ctmc, opts.regen.theta));
-        Ok(RrlSolver {
-            ctmc,
-            unif,
-            absorbing,
-            r,
-            opts,
-        })
-    }
-
-    /// Reuses a prebuilt uniformization (the engine's artifact-cache path).
-    /// `unif` must have been built from `ctmc` at `opts.regen.theta`.
-    pub fn with_uniformized(
-        ctmc: &'a Ctmc,
-        r: usize,
-        unif: Arc<Uniformized>,
-        opts: RrlOptions,
-    ) -> Result<Self, CtmcError> {
-        let absorbing = Self::validate(ctmc, r)?;
-        unif.assert_built_from(ctmc);
-        Ok(RrlSolver {
-            ctmc,
-            unif,
-            absorbing,
-            r,
-            opts,
-        })
-    }
-
-    /// Reuses a prebuilt uniformization **and** a cached structure analysis:
-    /// `absorbing` must be the chain's ascending absorbing-state list as
-    /// produced by [`regenr_ctmc::analyze`] on this very chain (the engine
-    /// passes its cached `ChainFacts`). This skips the `O(n + nnz)` Tarjan
-    /// pass entirely — only the regenerative state is re-checked against the
-    /// supplied list — so a caller handing over facts from a *different*
-    /// chain gets whatever that list implies, not an error.
-    pub fn with_uniformized_facts(
-        ctmc: &'a Ctmc,
-        r: usize,
-        unif: Arc<Uniformized>,
-        absorbing: Vec<usize>,
-        opts: RrlOptions,
-    ) -> Result<Self, CtmcError> {
-        check_regen_state(ctmc, &absorbing, r)?;
-        unif.assert_built_from(ctmc);
-        Ok(RrlSolver {
-            ctmc,
-            unif,
-            absorbing,
-            r,
-            opts,
-        })
-    }
-
-    /// The randomization rate.
-    pub fn lambda(&self) -> f64 {
-        self.unif.lambda
-    }
-
-    /// The regenerative state in use (callers deriving cache keys must use
-    /// this, not re-run their own selection).
-    pub fn regenerative_state(&self) -> usize {
-        self.r
-    }
-
-    /// The options in effect.
-    pub fn options(&self) -> &RrlOptions {
-        &self.opts
-    }
-
+impl RrlSolver<'_> {
     /// `TRR(t)` with total error `≤ ε`.
     pub fn trr(&self, t: f64) -> Result<RrlSolution, CtmcError> {
         self.solve(MeasureKind::Trr, t)
@@ -162,51 +110,16 @@ impl<'a> RrlSolver<'a> {
         self.solve(MeasureKind::Mrr, t)
     }
 
-    /// Computes the measure at horizon `t`.
-    pub fn solve(&self, measure: MeasureKind, t: f64) -> Result<RrlSolution, CtmcError> {
-        self.solve_with(measure, t, &mut Workspace::new())
-    }
-
-    /// Like [`RrlSolver::solve`] with caller-owned scratch for the
-    /// construction stepping (the inversion itself works on `O(K)` scalars).
-    pub fn solve_with(
-        &self,
-        measure: MeasureKind,
-        t: f64,
-        ws: &mut Workspace,
-    ) -> Result<RrlSolution, CtmcError> {
-        assert!(t >= 0.0);
-        if t == 0.0 {
-            return Ok(RrlSolution {
-                value: self.ctmc.reward_dot(self.ctmc.initial()),
-                construction_steps: 0,
-                k: 0,
-                l: 0,
-                abscissae: 0,
-                inversion_converged: true,
-                construction_time: Duration::ZERO,
-                inversion_time: Duration::ZERO,
-                error_bound: 0.0,
-            });
-        }
-        let t0 = Instant::now();
-        let params = self.parameters_with(t, ws)?;
-        let construction_time = t0.elapsed();
-        let sol = self.invert_params(&params, measure, t);
-        Ok(RrlSolution {
-            construction_time,
-            ..sol
-        })
-    }
-
-    /// Inversion stage on precomputed parameters (shared by `solve` and the
-    /// benches that want the two stages timed separately).
+    /// RRL's solve stage: inverts the transform of the truncated model
+    /// described by precomputed (and sliced) parameters. The benches call it
+    /// to time the two stages separately.
     pub fn invert_params(&self, params: &RegenParams, measure: MeasureKind, t: f64) -> RrlSolution {
-        let eps = self.opts.regen.epsilon;
+        let opts = self.options();
+        let eps = opts.regen.epsilon;
         let r_max = params.r_max;
-        let t_period = self.opts.inverter.t_multiplier * t;
+        let t_period = opts.inverter.t_multiplier * t;
         let evaluator = TransformEvaluator::new(params);
-        let inverter = DurbinInverter::new(self.opts.inverter);
+        let inverter = DurbinInverter::new(opts.inverter);
 
         let t1 = Instant::now();
         let (value, abscissae, converged) = match measure {
@@ -266,19 +179,13 @@ impl<'a> RrlSolver<'a> {
             let v = self.ctmc.reward_dot(self.ctmc.initial());
             return Ok((v, v));
         }
-        let eps = self.opts.regen.epsilon;
-        let params = RegenParams::compute_with(
-            self.ctmc,
-            &self.unif,
-            &self.absorbing,
-            self.r,
-            t,
-            &self.opts.regen,
-        )?;
+        let opts = self.options();
+        let eps = opts.regen.epsilon;
+        let params = self.parameters(t)?;
         let r_max = params.r_max;
-        let t_period = self.opts.inverter.t_multiplier * t;
+        let t_period = opts.inverter.t_multiplier * t;
         let evaluator = TransformEvaluator::new(&params);
-        let inverter = DurbinInverter::new(self.opts.inverter);
+        let inverter = DurbinInverter::new(opts.inverter);
         let a = damping_for_bounded(eps, r_max, t_period);
         let lower = inverter
             .invert(|s| evaluator.trr(s), t, a, eps / 100.0)
@@ -297,79 +204,12 @@ impl<'a> RrlSolver<'a> {
         // inverted interval.
         Ok((lower.min(upper), upper.max(lower)))
     }
-
-    /// Solves the measure at *many* horizons, sharing a single parameter
-    /// computation — an extension over the paper, which recomputes the
-    /// killed-chain sequences for each `t`.
-    ///
-    /// The truncation bound of DESIGN.md §3.1 is monotone in `t`, so the
-    /// sequences computed at `max(ts)` serve every smaller horizon by prefix
-    /// truncation; the per-`t` depths (and therefore the values) are
-    /// *identical* to what per-`t` construction would produce, but the
-    /// `Θ(K·nnz)` stepping cost is paid once instead of `|ts|` times.
-    pub fn solve_many(
-        &self,
-        measure: MeasureKind,
-        ts: &[f64],
-    ) -> Result<Vec<RrlSolution>, CtmcError> {
-        self.solve_many_with(measure, ts, &mut Workspace::new())
-    }
-
-    /// Like [`RrlSolver::solve_many`] with caller-owned scratch.
-    pub fn solve_many_with(
-        &self,
-        measure: MeasureKind,
-        ts: &[f64],
-        ws: &mut Workspace,
-    ) -> Result<Vec<RrlSolution>, CtmcError> {
-        let t_max = ts.iter().copied().fold(0.0f64, f64::max);
-        if t_max == 0.0 {
-            return ts
-                .iter()
-                .map(|&t| self.solve_with(measure, t, ws))
-                .collect();
-        }
-        let t0 = Instant::now();
-        let params = self.parameters_with(t_max, ws)?;
-        let construction_time = t0.elapsed();
-        ts.iter()
-            .map(|&t| {
-                if t == 0.0 {
-                    return self.solve_with(measure, t, ws);
-                }
-                let (k, l) = params
-                    .depth_for_horizon(t, self.opts.regen.epsilon)
-                    .expect("depth available: t <= t_max");
-                let sliced = params.truncated(k, l);
-                let mut sol = self.invert_params(&sliced, measure, t);
-                sol.construction_time = construction_time;
-                Ok(sol)
-            })
-            .collect()
-    }
-
-    /// Exposes the computed parameters for a horizon (diagnostics, benches).
-    pub fn parameters(&self, t: f64) -> Result<RegenParams, CtmcError> {
-        self.parameters_with(t, &mut Workspace::new())
-    }
-
-    /// Like [`RrlSolver::parameters`] with caller-owned scratch.
-    pub fn parameters_with(&self, t: f64, ws: &mut Workspace) -> Result<RegenParams, CtmcError> {
-        RegenParams::compute_with_ws(
-            self.ctmc,
-            &self.unif,
-            &self.absorbing,
-            self.r,
-            t,
-            &self.opts.regen,
-            ws,
-        )
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use regenr_ctmc::Ctmc;
     use regenr_transient::{SrOptions, SrSolver};
 
     fn opts(eps: f64) -> RrlOptions {

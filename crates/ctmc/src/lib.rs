@@ -45,4 +45,4 @@ pub use build::{BuiltModel, CtmcBuilder, ModelSpec};
 pub use chain::{Ctmc, CtmcError, RewardedCtmc};
 pub use export::{stats, to_dot, CtmcStats};
 pub use structure::{analysis_runs, analyze, StructureInfo};
-pub use uniformize::{Stepper, Uniformized};
+pub use uniformize::{uniformization_rate, Stepper, Uniformized};

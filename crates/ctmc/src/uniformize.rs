@@ -155,6 +155,18 @@ impl Stepper<'_> {
     }
 }
 
+/// The uniformization rate for a chain whose largest exit rate is
+/// `max_rate = max_i |q_ii|`: `Λ = (1+θ)·max_rate`, or `1` when the chain
+/// has no transitions (`max_rate = 0`). Every `Λ` in the workspace comes
+/// from here.
+pub fn uniformization_rate(max_rate: f64, theta: f64) -> f64 {
+    if max_rate == 0.0 {
+        1.0
+    } else {
+        max_rate * (1.0 + theta)
+    }
+}
+
 impl Uniformized {
     /// Uniformizes at `Λ = (1+θ) · max_i |q_ii|`.
     ///
@@ -164,12 +176,7 @@ impl Uniformized {
     /// no transitions at all (`max = 0`), `Λ = 1` is used.
     pub fn new(ctmc: &Ctmc, theta: f64) -> Self {
         assert!(theta >= 0.0, "safety factor must be non-negative");
-        let max_rate = ctmc.generator().max_abs_diag();
-        let lambda = if max_rate == 0.0 {
-            1.0
-        } else {
-            max_rate * (1.0 + theta)
-        };
+        let lambda = uniformization_rate(ctmc.generator().max_abs_diag(), theta);
         Self::with_rate(ctmc, lambda)
     }
 
@@ -257,12 +264,7 @@ impl Uniformized {
     /// chain).
     pub fn rebind_values(&self, ctmc: &Ctmc, theta: f64) -> Self {
         assert!(theta >= 0.0, "safety factor must be non-negative");
-        let max_rate = ctmc.generator().max_abs_diag();
-        let lambda = if max_rate == 0.0 {
-            1.0
-        } else {
-            max_rate * (1.0 + theta)
-        };
+        let lambda = uniformization_rate(ctmc.generator().max_abs_diag(), theta);
         // One pass over `Q` through the lineage's map into a clone of the
         // donor's pattern: no count pass and no cursor table. Each entry's
         // row and column are checked against the slot it lands in, so a

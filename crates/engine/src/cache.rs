@@ -75,7 +75,7 @@
 //! with it.
 
 use crate::fingerprint::ModelFps;
-use regenr_core::{RegenOptions, RegenParams};
+use regenr_core::{ParamSource, RegenOptions, RegenParams};
 use regenr_ctmc::{analyze, Ctmc, CtmcError, Uniformized};
 use std::collections::HashMap;
 use std::hash::Hash;
@@ -109,10 +109,37 @@ impl CacheConfig {
     }
 }
 
+/// The artifact cache as a regenerative solver's [`ParamSource`]: the
+/// parameters of the model fingerprinted by `fps` come from (and widen) the
+/// cache through [`ArtifactCache::regen_params_linked`]; `hit` records
+/// whether the last lookup was served from it.
+pub(crate) struct CachedParams<'c> {
+    pub(crate) cache: &'c ArtifactCache,
+    pub(crate) fps: ModelFps,
+    pub(crate) hit: bool,
+}
+
+impl ParamSource for CachedParams<'_> {
+    fn params(
+        &mut self,
+        regen: &RegenOptions,
+        r: usize,
+        t: f64,
+        build: &mut dyn FnMut(f64) -> Result<RegenParams, CtmcError>,
+    ) -> Result<Arc<RegenParams>, CtmcError> {
+        let (params, hit) =
+            self.cache
+                .regen_params_linked(self.fps.full, self.fps.unif, regen, r, t, build)?;
+        self.hit = hit;
+        Ok(params)
+    }
+}
+
 /// Cached structural facts about one chain.
 #[derive(Clone, Debug)]
 pub struct ChainFacts {
-    /// The structural fingerprint the facts were computed for.
+    /// The full fingerprint ([`ModelFps::full`]) of the chain the facts
+    /// were computed for.
     pub fingerprint: u64,
     /// State count.
     pub n_states: usize,

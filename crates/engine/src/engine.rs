@@ -26,12 +26,12 @@
 //! the jobs' inner SpMV chunks — a narrow sweep on a wide machine keeps
 //! every core busy (see `regenr_sparse::pool`).
 
-use crate::cache::{ArtifactCache, CacheConfig, CacheStats, ChainFacts};
+use crate::cache::{ArtifactCache, CacheConfig, CacheStats, CachedParams, ChainFacts};
 use crate::fingerprint::{model_fps, ModelFps};
 use crate::method::Method;
-use crate::solver::{build_solver, EngineSolution, SolveConfig, Solver};
+use crate::solver::{build_solver, SolveConfig};
 use crate::EngineError;
-use regenr_ctmc::{Ctmc, CtmcError};
+use regenr_ctmc::{uniformization_rate, Ctmc};
 use regenr_laplace::InverterOptions;
 use regenr_sparse::{
     effective_threads, ParallelConfig, WorkerPool, WorkerPoolStats, Workspace, WorkspaceStats,
@@ -164,7 +164,8 @@ impl fmt::Display for DispatchReason {
 pub struct SolveReport {
     /// Request display name.
     pub model: String,
-    /// Structural fingerprint of the model.
+    /// Full fingerprint of the model, structure and values
+    /// ([`ModelFps::full`]).
     pub fingerprint: u64,
     /// The measure computed.
     pub measure: MeasureKind,
@@ -176,7 +177,7 @@ pub struct SolveReport {
     pub reason: DispatchReason,
     /// The measure value.
     pub value: f64,
-    /// Work steps (see [`EngineSolution::steps`]).
+    /// Work steps (see [`crate::EngineSolution::steps`]).
     pub steps: usize,
     /// Error bound reported by the method.
     pub error_bound: f64,
@@ -630,12 +631,10 @@ impl Engine {
         }
     }
 
+    /// `Λ` of the uniformization the engine dispatches on and caps `Λt`
+    /// with: the rule [`regenr_ctmc::Uniformized::new`] applies.
     fn lambda(&self, facts: &ChainFacts) -> f64 {
-        if facts.max_rate == 0.0 {
-            1.0
-        } else {
-            facts.max_rate * (1.0 + self.opts.theta)
-        }
+        uniformization_rate(facts.max_rate, self.opts.theta)
     }
 
     fn solve_config(&self, req: &SolveRequest) -> SolveConfig {
@@ -759,40 +758,16 @@ impl Engine {
         let lambda = self.lambda(facts);
 
         let t0 = Instant::now();
-        // RR and RRL share the regen-params cache (identical sequences for
-        // identical `(r, ε, θ)` keys — see `ArtifactCache::regen_params`);
-        // only the per-horizon solve stage differs. The cache key must
-        // describe the solver that consumes the parameters — take `r` and
-        // the options from it, never re-derive.
-        let (solutions, params_hit) = if let Some(rrl) = solver.as_rrl() {
-            self.run_regen_cached(
-                job,
-                rrl.options().regen,
-                rrl.regenerative_state(),
-                cfg.epsilon,
-                ws,
-                |h, ws| rrl.parameters_with(h, ws),
-                |sliced, t, _ws| match sliced {
-                    None => Solver::solve(rrl, req.measure, t),
-                    Some(p) => Ok(rrl.invert_params(p, req.measure, t).into()),
-                },
-            )?
-        } else if let Some(rr) = solver.as_rr() {
-            self.run_regen_cached(
-                job,
-                rr.options().regen,
-                rr.regenerative_state(),
-                cfg.epsilon,
-                ws,
-                |h, ws| rr.parameters_with(h, ws),
-                |sliced, t, ws| match sliced {
-                    None => Ok(rr.solve_with(req.measure, t, ws)?.into()),
-                    Some(p) => Ok(rr.solve_from(p, req.measure, t, ws)?.into()),
-                },
-            )?
-        } else {
-            (solver.solve_many_ws(req.measure, &job.ts, ws)?, false)
+        // RR and RRL take their killed-chain parameters from the artifact
+        // cache, linked to the uniformization they were constructed on, so
+        // cost-aware eviction protects that parent; the stepping methods
+        // hold no parameters.
+        let mut params = CachedParams {
+            cache: &self.cache,
+            fps: job.fps,
+            hit: false,
         };
+        let solutions = solver.solve_many_from(req.measure, &job.ts, ws, &mut params)?;
         let per_cell = t0.elapsed() / job.ts.len().max(1) as u32;
 
         Ok(job
@@ -815,7 +790,7 @@ impl Engine {
                 kernel,
                 backend,
                 unif_cache_hit: unif_hit,
-                params_cache_hit: params_hit,
+                params_cache_hit: params.hit,
                 wall: per_cell,
                 attempts: 1,
                 recovered_via: None,
@@ -912,64 +887,6 @@ impl Engine {
             }
         }
         Err(last_err.expect("supervisor made at least one attempt"))
-    }
-
-    /// Shared regenerative fast path: killed-chain parameters come from
-    /// (and widen) the artifact cache, then each horizon is a cheap slice
-    /// plus the method's own solve stage. `build` computes parameters on a
-    /// cache miss (the owning solver's `parameters_with`); `solve_one`
-    /// solves one horizon — with `None` parameters for `t = 0`, or the
-    /// already-sliced parameters otherwise (RRL inverts, RR runs the inner
-    /// SR on the truncated model). Keeping the slicing protocol in one
-    /// place means the cached and uncached paths cannot diverge.
-    #[allow(clippy::too_many_arguments)]
-    fn run_regen_cached(
-        &self,
-        job: &Job,
-        regen: regenr_core::RegenOptions,
-        r: usize,
-        epsilon: f64,
-        ws: &mut Workspace,
-        mut build: impl FnMut(f64, &mut Workspace) -> Result<regenr_core::RegenParams, CtmcError>,
-        mut solve_one: impl FnMut(
-            Option<&regenr_core::RegenParams>,
-            f64,
-            &mut Workspace,
-        ) -> Result<EngineSolution, EngineError>,
-    ) -> Result<(Vec<EngineSolution>, bool), EngineError> {
-        let ts: &[f64] = &job.ts;
-        let t_max = ts.iter().copied().fold(0.0f64, f64::max);
-        if t_max == 0.0 {
-            let solutions = ts
-                .iter()
-                .map(|&t| solve_one(None, t, ws))
-                .collect::<Result<Vec<_>, _>>()?;
-            return Ok((solutions, false));
-        }
-        // Linked: the parameters register as a dependent of the
-        // uniformization they were constructed on, so cost-aware eviction
-        // protects the parent artifact accordingly.
-        let (params, hit) =
-            self.cache
-                .regen_params_linked(job.fps.full, job.fps.unif, &regen, r, t_max, |h| {
-                    build(h, ws)
-                })?;
-        let solutions = ts
-            .iter()
-            .map(|&t| {
-                if t == 0.0 {
-                    return solve_one(None, t, ws);
-                }
-                let (k, l) = params.depth_for_horizon(t, epsilon).ok_or_else(|| {
-                    EngineError::InvalidRequest(format!(
-                        "cached parameters do not cover horizon {t}"
-                    ))
-                })?;
-                let sliced = params.truncated(k, l);
-                solve_one(Some(&sliced), t, ws)
-            })
-            .collect::<Result<Vec<EngineSolution>, EngineError>>()?;
-        Ok((solutions, hit))
     }
 
     /// Solves one request (sequentially); reports follow the horizon order.
@@ -1252,6 +1169,95 @@ mod tests {
                 a.value,
                 b.value
             );
+        }
+        assert_eq!(engine.cache().stats().regen_params.entries, 1);
+    }
+
+    /// Fixed RR and RRL sweeps served from a warm parameter cache — one
+    /// entry built for a larger horizon, sliced to each cell's depths —
+    /// equal the solvers' own `solve_many_with`, bit for bit, on a chain
+    /// with a primed chain and a `t = 0` cell.
+    #[test]
+    fn warm_params_cache_matches_the_solvers_own_grid() {
+        use crate::solver::EngineSolution;
+        use regenr_core::{RegenOptions, RrOptions, RrSolver, RrlOptions, RrlSolver};
+        let chain = Arc::new(
+            Ctmc::from_rates(
+                4,
+                &[
+                    (0, 1, 0.2),
+                    (1, 0, 2.0),
+                    (1, 2, 0.5),
+                    (2, 0, 1.0),
+                    (2, 3, 0.05),
+                ],
+                vec![0.7, 0.3, 0.0, 0.0],
+                vec![0.0, 0.5, 0.0, 1.0],
+            )
+            .unwrap(),
+        );
+        let eps = 1e-10;
+        let ts = vec![0.0, 5.0, 500.0, 50.0];
+        let engine = Engine::new();
+        let warm = SolveRequest::new("warm", chain.clone(), vec![5000.0])
+            .epsilon(eps)
+            .method(MethodChoice::Fixed(Method::Rr));
+        assert!(!engine.solve(&warm).unwrap()[0].params_cache_hit);
+
+        let regen = RegenOptions {
+            epsilon: eps,
+            ..Default::default()
+        };
+        let rr = RrSolver::new(&chain, 0, RrOptions { regen }).unwrap();
+        let rrl = RrlSolver::new(
+            &chain,
+            0,
+            RrlOptions {
+                regen,
+                ..Default::default()
+            },
+        )
+        .unwrap();
+        let mut ws = Workspace::new();
+        for measure in [MeasureKind::Trr, MeasureKind::Mrr] {
+            for method in [Method::Rr, Method::Rrl] {
+                let req = SolveRequest::new("grid", chain.clone(), ts.clone())
+                    .epsilon(eps)
+                    .measure(measure)
+                    .method(MethodChoice::Fixed(method));
+                let cells = engine.solve(&req).unwrap();
+                let want: Vec<EngineSolution> = match method {
+                    Method::Rr => rr
+                        .solve_many_with(measure, &ts, &mut ws)
+                        .unwrap()
+                        .into_iter()
+                        .map(Into::into)
+                        .collect(),
+                    _ => rrl
+                        .solve_many_with(measure, &ts, &mut ws)
+                        .unwrap()
+                        .into_iter()
+                        .map(Into::into)
+                        .collect(),
+                };
+                for (cell, want) in cells.iter().zip(&want) {
+                    let ctx = format!("{method} {measure:?} t={}", cell.t);
+                    assert!(cell.params_cache_hit, "{ctx}: served from the cache");
+                    assert_eq!(cell.value.to_bits(), want.value.to_bits(), "{ctx}");
+                    assert_eq!(cell.steps, want.steps, "{ctx}");
+                    assert_eq!(
+                        cell.error_bound.to_bits(),
+                        want.error_bound.to_bits(),
+                        "{ctx}"
+                    );
+                    assert_eq!(cell.abscissae, want.abscissae, "{ctx}");
+                    assert_eq!(cell.converged, want.converged, "{ctx}");
+                }
+                assert!(
+                    want[1].steps > 0 && want[1].steps < want[2].steps,
+                    "{method}: sliced"
+                );
+            }
         }
         assert_eq!(engine.cache().stats().regen_params.entries, 1);
     }

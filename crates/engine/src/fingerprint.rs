@@ -1,12 +1,14 @@
-//! Structural model fingerprints — the artifact-cache key.
+//! Model fingerprints — the artifact-cache keys.
 //!
-//! Two [`Ctmc`]s with identical state count, generator sparsity/rates,
-//! initial distribution and rewards produce the same fingerprint, so
-//! repeated [`crate::SolveRequest`]s over the same model (across horizons,
+//! The full [`fingerprint`] covers structure *and* values: two [`Ctmc`]s
+//! with identical state count, generator sparsity and rates, initial
+//! distribution and rewards produce the same one, so repeated
+//! [`crate::SolveRequest`]s over the same model (across horizons,
 //! tolerances, measures, or independently rebuilt model instances) land on
-//! the same cached artifacts. The hash is FNV-1a over the exact bit patterns
-//! — no float rounding, so "almost equal" models intentionally do *not*
-//! collide.
+//! the same cached artifacts. [`model_fps`] adds the structural keys that
+//! let rate variants share topology facts and `Pᵀ` patterns. The hashes are
+//! FNV-1a over the exact bit patterns — no float rounding, so "almost
+//! equal" models intentionally do *not* collide.
 
 use crate::json::Json;
 use regenr_ctmc::Ctmc;
@@ -94,7 +96,7 @@ impl Fnv {
     }
 }
 
-/// Computes the structural fingerprint of a chain.
+/// Computes the full fingerprint of a chain: structure and values.
 pub fn fingerprint(ctmc: &Ctmc) -> u64 {
     let mut h = Fnv::new();
     let g = ctmc.generator();
@@ -137,7 +139,9 @@ pub struct ModelFps {
     pub full: u64,
     /// Pattern + value/initial/reward supports — the structural key.
     pub structure: u64,
-    /// Generator-only full fingerprint ([`unif_fingerprint`]).
+    /// Generator-only full fingerprint: states and rate matrix, ignoring
+    /// initials and rewards. Equal `unif` means the identical `Pᵀ` and `Λ`,
+    /// so it keys the cached uniformization.
     pub unif: u64,
     /// Generator-only structural key: pattern + rate support. Equal
     /// `unif_structure` means an existing `Uniformized` can be rebound to
@@ -145,6 +149,8 @@ pub struct ModelFps {
     pub unif_structure: u64,
 }
 
+/// Domain separator for [`ModelFps::unif`].
+const UNIF_FP_SEP: u64 = 0x756e_6966_2d66_7000; // "unif-fp"
 /// Domain separator for [`ModelFps::structure`].
 const STRUCT_FP_SEP: u64 = 0x7374_7275_6374_2d00; // "struct-"
 /// Domain separator for [`ModelFps::unif_structure`].
@@ -153,15 +159,14 @@ const UNIF_STRUCT_FP_SEP: u64 = 0x7573_7472_7563_7400; // "ustruct"
 /// Computes every fingerprint of [`ModelFps`] in one traversal of the
 /// model's arrays (four running hash states fed per element), so a
 /// sensitivity grid pays one memory pass per point instead of four. The
-/// `full` and `unif` components are bit-identical to standalone
-/// [`fingerprint`] / [`unif_fingerprint`] calls.
+/// `full` component is bit-identical to a standalone [`fingerprint`] call.
 pub fn model_fps(ctmc: &Ctmc) -> ModelFps {
     let g = ctmc.generator();
     let n = ctmc.n_states() as u64;
 
     let mut f = Fnv::new(); // full ([`fingerprint`])
-    let mut u = Fnv::new(); // unif ([`unif_fingerprint`])
-    u.write_u64(0x756e_6966_2d66_7000);
+    let mut u = Fnv::new(); // unif
+    u.write_u64(UNIF_FP_SEP);
     let mut s = Fnv::new(); // structure
     let mut us = Fnv::new(); // unif structure
     s.write_u64(STRUCT_FP_SEP);
@@ -207,29 +212,6 @@ pub fn model_fps(ctmc: &Ctmc) -> ModelFps {
     }
 }
 
-/// Fingerprint of the chain's *generator alone* — states and rate matrix,
-/// ignoring initial distribution and rewards. Two chains with equal
-/// generator fingerprints uniformize to the identical `P`/`Pᵀ`/`Λ`, so it
-/// keys the cached [`regenr_ctmc::Uniformized`]: models differing only in
-/// initials or rewards share one. A distinguishing constant keeps this hash
-/// domain-separated from [`fingerprint`].
-pub fn unif_fingerprint(ctmc: &Ctmc) -> u64 {
-    let mut h = Fnv::new();
-    h.write_u64(0x756e_6966_2d66_7000); // "unif-fp" domain separator
-    let g = ctmc.generator();
-    h.write_u64(ctmc.n_states() as u64);
-    for &p in g.row_ptr() {
-        h.write_u64(p as u64);
-    }
-    for &j in g.col_idx() {
-        h.write_u64(j as u64);
-    }
-    for &v in g.values() {
-        h.write_f64(v);
-    }
-    h.0
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -273,13 +255,14 @@ mod tests {
     /// different generators and never collides with the full fingerprint.
     #[test]
     fn unif_fingerprint_ignores_initials_and_rewards() {
+        let unif = |c: &Ctmc| model_fps(c).unif;
         let a = chain(1e-3);
         let b = a.with_rewards(vec![0.0, 0.5]).unwrap();
         let c = a.with_initial(vec![0.5, 0.5]).unwrap();
-        assert_eq!(unif_fingerprint(&a), unif_fingerprint(&b));
-        assert_eq!(unif_fingerprint(&a), unif_fingerprint(&c));
-        assert_ne!(unif_fingerprint(&a), unif_fingerprint(&chain(2e-3)));
-        assert_ne!(unif_fingerprint(&a), fingerprint(&a));
+        assert_eq!(unif(&a), unif(&b));
+        assert_eq!(unif(&a), unif(&c));
+        assert_ne!(unif(&a), unif(&chain(2e-3)));
+        assert_ne!(unif(&a), fingerprint(&a));
     }
 
     /// Scaling a rate changes the full fingerprints but not the structural
@@ -302,7 +285,7 @@ mod tests {
     }
 
     /// The fused single-traversal `model_fps` must agree bit-for-bit with
-    /// the standalone full/unif fingerprint functions.
+    /// the standalone full fingerprint.
     #[test]
     fn model_fps_matches_standalone_fingerprints() {
         for c in [
@@ -312,7 +295,6 @@ mod tests {
         ] {
             let fps = model_fps(&c);
             assert_eq!(fps.full, fingerprint(&c));
-            assert_eq!(fps.unif, unif_fingerprint(&c));
         }
     }
 

@@ -12,8 +12,8 @@ use crate::cache::ChainFacts;
 use crate::method::{Capabilities, Method};
 use crate::EngineError;
 use regenr_core::{
-    select_regenerative_state, RegenOptions, RrOptions, RrSolver, RrlOptions, RrlSolver,
-    SelectOptions,
+    select_regenerative_state, ParamSource, RegenOptions, RrOptions, RrSolver, RrlOptions,
+    RrlSolver, SelectOptions,
 };
 use regenr_ctmc::{Ctmc, CtmcError, Uniformized};
 use regenr_laplace::InverterOptions;
@@ -292,8 +292,8 @@ impl Default for SolveConfig {
 }
 
 /// Any of the six solvers, behind one type. Implements [`Solver`] by
-/// delegation; the engine also matches on it to reach method-specific
-/// fast paths (RRL's cached parameters).
+/// delegation; [`UnifiedSolver::solve_many_from`] also hands RR and RRL a
+/// parameter source (the engine's artifact cache).
 pub enum UnifiedSolver<'a> {
     /// Standard randomization.
     Sr(SrSolver<'a>),
@@ -324,6 +324,26 @@ impl<'a> UnifiedSolver<'a> {
             UnifiedSolver::Rr(s) => Some(s),
             _ => None,
         }
+    }
+
+    /// Like [`Solver::solve_many_ws`], with RR's and RRL's killed-chain
+    /// parameters taken from `source`; the stepping methods hold none and
+    /// ignore it.
+    pub fn solve_many_from(
+        &self,
+        measure: MeasureKind,
+        ts: &[f64],
+        ws: &mut Workspace,
+        source: &mut dyn ParamSource,
+    ) -> Result<Vec<EngineSolution>, EngineError> {
+        fn cells<S: Into<EngineSolution>>(sols: Vec<S>) -> Vec<EngineSolution> {
+            sols.into_iter().map(Into::into).collect()
+        }
+        Ok(match self {
+            UnifiedSolver::Rr(s) => cells(s.solve_many_from(measure, ts, ws, source)?),
+            UnifiedSolver::Rrl(s) => cells(s.solve_many_from(measure, ts, ws, source)?),
+            _ => return self.solve_many_ws(measure, ts, ws),
+        })
     }
 
     fn inner(&self) -> &dyn Solver {
@@ -454,9 +474,9 @@ pub fn build_solver<'a>(
                 ..Default::default()
             },
         )),
-        // RR/RRL reuse the cached structure analysis: `with_uniformized`
-        // would re-run the `O(n + nnz)` Tarjan pass per job even though the
-        // engine already holds `ChainFacts` for this fingerprint.
+        // RR/RRL reuse the cached structure analysis: `new` would re-run
+        // the `O(n + nnz)` Tarjan pass per job even though the engine
+        // already holds `ChainFacts` for this fingerprint.
         Method::Rr => {
             let r = pick_regen_state(ctmc, facts, cfg.regen_state, cfg.theta)?;
             UnifiedSolver::Rr(RrSolver::with_uniformized_facts(

@@ -19,8 +19,8 @@ fn structure_analysis_runs_once_per_fingerprint() {
 
     let before = regenr_ctmc::analysis_runs();
     // Repeated requests and mixed methods over two fingerprints. Every
-    // RR/RRL construction used to re-run the analysis inside
-    // `with_uniformized`; `Auto` dispatch adds SR/RSD/RRL jobs on top.
+    // RR/RRL solver must reuse the cached analysis rather than run its
+    // own; `Auto` dispatch adds SR/RSD/RRL jobs on top.
     for _ in 0..3 {
         for method in [
             MethodChoice::Auto,

@@ -78,11 +78,6 @@ impl EpsilonAcceleratorC {
         self.best
     }
 
-    /// `true` once the table has numerically converged (further input ignored).
-    pub fn has_converged(&self) -> bool {
-        self.converged
-    }
-
     /// Number of partial sums consumed.
     pub fn len(&self) -> usize {
         self.count

@@ -18,9 +18,9 @@
 //! propagation, up to the largest Fox–Glynn right point; each cell's
 //! `steps` is still its own right point `R_t`.
 
+use crate::window::PoissonWindows;
 use crate::{MeasureKind, Solution};
 use regenr_ctmc::{Ctmc, Uniformized};
-use regenr_numeric::{KahanSum, PoissonWeights};
 use regenr_sparse::Workspace;
 use std::sync::Arc;
 
@@ -112,30 +112,24 @@ impl<'a> AdaptiveSolver<'a> {
         ts: &[f64],
         ws: &mut Workspace,
     ) -> Vec<AdaptiveReport> {
-        let r_max = self.ctmc.max_reward();
         let n = self.ctmc.n_states();
-        let delta = (self.opts.epsilon / r_max).min(0.5);
-        // `t = 0` and an all-zero reward vector need no propagation.
-        let weights: Vec<Option<PoissonWeights>> = ts
-            .iter()
-            .map(|&t| {
-                assert!(t >= 0.0);
-                (t > 0.0 && r_max != 0.0).then(|| PoissonWeights::new(self.unif.lambda * t, delta))
-            })
-            .collect();
+        let mut windows = PoissonWindows::new(
+            self.ctmc,
+            self.unif.lambda,
+            measure,
+            ts,
+            self.opts.epsilon,
+            1.0,
+        );
         let mut reports = vec![
             AdaptiveReport {
-                solution: Solution {
-                    value: self.ctmc.reward_dot(self.ctmc.initial()),
-                    steps: 0,
-                    error_bound: 0.0,
-                },
+                solution: windows.still(),
                 final_active: 0,
                 touched_nnz: 0,
             };
             ts.len()
         ];
-        let Some(max_right) = weights.iter().flatten().map(|w| w.right).max() else {
+        let Some(max_right) = windows.max_right() else {
             return reports;
         };
 
@@ -158,7 +152,6 @@ impl<'a> AdaptiveSolver<'a> {
 
         let mut pi = ws.take_copied(self.ctmc.initial());
         let mut next = ws.take_zeroed(n);
-        let mut accs = vec![KahanSum::new(); ts.len()];
         let mut touched = 0usize;
         // `active[..expanded]` already had its successors activated.
         let mut expanded = 0;
@@ -167,35 +160,13 @@ impl<'a> AdaptiveSolver<'a> {
                 .iter()
                 .map(|&i| pi[i as usize] * self.ctmc.rewards()[i as usize])
                 .sum();
-            for (h, w) in weights.iter().enumerate() {
-                let Some(w) = w else { continue };
-                if step > w.right {
-                    continue;
-                }
-                match measure {
-                    MeasureKind::Trr => {
-                        let wn = w.pmf(step);
-                        if wn > 0.0 {
-                            accs[h].add(wn * rr);
-                        }
-                    }
-                    MeasureKind::Mrr => accs[h].add(w.survival(step + 1) * rr),
-                }
-                if step == w.right {
-                    reports[h] = AdaptiveReport {
-                        solution: Solution {
-                            value: match measure {
-                                MeasureKind::Trr => accs[h].value(),
-                                MeasureKind::Mrr => accs[h].value() / (self.unif.lambda * ts[h]),
-                            },
-                            steps: w.right as usize,
-                            error_bound: self.opts.epsilon,
-                        },
-                        final_active: active.len(),
-                        touched_nnz: touched,
-                    };
-                }
-            }
+            windows.add(step, rr, |h, solution| {
+                reports[h] = AdaptiveReport {
+                    solution,
+                    final_active: active.len(),
+                    touched_nnz: touched,
+                };
+            });
             if step == max_right {
                 break;
             }

@@ -42,6 +42,7 @@ pub mod ode;
 pub mod rsd;
 pub mod sr;
 pub mod stationary;
+mod window;
 
 pub use adaptive::{AdaptiveOptions, AdaptiveSolver};
 pub use ode::{OdeOptions, OdeSolver};

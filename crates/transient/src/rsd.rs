@@ -35,9 +35,10 @@
 //! horizons all reach detection therefore costs `n*` products in total,
 //! not `n*` per horizon.
 
+use crate::window::PoissonWindows;
 use crate::{MeasureKind, Solution};
 use regenr_ctmc::{Ctmc, Uniformized};
-use regenr_numeric::{KahanSum, PoissonWeights};
+use regenr_numeric::PoissonWeights;
 use regenr_sparse::{ParallelConfig, Workspace};
 use std::sync::Arc;
 
@@ -148,79 +149,48 @@ impl<'a> RsdSolver<'a> {
         ts: &[f64],
         ws: &mut Workspace,
     ) -> Vec<RsdReport> {
-        let r_max = self.ctmc.max_reward();
-        let delta_mass = (self.opts.epsilon / (2.0 * r_max)).min(0.5);
-        // `t = 0` and an all-zero reward vector need no propagation.
-        let weights: Vec<Option<PoissonWeights>> = ts
-            .iter()
-            .map(|&t| {
-                assert!(t >= 0.0, "time must be non-negative");
-                (t > 0.0 && r_max != 0.0)
-                    .then(|| PoissonWeights::new(self.unif.lambda * t, delta_mass))
-            })
-            .collect();
+        // Half of ε pays for the truncated Poisson mass, half for the tail
+        // the detected vector stands in for.
+        let mut windows = PoissonWindows::new(
+            self.ctmc,
+            self.unif.lambda,
+            measure,
+            ts,
+            self.opts.epsilon,
+            2.0,
+        );
         let mut reports = vec![
             RsdReport {
-                solution: Solution {
-                    value: self.ctmc.reward_dot(self.ctmc.initial()),
-                    steps: 0,
-                    error_bound: 0.0,
-                },
+                solution: windows.still(),
                 detected_at: None,
                 final_delta: f64::NAN,
             };
             ts.len()
         ];
-        let Some(max_right) = weights.iter().flatten().map(|w| w.right).max() else {
+        let Some(max_right) = windows.max_right() else {
             return reports;
         };
+        let r_max = self.ctmc.max_reward();
         let detect_budget = self.opts.epsilon / 2.0;
-        // Σ Po-weighted terms, finished into the measure's value.
-        let finish = |acc: f64, t: f64| match measure {
-            MeasureKind::Trr => acc,
-            MeasureKind::Mrr => acc / (self.unif.lambda * t),
-        };
 
         let stepper = self.unif.stepper(&self.opts.parallel);
         let mut pi = ws.take_copied(self.ctmc.initial());
         let mut next = ws.take_zeroed(pi.len());
-        let mut accs = vec![KahanSum::new(); ts.len()];
         let mut ratios: Vec<f64> = Vec::with_capacity(self.opts.ratio_window);
         let mut prev_delta = f64::INFINITY;
         let mut detected_at = None;
         let mut final_delta = f64::NAN;
-        let mut steps = 0usize;
 
         for n in 0..=max_right {
-            let rr = self.ctmc.reward_dot(&pi);
-            for (i, w) in weights.iter().enumerate() {
-                let Some(w) = w else { continue };
-                if n > w.right {
-                    continue;
-                }
-                match measure {
-                    MeasureKind::Trr => {
-                        let wn = w.pmf(n);
-                        if wn > 0.0 {
-                            accs[i].add(wn * rr);
-                        }
-                    }
-                    MeasureKind::Mrr => accs[i].add(w.survival(n + 1) * rr),
-                }
-                // The Poisson window ends before detection: this horizon's
-                // sum is complete after `n` steps, as in SR.
-                if n == w.right {
-                    reports[i] = RsdReport {
-                        solution: Solution {
-                            value: finish(accs[i].value(), ts[i]),
-                            steps,
-                            error_bound: self.opts.epsilon,
-                        },
-                        detected_at: None,
-                        final_delta,
-                    };
-                }
-            }
+            // A Poisson window ending before detection closes after `n`
+            // steps, as in SR.
+            windows.add(n, self.ctmc.reward_dot(&pi), |h, solution| {
+                reports[h] = RsdReport {
+                    solution,
+                    detected_at: None,
+                    final_delta,
+                };
+            });
             if n == max_right {
                 break;
             }
@@ -229,7 +199,7 @@ impl<'a> RsdSolver<'a> {
             // d_{n+1} = ||π_{n+1} − π_n||₁.
             let d: f64 = next.iter().zip(&pi).map(|(a, b)| (a - b).abs()).sum();
             std::mem::swap(&mut pi, &mut next);
-            steps = (n + 1) as usize;
+            let steps = (n + 1) as usize;
             final_delta = d;
 
             // An exact fixed point (d = 0, common when the contraction is so
@@ -269,26 +239,23 @@ impl<'a> RsdSolver<'a> {
         //   MRR: Σ_{n≥n*} P[N ≥ n+1]   = Σ_{j≥n*+1} P[N ≥ j] = excess(n*+1).
         // Horizons with `R_t < n*` closed in the loop.
         if let Some(n_star) = detected_at {
+            let n_star = n_star as u64;
             let rr = self.ctmc.reward_dot(&pi);
-            for (i, w) in weights.iter().enumerate() {
-                let Some(w) = w else { continue };
-                if w.right < n_star as u64 {
-                    continue;
-                }
-                let tail = match measure {
-                    MeasureKind::Trr => w.survival(n_star as u64),
-                    MeasureKind::Mrr => w.expected_excess(n_star as u64 + 1),
-                };
-                reports[i] = RsdReport {
-                    solution: Solution {
-                        value: finish(accs[i].value() + tail * rr, ts[i]),
-                        steps,
-                        error_bound: self.opts.epsilon,
-                    },
-                    detected_at,
-                    final_delta,
-                };
-            }
+            let tail = |w: &PoissonWeights| match measure {
+                MeasureKind::Trr => w.survival(n_star),
+                MeasureKind::Mrr => w.expected_excess(n_star + 1),
+            };
+            windows.close_open(
+                n_star,
+                |w| tail(w) * rr,
+                |h, solution| {
+                    reports[h] = RsdReport {
+                        solution,
+                        detected_at,
+                        final_delta,
+                    };
+                },
+            );
         }
         ws.give(pi);
         ws.give(next);

@@ -14,9 +14,9 @@
 //! selling point), sums are compensated, and distributions are propagated by
 //! gather-style products on `Pᵀ` (parallelized above a size threshold).
 
+use crate::window::PoissonWindows;
 use crate::{MeasureKind, Solution};
 use regenr_ctmc::{Ctmc, Uniformized};
-use regenr_numeric::{KahanSum, PoissonWeights};
 use regenr_sparse::{ParallelConfig, Workspace};
 use std::sync::Arc;
 
@@ -77,54 +77,9 @@ impl<'a> SrSolver<'a> {
 
     /// Like [`SrSolver::solve`] with caller-owned scratch: repeated solves
     /// through one [`Workspace`] perform no steady-state vector allocations.
+    /// A one-horizon call into [`SrSolver::solve_many_with`].
     pub fn solve_with(&self, measure: MeasureKind, t: f64, ws: &mut Workspace) -> Solution {
-        assert!(t >= 0.0, "time must be non-negative");
-        let r_max = self.ctmc.max_reward();
-        if t == 0.0 || r_max == 0.0 {
-            return Solution {
-                value: self.ctmc.reward_dot(self.ctmc.initial()),
-                steps: 0,
-                error_bound: 0.0,
-            };
-        }
-        let lambda_t = self.unif.lambda * t;
-        // Discarded Poisson mass δ contributes ≤ δ·r_max to either measure.
-        let delta = (self.opts.epsilon / r_max).min(0.5);
-        let w = PoissonWeights::new(lambda_t, delta);
-
-        let stepper = self.unif.stepper(&self.opts.parallel);
-        let mut pi = ws.take_copied(self.ctmc.initial());
-        let mut next = ws.take_zeroed(pi.len());
-        let mut acc = KahanSum::new();
-        for n in 0..=w.right {
-            let rr = self.ctmc.reward_dot(&pi);
-            match measure {
-                MeasureKind::Trr => {
-                    let wn = w.pmf(n);
-                    if wn > 0.0 {
-                        acc.add(wn * rr);
-                    }
-                }
-                MeasureKind::Mrr => {
-                    acc.add(w.survival(n + 1) * rr);
-                }
-            }
-            if n < w.right {
-                stepper.step(&pi, &mut next);
-                std::mem::swap(&mut pi, &mut next);
-            }
-        }
-        ws.give(pi);
-        ws.give(next);
-        let value = match measure {
-            MeasureKind::Trr => acc.value(),
-            MeasureKind::Mrr => acc.value() / lambda_t,
-        };
-        Solution {
-            value,
-            steps: w.right as usize,
-            error_bound: self.opts.epsilon,
-        }
+        self.solve_many_with(measure, &[t], ws)[0]
     }
 
     /// Computes the measure at *many* horizons in a single propagation sweep.
@@ -133,7 +88,9 @@ impl<'a> SrSolver<'a> {
     /// only the Poisson weights differ. This method steps once up to the
     /// largest right truncation point and accumulates every horizon's
     /// weighted sum on the way — `max(Λtᵢ)` products instead of `Σ Λtᵢ`.
-    /// Values are identical to per-`t` [`SrSolver::solve`] up to roundoff.
+    /// Each cell (value, `steps` and bound) is bitwise what a one-horizon
+    /// [`SrSolver::solve`] returns: its sum sees the same terms in the same
+    /// order.
     pub fn solve_many(&self, measure: MeasureKind, ts: &[f64]) -> Vec<Solution> {
         self.solve_many_with(measure, ts, &mut Workspace::new())
     }
@@ -146,30 +103,19 @@ impl<'a> SrSolver<'a> {
         ts: &[f64],
         ws: &mut Workspace,
     ) -> Vec<Solution> {
-        let r_max = self.ctmc.max_reward();
-        if ts.is_empty() {
-            return Vec::new();
-        }
-        if r_max == 0.0 || ts.iter().all(|&t| t == 0.0) {
-            return ts
-                .iter()
-                .map(|&t| self.solve_with(measure, t, ws))
-                .collect();
-        }
-        let delta = (self.opts.epsilon / r_max).min(0.5);
-        let weights: Vec<Option<PoissonWeights>> = ts
-            .iter()
-            .map(|&t| {
-                assert!(t >= 0.0, "time must be non-negative");
-                (t > 0.0).then(|| PoissonWeights::new(self.unif.lambda * t, delta))
-            })
-            .collect();
-        let max_right = weights
-            .iter()
-            .flatten()
-            .map(|w| w.right)
-            .max()
-            .expect("at least one positive horizon");
+        // Discarded Poisson mass δ contributes ≤ δ·r_max to either measure.
+        let mut windows = PoissonWindows::new(
+            self.ctmc,
+            self.unif.lambda,
+            measure,
+            ts,
+            self.opts.epsilon,
+            1.0,
+        );
+        let mut cells = vec![windows.still(); ts.len()];
+        let Some(max_right) = windows.max_right() else {
+            return cells;
+        };
 
         let stepper = self.unif.stepper(&self.opts.parallel);
         let mut pi = ws.take_copied(self.ctmc.initial());
@@ -179,25 +125,9 @@ impl<'a> SrSolver<'a> {
             }
         });
         let mut next = ws.take_zeroed(pi.len());
-        let mut accs = vec![KahanSum::new(); ts.len()];
         for n in 0..=max_right {
             regenr_failpoint::failpoint!("sr-step");
-            let rr = self.ctmc.reward_dot(&pi);
-            for (acc, w) in accs.iter_mut().zip(&weights) {
-                let Some(w) = w else { continue };
-                if n > w.right {
-                    continue;
-                }
-                match measure {
-                    MeasureKind::Trr => {
-                        let wn = w.pmf(n);
-                        if wn > 0.0 {
-                            acc.add(wn * rr);
-                        }
-                    }
-                    MeasureKind::Mrr => acc.add(w.survival(n + 1) * rr),
-                }
-            }
+            windows.add(n, self.ctmc.reward_dot(&pi), |h, cell| cells[h] = cell);
             if n < max_right {
                 stepper.step(&pi, &mut next);
                 std::mem::swap(&mut pi, &mut next);
@@ -205,60 +135,7 @@ impl<'a> SrSolver<'a> {
         }
         ws.give(pi);
         ws.give(next);
-        accs.iter()
-            .zip(&weights)
-            .zip(ts)
-            .map(|((acc, w), &t)| match w {
-                None => Solution {
-                    value: self.ctmc.reward_dot(self.ctmc.initial()),
-                    steps: 0,
-                    error_bound: 0.0,
-                },
-                Some(w) => Solution {
-                    value: match measure {
-                        MeasureKind::Trr => acc.value(),
-                        MeasureKind::Mrr => acc.value() / (self.unif.lambda * t),
-                    },
-                    steps: w.right as usize,
-                    error_bound: self.opts.epsilon,
-                },
-            })
-            .collect()
-    }
-
-    /// The transient state distribution `π(t)` (used by tests and examples).
-    pub fn transient_distribution(&self, t: f64) -> Vec<f64> {
-        self.transient_distribution_with(t, &mut Workspace::new())
-    }
-
-    /// Like [`SrSolver::transient_distribution`] with caller-owned scratch.
-    pub fn transient_distribution_with(&self, t: f64, ws: &mut Workspace) -> Vec<f64> {
-        assert!(t >= 0.0);
-        let n_states = self.ctmc.n_states();
-        if t == 0.0 {
-            return self.ctmc.initial().to_vec();
-        }
-        let lambda_t = self.unif.lambda * t;
-        let w = PoissonWeights::new(lambda_t, self.opts.epsilon.min(1e-10));
-        let stepper = self.unif.stepper(&self.opts.parallel);
-        let mut pi = ws.take_copied(self.ctmc.initial());
-        let mut next = ws.take_zeroed(n_states);
-        let mut out = vec![KahanSum::new(); n_states];
-        for n in 0..=w.right {
-            let wn = w.pmf(n);
-            if wn > 0.0 {
-                for (o, p) in out.iter_mut().zip(&pi) {
-                    o.add(wn * p);
-                }
-            }
-            if n < w.right {
-                stepper.step(&pi, &mut next);
-                std::mem::swap(&mut pi, &mut next);
-            }
-        }
-        ws.give(pi);
-        ws.give(next);
-        out.into_iter().map(|k| k.value()).collect()
+        cells
     }
 }
 
@@ -348,27 +225,6 @@ mod tests {
     }
 
     #[test]
-    fn solve_many_matches_individual_solves() {
-        let c = two_state(0.3, 1.1);
-        let s = SrSolver::new(&c, SrOptions::default());
-        let ts = [5.0, 0.0, 0.5, 50.0];
-        for m in [MeasureKind::Trr, MeasureKind::Mrr] {
-            let many = s.solve_many(m, &ts);
-            assert_eq!(many.len(), ts.len());
-            for (sol, &t) in many.iter().zip(&ts) {
-                let single = s.solve(m, t);
-                assert!(
-                    (sol.value - single.value).abs() < 1e-12,
-                    "t={t} {m:?}: {} vs {}",
-                    sol.value,
-                    single.value
-                );
-                assert_eq!(sol.steps, single.steps);
-            }
-        }
-    }
-
-    #[test]
     fn solve_many_empty_and_degenerate() {
         let c = two_state(1.0, 1.0);
         let s = SrSolver::new(&c, SrOptions::default());
@@ -397,17 +253,5 @@ mod tests {
             after_warmup,
             "warmed-up solve_many must not allocate scratch vectors"
         );
-    }
-
-    #[test]
-    fn distribution_sums_to_one_and_matches_trr() {
-        let c = two_state(0.2, 0.9);
-        let s = SrSolver::new(&c, SrOptions::default());
-        let t = 3.5;
-        let d = s.transient_distribution(t);
-        let mass: f64 = d.iter().sum();
-        assert!((mass - 1.0).abs() < 1e-9);
-        let trr = s.solve(MeasureKind::Trr, t).value;
-        assert!((c.reward_dot(&d) - trr).abs() < 1e-10);
     }
 }

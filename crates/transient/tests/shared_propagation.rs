@@ -1,14 +1,15 @@
-//! RSD and Adaptive serve a whole horizon grid from one propagation. These
-//! properties pin that sharing to the one-horizon calls: every report —
-//! value, `steps` and each method's diagnostics — must be bitwise what
-//! `solve_many_with(&[t])` returns for that horizon alone.
+//! SR, RSD and Adaptive serve a whole horizon grid from one propagation.
+//! These properties pin that sharing to the one-horizon calls: every report
+//! — value, `steps`, bound and each method's diagnostics — must be bitwise
+//! what a call for that horizon alone returns.
 
 use proptest::prelude::*;
 use regenr_ctmc::Ctmc;
 use regenr_transient::adaptive::AdaptiveReport;
 use regenr_transient::rsd::RsdReport;
 use regenr_transient::{
-    AdaptiveOptions, AdaptiveSolver, MeasureKind, RsdOptions, RsdSolver, Workspace,
+    AdaptiveOptions, AdaptiveSolver, MeasureKind, RsdOptions, RsdSolver, Solution, SrOptions,
+    SrSolver, Workspace,
 };
 
 /// The θ = 0 periodic 3-cycle: `d_n` never shrinks, so RSD never detects.
@@ -81,6 +82,27 @@ fn measure(mrr: bool) -> MeasureKind {
     }
 }
 
+fn assert_bitwise(got: &Solution, want: &Solution, ctx: &str) {
+    assert_eq!(got.value.to_bits(), want.value.to_bits(), "{ctx}");
+    assert_eq!(got.steps, want.steps, "{ctx}");
+    assert_eq!(
+        got.error_bound.to_bits(),
+        want.error_bound.to_bits(),
+        "{ctx}"
+    );
+}
+
+fn assert_sr_matches_single(solver: &SrSolver<'_>, m: MeasureKind, ts: &[f64]) -> Vec<Solution> {
+    let mut ws = Workspace::new();
+    let many = solver.solve_many_with(m, ts, &mut ws);
+    assert_eq!(many.len(), ts.len());
+    for (got, &t) in many.iter().zip(ts) {
+        let want = solver.solve_with(m, t, &mut ws);
+        assert_bitwise(got, &want, &format!("{m:?} t={t} ts={ts:?}"));
+    }
+    many
+}
+
 fn assert_rsd_matches_single(solver: &RsdSolver<'_>, m: MeasureKind, ts: &[f64]) -> Vec<RsdReport> {
     let mut ws = Workspace::new();
     let many = solver.solve_many_with(m, ts, &mut ws);
@@ -88,17 +110,7 @@ fn assert_rsd_matches_single(solver: &RsdSolver<'_>, m: MeasureKind, ts: &[f64])
     for (got, &t) in many.iter().zip(ts) {
         let want = solver.solve_many_with(m, &[t], &mut ws)[0];
         let ctx = format!("{m:?} t={t} ts={ts:?}");
-        assert_eq!(
-            got.solution.value.to_bits(),
-            want.solution.value.to_bits(),
-            "{ctx}"
-        );
-        assert_eq!(got.solution.steps, want.solution.steps, "{ctx}");
-        assert_eq!(
-            got.solution.error_bound.to_bits(),
-            want.solution.error_bound.to_bits(),
-            "{ctx}"
-        );
+        assert_bitwise(&got.solution, &want.solution, &ctx);
         assert_eq!(got.detected_at, want.detected_at, "{ctx}");
         assert_eq!(
             got.final_delta.to_bits(),
@@ -120,17 +132,7 @@ fn assert_adaptive_matches_single(
     for (got, &t) in many.iter().zip(ts) {
         let want = solver.solve_many_with(m, &[t], &mut ws)[0];
         let ctx = format!("{m:?} t={t} ts={ts:?}");
-        assert_eq!(
-            got.solution.value.to_bits(),
-            want.solution.value.to_bits(),
-            "{ctx}"
-        );
-        assert_eq!(got.solution.steps, want.solution.steps, "{ctx}");
-        assert_eq!(
-            got.solution.error_bound.to_bits(),
-            want.solution.error_bound.to_bits(),
-            "{ctx}"
-        );
+        assert_bitwise(&got.solution, &want.solution, &ctx);
         assert_eq!(got.final_active, want.final_active, "{ctx}");
         assert_eq!(got.touched_nnz, want.touched_nnz, "{ctx}");
     }
@@ -139,6 +141,13 @@ fn assert_adaptive_matches_single(
 
 proptest! {
     #![proptest_config(ProptestConfig { cases: 48, .. ProptestConfig::default() })]
+
+    /// One SR propagation equals one `solve_with` per horizon, bitwise.
+    #[test]
+    fn sr_many_matches_single_horizon_calls(chain in arb_chain(), ts in arb_horizons(), mrr in any::<bool>()) {
+        let solver = SrSolver::new(&chain, SrOptions { epsilon: 1e-10, ..Default::default() });
+        assert_sr_matches_single(&solver, measure(mrr), &ts);
+    }
 
     /// One RSD propagation equals one call per horizon, bitwise.
     #[test]
@@ -194,6 +203,49 @@ fn rsd_periodic_cycle_never_detects() {
     for m in [MeasureKind::Trr, MeasureKind::Mrr] {
         for r in assert_rsd_matches_single(&solver, m, &ts) {
             assert_eq!(r.detected_at, None);
+        }
+    }
+}
+
+/// With every reward zero no horizon needs a step: each method returns
+/// `r·α = 0` with zero steps and a zero bound, from the grid and from the
+/// one-horizon calls alike.
+#[test]
+fn zero_reward_chain_needs_no_propagation() {
+    let chain = Ctmc::from_rates(
+        3,
+        &[(0, 1, 0.3), (1, 2, 1.7), (2, 0, 0.9)],
+        vec![1.0, 0.0, 0.0],
+        vec![0.0; 3],
+    )
+    .unwrap();
+    let ts = [1e2, 0.0, 0.5, 1e2];
+    let sr = SrSolver::new(&chain, SrOptions::default());
+    let rsd = RsdSolver::new(&chain, RsdOptions::default());
+    let adaptive = AdaptiveSolver::new(&chain, AdaptiveOptions::default());
+    for m in [MeasureKind::Trr, MeasureKind::Mrr] {
+        let cells = assert_sr_matches_single(&sr, m, &ts)
+            .into_iter()
+            .chain(
+                assert_rsd_matches_single(&rsd, m, &ts)
+                    .into_iter()
+                    .map(|r| r.solution),
+            )
+            .chain(
+                assert_adaptive_matches_single(&adaptive, m, &ts)
+                    .into_iter()
+                    .map(|r| r.solution),
+            );
+        for cell in cells {
+            assert_bitwise(
+                &cell,
+                &Solution {
+                    value: 0.0,
+                    steps: 0,
+                    error_bound: 0.0,
+                },
+                &format!("{m:?}"),
+            );
         }
     }
 }
