@@ -33,6 +33,7 @@ use crate::solver::{build_solver, SolveConfig};
 use crate::EngineError;
 use regenr_ctmc::{uniformization_rate, Ctmc};
 use regenr_laplace::InverterOptions;
+use regenr_numeric::PoissonWeights;
 use regenr_sparse::{
     effective_threads, ParallelConfig, WorkerPool, WorkerPoolStats, Workspace, WorkspaceStats,
 };
@@ -409,6 +410,16 @@ pub const ADAPTIVE_MIN_STATES: usize = 2_048;
 /// or corpus spec.
 const MAX_LAMBDA_T: f64 = 1e10;
 
+/// Most Poisson-window weights one request's horizons may need in total,
+/// by [`PoissonWeights::len_bound`]. A weight costs three `f64`s (the
+/// weight and its survival and excess sums), so this is about 120 MB of
+/// windows. It admits two horizons at the `Λt` limit for any `ε ≥ 10⁻¹⁵`
+/// with unit rewards (about 1.8·10⁶ weights each at `ε = 10⁻¹²`). It is
+/// about 100× the largest need of any benchmark, CI or corpus spec: 52,344
+/// for the paper grid's G = 40 UR request. Without it, a 14 KB body of
+/// 1,000 horizons near the `Λt` limit asks for about 29 GB.
+const MAX_WINDOW_WEIGHTS: f64 = 5e6;
+
 /// Longest panic message a report will carry. Panic payloads are
 /// attacker/bug-controlled strings that end up in failure reports and
 /// NDJSON streams; a pathological payload must not bloat them.
@@ -675,6 +686,12 @@ impl Engine {
             "SolveRequest::fps does not describe SolveRequest::model"
         );
         let facts = self.cache.facts_for(&fps, &req.model)?;
+        let lambda = self.lambda(&facts);
+        // SR, RSD and Adaptive hold one Poisson window per positive horizon
+        // for the whole propagation. RSD's `δ = ε/(2·r_max)` is the smallest
+        // of theirs, so these lengths bound each one's windows.
+        let delta = (req.epsilon / (2.0 * req.model.max_reward())).clamp(f64::MIN_POSITIVE, 0.5);
+        let mut window_weights = 0.0;
         let mut jobs: Vec<Job> = Vec::new();
         for (slot, &t) in req.horizons.iter().enumerate() {
             if !t.is_finite() || t < 0.0 {
@@ -682,11 +699,14 @@ impl Engine {
                     "horizon must be non-negative and finite, got {t}"
                 )));
             }
-            let lambda_t = self.lambda(&facts) * t;
+            let lambda_t = lambda * t;
             if lambda_t > MAX_LAMBDA_T {
                 return Err(EngineError::InvalidRequest(format!(
                     "horizon {t} gives Λt = {lambda_t:e}, above the limit {MAX_LAMBDA_T:e}"
                 )));
+            }
+            if t > 0.0 {
+                window_weights += PoissonWeights::len_bound(lambda_t, delta);
             }
             let (method, reason) = match req.method {
                 MethodChoice::Fixed(m) => (m, DispatchReason::FixedByRequest),
@@ -707,6 +727,13 @@ impl Engine {
                     slots: vec![slot],
                 }),
             }
+        }
+        if window_weights > MAX_WINDOW_WEIGHTS {
+            return Err(EngineError::InvalidRequest(format!(
+                "{} horizons need Poisson windows of up to {window_weights:.3e} weights \
+                 in total, above the limit {MAX_WINDOW_WEIGHTS:e}",
+                req.horizons.len()
+            )));
         }
         Ok(jobs)
     }

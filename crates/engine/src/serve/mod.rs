@@ -30,12 +30,14 @@
 //!    structured body instead of queuing unboundedly. A `"deadline_ms"`
 //!    spec field cancels a sweep cleanly between jobs — cells already
 //!    streamed stay valid and the summary says `"status":"deadline"`.
-//! 3. **Graceful lifecycle**: `POST /shutdown` or SIGTERM stops accepting,
-//!    drains in-flight connections and run owners, and returns from
-//!    [`Server::run`]; the cache and pool live as long as the server, not
-//!    a request. Accept errors (such as running out of file descriptors)
-//!    back off and never end the loop, and a request must arrive whole
-//!    within one read deadline.
+//! 3. **Graceful lifecycle**: the accept loop sleeps in `poll(2)` until a
+//!    connection arrives, so a request is accepted as soon as it is
+//!    pending. `POST /shutdown` or SIGTERM stops accepting within one poll
+//!    timeout, waits for in-flight connections and run owners to finish,
+//!    and returns from [`Server::run`]; the cache and pool live as long as
+//!    the server, not a request. Accept errors (such as running out of
+//!    file descriptors) back off and never end the loop, and a request
+//!    must arrive whole within one read deadline.
 //! 4. **Fault containment**: an owner whose compute attempt unwinds
 //!    retries it in place, up to [`RUN_RETRIES`] times; handler panics
 //!    answer `500`, exhausted runs answer `503` — infrastructure faults
@@ -59,8 +61,8 @@ use crate::spec::{cache_stats_json, cell_to_json, failure_to_json, SweepSpec};
 use coalesce::{InflightTable, Refusal, RunStatus, SharedRun};
 use http::{read_request, write_response, Chunked, DeadlineReader, HttpError, Request};
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// Server configuration (CLI: `regenr serve [--addr] [--threads]
@@ -104,6 +106,16 @@ pub const RUN_RETRIES: u32 = 2;
 /// Time a client has to send its whole request (head and body), and to
 /// accept each response write.
 const IO_TIMEOUT: Duration = Duration::from_secs(30);
+
+/// Longest the accept loop waits for a connection before it looks at the
+/// shutdown flag and [`TERM_SIGNAL`] again: the most a drain waits to
+/// start.
+const ACCEPT_WAIT: Duration = Duration::from_millis(5);
+
+/// Pause after an accept error, such as running out of file descriptors.
+/// The listener stays readable while connections queue, so without it the
+/// loop would spin.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(5);
 
 /// Monotonic serve counters, surfaced in every summary record and by
 /// `GET /stats` (the [`crate::ExecStats`]/[`crate::CacheStats`] of the
@@ -225,31 +237,65 @@ impl Drop for AdmitRelease<'_> {
     }
 }
 
-/// SIGTERM/SIGINT land here; the accept loop polls it. Registered through
-/// a direct `signal(2)` FFI declaration — the workspace has no `libc`
-/// crate, and an atomic store is async-signal-safe.
+/// SIGTERM/SIGINT land here; the accept loop reads it each time it wakes,
+/// at least once per [`ACCEPT_WAIT`]. Registered through a direct
+/// `signal(2)` FFI declaration — the workspace has no `libc` crate, and an
+/// atomic store is async-signal-safe.
 static TERM_SIGNAL: AtomicBool = AtomicBool::new(false);
 
 #[cfg(unix)]
-mod signal {
+mod sys {
     use super::TERM_SIGNAL;
+    use std::os::fd::AsRawFd;
     use std::sync::atomic::Ordering;
+    use std::time::Duration;
 
     extern "C" fn on_term(_sig: i32) {
         TERM_SIGNAL.store(true, Ordering::SeqCst);
     }
 
-    extern "C" {
-        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+    /// `struct pollfd`, the same layout on every unix.
+    #[repr(C)]
+    struct PollFd {
+        fd: i32,
+        events: i16,
+        revents: i16,
     }
 
-    pub fn install() {
+    #[cfg(any(target_os = "linux", target_os = "android"))]
+    type Nfds = std::ffi::c_ulong;
+    #[cfg(not(any(target_os = "linux", target_os = "android")))]
+    type Nfds = std::ffi::c_uint;
+
+    extern "C" {
+        fn signal(signum: i32, handler: extern "C" fn(i32)) -> usize;
+        fn poll(fds: *mut PollFd, nfds: Nfds, timeout_ms: i32) -> i32;
+    }
+
+    pub fn install_term_handler() {
         const SIGINT: i32 = 2;
         const SIGTERM: i32 = 15;
+        // SAFETY: `on_term` only stores to an atomic, which is
+        // async-signal-safe.
         unsafe {
             signal(SIGTERM, on_term);
             signal(SIGINT, on_term);
         }
+    }
+
+    /// Waits until `fd` has a connection to accept or `timeout` passes.
+    /// Returns `false` when `poll` fails (a signal interrupted it, say).
+    pub fn wait_readable(fd: &impl AsRawFd, timeout: Duration) -> bool {
+        const POLLIN: i16 = 0x1;
+        let mut pfd = PollFd {
+            fd: fd.as_raw_fd(),
+            events: POLLIN,
+            revents: 0,
+        };
+        let ms = i32::try_from(timeout.as_millis()).unwrap_or(i32::MAX);
+        // SAFETY: `pfd` is one live, initialized `pollfd` for the whole
+        // call, and `nfds` is 1.
+        unsafe { poll(&mut pfd, 1, ms) >= 0 }
     }
 }
 
@@ -267,8 +313,10 @@ pub struct Server {
     local_addr: SocketAddr,
     shutdown: AtomicBool,
     /// Connection threads and run owners still running; the drain waits
-    /// for this to reach zero.
-    active: AtomicUsize,
+    /// on `idle` for this to reach zero.
+    active: Mutex<usize>,
+    /// Signalled when `active` drops to zero.
+    idle: Condvar,
     /// Service-lifetime aggregate of every sweep's [`RobustnessStats`].
     robust: Mutex<crate::engine::RobustnessStats>,
 }
@@ -280,14 +328,18 @@ struct Active(Arc<Server>);
 
 impl Active {
     fn enter(server: &Arc<Server>) -> Active {
-        server.active.fetch_add(1, Ordering::SeqCst);
+        *lock(&server.active) += 1;
         Active(Arc::clone(server))
     }
 }
 
 impl Drop for Active {
     fn drop(&mut self) {
-        self.0.active.fetch_sub(1, Ordering::SeqCst);
+        let mut active = lock(&self.0.active);
+        *active -= 1;
+        if *active == 0 {
+            self.0.idle.notify_all();
+        }
     }
 }
 
@@ -313,7 +365,8 @@ impl Server {
             listener,
             local_addr,
             shutdown: AtomicBool::new(false),
-            active: AtomicUsize::new(0),
+            active: Mutex::new(0),
+            idle: Condvar::new(),
             robust: Mutex::new(crate::engine::RobustnessStats::default()),
         }))
     }
@@ -354,9 +407,15 @@ impl Server {
     /// by the admission gate (and the shared worker pool), not by the
     /// connection count, so coalesced storms can be much wider than
     /// `max_inflight`.
+    ///
+    /// With nothing to accept, the loop sleeps in `poll(2)` on the
+    /// listener (a plain sleep off unix) for at most 5 ms, so a connection
+    /// is accepted as soon as it arrives, and a shutdown request or SIGTERM
+    /// is seen within that wait. The drain then blocks until the last
+    /// connection thread and run owner has finished.
     pub fn run(self: &Arc<Self>) -> std::io::Result<()> {
         #[cfg(unix)]
-        signal::install();
+        sys::install_term_handler();
         self.listener.set_nonblocking(true)?;
         while !self.draining() {
             match self.listener.accept() {
@@ -367,17 +426,27 @@ impl Server {
                     let _ = std::thread::Builder::new()
                         .spawn(move || handle_connection(&active.0, stream));
                 }
-                // Nothing to accept, or an accept error such as running
-                // out of file descriptors: back off and keep accepting.
-                // Only a drain ends the loop.
-                Err(_) => std::thread::sleep(Duration::from_millis(5)),
+                // Nothing to accept: wait for a connection, or for the
+                // next look at the drain flags.
+                Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                    #[cfg(unix)]
+                    if !sys::wait_readable(&self.listener, ACCEPT_WAIT) {
+                        std::thread::sleep(ACCEPT_BACKOFF);
+                    }
+                    #[cfg(not(unix))]
+                    std::thread::sleep(ACCEPT_WAIT);
+                }
+                // An accept error such as running out of file descriptors:
+                // back off and keep accepting. Only a drain ends the loop.
+                Err(_) => std::thread::sleep(ACCEPT_BACKOFF),
             }
         }
         // Drain: in-flight runs finish and their connections close; new
         // connections are no longer accepted.
-        while self.active.load(Ordering::SeqCst) > 0 {
-            std::thread::sleep(Duration::from_millis(5));
-        }
+        let _idle = self
+            .idle
+            .wait_while(lock(&self.active), |active| *active > 0)
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
         Ok(())
     }
 }

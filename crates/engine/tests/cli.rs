@@ -1,7 +1,9 @@
 //! The `regenr` command line: unknown flags, missing flag values and extra
 //! arguments are usage errors, and spec values no model accepts are spec
 //! errors — both exit 2 with a message, never a panic and never a run.
-//! Horizons beyond the engine's `Λt` limit are request failures (exit 1).
+//! Horizons beyond the engine's `Λt` limit, or whose Poisson windows would
+//! not fit its memory limit, are request failures (exit 1). `regenr serve`
+//! drains and exits 0 on SIGTERM.
 
 use std::io::Write;
 use std::process::{Command, Stdio};
@@ -117,4 +119,81 @@ fn horizons_beyond_the_lambda_t_limit_fail_fast() {
             "t = {t}: {stdout}"
         );
     }
+}
+
+/// A 14 KB body of 1,000 horizons, each under the `Λt` limit, would open
+/// about 29 GB of Poisson windows. It fails as a request that names the
+/// total, before any window is built.
+#[test]
+fn a_thousand_horizons_near_the_lambda_t_limit_fail_fast() {
+    let horizons: Vec<String> = (0..1000)
+        .map(|i| format!("{}", 9e9 + 1e6 * i as f64))
+        .collect();
+    let spec = format!(
+        r#"{{"horizons":[{}],"models":[{{"kind":"two_state","lambda":1e-3,"mu":1}}]}}"#,
+        horizons.join(",")
+    );
+    let start = Instant::now();
+    let (code, stdout, stderr) = regenr(&["sweep", "-"], &spec);
+    let took = start.elapsed();
+    assert!(took < Duration::from_secs(1), "took {took:?}");
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stdout.contains(r#""reports":[]"#), "{stdout}");
+    assert!(
+        stdout.contains("1000 horizons need Poisson windows of up to ")
+            && stdout.contains("above the limit 5e6"),
+        "{stdout}"
+    );
+}
+
+/// SIGTERM drains the server: it exits 0 within a second and prints its
+/// drained banner. The signal goes through `sh`'s `kill`, since the
+/// workspace has no `libc` crate.
+#[cfg(unix)]
+#[test]
+fn sigterm_drains_and_exits_0() {
+    use std::io::{BufRead, BufReader, Read};
+    use std::net::SocketAddr;
+    let mut child = Command::new(env!("CARGO_BIN_EXE_regenr"))
+        .args(["serve", "--addr", "127.0.0.1:0"])
+        .stdin(Stdio::null())
+        .stdout(Stdio::null())
+        .stderr(Stdio::piped())
+        .spawn()
+        .expect("spawn regenr serve");
+    let mut log = BufReader::new(child.stderr.take().unwrap());
+    let mut banner = String::new();
+    log.read_line(&mut banner).unwrap();
+    let addr: SocketAddr = banner
+        .split("listening on ")
+        .nth(1)
+        .and_then(|rest| rest.split_whitespace().next())
+        .and_then(|a| a.parse().ok())
+        .unwrap_or_else(|| panic!("no address in {banner:?}"));
+    // A served request shows the accept loop, and so the handler, is up.
+    let (status, _) =
+        regenr_engine::serve::http::http_request(addr, "GET", "/healthz", "").expect("healthz");
+    assert_eq!(status, 200);
+    let signalled = Instant::now();
+    let kill = Command::new("sh")
+        .args(["-c", &format!("kill -TERM {}", child.id())])
+        .status()
+        .expect("run kill");
+    assert!(kill.success());
+    let deadline = signalled + Duration::from_secs(1);
+    let status = loop {
+        if let Some(status) = child.try_wait().unwrap() {
+            break status;
+        }
+        if Instant::now() > deadline {
+            let _ = child.kill();
+            let _ = child.wait();
+            panic!("regenr serve was still running 1 s after SIGTERM");
+        }
+        std::thread::sleep(Duration::from_millis(5));
+    };
+    assert!(status.success(), "{status:?}");
+    let mut rest = String::new();
+    log.read_to_string(&mut rest).unwrap();
+    assert!(rest.contains("regenr serve: drained;"), "{rest}");
 }

@@ -404,6 +404,75 @@ fn lifecycle_healthz_stats_routing_and_drain() {
     assert_eq!(stats.bad_requests, 0);
 }
 
+/// An idle server accepts a connection as soon as it arrives, not when a
+/// timer next fires: back-to-back health checks each take well under the
+/// accept loop's 5 ms wait.
+#[test]
+fn back_to_back_requests_do_not_wait_for_a_tick() {
+    let (server, addr, handle) = start_server(default_cfg());
+    let mut took: Vec<Duration> = (0..20)
+        .map(|_| {
+            let start = Instant::now();
+            let (status, _) = http_request(addr, "GET", "/healthz", "").unwrap();
+            assert_eq!(status, 200);
+            start.elapsed()
+        })
+        .collect();
+    took.sort();
+    let median = took[took.len() / 2];
+    assert!(
+        median < Duration::from_millis(2),
+        "median {median:?} over {took:?}"
+    );
+    shutdown(&server, addr, handle);
+}
+
+/// On an idle server, `run()` returns promptly once `POST /shutdown` is
+/// answered: the accept loop notices the request within one poll timeout,
+/// and the drain wakes as soon as the last connection thread ends.
+#[test]
+fn shutdown_returns_promptly_on_an_idle_server() {
+    let (_server, addr, handle) = start_server(default_cfg());
+    let (status, _) = post(addr, "/shutdown", "");
+    assert_eq!(status, 200);
+    let answered = Instant::now();
+    handle.join().expect("run() returns after drain");
+    let took = answered.elapsed();
+    assert!(
+        took < Duration::from_millis(50),
+        "run() returned after {took:?}"
+    );
+}
+
+/// A 14 KB body of 1,000 horizons near the `Λt` limit would open about
+/// 29 GB of Poisson windows. The engine refuses it at plan time: both
+/// endpoints name the failure fast, and no handler panics.
+#[test]
+fn a_thousand_horizons_near_the_lambda_t_limit_are_a_named_failure() {
+    let (server, addr, handle) = start_server(default_cfg());
+    let horizons: Vec<String> = (0..1000)
+        .map(|i| format!("{}", 9e9 + 1e6 * i as f64))
+        .collect();
+    let spec = format!(
+        r#"{{"horizons":[{}],"models":[{{"kind":"two_state","lambda":1e-3,"mu":1}}]}}"#,
+        horizons.join(",")
+    );
+    for target in ["/sweep/report", "/sweep"] {
+        let start = Instant::now();
+        let (status, body) = post(addr, target, &spec);
+        let took = start.elapsed();
+        assert_eq!(status, 200, "{target}: {body}");
+        assert!(took < Duration::from_secs(1), "{target} took {took:?}");
+        assert!(
+            body.contains("1000 horizons need Poisson windows")
+                && body.contains("above the limit 5e6"),
+            "{target}: {body}"
+        );
+    }
+    assert_eq!(server.stats().handler_panics, 0);
+    shutdown(&server, addr, handle);
+}
+
 /// The run belongs to its owner, not to the connection that started it:
 /// when the first of two streaming clients hangs up after the headers, the
 /// other still gets the whole stream, from the same single computation.
@@ -473,12 +542,24 @@ fn running_out_of_descriptors_does_not_end_the_server() {
     let idle: Vec<TcpStream> = (0..100)
         .filter_map(|_| TcpStream::connect(addr).ok())
         .collect();
+    #[cfg(target_os = "linux")]
+    let cpu_before = cpu_ticks(child.id());
     std::thread::sleep(Duration::from_millis(300));
     assert!(
         child.try_wait().unwrap().is_none(),
         "the server exited while idle connections held its descriptors"
     );
     assert_eq!(idle.len(), 100, "every idle connection got through");
+    // The listener stays readable while connections queue, so an accept
+    // loop without its back-off would spin through the whole window.
+    #[cfg(target_os = "linux")]
+    {
+        let spent = cpu_ticks(child.id()) - cpu_before;
+        assert!(
+            spent < 10,
+            "the server used {spent} ticks (10 ms each) of CPU in 300 ms"
+        );
+    }
     drop(idle);
     wait_until("healthz", || {
         matches!(http_request(addr, "GET", "/healthz", ""), Ok((200, _)))
@@ -490,4 +571,21 @@ fn running_out_of_descriptors_does_not_end_the_server() {
         "clean exit after the drain"
     );
     log.join().unwrap().unwrap();
+}
+
+/// User plus system CPU time of process `pid`, in the clock ticks of
+/// `/proc/<pid>/stat` (`USER_HZ`, 100 per second on Linux).
+#[cfg(target_os = "linux")]
+fn cpu_ticks(pid: u32) -> u64 {
+    let stat = std::fs::read_to_string(format!("/proc/{pid}/stat")).expect("/proc/<pid>/stat");
+    // Fields after the parenthesized command name, from field 3 (state);
+    // utime and stime are fields 14 and 15.
+    let fields: Vec<&str> = stat
+        .rsplit_once(')')
+        .expect("stat has a command name")
+        .1
+        .split_whitespace()
+        .collect();
+    let field = |n: usize| fields[n - 3].parse::<u64>().expect("numeric tick count");
+    field(14) + field(15)
 }

@@ -207,6 +207,33 @@ impl PoissonWeights {
         }
     }
 
+    /// An upper bound on `PoissonWeights::new(λ, δ).len()`, in closed form
+    /// and without allocating, so a caller can size a grid's windows before
+    /// it opens any.
+    ///
+    /// Each walk in [`PoissonWeights::new`] stops at the first point whose
+    /// remainder bound is at most `δ/2`. Below the mode that remainder is
+    /// `Po_λ(n−1)·λ/y` at `n = λ − y`, above it `Po_λ(n+1)·(λ+x)/x` at
+    /// `n + 1 = λ + x`. The Poisson Chernoff bounds
+    /// `P[N ≤ λ−y] ≤ exp(−y²/(2λ))` and
+    /// `P[N ≥ λ+x] ≤ exp(−x²/(2(λ + x/3)))` put both under `δ/4` once `y`
+    /// and `x` reach `x* = c/3 + √(c²/9 + 2cλ)` with
+    /// `c = ln(4/δ) + ln(1 + √(λ/2))`: the second term of `c` pays for the
+    /// `λ/x` factor, and the 4 (not 2) leaves a factor 2 for the rounding of
+    /// the walked weights. So the left walk takes at most
+    /// `min(⌊λ⌋, x* + 1)` steps, the right walk at most `x* + 1`, and the
+    /// mode adds one weight.
+    ///
+    /// # Panics
+    /// If `λ < 0`, `δ ≤ 0`, or `δ ≥ 1`.
+    pub fn len_bound(lambda: f64, delta: f64) -> f64 {
+        assert!(lambda >= 0.0, "lambda must be non-negative");
+        assert!(delta > 0.0 && delta < 1.0, "delta must lie in (0,1)");
+        let c = (4.0 / delta).ln() + (1.0 + (lambda / 2.0).sqrt()).ln();
+        let x = c / 3.0 + (c * c / 9.0 + 2.0 * c * lambda).sqrt();
+        lambda.floor().min(x + 1.0) + x + 2.0
+    }
+
     /// Number of retained weights.
     pub fn len(&self) -> usize {
         self.weights.len()
@@ -374,6 +401,31 @@ mod tests {
         assert!(w.len() < 200_000, "window unexpectedly wide: {}", w.len());
         assert!((w.left as f64) < lambda && (w.right as f64) > lambda);
         assert!(w.total > 1.0 - 1e-11);
+    }
+
+    /// The closed-form bound covers every window the walk builds, and for
+    /// the long windows of a solver's small `δ` it is within 2× of the
+    /// length.
+    #[test]
+    fn len_bound_covers_every_window() {
+        let lambdas = [
+            0.0, 1e-6, 0.3, 1.0, 2.0, 2.5, 7.0, 19.99, 64.0, 100.0, 1e3, 2.5e3, 1e4, 4.4e4, 1e5,
+            2.4e6, 1e7, 9e8,
+        ];
+        for &lambda in &lambdas {
+            for &delta in &[0.5, 0.1, 1e-3, 1e-6, 1e-10, 5e-13, 1e-15, 1e-20, 1e-300] {
+                let len = PoissonWeights::new(lambda, delta).len() as f64;
+                let bound = PoissonWeights::len_bound(lambda, delta);
+                assert!(bound >= len, "λ={lambda} δ={delta}: bound {bound} < {len}");
+                assert!(
+                    lambda < 100.0 || delta > 1e-6 || bound <= 2.0 * len,
+                    "λ={lambda} δ={delta}: bound {bound} is loose for {len}"
+                );
+            }
+        }
+        // At the engine's Λt limit, for a typical ε.
+        let len = PoissonWeights::new(1e10, 5e-13).len() as f64;
+        assert!(PoissonWeights::len_bound(1e10, 5e-13) >= len);
     }
 
     #[test]
