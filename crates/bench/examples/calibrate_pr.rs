@@ -1,4 +1,4 @@
-//! Calibration of the reconstruction success probability `P_R` (DESIGN.md §4).
+//! Calibration of the reconstruction success probability `P_R`.
 //!
 //! The paper never states P_R numerically. This example bisects it against
 //! the published `UR(1e5 h) = 0.50480` at G=20 and then checks the G=40
@@ -14,7 +14,7 @@ fn ur(g: u32, p_r: f64, t: f64) -> f64 {
         ..RaidParams::paper(g)
     }
     .with_absorbing_failure();
-    let built = RaidModel::new(params).build().unwrap();
+    let ctmc = RaidModel::new(params).build().unwrap();
     let opts = RrlOptions {
         regen: RegenOptions {
             epsilon: 1e-10,
@@ -22,7 +22,7 @@ fn ur(g: u32, p_r: f64, t: f64) -> f64 {
         },
         ..Default::default()
     };
-    RrlSolver::new(&built.ctmc, 0, opts)
+    RrlSolver::new(&ctmc, 0, opts)
         .unwrap()
         .trr(t)
         .unwrap()

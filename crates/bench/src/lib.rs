@@ -8,21 +8,21 @@
 //! * horizons: `t ∈ {1, 10, 10², 10³, 10⁴, 10⁵} h`;
 //! * error bound `ε = 10⁻¹²`.
 //!
-//! [`Workload`] materializes and caches the four *built* chains; the `repro`
-//! binary and the criterion benches share it. Solver-side artifacts
+//! [`Workload`] materializes and caches the four *built* chains for the
+//! `repro` binary. Solver-side artifacts
 //! (uniformizations, killed-chain parameters) are cached one layer down by
 //! `regenr_engine::ArtifactCache`, which generalizes this per-chain memo to
 //! arbitrary models keyed by structural fingerprint — `repro engine` runs
 //! the same grid through that path.
 
-use parking_lot::Mutex;
 use regenr_core::{RegenOptions, RrOptions, RrSolver, RrlOptions, RrlSolver};
 use regenr_ctmc::Ctmc;
 use regenr_models::{RaidModel, RaidParams};
+use regenr_sparse::pool::lock;
 use regenr_transient::{MeasureKind, RsdOptions, RsdSolver, SrOptions, SrSolver};
 use std::collections::HashMap;
 use std::io::Write;
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 /// The paper's error bound.
@@ -55,7 +55,7 @@ impl Workload {
 
     /// The RAID chain for `(G, variant)`, built on first use.
     pub fn chain(&self, g: u32, variant: Variant) -> Arc<Ctmc> {
-        let mut cache = self.cache.lock();
+        let mut cache = lock(&self.cache);
         cache
             .entry((g, variant))
             .or_insert_with(|| {
@@ -63,12 +63,7 @@ impl Workload {
                 if variant == Variant::Ur {
                     params = params.with_absorbing_failure();
                 }
-                Arc::new(
-                    RaidModel::new(params)
-                        .build()
-                        .expect("RAID model builds")
-                        .ctmc,
-                )
+                Arc::new(RaidModel::new(params).build().expect("RAID model builds"))
             })
             .clone()
     }

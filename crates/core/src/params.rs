@@ -17,7 +17,7 @@
 //! distribution `α` restricted to `S∖{r}` (present when `α_r < 1`), killed on
 //! *first visit* to `r` or absorption.
 //!
-//! ## Truncation control (DESIGN.md §3.1)
+//! ## Truncation control
 //!
 //! The truncated model routes the mass surviving `K` steps into an absorbing
 //! error state `a` with zero reward, so the model error on either measure is

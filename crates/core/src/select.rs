@@ -123,14 +123,14 @@ mod tests {
     #[test]
     fn raid_heuristic_agrees_with_papers_choice() {
         use regenr_models::{RaidModel, RaidParams};
-        let built = RaidModel::new(RaidParams {
+        let ctmc = RaidModel::new(RaidParams {
             g: 4,
             ..Default::default()
         })
         .build()
         .unwrap();
         // The paper's choice is the pristine state (index 0).
-        let r = select_regenerative_state(&built.ctmc, SelectOptions::default()).unwrap();
+        let r = select_regenerative_state(&ctmc, SelectOptions::default()).unwrap();
         assert_eq!(r, 0);
     }
 

@@ -1,7 +1,7 @@
 //! Closed-form Laplace transforms of the truncated transformed model
 //! (Section 2.1 of the paper).
 //!
-//! ## Derivation (re-derived and verified; see also DESIGN.md §3.2)
+//! ## Derivation (re-derived and verified)
 //!
 //! Write `z = Λ/(s+Λ)`. The Kolmogorov equations of `V_{K,L}` in the Laplace
 //! domain give, for the `K`-chain states (`p_k = P[V(t)=s_k]`):

@@ -9,6 +9,13 @@
 //! State numbering is deterministic (BFS discovery order from the initial
 //! states, which are numbered first in the given order), so state indices are
 //! stable across runs and usable in regression tests.
+//!
+//! Exploration streams: each transition goes into a growable [`CooBuilder`]
+//! as it is found, and exit rates and rewards grow state by state. The only
+//! other per-state structures are the state → index map, dropped before the
+//! CSR build, and the BFS queue. No state table or triplet buffer is kept; a
+//! caller that wants the high-level states collects them through the
+//! closure that [`CtmcBuilder::explore`] calls as each state is numbered.
 
 use crate::chain::{Ctmc, CtmcError};
 use regenr_sparse::CooBuilder;
@@ -20,7 +27,7 @@ use std::hash::Hash;
 /// compile it with [`CtmcBuilder::explore`].
 pub trait ModelSpec {
     /// State descriptor. Must be hashable; keep it small (it is cloned into
-    /// the state table).
+    /// the state index and the BFS queue).
     type State: Clone + Eq + Hash;
 
     /// Initial states with their probabilities (must sum to 1).
@@ -34,25 +41,6 @@ pub trait ModelSpec {
 
     /// Reward rate of a state (≥ 0).
     fn reward(&self, state: &Self::State) -> f64;
-}
-
-/// Result of state-space exploration: the compiled chain plus the mapping
-/// between state structs and indices.
-#[derive(Clone, Debug)]
-pub struct BuiltModel<S> {
-    /// The compiled, validated CTMC.
-    pub ctmc: Ctmc,
-    /// `states[i]` is the high-level state with index `i`.
-    pub states: Vec<S>,
-    /// Reverse mapping.
-    pub index: HashMap<S, usize>,
-}
-
-impl<S: Clone + Eq + Hash> BuiltModel<S> {
-    /// Index of a high-level state, if reachable.
-    pub fn state_index(&self, s: &S) -> Option<usize> {
-        self.index.get(s).copied()
-    }
 }
 
 /// Breadth-first reachable-state-space compiler.
@@ -70,6 +58,16 @@ impl Default for CtmcBuilder {
     }
 }
 
+/// The explorer's per-state bookkeeping: one entry per numbered state in
+/// `index`, `exit` and `rewards`, and the states not yet expanded in
+/// `queue`.
+struct Frontier<S> {
+    index: HashMap<S, usize>,
+    queue: VecDeque<(S, usize)>,
+    exit: Vec<f64>,
+    rewards: Vec<f64>,
+}
+
 impl CtmcBuilder {
     /// Builder with a custom exploration cap.
     pub fn with_max_states(max_states: usize) -> Self {
@@ -78,192 +76,80 @@ impl CtmcBuilder {
 
     /// Explores the reachable state space of `spec` and compiles it.
     ///
+    /// `on_state(i, s)` is called once per state, when `s` is numbered `i`,
+    /// so the calls come in index order. Pass `|_, _| {}` unless the
+    /// high-level states are wanted.
+    ///
     /// Exceeding `max_states` returns [`CtmcError::StateSpaceExceeded`] and a
     /// non-positive or non-finite rate returns [`CtmcError::InvalidRate`] —
     /// clean input-level errors, so generated models (spec files) can be
     /// rejected without panicking.
-    pub fn explore<M: ModelSpec>(&self, spec: &M) -> Result<BuiltModel<M::State>, CtmcError> {
+    pub fn explore<M: ModelSpec>(
+        &self,
+        spec: &M,
+        mut on_state: impl FnMut(usize, &M::State),
+    ) -> Result<Ctmc, CtmcError> {
         regenr_failpoint::failpoint_return!(
             "ctmc-explore",
             Err(CtmcError::Injected {
                 failpoint: "ctmc-explore"
             })
         );
-        let mut states: Vec<M::State> = Vec::new();
-        let mut index: HashMap<M::State, usize> = HashMap::new();
-        let mut queue: VecDeque<usize> = VecDeque::new();
-        let mut initial_pairs: Vec<(usize, f64)> = Vec::new();
+        let mut f = Frontier {
+            index: HashMap::new(),
+            queue: VecDeque::new(),
+            exit: Vec::new(),
+            rewards: Vec::new(),
+        };
+        // The index of `s`, numbering and queueing it first if it is new.
+        let mut number = |f: &mut Frontier<M::State>, s: M::State| match f.index.entry(s) {
+            Entry::Occupied(e) => Ok(*e.get()),
+            Entry::Vacant(e) => {
+                let id = f.exit.len();
+                if id >= self.max_states {
+                    return Err(CtmcError::StateSpaceExceeded {
+                        max_states: self.max_states,
+                    });
+                }
+                f.exit.push(0.0);
+                f.rewards.push(spec.reward(e.key()));
+                on_state(id, e.key());
+                f.queue.push_back((e.key().clone(), id));
+                e.insert(id);
+                Ok(id)
+            }
+        };
 
+        let mut initial_pairs: Vec<(usize, f64)> = Vec::new();
         for (s, p) in spec.initial() {
-            let id = match index.entry(s.clone()) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    let id = states.len();
-                    if id >= self.max_states {
-                        return Err(CtmcError::StateSpaceExceeded {
-                            max_states: self.max_states,
-                        });
-                    }
-                    e.insert(id);
-                    states.push(s);
-                    queue.push_back(id);
-                    id
-                }
-            };
-            initial_pairs.push((id, p));
+            initial_pairs.push((number(&mut f, s)?, p));
         }
-
-        // Triplets are accumulated first because the state count is unknown
-        // until exploration finishes.
-        let mut triplets: Vec<(usize, usize, f64)> = Vec::new();
-        while let Some(id) = queue.pop_front() {
-            let from = states[id].clone();
-            for (target, rate) in spec.transitions(&from) {
-                if !(rate > 0.0 && rate.is_finite()) {
-                    return Err(CtmcError::InvalidRate { from: id, rate });
-                }
-                let tid = match index.entry(target.clone()) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        let tid = states.len();
-                        if tid >= self.max_states {
-                            return Err(CtmcError::StateSpaceExceeded {
-                                max_states: self.max_states,
-                            });
-                        }
-                        e.insert(tid);
-                        states.push(target);
-                        queue.push_back(tid);
-                        tid
-                    }
-                };
-                if tid != id {
-                    triplets.push((id, tid, rate));
-                }
-            }
-        }
-
-        let n = states.len();
-        regenr_failpoint::failpoint_return!(
-            "ctmc-csr-build",
-            Err(CtmcError::Injected {
-                failpoint: "ctmc-csr-build"
-            })
-        );
-        let mut exit = vec![0.0f64; n];
-        let mut b = CooBuilder::with_capacity(n, n, triplets.len() + n);
-        for (i, j, r) in triplets {
-            b.push(i, j, r);
-            exit[i] += r;
-        }
-        for (i, &e) in exit.iter().enumerate() {
-            if e > 0.0 {
-                b.push(i, i, -e);
-            }
-        }
-
-        let mut initial = vec![0.0f64; n];
-        for (id, p) in initial_pairs {
-            initial[id] += p;
-        }
-        let rewards: Vec<f64> = states.iter().map(|s| spec.reward(s)).collect();
-        let ctmc = Ctmc::new(b.build(), initial, rewards)?;
-        Ok(BuiltModel {
-            ctmc,
-            states,
-            index,
-        })
-    }
-
-    /// Streaming variant of [`CtmcBuilder::explore`]: frontier expansion
-    /// feeds the COO accumulator incrementally instead of materializing the
-    /// full state table and a separate triplet buffer.
-    ///
-    /// Eager exploration holds, at peak, the state vector, the hash index,
-    /// the BFS queue *and* an unbounded triplet vector that is only folded
-    /// into the matrix builder after exploration finishes. Here each
-    /// transition goes straight into a growable [`CooBuilder`] as it is
-    /// discovered, rewards and exit rates grow state-by-state, and no state
-    /// vector is kept at all (the queue carries the state structs) — so
-    /// million-state compositions build without the duplicated peak.
-    ///
-    /// State numbering is BFS discovery order, identical to `explore`: the
-    /// two methods produce bit-for-bit the same [`Ctmc`]. The trade-off is
-    /// that no [`BuiltModel`] index is returned.
-    pub fn explore_streaming<M: ModelSpec>(&self, spec: &M) -> Result<Ctmc, CtmcError> {
-        regenr_failpoint::failpoint_return!(
-            "ctmc-explore-streaming",
-            Err(CtmcError::Injected {
-                failpoint: "ctmc-explore-streaming"
-            })
-        );
-        let mut index: HashMap<M::State, usize> = HashMap::new();
-        let mut queue: VecDeque<(M::State, usize)> = VecDeque::new();
-        let mut initial_pairs: Vec<(usize, f64)> = Vec::new();
-        let mut exit: Vec<f64> = Vec::new();
-        let mut rewards: Vec<f64> = Vec::new();
         let mut b = CooBuilder::new(0, 0);
-
-        for (s, p) in spec.initial() {
-            let id = match index.entry(s.clone()) {
-                Entry::Occupied(e) => *e.get(),
-                Entry::Vacant(e) => {
-                    let id = exit.len();
-                    if id >= self.max_states {
-                        return Err(CtmcError::StateSpaceExceeded {
-                            max_states: self.max_states,
-                        });
-                    }
-                    e.insert(id);
-                    exit.push(0.0);
-                    rewards.push(spec.reward(&s));
-                    queue.push_back((s, id));
-                    id
-                }
-            };
-            initial_pairs.push((id, p));
-        }
-
-        while let Some((from, id)) = queue.pop_front() {
+        while let Some((from, id)) = f.queue.pop_front() {
             for (target, rate) in spec.transitions(&from) {
                 if !(rate > 0.0 && rate.is_finite()) {
                     return Err(CtmcError::InvalidRate { from: id, rate });
                 }
-                let tid = match index.entry(target.clone()) {
-                    Entry::Occupied(e) => *e.get(),
-                    Entry::Vacant(e) => {
-                        let tid = exit.len();
-                        if tid >= self.max_states {
-                            return Err(CtmcError::StateSpaceExceeded {
-                                max_states: self.max_states,
-                            });
-                        }
-                        e.insert(tid);
-                        exit.push(0.0);
-                        rewards.push(spec.reward(&target));
-                        queue.push_back((target, tid));
-                        tid
-                    }
-                };
+                let tid = number(&mut f, target)?;
                 if tid != id {
                     // Both endpoints are < exit.len() (the states known so far).
-                    b.grow(exit.len(), exit.len());
+                    b.grow(f.exit.len(), f.exit.len());
                     b.push(id, tid, rate);
-                    exit[id] += rate;
+                    f.exit[id] += rate;
                 }
             }
         }
 
-        let n = exit.len();
+        let n = f.exit.len();
         regenr_failpoint::failpoint_return!(
             "ctmc-csr-build",
             Err(CtmcError::Injected {
                 failpoint: "ctmc-csr-build"
             })
         );
-        drop(index);
+        drop(f.index);
         b.grow(n, n);
-        for (i, &e) in exit.iter().enumerate() {
+        for (i, &e) in f.exit.iter().enumerate() {
             if e > 0.0 {
                 b.push(i, i, -e);
             }
@@ -272,7 +158,7 @@ impl CtmcBuilder {
         for (id, p) in initial_pairs {
             initial[id] += p;
         }
-        Ctmc::new(b.build(), initial, rewards)
+        Ctmc::new(b.build(), initial, f.rewards)
     }
 }
 
@@ -311,27 +197,33 @@ mod tests {
         }
     }
 
-    #[test]
-    fn mm1k_has_k_plus_one_states() {
-        let built = CtmcBuilder::default()
-            .explore(&Mm1k {
-                lambda: 1.0,
-                mu: 2.0,
-                k: 10,
+    /// Explores `spec` under the default cap, collecting the state table
+    /// through the numbering callback.
+    fn explore_with_states<M: ModelSpec>(spec: &M) -> (Ctmc, Vec<M::State>) {
+        let mut states = Vec::new();
+        let ctmc = CtmcBuilder::default()
+            .explore(spec, |i, s| {
+                assert_eq!(i, states.len(), "states are reported in index order");
+                states.push(s.clone());
             })
             .unwrap();
-        assert_eq!(built.ctmc.n_states(), 11);
-        assert_eq!(built.states[0], 0);
+        (ctmc, states)
+    }
+
+    #[test]
+    fn mm1k_has_k_plus_one_states() {
+        let (ctmc, states) = explore_with_states(&Mm1k {
+            lambda: 1.0,
+            mu: 2.0,
+            k: 10,
+        });
+        assert_eq!(ctmc.n_states(), 11);
         // BFS order: 0, 1, 2, ...
-        for (i, s) in built.states.iter().enumerate() {
-            assert_eq!(*s as usize, i);
-        }
-        assert_eq!(built.ctmc.exit_rate(0), 1.0);
-        assert_eq!(built.ctmc.exit_rate(5), 3.0);
-        assert_eq!(built.ctmc.exit_rate(10), 2.0);
-        assert_eq!(built.ctmc.rewards()[7], 7.0);
-        assert_eq!(built.state_index(&3), Some(3));
-        assert_eq!(built.state_index(&11), None);
+        assert_eq!(states, (0..=10).collect::<Vec<u32>>());
+        assert_eq!(ctmc.exit_rate(0), 1.0);
+        assert_eq!(ctmc.exit_rate(5), 3.0);
+        assert_eq!(ctmc.exit_rate(10), 2.0);
+        assert_eq!(ctmc.rewards()[7], 7.0);
     }
 
     /// Transitions to the same target are merged by the COO builder.
@@ -355,9 +247,11 @@ mod tests {
 
     #[test]
     fn duplicate_transitions_are_summed() {
-        let built = CtmcBuilder::default().explore(&TwoPaths).unwrap();
-        assert_eq!(built.ctmc.generator().get(0, 1), 5.0);
-        assert_eq!(built.ctmc.exit_rate(0), 5.0);
+        let ctmc = CtmcBuilder::default()
+            .explore(&TwoPaths, |_, _| {})
+            .unwrap();
+        assert_eq!(ctmc.generator().get(0, 1), 5.0);
+        assert_eq!(ctmc.exit_rate(0), 5.0);
     }
 
     /// Unbounded birth chain — trips any finite exploration cap.
@@ -377,16 +271,12 @@ mod tests {
 
     #[test]
     fn cap_is_a_clean_error() {
-        let builder = CtmcBuilder::with_max_states(100);
-        for result in [
-            builder.explore(&Unbounded).map(|_| ()),
-            builder.explore_streaming(&Unbounded).map(|_| ()),
-        ] {
-            match result {
-                Err(CtmcError::StateSpaceExceeded { max_states }) => assert_eq!(max_states, 100),
-                other => panic!("expected StateSpaceExceeded, got {other:?}"),
-            }
+        let mut numbered = 0;
+        match CtmcBuilder::with_max_states(100).explore(&Unbounded, |_, _| numbered += 1) {
+            Err(CtmcError::StateSpaceExceeded { max_states }) => assert_eq!(max_states, 100),
+            other => panic!("expected StateSpaceExceeded, got {other:?}"),
         }
+        assert_eq!(numbered, 100, "the state over the cap is never numbered");
     }
 
     /// A model whose state 1 leaves at a caller-chosen rate.
@@ -409,41 +299,14 @@ mod tests {
 
     #[test]
     fn non_positive_or_non_finite_rates_are_clean_errors() {
-        let builder = CtmcBuilder::default();
         for rate in [0.0, -1.0, f64::NAN, f64::INFINITY] {
-            for result in [
-                builder.explore(&BadRate(rate)).map(|_| ()),
-                builder.explore_streaming(&BadRate(rate)).map(|_| ()),
-            ] {
-                match result {
-                    Err(CtmcError::InvalidRate { from: 1, rate: r }) => {
-                        assert_eq!(r.to_bits(), rate.to_bits())
-                    }
-                    other => panic!("rate {rate}: expected InvalidRate, got {other:?}"),
+            match CtmcBuilder::default().explore(&BadRate(rate), |_, _| {}) {
+                Err(CtmcError::InvalidRate { from: 1, rate: r }) => {
+                    assert_eq!(r.to_bits(), rate.to_bits())
                 }
+                other => panic!("rate {rate}: expected InvalidRate, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn streaming_matches_eager_bitwise() {
-        let spec = Mm1k {
-            lambda: 0.7,
-            mu: 1.3,
-            k: 25,
-        };
-        let eager = CtmcBuilder::default().explore(&spec).unwrap().ctmc;
-        let streamed = CtmcBuilder::default().explore_streaming(&spec).unwrap();
-        assert_eq!(eager.n_states(), streamed.n_states());
-        assert_eq!(eager.generator().row_ptr(), streamed.generator().row_ptr());
-        assert_eq!(eager.generator().col_idx(), streamed.generator().col_idx());
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(
-            bits(eager.generator().values()),
-            bits(streamed.generator().values())
-        );
-        assert_eq!(bits(eager.initial()), bits(streamed.initial()));
-        assert_eq!(bits(eager.rewards()), bits(streamed.rewards()));
     }
 
     #[test]
@@ -466,8 +329,9 @@ mod tests {
                 self.0.reward(s)
             }
         }
-        let built = CtmcBuilder::default().explore(&Wrapper(spec)).unwrap();
-        assert_eq!(built.ctmc.initial()[built.state_index(&0).unwrap()], 0.25);
-        assert_eq!(built.ctmc.initial()[built.state_index(&2).unwrap()], 0.75);
+        let (ctmc, states) = explore_with_states(&Wrapper(spec));
+        // Initial states are numbered first, in the given order.
+        assert_eq!(states[..2], [0, 2]);
+        assert_eq!(ctmc.initial()[..2], [0.25, 0.75]);
     }
 }

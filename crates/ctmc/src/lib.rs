@@ -31,8 +31,8 @@
 //!     }
 //!     fn reward(&self, &n: &u32) -> f64 { n as f64 }
 //! }
-//! let built = CtmcBuilder::default().explore(&Queue { cap: 5 }).unwrap();
-//! assert_eq!(built.ctmc.n_states(), 6);
+//! let ctmc = CtmcBuilder::default().explore(&Queue { cap: 5 }, |_, _| {}).unwrap();
+//! assert_eq!(ctmc.n_states(), 6);
 //! ```
 
 pub mod build;
@@ -41,7 +41,7 @@ pub mod export;
 pub mod structure;
 pub mod uniformize;
 
-pub use build::{BuiltModel, CtmcBuilder, ModelSpec};
+pub use build::{CtmcBuilder, ModelSpec};
 pub use chain::{Ctmc, CtmcError, RewardedCtmc};
 pub use export::{stats, to_dot, CtmcStats};
 pub use structure::{analysis_runs, analyze, StructureInfo};

@@ -20,8 +20,9 @@
 //! why, step counts, error bounds, and artifact-cache counters. Spec model
 //! kinds: `raid`, `two_state`, `cyclic`, `duplex`, `machines`, `multiproc`,
 //! `compose` (declarative component systems — classes × rates × coverage ×
-//! dependencies, built through streaming state exploration; the `specs/`
-//! corpus at the repo root holds ready-to-run examples), and `inline` rate
+//! dependencies, compiled by the same state-space explorer as the named
+//! kinds; the `specs/` corpus at the repo root holds ready-to-run
+//! examples), and `inline` rate
 //! matrices. See `regenr_engine::spec` for the full schema.
 //!
 //! Exit codes: 0 ok, 1 a sweep with failed requests, 2 a usage or spec

@@ -57,10 +57,10 @@
 //! a spec error, default and largest accepted value 5,000,000, the limit
 //! every other kind explores under). Components are sorted by name before
 //! compilation, so permuted listings produce the identical chain — same
-//! fingerprint, same artifact-cache key, same `--stable` report — and the
-//! chain itself is built by streaming exploration
-//! (`CtmcBuilder::explore_streaming`), never holding a separate state
-//! table and triplet buffer at peak.
+//! fingerprint, same artifact-cache key, same `--stable` report. Like every
+//! other named kind, the chain is built by `CtmcBuilder::explore`, which
+//! streams each transition into the sparse builder as it is found and
+//! keeps no state table or triplet buffer.
 //!
 //! Any model object may carry a first-class `"sensitivity"` sweep form:
 //!
@@ -517,7 +517,7 @@ fn build_multiproc_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(Stri
             ("mu", params.mu),
         ],
     )?;
-    let built = MultiprocModel::new(params)
+    let ctmc = MultiprocModel::new(params)
         .build()
         .map_err(|e| format!("multiproc model failed to build: {e}"))?;
     Ok((
@@ -527,7 +527,7 @@ fn build_multiproc_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(Stri
             params.n_mem,
             if absorbing { "_ur" } else { "" }
         ),
-        built.ctmc,
+        ctmc,
     ))
 }
 
@@ -590,7 +590,7 @@ fn parse_components(obj: &Json) -> Result<Vec<ComponentClass>, String> {
     Ok(classes)
 }
 
-/// Builds a `"kind": "compose"` model via streaming exploration (see
+/// Builds a `"kind": "compose"` model under its `"max_states"` cap (see
 /// `regenr_models::compose` and the module docs for the grammar).
 fn build_compose_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc), String> {
     let classes = parse_components(obj)?;
@@ -662,7 +662,7 @@ fn build_compose_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String
         }
     };
     let ctmc = model
-        .build_streaming(max_states)
+        .build(max_states)
         .map_err(|e| format!("compose model failed to build: {e}"))?;
     Ok((model.default_name(), ctmc))
 }
@@ -797,11 +797,12 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
     let (default_name, ctmc) = match kind {
         "raid" => {
             let g = get_u32(obj, "g")?.ok_or_else(|| "raid model needs \"g\"".to_string())?;
-            if g == 0 {
-                return Err("raid \"g\" must be at least 1, got 0".to_string());
+            // The state stores disk counts in a u16 and spare counts in a
+            // byte.
+            if !(1..=u16::MAX as u32).contains(&g) {
+                return Err(format!("raid \"g\" must be in [1, 65535], got {g}"));
             }
             let mut params = RaidParams::paper(g);
-            // The state stores spare counts in a byte.
             for (key, slot) in [("c_h", &mut params.c_h), ("d_h", &mut params.d_h)] {
                 if let Some(v) = get_u32(obj, key)? {
                     if v > u8::MAX as u32 {
@@ -834,12 +835,12 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
             if absorbing {
                 params = params.with_absorbing_failure();
             }
-            let built = RaidModel::new(params)
+            let ctmc = RaidModel::new(params)
                 .build()
                 .map_err(|e| format!("raid model failed to build: {e}"))?;
             (
                 format!("raid_g{g}_{}", if absorbing { "ur" } else { "ua" }),
-                built.ctmc,
+                ctmc,
             )
         }
         "two_state" => {
@@ -928,12 +929,12 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
                 return Err("machines \"repairmen\" must be at least 1, got 0".to_string());
             }
             check_rates("machines", &[("lambda", model.lambda), ("mu", model.mu)])?;
-            let built = model
+            let ctmc = model
                 .build()
                 .map_err(|e| format!("machines model failed to build: {e}"))?;
             (
                 format!("machines_{}x{}", model.machines, model.repairmen),
-                built.ctmc,
+                ctmc,
             )
         }
         "multiproc" => build_multiproc_model(obj, scale)?,
@@ -2008,6 +2009,10 @@ mod tests {
         // spec errors naming the field, never a panic.
         for (model, field) in [
             (r#"{"kind": "raid", "g": 0}"#, "\"g\""),
+            (
+                r#"{"kind": "raid", "g": 65536}"#,
+                "\"g\" must be in [1, 65535]",
+            ),
             (r#"{"kind": "raid", "g": 2, "p_r": 0}"#, "\"p_r\""),
             (r#"{"kind": "raid", "g": 2, "p_r": 1.5}"#, "\"p_r\""),
             (r#"{"kind": "raid", "g": 2, "d_h": 256}"#, "\"d_h\""),

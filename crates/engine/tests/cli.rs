@@ -78,6 +78,7 @@ fn spec_values_no_model_accepts_exit_2() {
     );
     for model in [
         r#"{"kind":"raid","g":2,"p_r":0}"#,
+        r#"{"kind":"raid","g":65536}"#,
         r#"{"kind":"machines","machines":4,"repairmen":0,"lambda":0.1,"mu":1}"#,
         r#"{"kind":"cyclic","n":1}"#,
         r#"{"kind":"two_state","lambda":-1,"mu":1}"#,

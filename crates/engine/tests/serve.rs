@@ -233,6 +233,7 @@ fn validation_errors_are_structured_400s() {
     // panic answered as an infrastructure 5xx.
     let models = [
         r#"{"kind":"raid","g":0}"#,
+        r#"{"kind":"raid","g":65536}"#,
         r#"{"kind":"raid","g":2,"p_r":0}"#,
         r#"{"kind":"raid","g":2,"p_r":1.5}"#,
         r#"{"kind":"machines","machines":4,"repairmen":0,"lambda":0.1,"mu":1}"#,

@@ -8,8 +8,8 @@
 //! plus a global repair-crew limit, a policy for uncovered failures, and a
 //! reward expression. [`ComposeModel`] implements
 //! [`ModelSpec`] over a packed per-class-count state
-//! vector, so the existing [`CtmcBuilder`] pipeline (eager or streaming)
-//! compiles it to a validated [`Ctmc`].
+//! vector, so the breadth-first [`CtmcBuilder`] every family uses compiles
+//! it to a validated [`Ctmc`].
 //!
 //! Dependency rules condition a class's failure rate on another class's
 //! state: `Dependency { on, min_working, factor }` multiplies the failure
@@ -25,7 +25,7 @@
 //! anchor.
 
 use crate::multiproc::MultiprocParams;
-use regenr_ctmc::{BuiltModel, Ctmc, CtmcBuilder, CtmcError, ModelSpec};
+use regenr_ctmc::{Ctmc, CtmcBuilder, CtmcError, ModelSpec};
 use std::fmt;
 
 /// A failure-rate modifier conditioned on another class's state.
@@ -482,15 +482,11 @@ impl ComposeModel {
         self.pack(&counts)
     }
 
-    /// Compiles eagerly, returning the state table (tests, small models).
-    pub fn build(&self) -> Result<BuiltModel<ComposeState>, CtmcError> {
-        CtmcBuilder::default().explore(self)
-    }
-
-    /// Compiles via streaming exploration with an explicit state cap —
-    /// the path used by `compose` specs, where the cap is an input error.
-    pub fn build_streaming(&self, max_states: usize) -> Result<Ctmc, CtmcError> {
-        CtmcBuilder::with_max_states(max_states).explore_streaming(self)
+    /// Compiles the model, exploring at most `max_states` states; more is
+    /// [`CtmcError::StateSpaceExceeded`], which `compose` specs report as an
+    /// input error.
+    pub fn build(&self, max_states: usize) -> Result<Ctmc, CtmcError> {
+        CtmcBuilder::with_max_states(max_states).explore(self, |_, _| {})
     }
 }
 
@@ -617,6 +613,19 @@ mod tests {
     use crate::multiproc::MultiprocModel;
     use crate::redundant::duplex_with_coverage;
 
+    /// A state cap no test model comes near.
+    const CAP: usize = 10_000;
+
+    /// Builds `model`, collecting its state table through the explorer's
+    /// numbering callback.
+    fn build_with_states(model: &ComposeModel) -> (Ctmc, Vec<ComposeState>) {
+        let mut states = Vec::new();
+        let ctmc = CtmcBuilder::with_max_states(CAP)
+            .explore(model, |_, s| states.push(*s))
+            .unwrap();
+        (ctmc, states)
+    }
+
     /// Bitwise CTMC equality: structure, every rate bit, initial, rewards.
     fn assert_ctmc_bitwise_eq(a: &Ctmc, b: &Ctmc) {
         assert_eq!(a.n_states(), b.n_states());
@@ -634,9 +643,9 @@ mod tests {
             let hand = duplex_with_coverage(lambda, mu, coverage);
             let composed = ComposeModel::duplex(lambda, mu, coverage)
                 .unwrap()
-                .build()
+                .build(CAP)
                 .unwrap();
-            assert_ctmc_bitwise_eq(&hand, &composed.ctmc);
+            assert_ctmc_bitwise_eq(&hand, &composed);
         }
     }
 
@@ -653,9 +662,9 @@ mod tests {
             .unwrap();
             let composed = ComposeModel::machines(machines, repairmen, 0.13, 1.7)
                 .unwrap()
-                .build()
+                .build(CAP)
                 .unwrap();
-            assert_ctmc_bitwise_eq(&hand.ctmc, &composed.ctmc);
+            assert_ctmc_bitwise_eq(&hand, &composed);
         }
     }
 
@@ -667,8 +676,11 @@ mod tests {
                 ..Default::default()
             };
             let hand = MultiprocModel::new(params).build().unwrap();
-            let composed = ComposeModel::multiproc(&params).unwrap().build().unwrap();
-            assert_ctmc_bitwise_eq(&hand.ctmc, &composed.ctmc);
+            let composed = ComposeModel::multiproc(&params)
+                .unwrap()
+                .build(CAP)
+                .unwrap();
+            assert_ctmc_bitwise_eq(&hand, &composed);
         }
     }
 
@@ -679,8 +691,11 @@ mod tests {
             ..Default::default()
         };
         let hand = MultiprocModel::new(params).build().unwrap();
-        let composed = ComposeModel::multiproc(&params).unwrap().build().unwrap();
-        assert_ctmc_bitwise_eq(&hand.ctmc, &composed.ctmc);
+        let composed = ComposeModel::multiproc(&params)
+            .unwrap()
+            .build(CAP)
+            .unwrap();
+        assert_ctmc_bitwise_eq(&hand, &composed);
     }
 
     #[test]
@@ -699,16 +714,14 @@ mod tests {
             RewardKind::Down,
         )
         .unwrap();
-        let built = model.build().unwrap();
+        let (ctmc, states) = build_with_states(&model);
         // Find the state with power down, both disks up; its only outgoing
         // transitions must be the repair (disk failures are dormant).
-        let dark = built
-            .states
+        let dark = states
             .iter()
             .position(|s| matches!(s, ComposeState::Up(p) if model.working(*p, 0) == 0 && model.working(*p, 1) == 2))
             .expect("power-down state reachable");
-        let row: Vec<_> = built
-            .ctmc
+        let row: Vec<_> = ctmc
             .generator()
             .row(dark)
             .filter(|&(j, _)| j != dark)
@@ -733,18 +746,17 @@ mod tests {
             RewardKind::Up,
         )
         .unwrap();
-        let built = model.build().unwrap();
+        let (ctmc, states) = build_with_states(&model);
         let find = |unit: u32, spare: u32| {
-            built
-                .states
+            states
                 .iter()
                 .position(|s| matches!(s, ComposeState::Up(p) if model.working(*p, 0) == unit && model.working(*p, 1) == spare))
                 .unwrap()
         };
         let calm = find(3, 1);
         let stressed = find(3, 0);
-        let calm_rate = built.ctmc.generator().get(calm, find(2, 1));
-        let stressed_rate = built.ctmc.generator().get(stressed, find(2, 0));
+        let calm_rate = ctmc.generator().get(calm, find(2, 1));
+        let stressed_rate = ctmc.generator().get(stressed, find(2, 0));
         assert_eq!(calm_rate, 3.0 * 0.1);
         assert_eq!(stressed_rate, 3.0 * 0.1 * 3.0);
     }
@@ -761,28 +773,22 @@ mod tests {
             RewardKind::Down,
         )
         .unwrap();
-        let built = model.build().unwrap();
+        let (ctmc, states) = build_with_states(&model);
         // Working counts 5, 4, 3 plus the absorbing Failed state: any
         // transition below the k = 3 threshold is lumped.
-        assert_eq!(built.ctmc.n_states(), 4);
-        let failed = built.state_index(&ComposeState::Failed).unwrap();
-        assert_eq!(built.ctmc.exit_rate(failed), 0.0);
-        assert_eq!(built.ctmc.rewards()[failed], 1.0);
-    }
-
-    #[test]
-    fn streaming_build_matches_eager() {
-        let params = MultiprocParams::default();
-        let model = ComposeModel::multiproc(&params).unwrap();
-        let eager = model.build().unwrap().ctmc;
-        let streamed = model.build_streaming(1_000_000).unwrap();
-        assert_ctmc_bitwise_eq(&eager, &streamed);
+        assert_eq!(ctmc.n_states(), 4);
+        let failed = states
+            .iter()
+            .position(|s| *s == ComposeState::Failed)
+            .unwrap();
+        assert_eq!(ctmc.exit_rate(failed), 0.0);
+        assert_eq!(ctmc.rewards()[failed], 1.0);
     }
 
     #[test]
     fn state_cap_is_a_spec_level_error() {
         let model = ComposeModel::machines(100, 4, 0.1, 1.0).unwrap();
-        match model.build_streaming(10) {
+        match model.build(10) {
             Err(CtmcError::StateSpaceExceeded { max_states: 10 }) => {}
             other => panic!("expected StateSpaceExceeded, got {other:?}"),
         }
@@ -896,8 +902,8 @@ mod tests {
         let scaled = model.with_scaled_rate("lambda", 2.0).unwrap();
         assert_eq!(scaled.classes()[0].lambda, 0.2);
         assert_eq!(scaled.classes()[0].mu, 1.0, "mu untouched");
-        let base = model.build_streaming(10_000).unwrap();
-        let twice = scaled.build_streaming(10_000).unwrap();
+        let base = model.build(CAP).unwrap();
+        let twice = scaled.build(CAP).unwrap();
         assert_eq!(base.n_states(), twice.n_states());
         assert_eq!(base.generator().row_ptr(), twice.generator().row_ptr());
         assert_eq!(base.generator().col_idx(), twice.generator().col_idx());

@@ -7,7 +7,7 @@
 //! measure with a non-binary reward structure (unlike the RAID models, whose
 //! rewards are failure indicators).
 
-use regenr_ctmc::{BuiltModel, CtmcBuilder, CtmcError, ModelSpec};
+use regenr_ctmc::{Ctmc, CtmcBuilder, CtmcError, ModelSpec};
 
 /// The machines-repairman model.
 #[derive(Clone, Copy, Debug)]
@@ -48,8 +48,8 @@ impl ModelSpec for MachinesModel {
 
 impl MachinesModel {
     /// Compiles the model (state 0 = all machines up = index 0).
-    pub fn build(&self) -> Result<BuiltModel<u32>, CtmcError> {
-        CtmcBuilder::default().explore(self)
+    pub fn build(&self) -> Result<Ctmc, CtmcError> {
+        CtmcBuilder::default().explore(self, |_, _| {})
     }
 }
 
@@ -66,9 +66,9 @@ mod tests {
             lambda: 0.1,
             mu: 1.0,
         };
-        let built = m.build().unwrap();
-        assert_eq!(built.ctmc.n_states(), 9);
-        assert_eq!(built.ctmc.max_reward(), 8.0);
+        let ctmc = m.build().unwrap();
+        assert_eq!(ctmc.n_states(), 9);
+        assert_eq!(ctmc.max_reward(), 8.0);
     }
 
     #[test]
@@ -79,8 +79,8 @@ mod tests {
             lambda: 0.2,
             mu: 1.0,
         };
-        let built = m.build().unwrap();
-        let sr = SrSolver::new(&built.ctmc, SrOptions::default());
+        let ctmc = m.build().unwrap();
+        let sr = SrSolver::new(&ctmc, SrOptions::default());
         let early = sr.solve(MeasureKind::Trr, 0.1).value;
         let late = sr.solve(MeasureKind::Trr, 100.0).value;
         assert!(early > late, "capacity must decay toward steady state");
@@ -95,8 +95,8 @@ mod tests {
             lambda: 0.3,
             mu: 1.1,
         };
-        let built = m.build().unwrap();
-        let sr = SrSolver::new(&built.ctmc, SrOptions::default());
+        let ctmc = m.build().unwrap();
+        let sr = SrSolver::new(&ctmc, SrOptions::default());
         let t = 2.0;
         // Availability = 1 − UA of the two-state model.
         let ua = crate::two_state::unavailability(0.3, 1.1, t);

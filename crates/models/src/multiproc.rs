@@ -10,7 +10,7 @@
 //! `min(p, m)` for an operational configuration, `0` otherwise, giving a
 //! genuinely multi-level reward structure.
 
-use regenr_ctmc::{BuiltModel, CtmcBuilder, CtmcError, ModelSpec};
+use regenr_ctmc::{Ctmc, CtmcBuilder, CtmcError, ModelSpec};
 
 /// Parameters of the multiprocessor model.
 #[derive(Clone, Copy, Debug)]
@@ -78,8 +78,8 @@ impl MultiprocModel {
     }
 
     /// Compiles the reachable chain (full configuration has index 0).
-    pub fn build(&self) -> Result<BuiltModel<MultiprocState>, CtmcError> {
-        CtmcBuilder::default().explore(self)
+    pub fn build(&self) -> Result<Ctmc, CtmcError> {
+        CtmcBuilder::default().explore(self, |_, _| {})
     }
 }
 
@@ -156,45 +156,47 @@ mod tests {
     use super::*;
     use regenr_transient::{MeasureKind, SrOptions, SrSolver};
 
+    /// Builds the model and its state table, collected through the
+    /// explorer's numbering callback.
+    fn build_with_states(params: MultiprocParams) -> (Ctmc, Vec<MultiprocState>) {
+        let mut states = Vec::new();
+        let ctmc = CtmcBuilder::default()
+            .explore(&MultiprocModel::new(params), |_, s| states.push(*s))
+            .unwrap();
+        (ctmc, states)
+    }
+
     #[test]
     fn state_space_is_grid_plus_crash() {
-        let built = MultiprocModel::new(MultiprocParams::default())
+        let ctmc = MultiprocModel::new(MultiprocParams::default())
             .build()
             .unwrap();
         // (P+1)(M+1) up-configurations + crashed.
-        assert_eq!(built.ctmc.n_states(), 5 * 4 + 1);
-        assert_eq!(built.ctmc.max_reward(), 3.0); // min(4, 3)
+        assert_eq!(ctmc.n_states(), 5 * 4 + 1);
+        assert_eq!(ctmc.max_reward(), 3.0); // min(4, 3)
     }
 
     #[test]
     fn initial_state_has_full_capacity() {
         let model = MultiprocModel::new(MultiprocParams::default());
-        let built = model.build().unwrap();
-        assert_eq!(built.ctmc.rewards()[0], 3.0);
-        assert_eq!(built.ctmc.initial()[0], 1.0);
+        let ctmc = model.build().unwrap();
+        assert_eq!(ctmc.rewards()[0], 3.0);
+        assert_eq!(ctmc.initial()[0], 1.0);
     }
 
     #[test]
     fn capacity_decays_and_repairman_prioritizes_processors() {
-        let built = MultiprocModel::new(MultiprocParams::default())
-            .build()
-            .unwrap();
+        let (ctmc, states) = build_with_states(MultiprocParams::default());
+        let up = |p, m| {
+            states
+                .iter()
+                .position(|s| *s == MultiprocState::Up { p, m })
+                .unwrap()
+        };
         // From (p=2, m=3) the repairman must work on processors.
-        let i = built
-            .state_index(&MultiprocState::Up { p: 2, m: 3 })
-            .unwrap();
-        let j = built
-            .state_index(&MultiprocState::Up { p: 3, m: 3 })
-            .unwrap();
-        assert_eq!(built.ctmc.generator().get(i, j), 1.0);
+        assert_eq!(ctmc.generator().get(up(2, 3), up(3, 3)), 1.0);
         // From (p=4, m=1) it repairs memory.
-        let i = built
-            .state_index(&MultiprocState::Up { p: 4, m: 1 })
-            .unwrap();
-        let j = built
-            .state_index(&MultiprocState::Up { p: 4, m: 2 })
-            .unwrap();
-        assert_eq!(built.ctmc.generator().get(i, j), 1.0);
+        assert_eq!(ctmc.generator().get(up(4, 1), up(4, 2)), 1.0);
     }
 
     #[test]
@@ -203,9 +205,9 @@ mod tests {
             coverage: 1.0,
             ..Default::default()
         };
-        let built = MultiprocModel::new(params).build().unwrap();
+        let (_, states) = build_with_states(params);
         assert!(
-            built.state_index(&MultiprocState::Crashed).is_none(),
+            !states.contains(&MultiprocState::Crashed),
             "crash state must be unreachable at c = 1"
         );
     }
@@ -213,13 +215,13 @@ mod tests {
     #[test]
     fn mean_capacity_decreases_with_worse_coverage() {
         let mrr = |coverage: f64| {
-            let built = MultiprocModel::new(MultiprocParams {
+            let ctmc = MultiprocModel::new(MultiprocParams {
                 coverage,
                 ..Default::default()
             })
             .build()
             .unwrap();
-            let sr = SrSolver::new(&built.ctmc, SrOptions::default());
+            let sr = SrSolver::new(&ctmc, SrOptions::default());
             sr.solve(MeasureKind::Mrr, 1000.0).value
         };
         let good = mrr(0.999);
@@ -236,8 +238,8 @@ mod tests {
             absorbing_crash: true,
             ..Default::default()
         };
-        let built = MultiprocModel::new(params).build().unwrap();
-        let sr = SrSolver::new(&built.ctmc, SrOptions::default());
+        let ctmc = MultiprocModel::new(params).build().unwrap();
+        let sr = SrSolver::new(&ctmc, SrOptions::default());
         // With an absorbing crash, long-run capacity tends to the attrition
         // equilibrium *conditioned on survival*, strictly below the
         // repairable variant's.
@@ -245,7 +247,7 @@ mod tests {
         let rep = MultiprocModel::new(MultiprocParams::default())
             .build()
             .unwrap();
-        let sr_rep = SrSolver::new(&rep.ctmc, SrOptions::default());
+        let sr_rep = SrSolver::new(&rep, SrOptions::default());
         let cap_rep = sr_rep.solve(MeasureKind::Trr, 50_000.0).value;
         assert!(cap_abs < cap_rep, "{cap_abs} vs {cap_rep}");
     }

@@ -53,13 +53,17 @@
 //! verbatim from the paper: when an unavailable disk becomes available and at
 //! least two others remain, the remainder is still considered unaligned.
 //!
-//! With these rules the generated chains match the paper's sizes exactly:
-//! 3,841 states / 24,785 transitions at `G=20` and 14,081 / 94,405 at `G=40`
-//! are the published figures; `repro -- sizes` prints ours for comparison.
+//! With these rules the generated chains have exactly the paper's state
+//! counts: 3,841 at `G=20` and 14,081 at `G=40`. The transition counts
+//! differ: the paper publishes 24,785 and 94,405, and our availability
+//! chains have 22,737 and 87,097, because the explorer merges parallel arcs
+//! between the same pair of states (the separate failure events that all
+//! lead to the lumped failed state, for one) into one generator entry.
+//! `repro sizes` writes both beside each other.
 //!
 //! The reconstruction success probability `P_R` is not given a numeric value
-//! in the paper; DESIGN.md §4 documents its calibration against the reported
-//! `UR(10⁵ h)` values.
+//! in the paper; the `calibrate_pr` example of `regenr-bench` fits it to the
+//! reported `UR(10⁵ h)` values.
 
 mod spec;
 

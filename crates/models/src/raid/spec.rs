@@ -1,6 +1,6 @@
 //! Transition catalogue of the lumped RAID model.
 
-use regenr_ctmc::{BuiltModel, CtmcBuilder, CtmcError, ModelSpec};
+use regenr_ctmc::{Ctmc, CtmcBuilder, CtmcError, ModelSpec};
 
 /// Parameters of the RAID level-5 model. Defaults are the paper's fixed
 /// values (all rates in h⁻¹) with the paper's `G=20, C_H=1, D_H=3` instance.
@@ -30,7 +30,8 @@ pub struct RaidParams {
     pub mu_sr: f64,
     /// Global repair rate (`μ_G = 0.25`).
     pub mu_g: f64,
-    /// Reconstruction success probability (`P_R`; calibrated, see DESIGN.md).
+    /// Reconstruction success probability (`P_R`; calibrated by the
+    /// `calibrate_pr` example of `regenr-bench`).
     pub p_r: f64,
     /// `false`: availability model (global repair, irreducible, `A = 0`);
     /// `true`: reliability model (failed state absorbing, `A = 1`).
@@ -105,6 +106,10 @@ pub enum RaidState {
 }
 
 /// The RAID model as a compilable [`ModelSpec`].
+///
+/// Precondition: `1 ≤ g ≤ 65,535` and `c_h, d_h ≤ 255`, because a
+/// [`RaidState`] stores disk counts in a `u16` and spare counts in a `u8`.
+/// Larger values wrap silently; the spec layer refuses them by name.
 #[derive(Clone, Copy, Debug)]
 pub struct RaidModel {
     /// Model parameters.
@@ -132,8 +137,8 @@ impl RaidModel {
     /// Compiles the model into a CTMC (BFS over the reachable space). The
     /// pristine state always has index 0, so it can be used directly as the
     /// regenerative state.
-    pub fn build(&self) -> Result<BuiltModel<RaidState>, CtmcError> {
-        CtmcBuilder::default().explore(self)
+    pub fn build(&self) -> Result<Ctmc, CtmcError> {
+        CtmcBuilder::default().explore(self, |_, _| {})
     }
 }
 

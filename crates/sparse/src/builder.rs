@@ -33,8 +33,8 @@ impl CooBuilder {
     }
 
     /// Enlarges the matrix to `nrows × ncols`. Existing entries are kept;
-    /// dimensions never shrink. Streaming state-space exploration uses this
-    /// to feed entries before the final state count is known.
+    /// dimensions never shrink. State-space exploration uses this to feed
+    /// entries before the final state count is known.
     pub fn grow(&mut self, nrows: usize, ncols: usize) {
         assert!(nrows < u32::MAX as usize && ncols < u32::MAX as usize);
         self.nrows = self.nrows.max(nrows);

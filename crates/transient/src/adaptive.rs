@@ -3,8 +3,8 @@
 //! Van Moorsel & Sanders' adaptive uniformization lowers the randomization
 //! *rate* while the process can only occupy a subset of states. Adapting the
 //! rate changes the jump-count distribution to a general birth process, whose
-//! weights are expensive to control rigorously; as documented in DESIGN.md we
-//! implement the closely related **active-set** optimization instead: the
+//! weights are expensive to control rigorously, so we implement the
+//! closely related **active-set** optimization instead: the
 //! rate stays `Λ`, but each step's product only touches rows that are
 //! reachable from the current support — the result is *exactly* SR's (states
 //! outside the frontier carry zero probability), while early steps cost

@@ -18,8 +18,8 @@
 //! rigorous bound of Sericola 1999 needs spectral information that is not
 //! available here; the estimate is conservative: we take the *maximum* ratio
 //! over the window) and stop at the first `n*` where
-//! `r_max · d_{n*} · ρ̂/(1−ρ̂) ≤ ε/2`. This is the practical variant documented
-//! in DESIGN.md §3.4.
+//! `r_max · d_{n*} · ρ̂/(1−ρ̂) ≤ ε/2`. This is a practical variant: the
+//! reported bound is an estimate, not a rigorous bound.
 //!
 //! Periodic chains never trigger detection under `θ = 0` uniformization; pass
 //! `theta > 0` to force self-loops (aperiodicity) — the solver then behaves

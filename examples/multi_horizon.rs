@@ -19,14 +19,14 @@ use regenr::prelude::*;
 use std::time::Instant;
 
 fn main() {
-    let built = RaidModel::new(RaidParams::paper(20)).build().unwrap();
+    let ctmc = RaidModel::new(RaidParams::paper(20)).build().unwrap();
 
     // The auto-selection heuristic recovers the paper's choice (pristine).
-    let r = select_regenerative_state(&built.ctmc, SelectOptions::default()).unwrap();
+    let r = select_regenerative_state(&ctmc, SelectOptions::default()).unwrap();
     println!("auto-selected regenerative state: {r} (paper uses the pristine state, index 0)");
 
     let rrl = RrlSolver::new(
-        &built.ctmc,
+        &ctmc,
         r,
         RrlOptions {
             regen: RegenOptions {

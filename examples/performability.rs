@@ -22,16 +22,16 @@ fn main() {
         lambda: 0.02,
         mu: 1.0,
     };
-    let built = model.build().unwrap();
+    let ctmc = model.build().unwrap();
     println!(
         "machines-repairman model: {} states, r_max = {}",
-        built.ctmc.n_states(),
-        built.ctmc.max_reward()
+        ctmc.n_states(),
+        ctmc.max_reward()
     );
 
     let epsilon = 1e-12;
     let rrl = RrlSolver::new(
-        &built.ctmc,
+        &ctmc,
         0,
         RrlOptions {
             regen: RegenOptions {
@@ -43,7 +43,7 @@ fn main() {
     )
     .unwrap();
     let sr = SrSolver::new(
-        &built.ctmc,
+        &ctmc,
         SrOptions {
             epsilon,
             ..Default::default()
@@ -64,8 +64,8 @@ fn main() {
     }
 
     // Long-run capacity from the stationary distribution for reference.
-    let pi = stationary_distribution(&built.ctmc, 1e-14, 1_000_000).unwrap();
-    let long_run = built.ctmc.reward_dot(&pi);
+    let pi = stationary_distribution(&ctmc, 1e-14, 1_000_000).unwrap();
+    let long_run = ctmc.reward_dot(&pi);
     println!("\nlong-run expected capacity: {long_run:.8} machines");
     let trr_inf = rrl.trr(10_000.0).unwrap().value;
     assert!((trr_inf - long_run).abs() < 1e-7);

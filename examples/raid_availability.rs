@@ -23,14 +23,14 @@ fn main() {
         .unwrap_or(20);
 
     println!("building RAID availability model, G={g} ...");
-    let built = RaidModel::new(RaidParams::paper(g)).build().unwrap();
+    let ctmc = RaidModel::new(RaidParams::paper(g)).build().unwrap();
     println!(
         "  {} states, {} generator entries, Λ = {:.4}/h",
-        built.ctmc.n_states(),
-        built.ctmc.generator().nnz(),
-        built.ctmc.generator().max_abs_diag()
+        ctmc.n_states(),
+        ctmc.generator().nnz(),
+        ctmc.generator().max_abs_diag()
     );
-    let model = Arc::new(built.ctmc);
+    let model = Arc::new(ctmc);
 
     let t_grid = vec![1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0];
     let engine = Engine::new();

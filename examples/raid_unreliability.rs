@@ -7,7 +7,8 @@
 //! ```
 //!
 //! Reproduces the paper's headline scalars: `UR(10⁵ h) = 0.50480` at `G=20`
-//! and `0.74750` at `G=40` (with the calibrated `P_R`, see DESIGN.md §4).
+//! and `0.74750` at `G=40` (with `P_R` calibrated by `regenr-bench`'s
+//! `calibrate_pr` example).
 //! Under `Auto` dispatch the engine uses SR only where it is cheap (small
 //! `Λt`) and RRL beyond — exactly the regime split of Table 2, where SR
 //! needs millions of steps at `t = 10⁵ h` and RRL a few thousand.
@@ -23,11 +24,11 @@ fn main() {
         .unwrap_or(20);
 
     println!("building RAID unreliability model, G={g} ...");
-    let built = RaidModel::new(RaidParams::paper(g).with_absorbing_failure())
+    let ctmc = RaidModel::new(RaidParams::paper(g).with_absorbing_failure())
         .build()
         .unwrap();
-    println!("  {} states", built.ctmc.n_states());
-    let model = Arc::new(built.ctmc);
+    println!("  {} states", ctmc.n_states());
+    let model = Arc::new(ctmc);
 
     let engine = Engine::new();
     let request = SolveRequest::new(

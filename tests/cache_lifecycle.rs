@@ -28,14 +28,12 @@ fn bounded_cache_serves_100_requests_and_reproduces_the_paper_grid() {
     let ur20 = Arc::new(
         RaidModel::new(RaidParams::paper(20).with_absorbing_failure())
             .build()
-            .unwrap()
-            .ctmc,
+            .unwrap(),
     );
     let ur40 = Arc::new(
         RaidModel::new(RaidParams::paper(40).with_absorbing_failure())
             .build()
-            .unwrap()
-            .ctmc,
+            .unwrap(),
     );
 
     let mut reqs: Vec<SolveRequest> = Vec::new();

@@ -97,20 +97,20 @@ fn five_solvers_agree_on_duplex() {
 fn solvers_agree_on_small_raid_availability() {
     // A small instance keeps SR affordable while exercising the full
     // transition catalogue.
-    let built = RaidModel::new(RaidParams {
+    let ctmc = RaidModel::new(RaidParams {
         g: 4,
         ..Default::default()
     })
     .build()
     .unwrap();
     for &t in &[1.0, 20.0] {
-        assert_all_close(&all_trr(&built.ctmc, 0, t), 1e-9, &format!("raid4 t={t}"));
+        assert_all_close(&all_trr(&ctmc, 0, t), 1e-9, &format!("raid4 t={t}"));
     }
 }
 
 #[test]
 fn solvers_agree_on_small_raid_unreliability() {
-    let built = RaidModel::new(
+    let ctmc = RaidModel::new(
         RaidParams {
             g: 4,
             ..Default::default()
@@ -120,11 +120,7 @@ fn solvers_agree_on_small_raid_unreliability() {
     .build()
     .unwrap();
     for &t in &[1.0, 20.0] {
-        assert_all_close(
-            &all_trr(&built.ctmc, 0, t),
-            1e-9,
-            &format!("raid4-UR t={t}"),
-        );
+        assert_all_close(&all_trr(&ctmc, 0, t), 1e-9, &format!("raid4-UR t={t}"));
     }
 }
 
@@ -167,21 +163,21 @@ fn mrr_agrees_across_methods() {
 #[test]
 fn ode_oracle_agrees_on_dense_path() {
     // Independent numerical family (adaptive RK4(5) on the dense generator).
-    let built = RaidModel::new(RaidParams {
+    let ctmc = RaidModel::new(RaidParams {
         g: 2,
         ..Default::default()
     })
     .build()
     .unwrap();
     let ode = OdeSolver::new(
-        &built.ctmc,
+        &ctmc,
         OdeOptions {
             tol: 1e-12,
             ..Default::default()
         },
     );
     let sr = SrSolver::new(
-        &built.ctmc,
+        &ctmc,
         SrOptions {
             epsilon: 1e-13,
             ..Default::default()
@@ -198,9 +194,9 @@ fn ode_oracle_agrees_on_dense_path() {
 fn rrl_handles_paper_scale_horizons() {
     // At t = 1e5 h SR would need ~4.4e6 steps; RRL stays in the thousands
     // and returns in well under a second.
-    let built = RaidModel::new(RaidParams::paper(20)).build().unwrap();
+    let ctmc = RaidModel::new(RaidParams::paper(20)).build().unwrap();
     let rrl = RrlSolver::new(
-        &built.ctmc,
+        &ctmc,
         0,
         RrlOptions {
             regen: RegenOptions {

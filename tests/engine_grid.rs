@@ -18,12 +18,11 @@ const T_GRID: [f64; 6] = [1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0];
 /// model fingerprint must reuse the cached uniformization.
 #[test]
 fn raid_grid_dispatches_and_caches() {
-    let ua = Arc::new(RaidModel::new(RaidParams::paper(20)).build().unwrap().ctmc);
+    let ua = Arc::new(RaidModel::new(RaidParams::paper(20)).build().unwrap());
     let ur = Arc::new(
         RaidModel::new(RaidParams::paper(20).with_absorbing_failure())
             .build()
-            .unwrap()
-            .ctmc,
+            .unwrap(),
     );
 
     let engine = Engine::new();

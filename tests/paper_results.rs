@@ -23,8 +23,8 @@ fn rrl(ctmc: &regenr::ctmc::Ctmc) -> RrlSolver<'_> {
 fn model_sizes_match_paper() {
     let g20 = RaidModel::new(RaidParams::paper(20)).build().unwrap();
     let g40 = RaidModel::new(RaidParams::paper(40)).build().unwrap();
-    assert_eq!(g20.ctmc.n_states(), 3_841);
-    assert_eq!(g40.ctmc.n_states(), 14_081);
+    assert_eq!(g20.n_states(), 3_841);
+    assert_eq!(g40.n_states(), 14_081);
 }
 
 /// Table 1 (UA measure): the paper's RR/RRL step counts, reproduced to ±2.
@@ -35,8 +35,8 @@ fn table1_step_counts_match_paper() {
         (40, [86, 554, 4_187, 5_123, 5_549, 5_957]),
     ];
     for (g, want) in paper {
-        let built = RaidModel::new(RaidParams::paper(g)).build().unwrap();
-        let solver = rrl(&built.ctmc);
+        let ctmc = RaidModel::new(RaidParams::paper(g)).build().unwrap();
+        let solver = rrl(&ctmc);
         for (i, &t) in [1.0, 10.0, 100.0, 1e3, 1e4, 1e5].iter().enumerate() {
             let got = solver.trr(t).unwrap().construction_steps;
             assert!(
@@ -56,10 +56,10 @@ fn table2_step_counts_match_paper() {
         (40, [86, 554, 4_186, 5_122, 5_547, 5_955]),
     ];
     for (g, want) in paper {
-        let built = RaidModel::new(RaidParams::paper(g).with_absorbing_failure())
+        let ctmc = RaidModel::new(RaidParams::paper(g).with_absorbing_failure())
             .build()
             .unwrap();
-        let solver = rrl(&built.ctmc);
+        let solver = rrl(&ctmc);
         for (i, &t) in [1.0, 10.0, 100.0, 1e3, 1e4, 1e5].iter().enumerate() {
             let got = solver.trr(t).unwrap().construction_steps;
             assert!(
@@ -72,14 +72,15 @@ fn table2_step_counts_match_paper() {
 }
 
 /// The paper's headline unreliability scalars (calibration of `P_R` used
-/// only the G=20 value; G=40 is out-of-sample, see DESIGN.md §4).
+/// only the G=20 value; G=40 is out-of-sample, see `regenr-bench`'s
+/// `calibrate_pr` example).
 #[test]
 fn unreliability_scalars_match_paper() {
     for (g, want) in [(20u32, 0.50480), (40, 0.74750)] {
-        let built = RaidModel::new(RaidParams::paper(g).with_absorbing_failure())
+        let ctmc = RaidModel::new(RaidParams::paper(g).with_absorbing_failure())
             .build()
             .unwrap();
-        let got = rrl(&built.ctmc).trr(1e5).unwrap().value;
+        let got = rrl(&ctmc).trr(1e5).unwrap().value;
         assert!(
             (got - want).abs() < 5e-5,
             "G={g}: UR(1e5) = {got} vs paper's {want}"
@@ -91,8 +92,8 @@ fn unreliability_scalars_match_paper() {
 /// column shows the same plateau, at 2,612/4,823).
 #[test]
 fn rsd_steps_saturate_like_paper() {
-    let built = RaidModel::new(RaidParams::paper(20)).build().unwrap();
-    let rsd = RsdSolver::new(&built.ctmc, RsdOptions::default());
+    let ctmc = RaidModel::new(RaidParams::paper(20)).build().unwrap();
+    let rsd = RsdSolver::new(&ctmc, RsdOptions::default());
     let s100 = rsd.solve(MeasureKind::Trr, 100.0).steps;
     let s1e4 = rsd.solve(MeasureKind::Trr, 1e4).steps;
     let s1e5 = rsd.solve(MeasureKind::Trr, 1e5).steps;
@@ -106,8 +107,8 @@ fn rsd_steps_saturate_like_paper() {
 /// 105–329 abscissae; verify the same orders of magnitude.
 #[test]
 fn inversion_cost_is_small_fraction() {
-    let built = RaidModel::new(RaidParams::paper(20)).build().unwrap();
-    let solver = rrl(&built.ctmc);
+    let ctmc = RaidModel::new(RaidParams::paper(20)).build().unwrap();
+    let solver = rrl(&ctmc);
     let sol = solver.trr(1e4).unwrap();
     assert!(
         (50..=600).contains(&sol.abscissae),
@@ -127,7 +128,7 @@ fn inversion_cost_is_small_fraction() {
 /// solution of the same truncated model) must agree to that level.
 #[test]
 fn inversion_is_stable_to_fourteen_digits() {
-    let built = RaidModel::new(
+    let ctmc = RaidModel::new(
         RaidParams {
             g: 4,
             ..Default::default()
@@ -140,9 +141,9 @@ fn inversion_is_stable_to_fourteen_digits() {
         epsilon: 1e-12,
         ..Default::default()
     };
-    let rr = RrSolver::new(&built.ctmc, 0, RrOptions { regen: opts }).unwrap();
+    let rr = RrSolver::new(&ctmc, 0, RrOptions { regen: opts }).unwrap();
     let rrl_s = RrlSolver::new(
-        &built.ctmc,
+        &ctmc,
         0,
         RrlOptions {
             regen: opts,
@@ -173,8 +174,8 @@ fn dependability_is_monotone_in_spares() {
             ..Default::default()
         }
         .with_absorbing_failure();
-        let built = RaidModel::new(p).build().unwrap();
-        rrl(&built.ctmc).trr(1e4).unwrap().value
+        let ctmc = RaidModel::new(p).build().unwrap();
+        rrl(&ctmc).trr(1e4).unwrap().value
     };
     let base = ur(1, 3);
     assert!(
