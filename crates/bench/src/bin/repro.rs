@@ -349,7 +349,6 @@ fn ablation(w: &Workload) {
                         t_multiplier: mult,
                         accelerate: accel,
                         max_terms: 100_000,
-                        ..Default::default()
                     },
                 },
             )

@@ -19,7 +19,7 @@ use regenr_core::{RegenOptions, RrOptions, RrSolver, RrlOptions, RrlSolver};
 use regenr_ctmc::Ctmc;
 use regenr_models::{RaidModel, RaidParams};
 use regenr_sparse::pool::lock;
-use regenr_transient::{MeasureKind, RsdOptions, RsdSolver, SrOptions, SrSolver};
+use regenr_transient::{RsdOptions, RsdSolver, SrOptions, SrSolver};
 use std::collections::HashMap;
 use std::io::Write;
 use std::sync::{Arc, Mutex};
@@ -127,11 +127,6 @@ pub fn time_once<F: FnOnce() -> f64>(f: F) -> (f64, f64) {
     let t0 = Instant::now();
     let v = f();
     (v, t0.elapsed().as_secs_f64())
-}
-
-/// The measure for a variant (both paper measures are `TRR`-shaped).
-pub fn measure_of(_variant: Variant) -> MeasureKind {
-    MeasureKind::Trr
 }
 
 /// A simple CSV sink under `results/`.

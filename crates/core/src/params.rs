@@ -41,6 +41,10 @@ use regenr_ctmc::{analyze, Ctmc, CtmcError, Uniformized};
 use regenr_numeric::{KahanSum, PoissonWeights};
 use regenr_sparse::{ParallelConfig, Workspace};
 
+/// Hard cap on `K`/`L` (guards against a poorly visited regenerative state,
+/// where the method degenerates; the paper assumes `r` is visited often).
+const MAX_DEPTH: usize = 2_000_000;
+
 /// Options shared by RR and RRL.
 #[derive(Clone, Copy, Debug)]
 pub struct RegenOptions {
@@ -49,10 +53,6 @@ pub struct RegenOptions {
     pub epsilon: f64,
     /// Uniformization safety factor (`0` matches the paper).
     pub theta: f64,
-    /// Hard cap on `K`/`L` (guards against a poorly visited regenerative
-    /// state, where the method degenerates; the paper assumes `r` is visited
-    /// often).
-    pub max_depth: usize,
     /// Parallel SpMV configuration for the construction stepping.
     pub parallel: ParallelConfig,
 }
@@ -62,7 +62,6 @@ impl Default for RegenOptions {
         RegenOptions {
             epsilon: 1e-12,
             theta: 0.0,
-            max_depth: 2_000_000,
             parallel: ParallelConfig::default(),
         }
     }
@@ -442,10 +441,9 @@ fn step_killed_chain(
             return (params, err.min(budget));
         }
         assert!(
-            depth < opts.max_depth,
-            "regenerative truncation exceeded max_depth={} — the regenerative \
-             state {r} is visited too rarely for this method",
-            opts.max_depth
+            depth < MAX_DEPTH,
+            "regenerative truncation exceeded max_depth={MAX_DEPTH} — the \
+             regenerative state {r} is visited too rarely for this method"
         );
     }
 }

@@ -18,38 +18,24 @@
 use regenr_ctmc::{analyze, Ctmc, CtmcError, Uniformized};
 use regenr_sparse::{ParallelConfig, Workspace};
 
-/// Options for [`select_regenerative_state`].
-#[derive(Clone, Copy, Debug)]
-pub struct SelectOptions {
-    /// Number of DTMC steps to accumulate occupancy over.
-    pub steps: usize,
-    /// Uniformization safety factor.
-    pub theta: f64,
-}
+/// Number of DTMC steps the occupancy is accumulated over.
+const OCCUPANCY_STEPS: usize = 2_000;
 
-impl Default for SelectOptions {
-    fn default() -> Self {
-        SelectOptions {
-            steps: 2_000,
-            theta: 0.0,
-        }
-    }
-}
-
-/// Picks a regenerative state by cumulative-occupancy ranking.
+/// Picks a regenerative state by cumulative-occupancy ranking of the chain
+/// randomized with safety factor `theta`.
 ///
 /// Returns the index of the highest-scoring non-absorbing state. Fails with
 /// the structural errors of [`regenr_ctmc::analyze`] when the chain violates
 /// the paper's assumptions.
-pub fn select_regenerative_state(ctmc: &Ctmc, opts: SelectOptions) -> Result<usize, CtmcError> {
-    select_regenerative_state_with(ctmc, opts, &mut Workspace::new())
+pub fn select_regenerative_state(ctmc: &Ctmc, theta: f64) -> Result<usize, CtmcError> {
+    select_regenerative_state_with(ctmc, theta, &mut Workspace::new())
 }
 
 /// Like [`select_regenerative_state`] with caller-owned scratch for the
 /// occupancy iteration.
 pub fn select_regenerative_state_with(
     ctmc: &Ctmc,
-    opts: SelectOptions,
+    theta: f64,
     ws: &mut Workspace,
 ) -> Result<usize, CtmcError> {
     let info = analyze(ctmc)?;
@@ -60,12 +46,12 @@ pub fn select_regenerative_state_with(
         }
         v
     };
-    let unif = Uniformized::new(ctmc, opts.theta);
+    let unif = Uniformized::new(ctmc, theta);
     let stepper = unif.stepper(&ParallelConfig::default());
     let mut pi = ws.take_copied(ctmc.initial());
     let mut next = ws.take_zeroed(pi.len());
     let mut score = ws.take_copied(&pi);
-    for _ in 0..opts.steps {
+    for _ in 0..OCCUPANCY_STEPS {
         stepper.step(&pi, &mut next);
         std::mem::swap(&mut pi, &mut next);
         for (s, p) in score.iter_mut().zip(&pi) {
@@ -99,10 +85,7 @@ mod tests {
             vec![0.0, 1.0],
         )
         .unwrap();
-        assert_eq!(
-            select_regenerative_state(&c, SelectOptions::default()).unwrap(),
-            0
-        );
+        assert_eq!(select_regenerative_state(&c, 0.0).unwrap(), 0);
     }
 
     #[test]
@@ -116,7 +99,7 @@ mod tests {
             vec![0.0, 0.0, 1.0],
         )
         .unwrap();
-        let r = select_regenerative_state(&c, SelectOptions::default()).unwrap();
+        let r = select_regenerative_state(&c, 0.0).unwrap();
         assert!(r < 2, "picked absorbing state {r}");
     }
 
@@ -130,7 +113,7 @@ mod tests {
         .build()
         .unwrap();
         // The paper's choice is the pristine state (index 0).
-        let r = select_regenerative_state(&ctmc, SelectOptions::default()).unwrap();
+        let r = select_regenerative_state(&ctmc, 0.0).unwrap();
         assert_eq!(r, 0);
     }
 
@@ -143,6 +126,6 @@ mod tests {
             vec![0.0; 3],
         )
         .unwrap();
-        assert!(select_regenerative_state(&c, SelectOptions::default()).is_err());
+        assert!(select_regenerative_state(&c, 0.0).is_err());
     }
 }

@@ -98,9 +98,6 @@ pub struct Ctmc {
     rewards: Vec<f64>,
 }
 
-/// Alias emphasising the reward structure in APIs that need it.
-pub type RewardedCtmc = Ctmc;
-
 /// Tolerance for validation checks (row sums, initial mass). Generators are
 /// assembled from `f64` rate sums, so exact zero is not attainable.
 const VALIDATION_TOL: f64 = 1e-9;

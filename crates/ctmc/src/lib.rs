@@ -37,12 +37,10 @@
 
 pub mod build;
 pub mod chain;
-pub mod export;
 pub mod structure;
 pub mod uniformize;
 
 pub use build::{CtmcBuilder, ModelSpec};
-pub use chain::{Ctmc, CtmcError, RewardedCtmc};
-pub use export::{stats, to_dot, CtmcStats};
+pub use chain::{Ctmc, CtmcError};
 pub use structure::{analysis_runs, analyze, StructureInfo};
 pub use uniformize::{uniformization_rate, Stepper, Uniformized};

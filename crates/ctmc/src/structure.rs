@@ -36,11 +36,6 @@ pub struct StructureInfo {
 }
 
 impl StructureInfo {
-    /// `true` when the chain satisfies the paper's assumptions.
-    pub fn satisfies_paper_assumptions(&self) -> bool {
-        self.transient_sccs <= 1
-    }
-
     /// Whether the chain is irreducible in the paper's sense (`A = 0`).
     pub fn is_irreducible(&self) -> bool {
         self.absorbing.is_empty() && self.transient_sccs == 1
@@ -189,7 +184,6 @@ mod tests {
         .unwrap();
         let info = analyze(&c).unwrap();
         assert!(info.is_irreducible());
-        assert!(info.satisfies_paper_assumptions());
         assert!(info.absorbing.is_empty());
     }
 

@@ -685,12 +685,24 @@ impl Engine {
             req.fps.is_none_or(|f| f == model_fps(&req.model)),
             "SolveRequest::fps does not describe SolveRequest::model"
         );
+        // A value of size `r_max` is stored only to within the f64 spacing
+        // there, `r_max·2⁻⁵²`; a smaller ε cannot be met, and RRL would
+        // report it as met.
+        let r_max = req.model.max_reward();
+        let epsilon_floor = r_max * f64::EPSILON;
+        if req.epsilon < epsilon_floor {
+            return Err(EngineError::InvalidRequest(format!(
+                "epsilon {:e} is below the floor {epsilon_floor:e} \
+                 (r_max = {r_max} times the f64 epsilon), which f64 cannot honour",
+                req.epsilon
+            )));
+        }
         let facts = self.cache.facts_for(&fps, &req.model)?;
         let lambda = self.lambda(&facts);
         // SR, RSD and Adaptive hold one Poisson window per positive horizon
         // for the whole propagation. RSD's `δ = ε/(2·r_max)` is the smallest
         // of theirs, so these lengths bound each one's windows.
-        let delta = (req.epsilon / (2.0 * req.model.max_reward())).clamp(f64::MIN_POSITIVE, 0.5);
+        let delta = (req.epsilon / (2.0 * r_max)).clamp(f64::MIN_POSITIVE, 0.5);
         let mut window_weights = 0.0;
         let mut jobs: Vec<Job> = Vec::new();
         for (slot, &t) in req.horizons.iter().enumerate() {
@@ -1328,6 +1340,46 @@ mod tests {
             Err(EngineError::Unsupported { method, .. }) => assert_eq!(method, Method::Rsd),
             other => panic!("expected Unsupported, got {other:?}"),
         }
+    }
+
+    /// An ε below `r_max·2⁻⁵²` cannot be honoured in f64: on RAID G = 2 UR
+    /// at t = 10⁵ h, RRL read 0 at ε = 1e-300 and reported the cell
+    /// converged. The plan refuses such an ε and names the floor; a chain
+    /// with no reward has no floor.
+    #[test]
+    fn epsilon_below_the_f64_floor_is_refused() {
+        let spec = crate::SweepSpec::parse(
+            r#"{"epsilon":1e-300,"method":"rrl","horizons":[100000],
+                "models":[{"kind":"raid","g":2,"absorbing":true}]}"#,
+        )
+        .unwrap();
+        let report = Engine::new().sweep(&spec.requests);
+        assert!(report.reports.is_empty());
+        assert_eq!(report.failures.len(), 1);
+        let failure = &report.failures[0];
+        assert!(
+            failure
+                .error
+                .contains("below the floor 2.220446049250313e-16"),
+            "{}",
+            failure.error
+        );
+        assert!(!failure.infrastructure);
+
+        let engine = Engine::new();
+        let at_floor = SolveRequest::new("u", repairable(), vec![1.0]).epsilon(f64::EPSILON);
+        assert!(engine.solve(&at_floor).is_ok());
+        let no_reward = Arc::new(
+            Ctmc::from_rates(
+                2,
+                &[(0, 1, 1e-3), (1, 0, 1.0)],
+                vec![1.0, 0.0],
+                vec![0.0; 2],
+            )
+            .unwrap(),
+        );
+        let req = SolveRequest::new("zero", no_reward, vec![1.0]).epsilon(1e-300);
+        assert_eq!(engine.solve(&req).unwrap()[0].value, 0.0);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! Model fingerprints — the artifact-cache keys.
 //!
-//! The full [`fingerprint`] covers structure *and* values: two [`Ctmc`]s
-//! with identical state count, generator sparsity and rates, initial
-//! distribution and rewards produce the same one, so repeated
-//! [`crate::SolveRequest`]s over the same model (across horizons,
-//! tolerances, measures, or independently rebuilt model instances) land on
-//! the same cached artifacts. [`model_fps`] adds the structural keys that
-//! let rate variants share topology facts and `Pᵀ` patterns. The hashes are
+//! [`model_fps`] computes every key in one pass. Its `full` fingerprint
+//! covers structure *and* values: two [`Ctmc`]s with identical state count,
+//! generator sparsity and rates, initial distribution and rewards produce
+//! the same one, so repeated [`crate::SolveRequest`]s over the same model
+//! (across horizons, tolerances, measures, or independently rebuilt model
+//! instances) land on the same cached artifacts. Its structural keys let
+//! rate variants share topology facts and `Pᵀ` patterns. The hashes are
 //! FNV-1a over the exact bit patterns — no float rounding, so "almost
 //! equal" models intentionally do *not* collide.
 
@@ -17,7 +17,7 @@ use regenr_ctmc::Ctmc;
 /// whose `"kind"` is `"compose"`, the `"components"` array is sorted by
 /// component `"name"`. This mirrors the sort `spec.rs` applies before
 /// compiling, so two specs that differ only in component order build the
-/// identical chain (same [`fingerprint`], so the artifact cache hits) *and*
+/// identical chain (same [`model_fps`], so the artifact cache hits) *and*
 /// hash to the same serve coalescing key (so concurrent permuted posts
 /// share one computation). Everything else — order of other keys, other
 /// model kinds — is left untouched; the compact re-serialization of the
@@ -96,29 +96,6 @@ impl Fnv {
     }
 }
 
-/// Computes the full fingerprint of a chain: structure and values.
-pub fn fingerprint(ctmc: &Ctmc) -> u64 {
-    let mut h = Fnv::new();
-    let g = ctmc.generator();
-    h.write_u64(ctmc.n_states() as u64);
-    for &p in g.row_ptr() {
-        h.write_u64(p as u64);
-    }
-    for &j in g.col_idx() {
-        h.write_u64(j as u64);
-    }
-    for &v in g.values() {
-        h.write_f64(v);
-    }
-    for &a in ctmc.initial() {
-        h.write_f64(a);
-    }
-    for &r in ctmc.rewards() {
-        h.write_f64(r);
-    }
-    h.0
-}
-
 /// The full fingerprint split along the structure/value axis — the keys of
 /// the two-level artifact graph in [`crate::cache::ArtifactCache`].
 ///
@@ -135,7 +112,7 @@ pub fn fingerprint(ctmc: &Ctmc) -> u64 {
 /// donor index respectively.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub struct ModelFps {
-    /// The classic full fingerprint ([`fingerprint`]): structure + values.
+    /// The full fingerprint: structure + values.
     pub full: u64,
     /// Pattern + value/initial/reward supports — the structural key.
     pub structure: u64,
@@ -158,13 +135,12 @@ const UNIF_STRUCT_FP_SEP: u64 = 0x7573_7472_7563_7400; // "ustruct"
 
 /// Computes every fingerprint of [`ModelFps`] in one traversal of the
 /// model's arrays (four running hash states fed per element), so a
-/// sensitivity grid pays one memory pass per point instead of four. The
-/// `full` component is bit-identical to a standalone [`fingerprint`] call.
+/// sensitivity grid pays one memory pass per point instead of four.
 pub fn model_fps(ctmc: &Ctmc) -> ModelFps {
     let g = ctmc.generator();
     let n = ctmc.n_states() as u64;
 
-    let mut f = Fnv::new(); // full ([`fingerprint`])
+    let mut f = Fnv::new(); // full
     let mut u = Fnv::new(); // unif
     u.write_u64(UNIF_FP_SEP);
     let mut s = Fnv::new(); // structure
@@ -226,6 +202,10 @@ mod tests {
         .unwrap()
     }
 
+    fn fingerprint(c: &Ctmc) -> u64 {
+        model_fps(c).full
+    }
+
     #[test]
     fn equal_models_share_fingerprint() {
         assert_eq!(fingerprint(&chain(1e-3)), fingerprint(&chain(1e-3)));
@@ -281,20 +261,6 @@ mod tests {
             for j in i + 1..fps.len() {
                 assert_ne!(fps[i], fps[j], "fp domains {i} and {j} collided");
             }
-        }
-    }
-
-    /// The fused single-traversal `model_fps` must agree bit-for-bit with
-    /// the standalone full fingerprint.
-    #[test]
-    fn model_fps_matches_standalone_fingerprints() {
-        for c in [
-            chain(1e-3),
-            chain(2e-3).with_initial(vec![0.5, 0.5]).unwrap(),
-            chain(0.7).with_rewards(vec![2.0, 0.0]).unwrap(),
-        ] {
-            let fps = model_fps(&c);
-            assert_eq!(fps.full, fingerprint(&c));
         }
     }
 

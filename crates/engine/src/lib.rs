@@ -55,7 +55,7 @@ pub use engine::{
     SolveRequest, SweepFailure, SweepProgress, SweepReport, ADAPTIVE_MIN_STATES, SMALL_LAMBDA_T,
     TINY_LAMBDA_T,
 };
-pub use fingerprint::{canonicalize_spec, fingerprint, model_fps, ModelFps};
+pub use fingerprint::{canonicalize_spec, model_fps, ModelFps};
 pub use json::Json;
 pub use method::{Capabilities, Method, ALL_METHODS};
 pub use serve::{serve_stats_json, ServeConfig, ServeStats, Server};

@@ -13,14 +13,14 @@ use crate::method::{Capabilities, Method};
 use crate::EngineError;
 use regenr_core::{
     select_regenerative_state, ParamSource, RegenOptions, RrOptions, RrSolver, RrlOptions,
-    RrlSolver, SelectOptions,
+    RrlSolver,
 };
 use regenr_ctmc::{Ctmc, CtmcError, Uniformized};
 use regenr_laplace::InverterOptions;
 use regenr_sparse::{ParallelConfig, Workspace};
 use regenr_transient::{
-    AdaptiveOptions, AdaptiveSolver, MeasureKind, OdeOptions, OdeSolver, RsdOptions, RsdSolver,
-    SrOptions, SrSolver,
+    AdaptiveOptions, AdaptiveSolver, MeasureKind, OdeSolver, RsdOptions, RsdSolver, SrOptions,
+    SrSolver,
 };
 use std::sync::Arc;
 
@@ -392,13 +392,7 @@ pub fn pick_regen_state(
     if !facts.absorbing.contains(&0) && facts.n_states > 0 {
         return Ok(0);
     }
-    select_regenerative_state(
-        ctmc,
-        SelectOptions {
-            theta,
-            ..Default::default()
-        },
-    )
+    select_regenerative_state(ctmc, theta)
 }
 
 /// Builds a validated solver for `method` on `ctmc`. `unif` is the cached
@@ -434,7 +428,6 @@ pub fn build_solver<'a>(
         epsilon: cfg.epsilon,
         theta: cfg.theta,
         parallel: cfg.parallel,
-        ..Default::default()
     };
     let theta = cfg.theta;
     // Deferred so the ODE arm never pays for (or caches) a randomization.
@@ -456,7 +449,6 @@ pub fn build_solver<'a>(
                 epsilon: cfg.epsilon,
                 theta: cfg.theta,
                 parallel: cfg.parallel,
-                ..Default::default()
             },
         )),
         Method::Adaptive => UnifiedSolver::Adaptive(AdaptiveSolver::with_uniformized(
@@ -467,13 +459,7 @@ pub fn build_solver<'a>(
                 theta: cfg.theta,
             },
         )),
-        Method::Ode => UnifiedSolver::Ode(OdeSolver::new(
-            ctmc,
-            OdeOptions {
-                tol: cfg.epsilon,
-                ..Default::default()
-            },
-        )),
+        Method::Ode => UnifiedSolver::Ode(OdeSolver::new(ctmc, cfg.epsilon)),
         // RR/RRL reuse the cached structure analysis: `new` would re-run
         // the `O(n + nnz)` Tarjan pass per job even though the engine
         // already holds `ChainFacts` for this fingerprint.

@@ -62,6 +62,13 @@
 //! streams each transition into the sparse builder as it is found and
 //! keeps no state table or triplet buffer.
 //!
+//! The `duplex`, `machines` and `multiproc` kinds are canned compositions:
+//! each validates its own keys, then builds through its preset
+//! (`ComposeModel::duplex`, `::machines`, `::multiproc`) under the same
+//! state cap. A unit count of 0 (`"machines"`, `"n_proc"`, `"n_mem"`) is a
+//! spec error naming the field, as are zero failure rates and, once a
+//! covered failure can degrade the system, a zero repair rate.
+//!
 //! Any model object may carry a first-class `"sensitivity"` sweep form:
 //!
 //! ```json
@@ -108,9 +115,8 @@ use crate::json::Json;
 use crate::method::Method;
 use regenr_ctmc::{Ctmc, CtmcBuilder};
 use regenr_models::{
-    compose::{ComponentClass, ComposeModel, RewardKind, UncoveredPolicy},
-    machines::MachinesModel,
-    multiproc::{MultiprocModel, MultiprocParams},
+    compose::{ComponentClass, ComposeError, ComposeModel, RewardKind, UncoveredPolicy},
+    multiproc::MultiprocParams,
     RaidModel, RaidParams,
 };
 use regenr_transient::MeasureKind;
@@ -463,8 +469,39 @@ fn reject_unknown_keys(obj: &Json, what: &str, known: &[&[&str]]) -> Result<(), 
     ))
 }
 
+/// Rejects a zero rate where the kind needs a positive one, naming the
+/// model kind and the field. Call after [`check_rates`].
+fn check_positive(kind: &str, rates: &[(&str, f64)]) -> Result<(), String> {
+    for &(key, v) in rates {
+        if v <= 0.0 {
+            return Err(format!("{kind} {key:?} must be positive, got {v}"));
+        }
+    }
+    Ok(())
+}
+
+/// Rejects a unit count of zero, naming the model kind and the field: a
+/// component class needs at least one unit.
+fn check_counts(kind: &str, counts: &[(&str, u32)]) -> Result<(), String> {
+    for &(key, n) in counts {
+        if n == 0 {
+            return Err(format!("{kind} {key:?} must be at least 1, got 0"));
+        }
+    }
+    Ok(())
+}
+
+/// Compiles one of the models crate's canned compositions (`duplex`,
+/// `machines`, `multiproc`) under the state cap every kind explores under.
+fn build_preset(kind: &str, model: Result<ComposeModel, ComposeError>) -> Result<Ctmc, String> {
+    model
+        .map_err(|e| format!("{kind} model: {e}"))?
+        .build(CtmcBuilder::default().max_states)
+        .map_err(|e| format!("{kind} model failed to build: {e}"))
+}
+
 /// Builds a `"kind": "multiproc"` model (the degradable multiprocessor of
-/// `regenr_models::multiproc`).
+/// `regenr_models::multiproc`, compiled by its canned composition).
 fn build_multiproc_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc), String> {
     let need_f64 =
         |key: &str| get_f64(obj, key)?.ok_or_else(|| format!("multiproc model needs {key:?}"));
@@ -503,6 +540,10 @@ fn build_multiproc_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(Stri
             ("delta", &mut params.delta),
         ],
     )?;
+    check_counts(
+        "multiproc",
+        &[("n_proc", params.n_proc), ("n_mem", params.n_mem)],
+    )?;
     if !(0.0..=1.0).contains(&params.coverage) {
         return Err(format!(
             "multiproc \"coverage\" must be in [0, 1], got {}",
@@ -517,9 +558,16 @@ fn build_multiproc_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(Stri
             ("mu", params.mu),
         ],
     )?;
-    let ctmc = MultiprocModel::new(params)
-        .build()
-        .map_err(|e| format!("multiproc model failed to build: {e}"))?;
+    // Failure rates must be positive, and so must the repair rate once a
+    // covered failure can degrade the system.
+    check_positive(
+        "multiproc",
+        &[("lambda_p", params.lambda_p), ("lambda_m", params.lambda_m)],
+    )?;
+    if params.coverage > 0.0 {
+        check_positive("multiproc", &[("mu", params.mu)])?;
+    }
+    let ctmc = build_preset("multiproc", ComposeModel::multiproc(&params))?;
     Ok((
         format!(
             "multiproc_{}x{}{}",
@@ -907,34 +955,35 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
             check_rates("duplex", &[("lambda", lambda), ("mu", mu)])?;
             (
                 "duplex".to_string(),
-                regenr_models::redundant::duplex_with_coverage(lambda, mu, coverage),
+                build_preset("duplex", ComposeModel::duplex(lambda, mu, coverage))?,
             )
         }
         "machines" => {
-            let mut model = MachinesModel {
-                machines: get_u32(obj, "machines")?
-                    .ok_or_else(|| "machines model needs \"machines\"".to_string())?,
-                repairmen: get_u32(obj, "repairmen")?
-                    .ok_or_else(|| "machines model needs \"repairmen\"".to_string())?,
-                lambda: get_f64(obj, "lambda")?
-                    .ok_or_else(|| "machines model needs \"lambda\"".to_string())?,
-                mu: get_f64(obj, "mu")?.ok_or_else(|| "machines model needs \"mu\"".to_string())?,
-            };
+            let machines = get_u32(obj, "machines")?
+                .ok_or_else(|| "machines model needs \"machines\"".to_string())?;
+            let repairmen = get_u32(obj, "repairmen")?
+                .ok_or_else(|| "machines model needs \"repairmen\"".to_string())?;
+            let mut lambda = get_f64(obj, "lambda")?
+                .ok_or_else(|| "machines model needs \"lambda\"".to_string())?;
+            let mut mu =
+                get_f64(obj, "mu")?.ok_or_else(|| "machines model needs \"mu\"".to_string())?;
             apply_rate_scale(
                 "machines",
                 scale,
-                &mut [("lambda", &mut model.lambda), ("mu", &mut model.mu)],
+                &mut [("lambda", &mut lambda), ("mu", &mut mu)],
             )?;
-            if model.repairmen == 0 {
-                return Err("machines \"repairmen\" must be at least 1, got 0".to_string());
-            }
-            check_rates("machines", &[("lambda", model.lambda), ("mu", model.mu)])?;
-            let ctmc = model
-                .build()
-                .map_err(|e| format!("machines model failed to build: {e}"))?;
+            check_counts(
+                "machines",
+                &[("machines", machines), ("repairmen", repairmen)],
+            )?;
+            check_rates("machines", &[("lambda", lambda), ("mu", mu)])?;
+            check_positive("machines", &[("lambda", lambda), ("mu", mu)])?;
             (
-                format!("machines_{}x{}", model.machines, model.repairmen),
-                ctmc,
+                format!("machines_{machines}x{repairmen}"),
+                build_preset(
+                    "machines",
+                    ComposeModel::machines(machines, repairmen, lambda, mu),
+                )?,
             )
         }
         "multiproc" => build_multiproc_model(obj, scale)?,
@@ -1729,6 +1778,15 @@ mod tests {
         )
         .unwrap();
         assert_eq!(spec.requests[0].name, "multiproc_2x2_ur");
+        // With no coverage a failure only crashes the system, so the repair
+        // rate is never used and may be zero.
+        let spec = SweepSpec::parse(
+            r#"{"horizons": [1], "models": [
+                {"kind": "multiproc", "n_proc": 2, "n_mem": 2, "lambda_p": 1e-4,
+                 "lambda_m": 5e-5, "coverage": 0, "mu": 0, "delta": 1.0}]}"#,
+        )
+        .unwrap();
+        assert_eq!(spec.requests[0].model.n_states(), 2);
         for bad in [
             r#"{"kind": "multiproc", "n_proc": 2, "n_mem": 2, "lambda_p": 1e-4,
                 "lambda_m": 5e-5, "coverage": 0.9, "mu": 1.0}"#, // no delta
@@ -1768,7 +1826,7 @@ mod tests {
         .unwrap();
         assert_eq!(forward.requests[0].name, "compose_mem3_proc4");
         assert_eq!(reversed.requests[0].name, "compose_mem3_proc4");
-        let fp = |spec: &SweepSpec| crate::fingerprint(&spec.requests[0].model);
+        let fp = |spec: &SweepSpec| crate::model_fps(&spec.requests[0].model).full;
         assert_eq!(
             fp(&forward),
             fp(&reversed),
@@ -1837,10 +1895,8 @@ mod tests {
         }
         // The middle point is factor 1: bitwise the base model.
         assert_eq!(
-            crate::fingerprint(&spec.requests[1].model),
-            crate::fingerprint(&Arc::new(regenr_models::two_state::repairable_unit(
-                1e-3, 1.0
-            ))),
+            crate::model_fps(&spec.requests[1].model).full,
+            crate::model_fps(&regenr_models::two_state::repairable_unit(1e-3, 1.0)).full,
         );
         // A raid rate param works through the params table; the explicit
         // "name" override still applies before the suffix.
@@ -2024,10 +2080,33 @@ mod tests {
                 r#"{"kind": "machines", "machines": 4, "repairmen": 1, "lambda": -1, "mu": 1}"#,
                 "\"lambda\"",
             ),
-            // A zero rate passes the spec checks and reaches the builder.
             (
                 r#"{"kind": "machines", "machines": 4, "repairmen": 1, "lambda": 0, "mu": 1}"#,
-                "failed to build",
+                "\"lambda\" must be positive",
+            ),
+            (
+                r#"{"kind": "machines", "machines": 0, "repairmen": 1, "lambda": 0.1, "mu": 1}"#,
+                "\"machines\" must be at least 1",
+            ),
+            (
+                r#"{"kind": "multiproc", "n_proc": 0, "n_mem": 3, "lambda_p": 1e-3,
+                    "lambda_m": 1e-3, "coverage": 0.9, "mu": 1, "delta": 2}"#,
+                "\"n_proc\" must be at least 1",
+            ),
+            (
+                r#"{"kind": "multiproc", "n_proc": 3, "n_mem": 0, "lambda_p": 1e-3,
+                    "lambda_m": 1e-3, "coverage": 0.9, "mu": 1, "delta": 2}"#,
+                "\"n_mem\" must be at least 1",
+            ),
+            (
+                r#"{"kind": "multiproc", "n_proc": 3, "n_mem": 2, "lambda_p": 0,
+                    "lambda_m": 1e-3, "coverage": 0.9, "mu": 1, "delta": 2}"#,
+                "\"lambda_p\" must be positive",
+            ),
+            (
+                r#"{"kind": "multiproc", "n_proc": 3, "n_mem": 2, "lambda_p": 1e-3,
+                    "lambda_m": 1e-3, "coverage": 0.9, "mu": 0, "delta": 2}"#,
+                "\"mu\" must be positive",
             ),
             (r#"{"kind": "cyclic", "n": 0}"#, "\"n\""),
             (r#"{"kind": "cyclic", "n": 1}"#, "\"n\""),

@@ -80,6 +80,9 @@ fn spec_values_no_model_accepts_exit_2() {
         r#"{"kind":"raid","g":2,"p_r":0}"#,
         r#"{"kind":"raid","g":65536}"#,
         r#"{"kind":"machines","machines":4,"repairmen":0,"lambda":0.1,"mu":1}"#,
+        r#"{"kind":"machines","machines":0,"repairmen":1,"lambda":0.1,"mu":1}"#,
+        r#"{"kind":"multiproc","n_proc":0,"n_mem":3,"lambda_p":1e-3,"lambda_m":1e-3,"coverage":0.9,"mu":1,"delta":2}"#,
+        r#"{"kind":"multiproc","n_proc":3,"n_mem":0,"lambda_p":1e-3,"lambda_m":1e-3,"coverage":0.9,"mu":1,"delta":2}"#,
         r#"{"kind":"cyclic","n":1}"#,
         r#"{"kind":"two_state","lambda":-1,"mu":1}"#,
         r#"{"kind":"cyclic","n":3,"method":["sr"]}"#,
@@ -143,6 +146,21 @@ fn a_thousand_horizons_near_the_lambda_t_limit_fail_fast() {
     assert!(
         stdout.contains("1000 horizons need Poisson windows of up to ")
             && stdout.contains("above the limit 5e6"),
+        "{stdout}"
+    );
+}
+
+/// An ε below the spacing of f64 at the largest reward fails as a request
+/// that names the floor. RRL used to answer this body with value 0,
+/// `error_bound` 1e-300 and `converged` true.
+#[test]
+fn epsilon_below_the_f64_floor_fails_as_a_request() {
+    let spec = r#"{"epsilon":1e-300,"method":"rrl","horizons":[100000],"models":[{"kind":"raid","g":2,"absorbing":true}]}"#;
+    let (code, stdout, stderr) = regenr(&["sweep", "-"], spec);
+    assert_eq!(code, Some(1), "{stderr}");
+    assert!(stdout.contains(r#""reports":[]"#), "{stdout}");
+    assert!(
+        stdout.contains("epsilon 1e-300 is below the floor 2.220446049250313e-16"),
         "{stdout}"
     );
 }

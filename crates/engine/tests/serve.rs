@@ -237,6 +237,9 @@ fn validation_errors_are_structured_400s() {
         r#"{"kind":"raid","g":2,"p_r":0}"#,
         r#"{"kind":"raid","g":2,"p_r":1.5}"#,
         r#"{"kind":"machines","machines":4,"repairmen":0,"lambda":0.1,"mu":1}"#,
+        r#"{"kind":"machines","machines":0,"repairmen":1,"lambda":0.1,"mu":1}"#,
+        r#"{"kind":"multiproc","n_proc":0,"n_mem":3,"lambda_p":1e-3,"lambda_m":1e-3,"coverage":0.9,"mu":1,"delta":2}"#,
+        r#"{"kind":"multiproc","n_proc":3,"n_mem":0,"lambda_p":1e-3,"lambda_m":1e-3,"coverage":0.9,"mu":1,"delta":2}"#,
         r#"{"kind":"cyclic","n":0}"#,
         r#"{"kind":"cyclic","n":1}"#,
         r#"{"kind":"two_state","lambda":-1,"mu":1}"#,

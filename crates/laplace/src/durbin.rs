@@ -2,6 +2,12 @@
 
 use regenr_numeric::{Complex64, EpsilonAccelerator, KahanSum};
 
+/// Minimum number of series terms before convergence may be declared.
+const MIN_TERMS: usize = 8;
+
+/// Number of consecutive under-tolerance differences required.
+const STABLE_NEEDED: usize = 3;
+
 /// Options for [`DurbinInverter`].
 #[derive(Clone, Copy, Debug)]
 pub struct InverterOptions {
@@ -9,15 +15,12 @@ pub struct InverterOptions {
     /// the paper (and this default): 8.
     pub t_multiplier: f64,
     /// Apply Wynn's ε-algorithm to the partial sums (the paper's choice).
-    /// `false` sums the series directly — kept for the ablation benches.
+    /// `false` sums the series directly, the baseline `repro ablation`
+    /// compares the acceleration against.
     pub accelerate: bool,
-    /// Minimum number of series terms before convergence may be declared.
-    pub min_terms: usize,
     /// Hard cap on series terms (the paper observed 105–329 abscissae; the
     /// cap only guards against divergence on malformed transforms).
     pub max_terms: usize,
-    /// Number of consecutive under-tolerance differences required.
-    pub stable_needed: usize,
 }
 
 impl Default for InverterOptions {
@@ -25,9 +28,7 @@ impl Default for InverterOptions {
         InverterOptions {
             t_multiplier: 8.0,
             accelerate: true,
-            min_terms: 8,
             max_terms: 200_000,
-            stable_needed: 3,
         }
     }
 }
@@ -47,7 +48,7 @@ pub struct InversionResult {
 ///
 /// The caller supplies the damping parameter `a` (see [`crate::damping`]) and
 /// the convergence tolerance `tol` *in the units of the original function*:
-/// iteration stops once `stable_needed` consecutive accelerated estimates
+/// iteration stops once three consecutive accelerated estimates
 /// move by less than `tol` (the paper uses `tol = ε/100` for `TRR` and
 /// `ε·t/100` for `C`).
 #[derive(Clone, Copy, Debug, Default)]
@@ -109,10 +110,10 @@ impl DurbinInverter {
                 partial.value()
             };
 
-            if k >= self.opts.min_terms && prev_est.is_finite() {
+            if k >= MIN_TERMS && prev_est.is_finite() {
                 if (est - prev_est).abs() * scale <= tol {
                     stable += 1;
-                    if stable >= self.opts.stable_needed {
+                    if stable >= STABLE_NEEDED {
                         return InversionResult {
                             value: est * scale,
                             abscissae,

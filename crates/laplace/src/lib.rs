@@ -11,7 +11,7 @@
 //! takes `T = t` and accelerates the series with the ε-algorithm (fast, can be
 //! unstable); Piessens & Huysmans (1984) take `T = 16t` (stable, slow). The
 //! paper lands on **`T = 8t` with ε-acceleration** — the default here, with
-//! the multiplier exposed for the ablation benches.
+//! the multiplier exposed for `repro ablation`.
 //!
 //! Error control follows the paper exactly: the budget `ε/2` given to the
 //! inversion splits into `ε/4` *approximation* (discretization) error —

@@ -17,12 +17,13 @@
 //! working. `factor = 0` models dormancy (a component cannot fail while its
 //! power feed is down), `factor > 1` models stress.
 //!
-//! The hand-coded `duplex`, `machines` and `multiproc` families are exactly
-//! expressible as canned compositions ([`ComposeModel::duplex`],
-//! [`ComposeModel::machines`], [`ComposeModel::multiproc`]); unit and
-//! property tests assert the compiled chains are bit-for-bit identical to
-//! the hand-coded builders. The RAID model stays hand-coded as the paper
-//! anchor.
+//! The `duplex`, `machines` and `multiproc` families are canned
+//! compositions ([`ComposeModel::duplex`], [`ComposeModel::machines`],
+//! [`ComposeModel::multiproc`]), and the engine's spec kinds of those names
+//! build through them. Property tests (`tests/compose_equiv.rs`) and the
+//! fixed-input unit tests below hold each preset bit for bit to a
+//! hand-coded builder of the same chain (`tests/hand_coded/`). The RAID
+//! model stays hand-coded as the paper anchor.
 
 use crate::multiproc::MultiprocParams;
 use regenr_ctmc::{Ctmc, CtmcBuilder, CtmcError, ModelSpec};
@@ -346,7 +347,9 @@ impl ComposeModel {
 
     /// The duplex system of [`crate::redundant`] as a composition: one class
     /// of two units, coverage `c`, one crew, uncovered and system-down
-    /// transitions both absorbing, reward = failure indicator.
+    /// transitions both absorbing, reward = failure indicator. States are
+    /// numbered duplex, simplex, failed; at `c = 0` the simplex state is
+    /// unreachable and never numbered.
     pub fn duplex(lambda: f64, mu: f64, coverage: f64) -> Result<Self, ComposeError> {
         ComposeModel::new(
             vec![ComponentClass::new("unit", 2, lambda, mu)
@@ -359,8 +362,10 @@ impl ComposeModel {
         )
     }
 
-    /// The machines-repairman model of [`crate::machines`] as a composition:
-    /// one class of `machines` units, `repairmen` crews, capacity reward.
+    /// The machines-repairman performability model: one class of `machines`
+    /// units failing at `λ` each, `repairmen` crews repairing at `μ` each,
+    /// reward = number of working machines (so `TRR(t)` is the expected
+    /// capacity). State `k` failed machines is numbered `k`.
     pub fn machines(
         machines: u32,
         repairmen: u32,
@@ -606,12 +611,17 @@ impl ModelSpec for ComposeModel {
     }
 }
 
+/// The hand-coded oracle chains, shared with `tests/compose_equiv.rs`.
+#[cfg(test)]
+#[path = "../tests/hand_coded/mod.rs"]
+mod hand_coded;
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::machines::MachinesModel;
-    use crate::multiproc::MultiprocModel;
-    use crate::redundant::duplex_with_coverage;
+    use regenr_transient::{MeasureKind, SrOptions, SrSolver};
+
+    use hand_coded::assert_ctmc_bitwise_eq;
 
     /// A state cap no test model comes near.
     const CAP: usize = 10_000;
@@ -626,21 +636,10 @@ mod tests {
         (ctmc, states)
     }
 
-    /// Bitwise CTMC equality: structure, every rate bit, initial, rewards.
-    fn assert_ctmc_bitwise_eq(a: &Ctmc, b: &Ctmc) {
-        assert_eq!(a.n_states(), b.n_states());
-        assert_eq!(a.generator().row_ptr(), b.generator().row_ptr());
-        assert_eq!(a.generator().col_idx(), b.generator().col_idx());
-        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        assert_eq!(bits(a.generator().values()), bits(b.generator().values()));
-        assert_eq!(bits(a.initial()), bits(b.initial()));
-        assert_eq!(bits(a.rewards()), bits(b.rewards()));
-    }
-
     #[test]
     fn duplex_composition_is_bitwise_identical() {
         for &(lambda, mu, coverage) in &[(0.01, 1.0, 0.95), (0.3, 2.5, 0.5), (1e-4, 0.7, 1.0)] {
-            let hand = duplex_with_coverage(lambda, mu, coverage);
+            let hand = hand_coded::duplex(lambda, mu, coverage);
             let composed = ComposeModel::duplex(lambda, mu, coverage)
                 .unwrap()
                 .build(CAP)
@@ -652,14 +651,7 @@ mod tests {
     #[test]
     fn machines_composition_is_bitwise_identical() {
         for &(machines, repairmen) in &[(8u32, 2u32), (1, 1), (5, 5), (12, 3)] {
-            let hand = MachinesModel {
-                machines,
-                repairmen,
-                lambda: 0.13,
-                mu: 1.7,
-            }
-            .build()
-            .unwrap();
+            let hand = hand_coded::machines(machines, repairmen, 0.13, 1.7);
             let composed = ComposeModel::machines(machines, repairmen, 0.13, 1.7)
                 .unwrap()
                 .build(CAP)
@@ -675,7 +667,7 @@ mod tests {
                 absorbing_crash,
                 ..Default::default()
             };
-            let hand = MultiprocModel::new(params).build().unwrap();
+            let hand = hand_coded::multiproc(&params);
             let composed = ComposeModel::multiproc(&params)
                 .unwrap()
                 .build(CAP)
@@ -690,7 +682,7 @@ mod tests {
             coverage: 1.0,
             ..Default::default()
         };
-        let hand = MultiprocModel::new(params).build().unwrap();
+        let hand = hand_coded::multiproc(&params);
         let composed = ComposeModel::multiproc(&params)
             .unwrap()
             .build(CAP)
@@ -913,5 +905,41 @@ mod tests {
                 "{bad_param} × {bad_factor} accepted"
             );
         }
+    }
+
+    #[test]
+    fn state_space_is_machine_count_plus_one() {
+        let ctmc = ComposeModel::machines(8, 2, 0.1, 1.0)
+            .unwrap()
+            .build(CAP)
+            .unwrap();
+        assert_eq!(ctmc.n_states(), 9);
+        assert_eq!(ctmc.max_reward(), 8.0);
+    }
+
+    #[test]
+    fn capacity_decreases_from_full() {
+        let ctmc = ComposeModel::machines(4, 1, 0.2, 1.0)
+            .unwrap()
+            .build(CAP)
+            .unwrap();
+        let sr = SrSolver::new(&ctmc, SrOptions::default());
+        let early = sr.solve(MeasureKind::Trr, 0.1).value;
+        let late = sr.solve(MeasureKind::Trr, 100.0).value;
+        assert!(early > late, "capacity must decay toward steady state");
+        assert!(late > 0.0 && early < 4.0);
+    }
+
+    #[test]
+    fn single_machine_reduces_to_two_state() {
+        let ctmc = ComposeModel::machines(1, 1, 0.3, 1.1)
+            .unwrap()
+            .build(CAP)
+            .unwrap();
+        let sr = SrSolver::new(&ctmc, SrOptions::default());
+        let t = 2.0;
+        // Availability = 1 − UA of the two-state model.
+        let ua = crate::two_state::unavailability(0.3, 1.1, t);
+        assert!((sr.solve(MeasureKind::Trr, t).value - (1.0 - ua)).abs() < 1e-11);
     }
 }

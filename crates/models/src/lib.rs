@@ -7,22 +7,25 @@
 //!   `UR(t)` (absorbing) variants;
 //! * [`two_state`] — the textbook repairable unit with closed-form
 //!   availability (the validation anchor of the test suite);
-//! * [`machines`] — machines-repairman performability model (reward = number
-//!   of working machines), exercising non-binary reward structures;
-//! * [`redundant`] — duplex system with imperfect failure coverage and an
-//!   absorbing uncovered-failure state;
-//! * [`multiproc`] — degradable multiprocessor (processors × memories,
-//!   coverage, priority repair) with capacity rewards `min(p, m)`;
+//! * [`redundant`] — the duplex system with imperfect failure coverage and
+//!   an absorbing uncovered-failure state: its unreliability closed form;
+//! * [`multiproc`] — the degradable multiprocessor's parameters (processors
+//!   × memories, coverage, priority repair, capacity rewards `min(p, m)`);
 //! * [`cyclic`] — a ring of states; with equal rates its randomized DTMC is
 //!   periodic, stressing steady-state detection;
 //! * [`compose`] — declarative component-system models (classes × counts ×
-//!   rates × coverage × dependencies × repair crews) compiled to CTMCs; the
-//!   `duplex`/`machines`/`multiproc` families are canned compositions,
-//!   cross-checked bitwise against the hand-coded builders.
+//!   rates × coverage × dependencies × repair crews) compiled to CTMCs. The
+//!   duplex, machines-repairman and multiprocessor families are canned
+//!   compositions ([`ComposeModel::duplex`], [`ComposeModel::machines`],
+//!   [`ComposeModel::multiproc`]), held bit for bit to the hand-coded
+//!   builders in `tests/hand_coded/`.
+//!
+//! [`RaidModel`] and [`ComposeModel`] are the crate's only
+//! [`ModelSpec`](regenr_ctmc::ModelSpec) implementations; [`two_state`] and
+//! [`cyclic`] write their small chains out rate by rate.
 
 pub mod compose;
 pub mod cyclic;
-pub mod machines;
 pub mod multiproc;
 pub mod raid;
 pub mod redundant;

@@ -9,8 +9,10 @@
 //! crash is absorbing). Computational capacity — the reward rate — is
 //! `min(p, m)` for an operational configuration, `0` otherwise, giving a
 //! genuinely multi-level reward structure.
-
-use regenr_ctmc::{Ctmc, CtmcBuilder, CtmcError, ModelSpec};
+//!
+//! The chain is compiled as a canned composition,
+//! [`ComposeModel::multiproc`](crate::compose::ComposeModel::multiproc),
+//! from these parameters.
 
 /// Parameters of the multiprocessor model.
 #[derive(Clone, Copy, Debug)]
@@ -48,129 +50,37 @@ impl Default for MultiprocParams {
     }
 }
 
-/// State of the multiprocessor model.
-#[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
-pub enum MultiprocState {
-    /// `p` processors and `m` memories operational (the system is *up* iff
-    /// `p ≥ 1` and `m ≥ 1`; fully failed-by-attrition configurations are
-    /// still repairable).
-    Up {
-        /// Operational processors.
-        p: u32,
-        /// Operational memories.
-        m: u32,
-    },
-    /// Crashed by an uncovered failure.
-    Crashed,
-}
-
-/// The model, compilable via [`ModelSpec`].
-#[derive(Clone, Copy, Debug)]
-pub struct MultiprocModel {
-    /// Model parameters.
-    pub params: MultiprocParams,
-}
-
-impl MultiprocModel {
-    /// New model from parameters.
-    pub fn new(params: MultiprocParams) -> Self {
-        MultiprocModel { params }
-    }
-
-    /// Compiles the reachable chain (full configuration has index 0).
-    pub fn build(&self) -> Result<Ctmc, CtmcError> {
-        CtmcBuilder::default().explore(self, |_, _| {})
-    }
-}
-
-impl ModelSpec for MultiprocModel {
-    type State = MultiprocState;
-
-    fn initial(&self) -> Vec<(MultiprocState, f64)> {
-        vec![(
-            MultiprocState::Up {
-                p: self.params.n_proc,
-                m: self.params.n_mem,
-            },
-            1.0,
-        )]
-    }
-
-    fn reward(&self, state: &MultiprocState) -> f64 {
-        match *state {
-            MultiprocState::Up { p, m } if p >= 1 && m >= 1 => p.min(m) as f64,
-            _ => 0.0,
-        }
-    }
-
-    fn transitions(&self, state: &MultiprocState) -> Vec<(MultiprocState, f64)> {
-        let pr = &self.params;
-        let mut out = Vec::with_capacity(5);
-        match *state {
-            MultiprocState::Crashed => {
-                if !pr.absorbing_crash {
-                    out.push((
-                        MultiprocState::Up {
-                            p: pr.n_proc,
-                            m: pr.n_mem,
-                        },
-                        pr.delta,
-                    ));
-                }
-            }
-            MultiprocState::Up { p, m } => {
-                // Failures with coverage split; uncovered failures crash the
-                // system regardless of redundancy.
-                if p > 0 {
-                    let rate = p as f64 * pr.lambda_p;
-                    if pr.coverage > 0.0 {
-                        out.push((MultiprocState::Up { p: p - 1, m }, rate * pr.coverage));
-                    }
-                    if pr.coverage < 1.0 {
-                        out.push((MultiprocState::Crashed, rate * (1.0 - pr.coverage)));
-                    }
-                }
-                if m > 0 {
-                    let rate = m as f64 * pr.lambda_m;
-                    if pr.coverage > 0.0 {
-                        out.push((MultiprocState::Up { p, m: m - 1 }, rate * pr.coverage));
-                    }
-                    if pr.coverage < 1.0 {
-                        out.push((MultiprocState::Crashed, rate * (1.0 - pr.coverage)));
-                    }
-                }
-                // Single repairman, processors first.
-                if p < pr.n_proc {
-                    out.push((MultiprocState::Up { p: p + 1, m }, pr.mu));
-                } else if m < pr.n_mem {
-                    out.push((MultiprocState::Up { p, m: m + 1 }, pr.mu));
-                }
-            }
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compose::{ComposeModel, ComposeState};
+    use regenr_ctmc::{Ctmc, CtmcBuilder};
     use regenr_transient::{MeasureKind, SrOptions, SrSolver};
+
+    /// A state cap no test model comes near.
+    const CAP: usize = 10_000;
+
+    fn build(params: MultiprocParams) -> Ctmc {
+        ComposeModel::multiproc(&params)
+            .unwrap()
+            .build(CAP)
+            .unwrap()
+    }
 
     /// Builds the model and its state table, collected through the
     /// explorer's numbering callback.
-    fn build_with_states(params: MultiprocParams) -> (Ctmc, Vec<MultiprocState>) {
+    fn build_with_states(params: MultiprocParams) -> (ComposeModel, Ctmc, Vec<ComposeState>) {
+        let model = ComposeModel::multiproc(&params).unwrap();
         let mut states = Vec::new();
-        let ctmc = CtmcBuilder::default()
-            .explore(&MultiprocModel::new(params), |_, s| states.push(*s))
+        let ctmc = CtmcBuilder::with_max_states(CAP)
+            .explore(&model, |_, s| states.push(*s))
             .unwrap();
-        (ctmc, states)
+        (model, ctmc, states)
     }
 
     #[test]
     fn state_space_is_grid_plus_crash() {
-        let ctmc = MultiprocModel::new(MultiprocParams::default())
-            .build()
-            .unwrap();
+        let ctmc = build(MultiprocParams::default());
         // (P+1)(M+1) up-configurations + crashed.
         assert_eq!(ctmc.n_states(), 5 * 4 + 1);
         assert_eq!(ctmc.max_reward(), 3.0); // min(4, 3)
@@ -178,19 +88,22 @@ mod tests {
 
     #[test]
     fn initial_state_has_full_capacity() {
-        let model = MultiprocModel::new(MultiprocParams::default());
-        let ctmc = model.build().unwrap();
+        let ctmc = build(MultiprocParams::default());
         assert_eq!(ctmc.rewards()[0], 3.0);
         assert_eq!(ctmc.initial()[0], 1.0);
     }
 
     #[test]
     fn capacity_decays_and_repairman_prioritizes_processors() {
-        let (ctmc, states) = build_with_states(MultiprocParams::default());
+        let (model, ctmc, states) = build_with_states(MultiprocParams::default());
+        // Class 0 is `proc`, class 1 `mem`.
         let up = |p, m| {
             states
                 .iter()
-                .position(|s| *s == MultiprocState::Up { p, m })
+                .position(|s| {
+                    matches!(s, ComposeState::Up(x)
+                        if model.working(*x, 0) == p && model.working(*x, 1) == m)
+                })
                 .unwrap()
         };
         // From (p=2, m=3) the repairman must work on processors.
@@ -205,9 +118,9 @@ mod tests {
             coverage: 1.0,
             ..Default::default()
         };
-        let (_, states) = build_with_states(params);
+        let (_, _, states) = build_with_states(params);
         assert!(
-            !states.contains(&MultiprocState::Crashed),
+            !states.contains(&ComposeState::Crashed),
             "crash state must be unreachable at c = 1"
         );
     }
@@ -215,12 +128,10 @@ mod tests {
     #[test]
     fn mean_capacity_decreases_with_worse_coverage() {
         let mrr = |coverage: f64| {
-            let ctmc = MultiprocModel::new(MultiprocParams {
+            let ctmc = build(MultiprocParams {
                 coverage,
                 ..Default::default()
-            })
-            .build()
-            .unwrap();
+            });
             let sr = SrSolver::new(&ctmc, SrOptions::default());
             sr.solve(MeasureKind::Mrr, 1000.0).value
         };
@@ -234,19 +145,16 @@ mod tests {
 
     #[test]
     fn absorbing_variant_loses_capacity_permanently() {
-        let params = MultiprocParams {
+        let ctmc = build(MultiprocParams {
             absorbing_crash: true,
             ..Default::default()
-        };
-        let ctmc = MultiprocModel::new(params).build().unwrap();
+        });
         let sr = SrSolver::new(&ctmc, SrOptions::default());
         // With an absorbing crash, long-run capacity tends to the attrition
         // equilibrium *conditioned on survival*, strictly below the
         // repairable variant's.
         let cap_abs = sr.solve(MeasureKind::Trr, 50_000.0).value;
-        let rep = MultiprocModel::new(MultiprocParams::default())
-            .build()
-            .unwrap();
+        let rep = build(MultiprocParams::default());
         let sr_rep = SrSolver::new(&rep, SrOptions::default());
         let cap_rep = sr_rep.solve(MeasureKind::Trr, 50_000.0).value;
         assert!(cap_abs < cap_rep, "{cap_abs} vs {cap_rep}");

@@ -7,29 +7,15 @@
 //! the smallest interesting model with an absorbing state (`A = 1`) whose
 //! unreliability has a simple closed form, used to validate the absorbing
 //! paths of every solver.
+//!
+//! The chain is compiled as a canned composition,
+//! [`ComposeModel::duplex`](crate::compose::ComposeModel::duplex): duplex
+//! first, then simplex, then failed (absorbing); reward = failure indicator
+//! (`TRR(t) = UR(t)`). At `c = 0` the simplex state is unreachable and is
+//! never numbered.
 
-use regenr_ctmc::Ctmc;
-
-/// Builds the duplex model: state 0 = duplex, 1 = simplex, 2 = failed
-/// (absorbing). Reward = failure indicator (`TRR(t) = UR(t)`).
-pub fn duplex_with_coverage(lambda: f64, mu: f64, coverage: f64) -> Ctmc {
-    assert!((0.0..=1.0).contains(&coverage));
-    Ctmc::from_rates(
-        3,
-        &[
-            (0, 1, 2.0 * lambda * coverage),
-            (0, 2, 2.0 * lambda * (1.0 - coverage)),
-            (1, 0, mu),
-            (1, 2, lambda),
-        ],
-        vec![1.0, 0.0, 0.0],
-        vec![0.0, 0.0, 1.0],
-    )
-    .expect("duplex parameters are always valid")
-}
-
-/// Closed-form unreliability of [`duplex_with_coverage`], from the explicit
-/// 2×2 matrix exponential of the transient block.
+/// Closed-form unreliability of the duplex system, from the explicit 2×2
+/// matrix exponential of the transient block.
 pub fn duplex_unreliability(lambda: f64, mu: f64, coverage: f64, t: f64) -> f64 {
     // Transient generator restricted to {duplex, simplex}:
     //   [ −2λ        2λc ]
@@ -61,12 +47,13 @@ pub fn duplex_unreliability(lambda: f64, mu: f64, coverage: f64, t: f64) -> f64 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::compose::ComposeModel;
     use regenr_transient::{MeasureKind, SrOptions, SrSolver};
 
     #[test]
     fn closed_form_matches_sr() {
         let (l, m, c) = (0.01, 1.0, 0.95);
-        let chain = duplex_with_coverage(l, m, c);
+        let chain = ComposeModel::duplex(l, m, c).unwrap().build(10).unwrap();
         let sr = SrSolver::new(&chain, SrOptions::default());
         for &t in &[1.0, 10.0, 100.0, 1000.0] {
             let got = sr.solve(MeasureKind::Trr, t).value;

@@ -1,30 +1,48 @@
-//! Property tests: canned compositions are *bitwise* equal to the
-//! hand-coded model families — same state numbering (BFS discovery order),
-//! same CSR structure, and the same bit pattern in every rate, reward and
-//! initial-probability entry, across random parameters.
+//! Property tests: canned compositions are *bitwise* equal to hand-coded
+//! builders of the same chains — same state numbering (BFS discovery
+//! order), same CSR structure, and the same bit pattern in every rate,
+//! reward and initial-probability entry, across random parameters.
+//!
+//! The hand-coded builders in `hand_coded/` are the oracle: each spells its
+//! chain out state by state, independently of the composition compiler the
+//! engine builds these kinds through. Fixed inputs the random ranges miss
+//! (coverage exactly 1, both crash variants) are `compose.rs`'s unit tests.
 
+mod hand_coded;
+
+use hand_coded::assert_ctmc_bitwise_eq;
 use proptest::prelude::*;
-use regenr_ctmc::Ctmc;
 use regenr_models::compose::ComposeModel;
-use regenr_models::machines::MachinesModel;
-use regenr_models::multiproc::{MultiprocModel, MultiprocParams};
-use regenr_models::redundant::duplex_with_coverage;
+use regenr_models::multiproc::MultiprocParams;
 
 /// A state cap no generated model comes near.
 const CAP: usize = 10_000;
 
-fn assert_ctmc_bitwise_eq(a: &Ctmc, b: &Ctmc) {
-    assert_eq!(a.n_states(), b.n_states(), "state count");
-    assert_eq!(a.generator().row_ptr(), b.generator().row_ptr(), "row_ptr");
-    assert_eq!(a.generator().col_idx(), b.generator().col_idx(), "col_idx");
-    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-    assert_eq!(
-        bits(a.generator().values()),
-        bits(b.generator().values()),
-        "rates"
+fn check_duplex(lambda: f64, mu: f64, coverage: f64) {
+    let composed = ComposeModel::duplex(lambda, mu, coverage)
+        .unwrap()
+        .build(CAP)
+        .unwrap();
+    assert_ctmc_bitwise_eq(&hand_coded::duplex(lambda, mu, coverage), &composed);
+}
+
+fn check_machines(machines: u32, repairmen: u32, lambda: f64, mu: f64) {
+    let composed = ComposeModel::machines(machines, repairmen, lambda, mu)
+        .unwrap()
+        .build(CAP)
+        .unwrap();
+    assert_ctmc_bitwise_eq(
+        &hand_coded::machines(machines, repairmen, lambda, mu),
+        &composed,
     );
-    assert_eq!(bits(a.initial()), bits(b.initial()), "initial");
-    assert_eq!(bits(a.rewards()), bits(b.rewards()), "rewards");
+}
+
+fn check_multiproc(params: MultiprocParams) {
+    let composed = ComposeModel::multiproc(&params)
+        .unwrap()
+        .build(CAP)
+        .unwrap();
+    assert_ctmc_bitwise_eq(&hand_coded::multiproc(&params), &composed);
 }
 
 proptest! {
@@ -36,12 +54,7 @@ proptest! {
         // an unreachable simplex state that exploration never numbers.
         coverage in 0.01f64..1.0,
     ) {
-        let hand = duplex_with_coverage(lambda, mu, coverage);
-        let composed = ComposeModel::duplex(lambda, mu, coverage)
-            .unwrap()
-            .build(CAP)
-            .unwrap();
-        assert_ctmc_bitwise_eq(&hand, &composed);
+        check_duplex(lambda, mu, coverage);
     }
 
     #[test]
@@ -51,14 +64,7 @@ proptest! {
         lambda in 1e-6f64..1.0,
         mu in 1e-3f64..10.0,
     ) {
-        let hand = MachinesModel { machines, repairmen, lambda, mu }
-            .build()
-            .unwrap();
-        let composed = ComposeModel::machines(machines, repairmen, lambda, mu)
-            .unwrap()
-            .build(CAP)
-            .unwrap();
-        assert_ctmc_bitwise_eq(&hand, &composed);
+        check_machines(machines, repairmen, lambda, mu);
     }
 
     #[test]
@@ -72,11 +78,8 @@ proptest! {
         delta in 0.1f64..10.0,
         absorbing_crash in any::<bool>(),
     ) {
-        let params = MultiprocParams {
+        check_multiproc(MultiprocParams {
             n_proc, n_mem, lambda_p, lambda_m, coverage, mu, delta, absorbing_crash,
-        };
-        let hand = MultiprocModel::new(params).build().unwrap();
-        let composed = ComposeModel::multiproc(&params).unwrap().build(CAP).unwrap();
-        assert_ctmc_bitwise_eq(&hand, &composed);
+        });
     }
 }

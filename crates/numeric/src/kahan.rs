@@ -1,12 +1,10 @@
 //! Compensated summation.
 //!
 //! Randomization-based solvers accumulate hundreds of thousands to millions of
-//! non-negative terms spanning many orders of magnitude; the Laplace transform
-//! evaluation adds signed complex terms with cancellation. Both benefit from
+//! non-negative terms spanning many orders of magnitude; the Laplace
+//! inversion series adds signed terms with cancellation. Both benefit from
 //! Neumaier's improved Kahan–Babuška summation, which carries a running
 //! compensation for the low-order bits lost at each addition.
-
-use crate::Complex64;
 
 /// Neumaier compensated accumulator for `f64`.
 #[derive(Clone, Copy, Debug, Default)]
@@ -57,33 +55,6 @@ impl Extend<f64> for KahanSum {
     }
 }
 
-/// Neumaier compensated accumulator for [`Complex64`] (component-wise).
-#[derive(Clone, Copy, Debug, Default)]
-pub struct KahanSumC {
-    re: KahanSum,
-    im: KahanSum,
-}
-
-impl KahanSumC {
-    /// A fresh accumulator holding 0.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds one complex term.
-    #[inline]
-    pub fn add(&mut self, z: Complex64) {
-        self.re.add(z.re);
-        self.im.add(z.im);
-    }
-
-    /// Current compensated value.
-    #[inline]
-    pub fn value(&self) -> Complex64 {
-        Complex64::new(self.re.value(), self.im.value())
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -106,21 +77,6 @@ mod tests {
         }
         let exact = 0.1 * n as f64;
         assert!((k.value() - exact).abs() / exact < 1e-15);
-    }
-
-    #[test]
-    fn complex_accumulator() {
-        let mut k = KahanSumC::new();
-        for j in 0..1000 {
-            let ang = j as f64 * 0.01;
-            k.add(Complex64::new(ang.cos(), ang.sin()));
-        }
-        // Geometric check: sum of unit vectors has modulus <= 1000.
-        let v = k.value();
-        assert!(v.abs() <= 1000.0);
-        // Compare against naive in higher precision is unavailable; instead check
-        // determinism and closure.
-        assert!(v.is_finite());
     }
 
     #[test]

@@ -19,39 +19,6 @@ pub mod special;
 
 pub use complex::Complex64;
 pub use epsilon::{EpsilonAccelerator, EpsilonAcceleratorC};
-pub use kahan::{KahanSum, KahanSumC};
+pub use kahan::KahanSum;
 pub use poisson::{poisson_cdf_complement, poisson_pmf, PoissonWeights};
 pub use special::ln_gamma;
-
-/// Relative difference `|a-b| / max(|a|, |b|, floor)` with an absolute floor to
-/// avoid blow-ups near zero. Used pervasively by tests.
-pub fn rel_diff(a: f64, b: f64) -> f64 {
-    let scale = a.abs().max(b.abs()).max(1e-300);
-    (a - b).abs() / scale
-}
-
-/// `true` when `a` and `b` agree to absolute tolerance `atol` *or* relative
-/// tolerance `rtol` (whichever is looser), the standard mixed criterion.
-pub fn approx_eq(a: f64, b: f64, atol: f64, rtol: f64) -> bool {
-    let d = (a - b).abs();
-    d <= atol || d <= rtol * a.abs().max(b.abs())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn rel_diff_basics() {
-        assert_eq!(rel_diff(1.0, 1.0), 0.0);
-        assert!((rel_diff(1.0, 1.1) - 0.1 / 1.1).abs() < 1e-15);
-        assert!(rel_diff(0.0, 0.0) == 0.0);
-    }
-
-    #[test]
-    fn approx_eq_mixed() {
-        assert!(approx_eq(1e-30, 0.0, 1e-20, 1e-12));
-        assert!(approx_eq(1e10, 1e10 * (1.0 + 1e-13), 0.0, 1e-12));
-        assert!(!approx_eq(1.0, 2.0, 1e-3, 1e-3));
-    }
-}

@@ -14,9 +14,7 @@
 //!   transients cost `O(active nnz)` (see the module docs for how this
 //!   relates to the original rate-adapting formulation),
 //! * [`ode`] — a dense adaptive RK4(5) integrator of the Kolmogorov equations,
-//!   used as an *independent* cross-validation oracle on small models,
-//! * [`stationary`] — stationary-distribution power iteration used by tests
-//!   to validate RSD's detected vector.
+//!   used as an *independent* cross-validation oracle on small models.
 //!
 //! All solvers compute the paper's two measures ([`MeasureKind`]):
 //! `TRR(t) = E[r_{X(t)}]` and `MRR(t) = (1/t)·E[∫₀ᵗ r_{X(τ)} dτ]`.
@@ -41,14 +39,12 @@ pub mod adaptive;
 pub mod ode;
 pub mod rsd;
 pub mod sr;
-pub mod stationary;
 mod window;
 
 pub use adaptive::{AdaptiveOptions, AdaptiveSolver};
-pub use ode::{OdeOptions, OdeSolver};
+pub use ode::OdeSolver;
 pub use rsd::{RsdOptions, RsdSolver};
 pub use sr::{SrOptions, SrSolver};
-pub use stationary::{stationary_distribution, stationary_distribution_with};
 
 // The execution-layer scratch arena every `_with` solver entry point takes;
 // re-exported so downstream callers need not depend on `regenr-sparse`.

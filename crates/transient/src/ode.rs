@@ -14,38 +14,26 @@ use crate::{MeasureKind, Solution};
 use regenr_ctmc::Ctmc;
 use regenr_sparse::Workspace;
 
-/// Options for [`OdeSolver`].
-#[derive(Clone, Copy, Debug)]
-pub struct OdeOptions {
-    /// Local error tolerance per step (absolute, per component).
-    pub tol: f64,
-    /// Hard cap on accepted+rejected steps.
-    pub max_steps: usize,
-}
-
-impl Default for OdeOptions {
-    fn default() -> Self {
-        OdeOptions {
-            tol: 1e-12,
-            max_steps: 50_000_000,
-        }
-    }
-}
+/// Hard cap on accepted plus rejected steps.
+const MAX_STEPS: usize = 50_000_000;
 
 /// Dense RK4(5) transient solver (test oracle).
 pub struct OdeSolver<'a> {
     ctmc: &'a Ctmc,
     q_dense: Vec<Vec<f64>>,
-    opts: OdeOptions,
+    /// Local error tolerance per step (absolute, per component).
+    tol: f64,
 }
 
 impl<'a> OdeSolver<'a> {
     /// Densifies the generator; intended for models with ≲ 1000 states.
-    pub fn new(ctmc: &'a Ctmc, opts: OdeOptions) -> Self {
+    /// `tol` is the local error tolerance per step (absolute, per
+    /// component).
+    pub fn new(ctmc: &'a Ctmc, tol: f64) -> Self {
         OdeSolver {
             ctmc,
             q_dense: ctmc.generator().to_dense(),
-            opts,
+            tol,
         }
     }
 
@@ -76,13 +64,6 @@ impl<'a> OdeSolver<'a> {
             steps: 0,
             error_bound: f64::NAN,
         }
-    }
-
-    /// The transient distribution `π(t)`.
-    pub fn transient_distribution(&self, t: f64) -> Vec<f64> {
-        let mut y = self.integrate(t, &mut Workspace::new());
-        y.truncate(self.ctmc.n_states());
-        y
     }
 
     /// Integrates the augmented system `[π, ∫ r·π]` from 0 to `t`. The
@@ -187,17 +168,16 @@ impl<'a> OdeSolver<'a> {
             }
             steps += 1;
             assert!(
-                steps <= self.opts.max_steps,
-                "ODE oracle exceeded {} steps (model too stiff for the oracle)",
-                self.opts.max_steps
+                steps <= MAX_STEPS,
+                "ODE oracle exceeded {MAX_STEPS} steps (model too stiff for the oracle)"
             );
-            if err <= self.opts.tol || h <= 1e-15 * t.max(1.0) {
+            if err <= self.tol || h <= 1e-15 * t.max(1.0) {
                 y.copy_from_slice(&ytmp);
                 tau += h;
             }
             // PI controller (classic safety factor 0.9, order-5 exponent).
             let scale = if err > 0.0 {
-                0.9 * (self.opts.tol / err).powf(0.2)
+                0.9 * (self.tol / err).powf(0.2)
             } else {
                 5.0
             };
@@ -235,7 +215,7 @@ mod tests {
     #[test]
     fn agrees_with_sr_trr() {
         let c = three_state();
-        let ode = OdeSolver::new(&c, OdeOptions::default());
+        let ode = OdeSolver::new(&c, 1e-12);
         let sr = SrSolver::new(&c, SrOptions::default());
         for &t in &[0.1, 1.0, 4.0, 20.0] {
             let a = ode.solve(MeasureKind::Trr, t).value;
@@ -247,7 +227,7 @@ mod tests {
     #[test]
     fn agrees_with_sr_mrr() {
         let c = three_state();
-        let ode = OdeSolver::new(&c, OdeOptions::default());
+        let ode = OdeSolver::new(&c, 1e-12);
         let sr = SrSolver::new(&c, SrOptions::default());
         for &t in &[0.5, 2.0, 10.0] {
             let a = ode.solve(MeasureKind::Mrr, t).value;
@@ -259,8 +239,8 @@ mod tests {
     #[test]
     fn distribution_stays_a_distribution() {
         let c = three_state();
-        let ode = OdeSolver::new(&c, OdeOptions::default());
-        let d = ode.transient_distribution(7.3);
+        let ode = OdeSolver::new(&c, 1e-12);
+        let d = &ode.integrate(7.3, &mut Workspace::new())[..c.n_states()];
         let mass: f64 = d.iter().sum();
         assert!((mass - 1.0).abs() < 1e-9);
         assert!(d.iter().all(|&p| p >= -1e-12));
@@ -270,7 +250,7 @@ mod tests {
     fn exponential_decay_exact() {
         // Pure death 0 -> 1: π_0(t) = e^{-t}.
         let c = Ctmc::from_rates(2, &[(0, 1, 1.0)], vec![1.0, 0.0], vec![1.0, 0.0]).unwrap();
-        let ode = OdeSolver::new(&c, OdeOptions::default());
+        let ode = OdeSolver::new(&c, 1e-12);
         for &t in &[0.5f64, 2.0, 8.0] {
             let v = ode.solve(MeasureKind::Trr, t).value;
             assert!((v - (-t).exp()).abs() < 1e-10, "t={t}");

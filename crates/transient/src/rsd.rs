@@ -42,6 +42,13 @@ use regenr_numeric::PoissonWeights;
 use regenr_sparse::{ParallelConfig, Workspace};
 use std::sync::Arc;
 
+/// Sliding-window length for the contraction-ratio estimate.
+const RATIO_WINDOW: usize = 16;
+
+/// Minimum number of steps before detection may fire (guards against
+/// transient plateaus in `d_n`).
+const WARMUP: usize = 32;
+
 /// Options for [`RsdSolver`].
 #[derive(Clone, Copy, Debug)]
 pub struct RsdOptions {
@@ -50,11 +57,6 @@ pub struct RsdOptions {
     /// Uniformization safety factor (`0` matches the paper; `> 0` guarantees
     /// aperiodicity).
     pub theta: f64,
-    /// Sliding-window length for the contraction-ratio estimate.
-    pub ratio_window: usize,
-    /// Minimum number of steps before detection may fire (guards against
-    /// transient plateaus in `d_n`).
-    pub warmup: usize,
     /// Parallel SpMV configuration.
     pub parallel: ParallelConfig,
 }
@@ -64,8 +66,6 @@ impl Default for RsdOptions {
         RsdOptions {
             epsilon: 1e-12,
             theta: 0.0,
-            ratio_window: 16,
-            warmup: 32,
             parallel: ParallelConfig::default(),
         }
     }
@@ -102,7 +102,6 @@ impl<'a> RsdSolver<'a> {
     /// `unif` must have been built from `ctmc` at `opts.theta`.
     pub fn with_uniformized(ctmc: &'a Ctmc, unif: Arc<Uniformized>, opts: RsdOptions) -> Self {
         assert!(opts.epsilon > 0.0, "epsilon must be positive");
-        assert!(opts.ratio_window >= 2);
         unif.assert_built_from(ctmc);
         RsdSolver { ctmc, unif, opts }
     }
@@ -176,7 +175,7 @@ impl<'a> RsdSolver<'a> {
         let stepper = self.unif.stepper(&self.opts.parallel);
         let mut pi = ws.take_copied(self.ctmc.initial());
         let mut next = ws.take_zeroed(pi.len());
-        let mut ratios: Vec<f64> = Vec::with_capacity(self.opts.ratio_window);
+        let mut ratios: Vec<f64> = Vec::with_capacity(RATIO_WINDOW);
         let mut prev_delta = f64::INFINITY;
         let mut detected_at = None;
         let mut final_delta = f64::NAN;
@@ -212,14 +211,14 @@ impl<'a> RsdSolver<'a> {
 
             if prev_delta.is_finite() && prev_delta > 0.0 {
                 let ratio = (d / prev_delta).min(1.0);
-                if ratios.len() == self.opts.ratio_window {
+                if ratios.len() == RATIO_WINDOW {
                     ratios.remove(0);
                 }
                 ratios.push(ratio);
             }
             prev_delta = d;
 
-            if steps >= self.opts.warmup && ratios.len() == self.opts.ratio_window {
+            if steps >= WARMUP && ratios.len() == RATIO_WINDOW {
                 // Conservative contraction estimate: worst ratio in the window.
                 let rho = ratios.iter().copied().fold(0.0f64, f64::max);
                 if rho < 1.0 - 1e-9 {

@@ -9,14 +9,18 @@
 //! closed-form unreliability) and prints values, step counts, and timings —
 //! a miniature of the paper's Section 3 comparison.
 
-use regenr::models::redundant::{duplex_unreliability, duplex_with_coverage};
+use regenr::models::redundant::duplex_unreliability;
+use regenr::models::ComposeModel;
 use regenr::prelude::*;
-use regenr::transient::{AdaptiveOptions, AdaptiveSolver, OdeOptions, OdeSolver};
+use regenr::transient::{AdaptiveOptions, AdaptiveSolver, OdeSolver};
 use std::time::Instant;
 
 fn main() {
     let (lambda, mu, coverage) = (0.01, 1.0, 0.95);
-    let ctmc = duplex_with_coverage(lambda, mu, coverage);
+    let ctmc = ComposeModel::duplex(lambda, mu, coverage)
+        .unwrap()
+        .build(10)
+        .unwrap();
     let epsilon = 1e-12;
 
     let sr = SrSolver::new(
@@ -56,7 +60,7 @@ fn main() {
         },
     )
     .unwrap();
-    let ode = OdeSolver::new(&ctmc, OdeOptions::default());
+    let ode = OdeSolver::new(&ctmc, 1e-12);
 
     println!(
         "{:>8} {:>13} | {:>21} {:>21} {:>21} {:>21} {:>13}",

@@ -13,7 +13,6 @@
 //! solves.
 
 use regenr::core::select_regenerative_state;
-use regenr::core::SelectOptions;
 use regenr::models::{RaidModel, RaidParams};
 use regenr::prelude::*;
 use std::time::Instant;
@@ -22,7 +21,7 @@ fn main() {
     let ctmc = RaidModel::new(RaidParams::paper(20)).build().unwrap();
 
     // The auto-selection heuristic recovers the paper's choice (pristine).
-    let r = select_regenerative_state(&ctmc, SelectOptions::default()).unwrap();
+    let r = select_regenerative_state(&ctmc, 0.0).unwrap();
     println!("auto-selected regenerative state: {r} (paper uses the pristine state, index 0)");
 
     let rrl = RrlSolver::new(

@@ -11,18 +11,29 @@
 //! two measures on a genuinely performability-flavoured model (rewards are
 //! not a failure indicator).
 
-use regenr::models::machines::MachinesModel;
+use regenr::models::ComposeModel;
 use regenr::prelude::*;
-use regenr::transient::stationary_distribution;
+
+/// Long-run expected number of working machines, from the birth–death
+/// stationary distribution: `π_{k+1} = π_k·(m−k)λ / (min(k+1, r)·μ)` for
+/// `k` failed machines.
+fn long_run_capacity(machines: u32, repairmen: u32, lambda: f64, mu: f64) -> f64 {
+    let mut weight = 1.0;
+    let (mut mass, mut capacity) = (0.0, 0.0);
+    for k in 0..=machines {
+        mass += weight;
+        capacity += weight * (machines - k) as f64;
+        weight *= (machines - k) as f64 * lambda / ((k + 1).min(repairmen) as f64 * mu);
+    }
+    capacity / mass
+}
 
 fn main() {
-    let model = MachinesModel {
-        machines: 16,
-        repairmen: 2,
-        lambda: 0.02,
-        mu: 1.0,
-    };
-    let ctmc = model.build().unwrap();
+    let (machines, repairmen, lambda, mu) = (16, 2, 0.02, 1.0);
+    let ctmc = ComposeModel::machines(machines, repairmen, lambda, mu)
+        .unwrap()
+        .build(1_000)
+        .unwrap();
     println!(
         "machines-repairman model: {} states, r_max = {}",
         ctmc.n_states(),
@@ -63,9 +74,8 @@ fn main() {
         println!("{t:>9.1} {trr:>18.8} {mrr:>18.8}");
     }
 
-    // Long-run capacity from the stationary distribution for reference.
-    let pi = stationary_distribution(&ctmc, 1e-14, 1_000_000).unwrap();
-    let long_run = ctmc.reward_dot(&pi);
+    // Long-run capacity from the birth–death closed form for reference.
+    let long_run = long_run_capacity(machines, repairmen, lambda, mu);
     println!("\nlong-run expected capacity: {long_run:.8} machines");
     let trr_inf = rrl.trr(10_000.0).unwrap().value;
     assert!((trr_inf - long_run).abs() < 1e-7);

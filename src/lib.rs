@@ -87,9 +87,9 @@ pub use regenr_transient as transient;
 pub mod prelude {
     pub use regenr_core::{
         select_regenerative_state, RegenOptions, RegenParams, RrOptions, RrSolver, RrlOptions,
-        RrlSolver, SelectOptions,
+        RrlSolver,
     };
-    pub use regenr_ctmc::{Ctmc, CtmcBuilder, ModelSpec, RewardedCtmc};
+    pub use regenr_ctmc::{Ctmc, CtmcBuilder, ModelSpec};
     pub use regenr_engine::{
         CacheConfig, CacheStats, Engine, EngineOptions, ExecStats, Method, MethodChoice,
         SolveReport, SolveRequest, Solver, SweepReport,

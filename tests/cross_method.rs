@@ -1,10 +1,11 @@
 //! Cross-method integration tests: every solver must agree on every model
 //! within the error budgets, including the paper's RAID workloads.
 
-use regenr::models::redundant::duplex_with_coverage;
-use regenr::models::{two_state, RaidModel, RaidParams};
+use regenr::engine::SweepSpec;
+use regenr::models::redundant::duplex_unreliability;
+use regenr::models::{two_state, ComposeModel, RaidModel, RaidParams};
 use regenr::prelude::*;
-use regenr::transient::{AdaptiveOptions, AdaptiveSolver, OdeOptions, OdeSolver};
+use regenr::transient::{AdaptiveOptions, AdaptiveSolver, OdeSolver};
 
 const EPS: f64 = 1e-11;
 
@@ -85,11 +86,48 @@ fn five_solvers_agree_on_two_state() {
     }
 }
 
+fn duplex(coverage: f64) -> Ctmc {
+    ComposeModel::duplex(0.02, 0.5, coverage)
+        .unwrap()
+        .build(10)
+        .unwrap()
+}
+
 #[test]
 fn five_solvers_agree_on_duplex() {
-    let c = duplex_with_coverage(0.02, 0.5, 0.93);
+    let c = duplex(0.93);
     for &t in &[1.0, 50.0] {
         assert_all_close(&all_trr(&c, 0, t), 1e-9, &format!("duplex t={t}"));
+    }
+}
+
+/// The `duplex` spec kind through the engine's Auto dispatch against the
+/// closed form, at an interior coverage and at both ends. At coverage 0 the
+/// simplex state is unreachable, and the chain must still solve.
+#[test]
+fn duplex_kind_matches_closed_form() {
+    for coverage in [0.93, 1.0, 0.0] {
+        let spec = SweepSpec::parse(&format!(
+            r#"{{"epsilon": 1e-12, "horizons": [1, 50, 1000], "measures": ["trr"],
+                "models": [{{"kind": "duplex", "lambda": 0.02, "mu": 0.5, "coverage": {coverage}}}]}}"#
+        ))
+        .unwrap();
+        let sweep = Engine::with_options(spec.options).sweep(&spec.requests);
+        assert!(
+            sweep.failures.is_empty(),
+            "coverage {coverage}: {:?}",
+            sweep.failures
+        );
+        assert_eq!(sweep.reports.len(), 3);
+        for cell in &sweep.reports {
+            let exact = duplex_unreliability(0.02, 0.5, coverage, cell.t);
+            assert!(
+                (cell.value - exact).abs() < 1e-10,
+                "coverage {coverage}, t = {}: {} vs {exact}",
+                cell.t,
+                cell.value
+            );
+        }
     }
 }
 
@@ -126,7 +164,7 @@ fn solvers_agree_on_small_raid_unreliability() {
 
 #[test]
 fn mrr_agrees_across_methods() {
-    let c = duplex_with_coverage(0.02, 0.5, 0.93);
+    let c = duplex(0.93);
     let sr = SrSolver::new(
         &c,
         SrOptions {
@@ -169,13 +207,7 @@ fn ode_oracle_agrees_on_dense_path() {
     })
     .build()
     .unwrap();
-    let ode = OdeSolver::new(
-        &ctmc,
-        OdeOptions {
-            tol: 1e-12,
-            ..Default::default()
-        },
-    );
+    let ode = OdeSolver::new(&ctmc, 1e-12);
     let sr = SrSolver::new(
         &ctmc,
         SrOptions {
