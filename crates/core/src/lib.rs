@@ -53,6 +53,6 @@ pub use params::{KilledChainParams, RegenOptions, RegenParams};
 pub use regen::{Construct, ParamSource, RegenMethod, RegenSolver};
 pub use rr::{RrOptions, RrSolution, RrSolver};
 pub use rrl::{RrlOptions, RrlSolution, RrlSolver};
-pub use select::{select_regenerative_state, select_regenerative_state_with};
+pub use select::select_regenerative_state;
 pub use transform::TransformEvaluator;
 pub use vmodel::build_truncated_model;

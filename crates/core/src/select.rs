@@ -16,7 +16,7 @@
 //! sits on the `f_i`).
 
 use regenr_ctmc::{analyze, Ctmc, CtmcError, Uniformized};
-use regenr_sparse::{ParallelConfig, Workspace};
+use regenr_sparse::ParallelConfig;
 
 /// Number of DTMC steps the occupancy is accumulated over.
 const OCCUPANCY_STEPS: usize = 2_000;
@@ -28,16 +28,6 @@ const OCCUPANCY_STEPS: usize = 2_000;
 /// the structural errors of [`regenr_ctmc::analyze`] when the chain violates
 /// the paper's assumptions.
 pub fn select_regenerative_state(ctmc: &Ctmc, theta: f64) -> Result<usize, CtmcError> {
-    select_regenerative_state_with(ctmc, theta, &mut Workspace::new())
-}
-
-/// Like [`select_regenerative_state`] with caller-owned scratch for the
-/// occupancy iteration.
-pub fn select_regenerative_state_with(
-    ctmc: &Ctmc,
-    theta: f64,
-    ws: &mut Workspace,
-) -> Result<usize, CtmcError> {
     let info = analyze(ctmc)?;
     let is_absorbing = {
         let mut v = vec![false; ctmc.n_states()];
@@ -48,9 +38,9 @@ pub fn select_regenerative_state_with(
     };
     let unif = Uniformized::new(ctmc, theta);
     let stepper = unif.stepper(&ParallelConfig::default());
-    let mut pi = ws.take_copied(ctmc.initial());
-    let mut next = ws.take_zeroed(pi.len());
-    let mut score = ws.take_copied(&pi);
+    let mut pi = ctmc.initial().to_vec();
+    let mut next = vec![0.0; pi.len()];
+    let mut score = pi.clone();
     for _ in 0..OCCUPANCY_STEPS {
         stepper.step(&pi, &mut next);
         std::mem::swap(&mut pi, &mut next);
@@ -65,9 +55,6 @@ pub fn select_regenerative_state_with(
         .max_by(|a, b| a.1.partial_cmp(b.1).expect("scores are finite"))
         .map(|(i, _)| i)
         .expect("at least one non-absorbing state exists");
-    ws.give(pi);
-    ws.give(next);
-    ws.give(score);
     Ok(best)
 }
 

@@ -11,23 +11,36 @@
 //! stable across runs and usable in regression tests.
 //!
 //! Exploration streams: each transition goes into a growable [`CooBuilder`]
-//! as it is found, and exit rates and rewards grow state by state. The only
-//! other per-state structures are the state → index map, dropped before the
-//! CSR build, and the BFS queue. No state table or triplet buffer is kept; a
-//! caller that wants the high-level states collects them through the
-//! closure that [`CtmcBuilder::explore`] calls as each state is numbered.
+//! as it is found, and exit rates and rewards grow state by state. The state
+//! table, in index order, doubles as the BFS queue; the state → index map is
+//! dropped before the CSR build. A caller that wants the high-level states
+//! collects them through the closure that [`CtmcBuilder::explore`] calls as
+//! each state is numbered.
+//!
+//! A grid of rate variants explores once. [`CtmcBuilder::explore_grid`]
+//! compiles the base point and also keeps, in a [`Replay`], the state table,
+//! each transition's target index and the permutation of the base's COO
+//! sort (a [`CooPlan`]). [`Replay::build`] compiles each later point by
+//! walking the table in index order, with no hashing, no queue and no sort.
+//! It checks that the point's transitions hit the same targets in the same
+//! order with positive finite rates, and that its initial states are the
+//! base's. The point's values are then gathered through the plan, so
+//! parallel arcs merge in the order of the point's own exploration and the
+//! chain is that exploration's, bit for bit. A point that fails the check
+//! (a rate that underflows to zero drops a transition, say) is explored from
+//! scratch.
 
 use crate::chain::{Ctmc, CtmcError};
-use regenr_sparse::CooBuilder;
+use regenr_sparse::{CooBuilder, CooPlan};
 use std::collections::hash_map::Entry;
-use std::collections::{HashMap, VecDeque};
+use std::collections::HashMap;
 use std::hash::Hash;
 
 /// A high-level stochastic model: implement this for your domain model and
 /// compile it with [`CtmcBuilder::explore`].
 pub trait ModelSpec {
     /// State descriptor. Must be hashable; keep it small (it is cloned into
-    /// the state index and the BFS queue).
+    /// the state index and the state table).
     type State: Clone + Eq + Hash;
 
     /// Initial states with their probabilities (must sum to 1).
@@ -59,13 +72,41 @@ impl Default for CtmcBuilder {
 }
 
 /// The explorer's per-state bookkeeping: one entry per numbered state in
-/// `index`, `exit` and `rewards`, and the states not yet expanded in
-/// `queue`.
+/// `index`, `states`, `exit` and `rewards`. The state table, in index
+/// order, doubles as the BFS queue.
 struct Frontier<S> {
     index: HashMap<S, usize>,
-    queue: VecDeque<(S, usize)>,
+    states: Vec<S>,
     exit: Vec<f64>,
     rewards: Vec<f64>,
+}
+
+/// One exploration before its CSR build: every arc, then each state's
+/// diagonal, in `coo`; the state table in index order; the index of each
+/// initial pair with its probability; and the rewards.
+struct Explored<S> {
+    coo: CooBuilder,
+    states: Vec<S>,
+    initial_pairs: Vec<(usize, f64)>,
+    rewards: Vec<f64>,
+}
+
+/// The initial distribution over `n` states, summed in the order the pairs
+/// were given.
+fn distribution(n: usize, pairs: impl IntoIterator<Item = (usize, f64)>) -> Vec<f64> {
+    let mut initial = vec![0.0f64; n];
+    for (id, p) in pairs {
+        initial[id] += p;
+    }
+    initial
+}
+
+/// Each transition's target, recorded by a grid base's exploration: state
+/// `i`'s transitions hit `targets[offsets[i]..offsets[i + 1]]`, in emission
+/// order, self-loops included.
+struct Arcs {
+    offsets: Vec<usize>,
+    targets: Vec<u32>,
 }
 
 impl CtmcBuilder {
@@ -87,8 +128,56 @@ impl CtmcBuilder {
     pub fn explore<M: ModelSpec>(
         &self,
         spec: &M,
-        mut on_state: impl FnMut(usize, &M::State),
+        on_state: impl FnMut(usize, &M::State),
     ) -> Result<Ctmc, CtmcError> {
+        let Explored {
+            coo,
+            states,
+            initial_pairs,
+            rewards,
+        } = self.bfs(spec, on_state, None)?;
+        let initial = distribution(states.len(), initial_pairs);
+        drop(states);
+        Ctmc::new(coo.build(), initial, rewards)
+    }
+
+    /// Explores `spec` as the base point of a grid of rate variants: the
+    /// chain [`CtmcBuilder::explore`] returns, and the [`Replay`] that
+    /// compiles each later point without a search.
+    pub fn explore_grid<M: ModelSpec>(
+        &self,
+        spec: &M,
+    ) -> Result<(Ctmc, Replay<M::State>), CtmcError> {
+        let mut arcs = Arcs {
+            offsets: vec![0],
+            targets: Vec::new(),
+        };
+        let e = self.bfs(spec, |_, _| {}, Some(&mut arcs))?;
+        arcs.targets.shrink_to_fit();
+        let (generator, plan) = e.coo.build_with_plan();
+        let initial = distribution(e.states.len(), e.initial_pairs.iter().copied());
+        let ctmc = Ctmc::new(generator, initial, e.rewards)?;
+        let replay = Replay {
+            max_states: self.max_states,
+            states: e.states,
+            initial: e.initial_pairs.into_iter().map(|(id, _)| id).collect(),
+            arcs,
+            plan,
+            pushed: Vec::new(),
+            exit: Vec::new(),
+        };
+        Ok((ctmc, replay))
+    }
+
+    /// The one breadth-first search. States are numbered in discovery
+    /// order, so state `i` is expanded `i`-th. `arcs`, when given, records
+    /// every transition's target.
+    fn bfs<M: ModelSpec>(
+        &self,
+        spec: &M,
+        mut on_state: impl FnMut(usize, &M::State),
+        mut arcs: Option<&mut Arcs>,
+    ) -> Result<Explored<M::State>, CtmcError> {
         regenr_failpoint::failpoint_return!(
             "ctmc-explore",
             Err(CtmcError::Injected {
@@ -97,15 +186,15 @@ impl CtmcBuilder {
         );
         let mut f = Frontier {
             index: HashMap::new(),
-            queue: VecDeque::new(),
+            states: Vec::new(),
             exit: Vec::new(),
             rewards: Vec::new(),
         };
-        // The index of `s`, numbering and queueing it first if it is new.
+        // The index of `s`, numbering it first if it is new.
         let mut number = |f: &mut Frontier<M::State>, s: M::State| match f.index.entry(s) {
             Entry::Occupied(e) => Ok(*e.get()),
             Entry::Vacant(e) => {
-                let id = f.exit.len();
+                let id = f.states.len();
                 if id >= self.max_states {
                     return Err(CtmcError::StateSpaceExceeded {
                         max_states: self.max_states,
@@ -114,7 +203,7 @@ impl CtmcBuilder {
                 f.exit.push(0.0);
                 f.rewards.push(spec.reward(e.key()));
                 on_state(id, e.key());
-                f.queue.push_back((e.key().clone(), id));
+                f.states.push(e.key().clone());
                 e.insert(id);
                 Ok(id)
             }
@@ -125,12 +214,17 @@ impl CtmcBuilder {
             initial_pairs.push((number(&mut f, s)?, p));
         }
         let mut b = CooBuilder::new(0, 0);
-        while let Some((from, id)) = f.queue.pop_front() {
-            for (target, rate) in spec.transitions(&from) {
+        let mut id = 0;
+        while id < f.states.len() {
+            for (target, rate) in spec.transitions(&f.states[id]) {
                 if !(rate > 0.0 && rate.is_finite()) {
                     return Err(CtmcError::InvalidRate { from: id, rate });
                 }
                 let tid = number(&mut f, target)?;
+                if let Some(arcs) = arcs.as_deref_mut() {
+                    let tid = u32::try_from(tid).expect("state indices fit the COO's u32");
+                    arcs.targets.push(tid);
+                }
                 if tid != id {
                     // Both endpoints are < exit.len() (the states known so far).
                     b.grow(f.exit.len(), f.exit.len());
@@ -138,6 +232,10 @@ impl CtmcBuilder {
                     f.exit[id] += rate;
                 }
             }
+            if let Some(arcs) = arcs.as_deref_mut() {
+                arcs.offsets.push(arcs.targets.len());
+            }
+            id += 1;
         }
 
         let n = f.exit.len();
@@ -154,11 +252,97 @@ impl CtmcBuilder {
                 b.push(i, i, -e);
             }
         }
-        let mut initial = vec![0.0f64; n];
-        for (id, p) in initial_pairs {
-            initial[id] += p;
+        Ok(Explored {
+            coo: b,
+            states: f.states,
+            initial_pairs,
+            rewards: f.rewards,
+        })
+    }
+}
+
+/// A grid's base exploration, kept to compile the grid's later points: the
+/// state table, each transition's target, and the [`CooPlan`] of the base's
+/// CSR build.
+///
+/// [`Replay::build`] walks the table in index order and calls the point's
+/// `transitions` on each state; no state is hashed and nothing is queued.
+/// When every transition hits the base's target in the base's order with a
+/// positive finite rate, and the initial states are the base's, the point's
+/// own [`CtmcBuilder::explore`] would number every state alike and push
+/// every entry at the same position, so the plan gathers its values into
+/// the matrix that exploration would build, bit for bit. Any other point is
+/// explored from scratch.
+pub struct Replay<S> {
+    max_states: usize,
+    states: Vec<S>,
+    /// The index of each initial pair.
+    initial: Vec<usize>,
+    arcs: Arcs,
+    plan: CooPlan,
+    /// Scratch, kept from point to point: the values in push order and the
+    /// exit rates.
+    pushed: Vec<f64>,
+    exit: Vec<f64>,
+}
+
+impl<S: Eq> Replay<S> {
+    /// Compiles `point` into the chain `CtmcBuilder::explore` returns for
+    /// it under the base's state cap: by replay when it follows the base,
+    /// by its own exploration when it does not.
+    pub fn build<M: ModelSpec<State = S>>(&mut self, point: &M) -> Result<Ctmc, CtmcError> {
+        let Some(initial) = self.replay(point) else {
+            return CtmcBuilder::with_max_states(self.max_states).explore(point, |_, _| {});
+        };
+        regenr_failpoint::failpoint_return!(
+            "ctmc-csr-build",
+            Err(CtmcError::Injected {
+                failpoint: "ctmc-csr-build"
+            })
+        );
+        let rewards = self.states.iter().map(|s| point.reward(s)).collect();
+        Ctmc::new(self.plan.build(&self.pushed), initial, rewards)
+    }
+
+    /// Fills `pushed` with the point's values in push order and returns its
+    /// initial distribution, or `None` when its exploration would differ
+    /// from the base's.
+    fn replay<M: ModelSpec<State = S>>(&mut self, point: &M) -> Option<Vec<f64>> {
+        let n = self.states.len();
+        let pairs = point.initial();
+        if pairs.len() != self.initial.len() {
+            return None;
         }
-        Ctmc::new(b.build(), initial, f.rewards)
+        let mut probabilities = Vec::with_capacity(pairs.len());
+        for ((s, p), &id) in pairs.into_iter().zip(&self.initial) {
+            if s != self.states[id] {
+                return None;
+            }
+            probabilities.push((id, p));
+        }
+        let (pushed, exit) = (&mut self.pushed, &mut self.exit);
+        pushed.clear();
+        exit.clear();
+        exit.resize(n, 0.0);
+        for (id, state) in self.states.iter().enumerate() {
+            let targets = &self.arcs.targets[self.arcs.offsets[id]..self.arcs.offsets[id + 1]];
+            let transitions = point.transitions(state);
+            if transitions.len() != targets.len() {
+                return None;
+            }
+            for ((target, rate), &tid) in transitions.into_iter().zip(targets) {
+                let tid = tid as usize;
+                if !(rate > 0.0 && rate.is_finite()) || target != self.states[tid] {
+                    return None;
+                }
+                if tid != id {
+                    pushed.push(rate);
+                    exit[id] += rate;
+                }
+            }
+        }
+        pushed.extend(exit.iter().filter(|&&e| e > 0.0).map(|&e| -e));
+        Some(distribution(n, probabilities))
     }
 }
 

@@ -11,6 +11,9 @@ pub enum CtmcError {
     /// A [`ModelSpec`](crate::ModelSpec) produced a transition whose rate
     /// is not positive and finite.
     InvalidRate { from: usize, rate: f64 },
+    /// A generator entry is infinite or NaN — an exit rate that overflowed,
+    /// say.
+    NonFiniteRate { from: usize, to: usize, rate: f64 },
     /// A generator row does not sum to ~0.
     RowSumNonZero { state: usize, sum: f64 },
     /// The initial distribution has negative mass or does not sum to 1.
@@ -53,6 +56,12 @@ impl fmt::Display for CtmcError {
                     "model produced a non-positive or non-finite rate {rate} out of state {from}"
                 )
             }
+            CtmcError::NonFiniteRate { from, to, rate } => {
+                write!(
+                    f,
+                    "generator row {from} has the non-finite entry {rate} in column {to}"
+                )
+            }
             CtmcError::RowSumNonZero { state, sum } => {
                 write!(f, "generator row {state} sums to {sum}, expected 0")
             }
@@ -88,7 +97,7 @@ impl std::error::Error for CtmcError {}
 /// A finite, homogeneous CTMC with a reward-rate structure.
 ///
 /// Invariants enforced at construction:
-/// * off-diagonal generator entries non-negative, row sums ≈ 0,
+/// * generator entries finite, off-diagonal ones non-negative, row sums ≈ 0,
 /// * initial distribution non-negative with total mass ≈ 1,
 /// * rewards non-negative (the paper's assumption `r_i ≥ 0`).
 #[derive(Clone, Debug)]
@@ -126,25 +135,46 @@ impl Ctmc {
                 what: "reward vector length",
             });
         }
-        for (i, j, v) in generator.iter() {
-            if i != j && v < 0.0 {
-                return Err(CtmcError::NegativeRate {
-                    from: i,
-                    to: j,
-                    rate: v,
-                });
+        // One pass over the rows. A negative rate anywhere is reported
+        // before the first bad row, which is kept until the scan ends.
+        let mut bad_row = None;
+        for i in 0..n {
+            let (mut sum, mut diagonal, mut non_finite) = (0.0, 0.0, None);
+            for (j, v) in generator.row(i) {
+                if i != j && v < 0.0 {
+                    return Err(CtmcError::NegativeRate {
+                        from: i,
+                        to: j,
+                        rate: v,
+                    });
+                }
+                if !v.is_finite() {
+                    non_finite.get_or_insert(CtmcError::NonFiniteRate {
+                        from: i,
+                        to: j,
+                        rate: v,
+                    });
+                }
+                if j == i {
+                    diagonal = v;
+                }
+                sum += v;
+            }
+            if bad_row.is_none() {
+                // Scale the tolerance with the exit rate: large rates
+                // accumulate proportionally larger float error.
+                let tol = VALIDATION_TOL * diagonal.abs().max(1.0);
+                let bad_sum = sum.is_nan() || sum.abs() > tol;
+                bad_row = non_finite
+                    .or_else(|| bad_sum.then_some(CtmcError::RowSumNonZero { state: i, sum }));
             }
         }
-        for (i, s) in generator.row_sums().iter().enumerate() {
-            // Scale the tolerance with the exit rate: large rates accumulate
-            // proportionally larger float error.
-            let scale = generator.get(i, i).abs().max(1.0);
-            if s.abs() > VALIDATION_TOL * scale {
-                return Err(CtmcError::RowSumNonZero { state: i, sum: *s });
-            }
+        if let Some(e) = bad_row {
+            return Err(e);
         }
         let mass: f64 = initial.iter().sum();
-        if initial.iter().any(|&p| p < 0.0) || (mass - 1.0).abs() > VALIDATION_TOL {
+        if initial.iter().any(|&p| p < 0.0) || mass.is_nan() || (mass - 1.0).abs() > VALIDATION_TOL
+        {
             return Err(CtmcError::BadInitialDistribution { sum: mass });
         }
         for (i, &r) in rewards.iter().enumerate() {
@@ -292,9 +322,49 @@ mod tests {
         ));
     }
 
+    /// An exit rate that overflows to infinity is rejected, naming its row;
+    /// so is any other non-finite entry. The row sum of such a row is
+    /// infinite or NaN, which no tolerance check may pass.
+    #[test]
+    fn non_finite_entries_rejected() {
+        let err = Ctmc::from_rates(
+            2,
+            &[(0, 1, 1e308), (0, 1, 1e308), (1, 0, 1.0)],
+            vec![1.0, 0.0],
+            vec![0.0, 1.0],
+        );
+        assert_eq!(
+            err.unwrap_err(),
+            CtmcError::NonFiniteRate {
+                from: 0,
+                to: 0,
+                rate: f64::NEG_INFINITY
+            }
+        );
+        for v in [f64::INFINITY, f64::NAN] {
+            let mut b = CooBuilder::new(2, 2);
+            b.push(0, 1, 1.0);
+            b.push(0, 0, -1.0);
+            b.push(1, 0, v);
+            b.push(1, 1, -v);
+            let err = Ctmc::new(b.build(), vec![1.0, 0.0], vec![0.0; 2]);
+            assert!(
+                matches!(err, Err(CtmcError::NonFiniteRate { from: 1, .. })),
+                "{v}: {err:?}"
+            );
+        }
+    }
+
     #[test]
     fn bad_initial_rejected() {
         let err = Ctmc::from_rates(2, &[(0, 1, 1.0), (1, 0, 1.0)], vec![0.7, 0.7], vec![0.0; 2]);
+        assert!(matches!(err, Err(CtmcError::BadInitialDistribution { .. })));
+        let err = Ctmc::from_rates(
+            2,
+            &[(0, 1, 1.0), (1, 0, 1.0)],
+            vec![f64::NAN, 0.0],
+            vec![0.0; 2],
+        );
         assert!(matches!(err, Err(CtmcError::BadInitialDistribution { .. })));
     }
 

@@ -40,7 +40,7 @@ pub mod chain;
 pub mod structure;
 pub mod uniformize;
 
-pub use build::{CtmcBuilder, ModelSpec};
+pub use build::{CtmcBuilder, ModelSpec, Replay};
 pub use chain::{Ctmc, CtmcError};
 pub use structure::{analysis_runs, analyze, StructureInfo};
 pub use uniformize::{uniformization_rate, Stepper, Uniformized};

@@ -81,9 +81,17 @@
 //! `raid_g20_ua@lambda_d=0.5`). Grid factors must be positive and finite:
 //! scaling a rate by a positive factor never changes which transitions
 //! exist, so every instance shares the base model's **structural**
-//! fingerprint by construction and the engine's artifact graph re-binds
-//! the cached `Pᵀ` pattern and chain facts across the grid instead of
-//! rebuilding them (see `crate::cache`). Scalable parameters
+//! fingerprint by construction. On the explorer-built kinds (`raid`,
+//! `compose` and its `duplex`, `machines` and `multiproc` presets) the grid
+//! therefore explores its state space once: the first point's
+//! `CtmcBuilder::explore_grid` keeps the state table, each transition's
+//! target and its COO sort, and every later point is replayed over them
+//! (`regenr_ctmc::Replay`) into the chain its own exploration would build,
+//! bit for bit. A point whose rates underflow or overflow so that its
+//! transitions differ is explored on its own, so it fails or solves exactly
+//! as a one-point grid would. Downstream, the engine's artifact graph
+//! re-binds the cached `Pᵀ` pattern and chain facts across the grid instead
+//! of rebuilding them (see `crate::cache`). Scalable parameters
 //! per kind — probabilities like `p_r` and `coverage` are deliberately not
 //! scalable: `raid` → `lambda_d`, `lambda_s`, `lambda_c`, `mu_drc`,
 //! `mu_drp`, `mu_crp`, `mu_sr`, `mu_g`; `two_state`/`duplex`/`machines` →
@@ -113,11 +121,13 @@ use crate::engine::{
 };
 use crate::json::Json;
 use crate::method::Method;
-use regenr_ctmc::{Ctmc, CtmcBuilder};
+use regenr_ctmc::{Ctmc, CtmcBuilder, CtmcError, ModelSpec, Replay};
 use regenr_models::{
-    compose::{ComponentClass, ComposeError, ComposeModel, RewardKind, UncoveredPolicy},
+    compose::{
+        ComponentClass, ComposeError, ComposeModel, ComposeState, RewardKind, UncoveredPolicy,
+    },
     multiproc::MultiprocParams,
-    RaidModel, RaidParams,
+    RaidModel, RaidParams, RaidState,
 };
 use regenr_transient::MeasureKind;
 use std::sync::Arc;
@@ -491,18 +501,86 @@ fn check_counts(kind: &str, counts: &[(&str, u32)]) -> Result<(), String> {
     Ok(())
 }
 
-/// Compiles one of the models crate's canned compositions (`duplex`,
-/// `machines`, `multiproc`) under the state cap every kind explores under.
-fn build_preset(kind: &str, model: Result<ComposeModel, ComposeError>) -> Result<Ctmc, String> {
-    model
-        .map_err(|e| format!("{kind} model: {e}"))?
-        .build(CtmcBuilder::default().max_states)
-        .map_err(|e| format!("{kind} model failed to build: {e}"))
+/// One grid point's chain, before it is compiled.
+enum Chain {
+    /// Built directly: `two_state`, `cyclic` and `inline`.
+    Built(Ctmc),
+    /// Compiled by the explorer.
+    Raid(RaidModel),
+    /// Compiled by the explorer under a state cap; `kind` names the spec
+    /// kind in errors.
+    Compose {
+        kind: &'static str,
+        model: ComposeModel,
+        max_states: usize,
+    },
 }
 
-/// Builds a `"kind": "multiproc"` model (the degradable multiprocessor of
+/// One of the models crate's canned compositions (`duplex`, `machines`,
+/// `multiproc`), under the state cap every kind explores under.
+fn preset(kind: &'static str, model: Result<ComposeModel, ComposeError>) -> Result<Chain, String> {
+    Ok(Chain::Compose {
+        kind,
+        model: model.map_err(|e| format!("{kind} model: {e}"))?,
+        max_states: CtmcBuilder::default().max_states,
+    })
+}
+
+/// Compiles one model object's grid points, in grid order. The first
+/// explorer-built point of a grid with more points to come explores and
+/// keeps its [`Replay`]; every later point replays it, so a grid explores
+/// its state space once.
+#[derive(Default)]
+struct GridCompiler {
+    raid: Option<Replay<RaidState>>,
+    compose: Option<Replay<ComposeState>>,
+}
+
+impl GridCompiler {
+    /// Compiles `chain`; `more` says whether later points of the grid
+    /// follow.
+    fn compile(&mut self, chain: Chain, more: bool) -> Result<Ctmc, String> {
+        let (kind, built) = match chain {
+            Chain::Built(ctmc) => return Ok(ctmc),
+            Chain::Raid(model) => (
+                "raid",
+                compile(&mut self.raid, &model, CtmcBuilder::default(), more),
+            ),
+            Chain::Compose {
+                kind,
+                model,
+                max_states,
+            } => {
+                let builder = CtmcBuilder::with_max_states(max_states);
+                (kind, compile(&mut self.compose, &model, builder, more))
+            }
+        };
+        built.map_err(|e| format!("{kind} model failed to build: {e}"))
+    }
+}
+
+/// Compiles `model` by replaying `base`, or explores it, keeping the
+/// exploration as the base when `more` points follow.
+fn compile<M: ModelSpec>(
+    base: &mut Option<Replay<M::State>>,
+    model: &M,
+    builder: CtmcBuilder,
+    more: bool,
+) -> Result<Ctmc, CtmcError> {
+    match base {
+        Some(replay) => replay.build(model),
+        None if more => {
+            let (ctmc, replay) = builder.explore_grid(model)?;
+            *base = Some(replay);
+            Ok(ctmc)
+        }
+        None => builder.explore(model, |_, _| {}),
+    }
+}
+
+/// Reads a `"kind": "multiproc"` model (the degradable multiprocessor of
 /// `regenr_models::multiproc`, compiled by its canned composition).
-fn build_multiproc_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc), String> {
+fn multiproc_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Chain), String> {
     let need_f64 =
         |key: &str| get_f64(obj, key)?.ok_or_else(|| format!("multiproc model needs {key:?}"));
     let need_u32 =
@@ -567,7 +645,7 @@ fn build_multiproc_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(Stri
     if params.coverage > 0.0 {
         check_positive("multiproc", &[("mu", params.mu)])?;
     }
-    let ctmc = build_preset("multiproc", ComposeModel::multiproc(&params))?;
+    let chain = preset("multiproc", ComposeModel::multiproc(&params))?;
     Ok((
         format!(
             "multiproc_{}x{}{}",
@@ -575,7 +653,7 @@ fn build_multiproc_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(Stri
             params.n_mem,
             if absorbing { "_ur" } else { "" }
         ),
-        ctmc,
+        chain,
     ))
 }
 
@@ -638,9 +716,9 @@ fn parse_components(obj: &Json) -> Result<Vec<ComponentClass>, String> {
     Ok(classes)
 }
 
-/// Builds a `"kind": "compose"` model under its `"max_states"` cap (see
+/// Reads a `"kind": "compose"` model and its `"max_states"` cap (see
 /// `regenr_models::compose` and the module docs for the grammar).
-fn build_compose_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc), String> {
+fn compose_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Chain), String> {
     let classes = parse_components(obj)?;
     let crews = get_u32(obj, "crews")?.unwrap_or(1);
     let uncovered = match obj.get("uncovered") {
@@ -709,10 +787,14 @@ fn build_compose_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String
             ))
         }
     };
-    let ctmc = model
-        .build(max_states)
-        .map_err(|e| format!("compose model failed to build: {e}"))?;
-    Ok((model.default_name(), ctmc))
+    Ok((
+        model.default_name(),
+        Chain::Compose {
+            kind: "compose",
+            model,
+            max_states,
+        },
+    ))
 }
 
 /// Builds an inline model from a `"rates": [[from, to, rate], …]` triple
@@ -796,12 +878,12 @@ fn build_inline_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<Ctmc, St
         .map_err(|e| format!("inline model failed to validate: {e}"))
 }
 
-/// Builds the chain described by one model object; returns (name, chain).
+/// Reads the chain described by one model object; returns (name, chain).
 /// `scale` is a `(param, factor)` pair from a `"sensitivity"` expansion:
 /// the named rate is multiplied by the factor before the chain is built,
 /// so every grid point is a pure rate variant sharing the base model's
 /// structural fingerprint.
-fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc), String> {
+fn model_point(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Chain), String> {
     let kind = obj
         .get("kind")
         .and_then(Json::as_str)
@@ -842,7 +924,7 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
             &[COMMON_MODEL_KEYS, kind_keys],
         )?;
     }
-    let (default_name, ctmc) = match kind {
+    let (default_name, chain) = match kind {
         "raid" => {
             let g = get_u32(obj, "g")?.ok_or_else(|| "raid model needs \"g\"".to_string())?;
             // The state stores disk counts in a u16 and spare counts in a
@@ -883,12 +965,9 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
             if absorbing {
                 params = params.with_absorbing_failure();
             }
-            let ctmc = RaidModel::new(params)
-                .build()
-                .map_err(|e| format!("raid model failed to build: {e}"))?;
             (
                 format!("raid_g{g}_{}", if absorbing { "ur" } else { "ua" }),
-                ctmc,
+                Chain::Raid(RaidModel::new(params)),
             )
         }
         "two_state" => {
@@ -905,7 +984,7 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
                 check_rates("two_state", &[("lambda", lambda)])?;
                 (
                     "two_state_nonrepairable".to_string(),
-                    regenr_models::two_state::non_repairable_unit(lambda),
+                    Chain::Built(regenr_models::two_state::non_repairable_unit(lambda)),
                 )
             } else {
                 let mut mu =
@@ -918,7 +997,7 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
                 check_rates("two_state", &[("lambda", lambda), ("mu", mu)])?;
                 (
                     "two_state".to_string(),
-                    regenr_models::two_state::repairable_unit(lambda, mu),
+                    Chain::Built(regenr_models::two_state::repairable_unit(lambda, mu)),
                 )
             }
         }
@@ -933,7 +1012,7 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
             apply_rate_scale("cyclic", scale, &mut [])?;
             (
                 format!("cyclic_{n}"),
-                regenr_models::cyclic::ring(n as usize),
+                Chain::Built(regenr_models::cyclic::ring(n as usize)),
             )
         }
         "duplex" => {
@@ -955,7 +1034,7 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
             check_rates("duplex", &[("lambda", lambda), ("mu", mu)])?;
             (
                 "duplex".to_string(),
-                build_preset("duplex", ComposeModel::duplex(lambda, mu, coverage))?,
+                preset("duplex", ComposeModel::duplex(lambda, mu, coverage))?,
             )
         }
         "machines" => {
@@ -980,15 +1059,18 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
             check_positive("machines", &[("lambda", lambda), ("mu", mu)])?;
             (
                 format!("machines_{machines}x{repairmen}"),
-                build_preset(
+                preset(
                     "machines",
                     ComposeModel::machines(machines, repairmen, lambda, mu),
                 )?,
             )
         }
-        "multiproc" => build_multiproc_model(obj, scale)?,
-        "compose" => build_compose_model(obj, scale)?,
-        "inline" => ("inline".to_string(), build_inline_model(obj, scale)?),
+        "multiproc" => multiproc_model(obj, scale)?,
+        "compose" => compose_model(obj, scale)?,
+        "inline" => (
+            "inline".to_string(),
+            Chain::Built(build_inline_model(obj, scale)?),
+        ),
         other => {
             return Err(format!(
                 "unknown model kind {other:?} \
@@ -999,7 +1081,7 @@ fn build_model(obj: &Json, scale: Option<(&str, f64)>) -> Result<(String, Ctmc),
     let name = get_str(obj, "name")?
         .map(str::to_string)
         .unwrap_or(default_name);
-    Ok((name, ctmc))
+    Ok((name, chain))
 }
 
 impl SweepSpec {
@@ -1069,6 +1151,7 @@ impl SweepSpec {
             // rate-scaled instance per grid point. Every instance shares
             // the base model's *structural* fingerprint by construction
             // (only rate values change, never which transitions exist), so
+            // the grid explores its state space once (`GridCompiler`) and
             // the engine's artifact graph re-binds the cached `Pᵀ` pattern
             // and chain facts across the whole grid.
             let points: Vec<Option<(String, f64)>> = match parse_sensitivity(model_obj)? {
@@ -1078,10 +1161,12 @@ impl SweepSpec {
                     .map(|factor| Some((param.clone(), factor)))
                     .collect(),
             };
-            for point in points {
+            let mut grid = GridCompiler::default();
+            for (k, point) in points.iter().enumerate() {
                 let scale = point.as_ref().map(|(p, f)| (p.as_str(), *f));
-                let (base_name, ctmc) = build_model(model_obj, scale)?;
-                let name = match &point {
+                let (base_name, chain) = model_point(model_obj, scale)?;
+                let ctmc = grid.compile(chain, k + 1 < points.len())?;
+                let name = match point {
                     // Grid points are distinguishable by name:
                     // `raid_g20_ua@lambda_d=0.5`.
                     Some((param, factor)) => format!("{base_name}@{param}={factor}"),
@@ -1956,6 +2041,61 @@ mod tests {
         assert!(err.contains("\"rate\""), "{err}");
     }
 
+    /// A grid explores its state space once and replays the rest; every
+    /// point is still, bit for bit, the chain its own one-point grid
+    /// builds.
+    #[test]
+    fn grid_points_equal_their_one_point_grids() {
+        let bits = |c: &Ctmc| {
+            let f = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            let q = c.generator();
+            (
+                q.row_ptr().to_vec(),
+                q.col_idx().to_vec(),
+                f(q.values()),
+                f(c.initial()),
+                f(c.rewards()),
+            )
+        };
+        let cluster = r#""kind": "compose", "reward": {"working": "web"}, "crews": 2,
+            "components": [
+              {"name": "web", "count": 4, "lambda": 0.01, "mu": 1.0, "coverage": 0.9,
+               "required": 1, "deps": [{"on": "db", "factor": 2.0}]},
+              {"name": "db", "count": 3, "lambda": 0.005, "mu": 0.5, "required": 1}]"#;
+        for (model, param) in [
+            (r#""kind": "raid", "g": 3, "absorbing": true"#, "mu_sr"),
+            (r#""kind": "raid", "g": 4"#, "lambda_c"),
+            (cluster, "lambda"),
+            (cluster, "mu"),
+            (
+                r#""kind": "duplex", "lambda": 0.1, "mu": 1.0, "coverage": 0.9"#,
+                "mu",
+            ),
+            (
+                r#""kind": "multiproc", "n_proc": 3, "n_mem": 2, "lambda_p": 1e-3,
+                   "lambda_m": 1e-3, "coverage": 0.9, "mu": 1, "delta": 2"#,
+                "delta",
+            ),
+        ] {
+            let requests = |grid: &str| {
+                SweepSpec::parse(&format!(
+                    r#"{{"horizons": [1], "models": [{{{model},
+                        "sensitivity": {{"param": "{param}", "grid": {grid}}}}}]}}"#
+                ))
+                .unwrap()
+                .requests
+            };
+            let factors = ["0.5", "1", "3", "1e-7"];
+            let grid = requests(&format!("[{}]", factors.join(", ")));
+            assert_eq!(grid.len(), factors.len());
+            for (point, factor) in grid.iter().zip(factors) {
+                let one = &requests(&format!("[{factor}]"))[0];
+                assert_eq!(point.name, one.name);
+                assert_eq!(bits(&point.model), bits(&one.model), "{}", point.name);
+            }
+        }
+    }
+
     /// Compose and inline models scale through their own hooks: compose via
     /// `ComposeModel::with_scaled_rate`, inline by scaling every triple.
     #[test]
@@ -2132,6 +2272,14 @@ mod tests {
                 r#"{"kind": "raid", "g": 2,
                     "sensitivity": {"param": "lambda_d", "grid": [1e-320]}}"#,
                 "failed to build",
+            ),
+            // So does an exit rate that overflows, on any grid point.
+            (
+                r#"{"kind": "compose", "components": [
+                    {"name": "a", "count": 1, "lambda": 1e307, "mu": 1},
+                    {"name": "b", "count": 1, "lambda": 1e307, "mu": 1}],
+                    "sensitivity": {"param": "lambda", "grid": [1, 10]}}"#,
+                "compose model failed to build: generator row 0 has the non-finite entry",
             ),
         ] {
             let doc = format!(r#"{{"horizons": [1], "models": [{model}]}}"#);

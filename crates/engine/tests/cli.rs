@@ -100,6 +100,76 @@ fn spec_values_no_model_accepts_exit_2() {
     assert_eq!(code, Some(0), "{stderr}");
 }
 
+/// An exit rate that overflows to infinity is a spec error naming the
+/// state, whether a model's rates or an inline chain's add up to it.
+#[test]
+fn overflowing_exit_rates_exit_2() {
+    for (spec, what) in [
+        (
+            r#"{"horizons":[1],"models":[{"kind":"compose","components":[
+                {"name":"a","count":1,"lambda":1e308,"mu":1},
+                {"name":"b","count":1,"lambda":1e308,"mu":1}]}]}"#,
+            "compose model failed to build",
+        ),
+        (
+            r#"{"horizons":[0],"models":[{"kind":"inline",
+                "rates":[[0,1,1e308],[0,1,1e308],[1,0,1]],"rewards":[0,1]}]}"#,
+            "inline model failed to validate",
+        ),
+    ] {
+        let (code, stdout, stderr) = regenr(&["sweep", "-"], spec);
+        assert_eq!(code, Some(2), "{what}: {stdout}{stderr}");
+        assert_eq!(
+            stderr,
+            format!(
+                "spec error: {what}: generator row 0 has the non-finite entry -inf in column 0\n"
+            )
+        );
+    }
+}
+
+/// A grid point whose rates underflow has other transitions than the
+/// grid's first point. It is explored on its own, so each point fails or
+/// solves as a one-point grid would.
+#[test]
+fn grid_points_of_a_different_structure_build_on_their_own() {
+    let grid = |factors: &str| {
+        format!(
+            r#"{{"horizons":[1,10],"models":[{{"kind":"compose","components":[
+                {{"name":"a","count":1,"lambda":0.001,"mu":1.0}},
+                {{"name":"b","count":1,"lambda":0.001,"mu":1.0,"coverage":0.5,
+                  "deps":[{{"on":"a","factor":0.5}}]}}],
+                "sensitivity":{{"param":"lambda","grid":{factors}}}}}]}}"#
+        )
+    };
+    // The first point's failure rates underflow to zero, leaving its
+    // initial state absorbing; the second point solves.
+    let (code, stdout, stderr) = regenr(&["sweep", "-", "--stable"], &grid("[1e-321, 1]"));
+    assert_eq!(code, Some(1), "{stderr}");
+    assert_eq!(stderr, "");
+    assert!(
+        stdout.contains(
+            r#""error":"chain error: initial probability mass on absorbing state 0","kind":"model""#
+        ),
+        "{stdout}"
+    );
+    assert_eq!(
+        stdout
+            .matches(r#""model":"compose_a1_b1@lambda=1","#)
+            .count(),
+        2
+    );
+    // The second point's rate out of state 1 underflows to zero.
+    let (code, stdout, stderr) = regenr(&["sweep", "-", "--stable"], &grid("[1, 1e-320]"));
+    assert_eq!(code, Some(2), "{stdout}");
+    assert_eq!(stdout, "");
+    assert_eq!(
+        stderr,
+        "spec error: compose model failed to build: model produced a non-positive or \
+         non-finite rate 0 out of state 1\n"
+    );
+}
+
 /// A horizon whose `Λt` is above the engine's limit fails as a request,
 /// named under `"failures"`, before any Poisson window is built: just
 /// above the limit, and at `t = 1e20`, which would otherwise allocate

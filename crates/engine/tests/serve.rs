@@ -245,6 +245,9 @@ fn validation_errors_are_structured_400s() {
         r#"{"kind":"two_state","lambda":-1,"mu":1}"#,
         r#"{"kind":"duplex","lambda":-1,"mu":1,"coverage":0.9}"#,
         r#"{"kind":"raid","g":2,"sensitivity":{"param":"lambda_d","grid":[1e-320]}}"#,
+        // Exit rates that overflow to infinity.
+        r#"{"kind":"compose","components":[{"name":"a","count":1,"lambda":1e308,"mu":1},{"name":"b","count":1,"lambda":1e308,"mu":1}]}"#,
+        r#"{"kind":"inline","rates":[[0,1,1e308],[0,1,1e308],[1,0,1]],"rewards":[0,1]}"#,
         r#"{"kind":"cyclic","n":3,"method":["sr"]}"#,
         r#"{"kind":"cyclic","n":3,"name":7}"#,
     ];
@@ -286,6 +289,47 @@ fn horizon_beyond_the_lambda_t_limit_is_a_named_failure() {
     assert_eq!(status, 200, "{body}");
     let summary = body.lines().last().expect("stream ends with a summary");
     assert!(summary.contains("above the limit 1e10"), "{summary}");
+    assert_eq!(server.stats().handler_panics, 0);
+    shutdown(&server, addr, handle);
+}
+
+/// A grid point whose rates underflow has other transitions than the
+/// grid's first point, and is built on its own: served, the grid answers
+/// what the offline sweep prints.
+#[test]
+fn grid_points_of_a_different_structure_serve_as_offline() {
+    let (server, addr, handle) = start_server(default_cfg());
+    let grid = |factors: &str| {
+        format!(
+            r#"{{"horizons":[1,10],"models":[{{"kind":"compose","components":[
+                {{"name":"a","count":1,"lambda":0.001,"mu":1.0}},
+                {{"name":"b","count":1,"lambda":0.001,"mu":1.0,"coverage":0.5,
+                  "deps":[{{"on":"a","factor":0.5}}]}}],
+                "sensitivity":{{"param":"lambda","grid":{factors}}}}}]}}"#
+        )
+    };
+    // The first point fails as a model, the second solves.
+    let spec = grid("[1e-321, 1]");
+    let (status, body) = post(addr, "/sweep/report?stable=1", &spec);
+    assert_eq!(status, 200, "{body}");
+    let offline = SweepSpec::parse(&spec).expect("spec parses");
+    let report = Engine::new().sweep(&offline.requests);
+    assert_eq!(report.failures.len(), 1);
+    assert_eq!(
+        body,
+        format!("{}\n", regenr_engine::stable_report_to_json(&report))
+    );
+    assert!(
+        body.contains("initial probability mass on absorbing state 0"),
+        "{body}"
+    );
+    // The second point fails to build: the spec's fault.
+    let (status, body) = post(addr, "/sweep/report?stable=1", &grid("[1, 1e-320]"));
+    assert_eq!(status, 400, "{body}");
+    assert!(
+        body.contains("compose model failed to build: model produced a non-positive or non-finite rate 0 out of state 1"),
+        "{body}"
+    );
     assert_eq!(server.stats().handler_panics, 0);
     shutdown(&server, addr, handle);
 }

@@ -461,30 +461,22 @@ impl ComposeModel {
         ((packed >> self.shifts[i]) & ((1u64 << self.widths[i]) - 1)) as u32
     }
 
-    fn decode(&self, packed: u64) -> Vec<u32> {
-        (0..self.classes.len())
-            .map(|i| self.working(packed, i))
-            .collect()
+    /// Whether every class of a packed state has its required units
+    /// working.
+    fn is_up(&self, packed: u64) -> bool {
+        self.classes
+            .iter()
+            .enumerate()
+            .all(|(i, c)| self.working(packed, i) >= c.required)
     }
 
-    fn pack(&self, working: &[u32]) -> u64 {
-        working
+    /// The packed state with every unit working.
+    fn full(&self) -> u64 {
+        self.classes
             .iter()
             .zip(&self.shifts)
-            .map(|(&w, &s)| (w as u64) << s)
+            .map(|(c, &s)| (c.count as u64) << s)
             .sum()
-    }
-
-    fn is_up(&self, working: &[u32]) -> bool {
-        working
-            .iter()
-            .zip(&self.classes)
-            .all(|(&w, c)| w >= c.required)
-    }
-
-    fn full(&self) -> u64 {
-        let counts: Vec<u32> = self.classes.iter().map(|c| c.count).collect();
-        self.pack(&counts)
     }
 
     /// Compiles the model, exploring at most `max_states` states; more is
@@ -512,8 +504,7 @@ impl ModelSpec for ComposeModel {
                 }
             }
         };
-        let working = self.decode(packed);
-        let up = self.is_up(&working);
+        let up = self.is_up(packed);
         match &self.reward {
             RewardKind::Down => {
                 if up {
@@ -531,12 +522,15 @@ impl ModelSpec for ComposeModel {
             }
             RewardKind::Capacity => {
                 if up {
-                    working.iter().copied().min().unwrap_or(0) as f64
+                    (0..self.classes.len())
+                        .map(|i| self.working(packed, i))
+                        .min()
+                        .unwrap_or(0) as f64
                 } else {
                     0.0
                 }
             }
-            RewardKind::Working(_) => working[self.reward_class] as f64,
+            RewardKind::Working(_) => self.working(packed, self.reward_class) as f64,
         }
     }
 
@@ -554,28 +548,34 @@ impl ModelSpec for ComposeModel {
                 };
             }
         };
-        let working = self.decode(packed);
-        let mut out = Vec::new();
+        let up = self.is_up(packed);
+        // At most a covered and an uncovered failure and a repair per class.
+        let mut out = Vec::with_capacity(3 * self.classes.len());
         // Failures, in class order, covered branch before uncovered — the
         // exact emission order (and arithmetic: `w·λ` then `·c` / `·(1−c)`)
         // of the hand-coded families, so BFS numbering and every rate bit
-        // pattern match them.
+        // pattern match them. The order depends only on the state and on
+        // which rates are positive, so the rate variants of a sensitivity
+        // grid emit alike and replay the first point's exploration. A
+        // target differs from `packed` in one class's field, by one unit,
+        // which never carries into the next field.
         for (i, c) in self.classes.iter().enumerate() {
-            if working[i] == 0 {
+            let working = self.working(packed, i);
+            if working == 0 {
                 continue;
             }
-            let mut rate = working[i] as f64 * c.lambda;
+            let mut rate = working as f64 * c.lambda;
             for &(on, min_working, factor) in &self.resolved_deps[i] {
-                if working[on] < min_working {
+                if self.working(packed, on) < min_working {
                     rate *= factor;
                 }
             }
             if rate <= 0.0 {
                 continue;
             }
-            let mut target = working.clone();
-            target[i] -= 1;
-            if self.down_absorbing && !self.is_up(&target) {
+            // Only class `i` loses a unit, so the target is up exactly when
+            // this state is and class `i` keeps its requirement.
+            if self.down_absorbing && !(up && working > c.required) {
                 // Covered or not, the system is lost: lump the full rate
                 // into the absorbing state (bitwise `rate`, not
                 // `rate·c + rate·(1−c)`).
@@ -583,7 +583,8 @@ impl ModelSpec for ComposeModel {
                 continue;
             }
             if c.coverage > 0.0 {
-                out.push((ComposeState::Up(self.pack(&target)), rate * c.coverage));
+                let target = packed - (1u64 << self.shifts[i]);
+                out.push((ComposeState::Up(target), rate * c.coverage));
             }
             if c.coverage < 1.0 {
                 let sink = match self.uncovered {
@@ -599,12 +600,11 @@ impl ModelSpec for ComposeModel {
             if crews_left == 0 {
                 break;
             }
-            let assigned = (c.count - working[i]).min(crews_left);
+            let assigned = (c.count - self.working(packed, i)).min(crews_left);
             crews_left -= assigned;
             if assigned > 0 && c.mu > 0.0 {
-                let mut target = working.clone();
-                target[i] += 1;
-                out.push((ComposeState::Up(self.pack(&target)), assigned as f64 * c.mu));
+                let target = packed + (1u64 << self.shifts[i]);
+                out.push((ComposeState::Up(target), assigned as f64 * c.mu));
             }
         }
         out

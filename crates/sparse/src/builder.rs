@@ -66,7 +66,7 @@ impl CooBuilder {
 
     /// Finalizes into CSR: sorts by `(row, col)`, merges duplicates.
     pub fn build(mut self) -> CsrMatrix {
-        self.entries.sort_unstable_by_key(|e| (e.0, e.1));
+        sort_entries(&mut self.entries);
         let mut row_ptr = vec![0usize; self.nrows + 1];
         let mut col_idx: Vec<u32> = Vec::with_capacity(self.entries.len());
         let mut values: Vec<f64> = Vec::with_capacity(self.entries.len());
@@ -85,6 +85,117 @@ impl CooBuilder {
             row_ptr[i + 1] += row_ptr[i];
         }
         CsrMatrix::from_parts(self.nrows, self.ncols, row_ptr, col_idx, values)
+    }
+
+    /// Finalizes like [`CooBuilder::build`], and also returns the
+    /// [`CooPlan`] that rebuilds the same matrix from another set of values
+    /// pushed at the same positions.
+    ///
+    /// Each entry's push position rides in the value slot of the triplet
+    /// that `build` sorts, so the one sort yields `build`'s exact
+    /// permutation: the sort compares `(row, col)` keys only, and the keys
+    /// are the same. Duplicates then merge in `build`'s order.
+    ///
+    /// # Panics
+    /// If more than `u32::MAX` entries were pushed.
+    pub fn build_with_plan(mut self) -> (CsrMatrix, CooPlan) {
+        let pushed: Vec<f64> = self.entries.iter().map(|e| e.2).collect();
+        assert!(
+            pushed.len() <= u32::MAX as usize,
+            "a COO plan indexes its entries with u32"
+        );
+        for (k, e) in self.entries.iter_mut().enumerate() {
+            e.2 = k as f64;
+        }
+        sort_entries(&mut self.entries);
+        let mut row_ptr = vec![0usize; self.nrows + 1];
+        let mut col_idx: Vec<u32> = Vec::with_capacity(self.entries.len());
+        let mut order: Vec<u32> = Vec::with_capacity(self.entries.len());
+        let mut ends: Vec<u32> = Vec::with_capacity(self.entries.len());
+        let mut last: Option<(u32, u32)> = None;
+        for (i, j, k) in self.entries {
+            if last != Some((i, j)) {
+                if last.is_some() {
+                    ends.push(order.len() as u32);
+                }
+                col_idx.push(j);
+                row_ptr[i as usize + 1] += 1;
+                last = Some((i, j));
+            }
+            order.push(k as u32);
+        }
+        if last.is_some() {
+            ends.push(order.len() as u32);
+        }
+        for i in 0..self.nrows {
+            row_ptr[i + 1] += row_ptr[i];
+        }
+        // The plan outlives the build: give back the room merged
+        // duplicates left.
+        col_idx.shrink_to_fit();
+        ends.shrink_to_fit();
+        let plan = CooPlan {
+            nrows: self.nrows,
+            ncols: self.ncols,
+            row_ptr,
+            col_idx,
+            order,
+            ends,
+        };
+        (plan.build(&pushed), plan)
+    }
+}
+
+/// The one sort every COO build runs: by `(row, col)`. An unstable sort's
+/// permutation depends only on the keys it compares, so two entry lists
+/// with the same key sequence are permuted alike.
+fn sort_entries(entries: &mut [(u32, u32, f64)]) {
+    entries.sort_unstable_by_key(|e| (e.0, e.1));
+}
+
+/// The sort and duplicate merge of one [`CooBuilder`] build
+/// ([`CooBuilder::build_with_plan`]): the CSR pattern, and for each stored
+/// entry the push positions merged into it, in merge order. A rate variant
+/// that pushes its nonzero values at the same positions gets the matrix its
+/// own `build` would make, bit for bit, without sorting.
+#[derive(Debug)]
+pub struct CooPlan {
+    nrows: usize,
+    ncols: usize,
+    row_ptr: Vec<usize>,
+    col_idx: Vec<u32>,
+    /// Push positions in sorted order.
+    order: Vec<u32>,
+    /// Stored entry `s` merges `order[ends[s - 1]..ends[s]]` (from 0 for
+    /// `s = 0`).
+    ends: Vec<u32>,
+}
+
+impl CooPlan {
+    /// The matrix whose `k`-th pushed value was `pushed[k]`.
+    ///
+    /// # Panics
+    /// If `pushed` does not hold one value per push of the planned build.
+    pub fn build(&self, pushed: &[f64]) -> CsrMatrix {
+        assert_eq!(pushed.len(), self.order.len(), "one value per push");
+        let mut values = Vec::with_capacity(self.ends.len());
+        let mut start = 0;
+        for &end in &self.ends {
+            let merged = &self.order[start..end as usize];
+            let mut v = pushed[merged[0] as usize];
+            for &k in &merged[1..] {
+                v += pushed[k as usize];
+            }
+            values.push(v);
+            start = end as usize;
+        }
+        CsrMatrix::from_parts(
+            self.nrows,
+            self.ncols,
+            self.row_ptr.clone(),
+            self.col_idx.clone(),
+            values,
+        )
     }
 }
 
@@ -157,6 +268,26 @@ mod tests {
     fn out_of_range_row_panics() {
         let mut b = CooBuilder::new(2, 2);
         b.push(2, 0, 1.0);
+    }
+
+    #[test]
+    fn plan_rebuilds_each_variant_as_its_own_build() {
+        // Three parallel arcs into (0, 1): the merge order decides the
+        // rounding of their sum.
+        let keys = [(0, 1), (1, 0), (0, 1), (0, 0), (0, 1), (1, 1)];
+        let coo = |values: &[f64]| {
+            let mut b = CooBuilder::new(2, 2);
+            for (&(i, j), &v) in keys.iter().zip(values) {
+                b.push(i, j, v);
+            }
+            b
+        };
+        let base = [0.1, 2.0, 1e16, -3.0, -1e16, 5.0];
+        let (m, plan) = coo(&base).build_with_plan();
+        assert_eq!(m, coo(&base).build());
+        assert_eq!(m.nnz(), 4);
+        let variant = [0.3, 7.0, 1e-3, -9.0, 1.0, 2.5];
+        assert_eq!(plan.build(&variant), coo(&variant).build());
     }
 
     #[test]

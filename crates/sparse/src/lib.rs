@@ -26,7 +26,7 @@ pub mod pool;
 pub mod simd;
 pub mod workspace;
 
-pub use builder::CooBuilder;
+pub use builder::{CooBuilder, CooPlan};
 pub use csr::CsrMatrix;
 pub use kernel::KernelKind;
 pub use parallel::{effective_threads, ChunkPlan, ParallelConfig};
