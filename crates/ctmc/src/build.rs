@@ -26,9 +26,11 @@
 //! order with positive finite rates, and that its initial states are the
 //! base's. The point's values are then gathered through the plan, so
 //! parallel arcs merge in the order of the point's own exploration and the
-//! chain is that exploration's, bit for bit. A point that fails the check
-//! (a rate that underflows to zero drops a transition, say) is explored from
-//! scratch.
+//! chain is that exploration's, bit for bit. Every replayed generator
+//! shares the base's sparsity pattern (one allocation, held by the plan),
+//! so a point adds only its values, initial vector and rewards. A point
+//! that fails the check (a rate that underflows to zero drops a
+//! transition, say) is explored from scratch.
 
 use crate::chain::{Ctmc, CtmcError};
 use regenr_sparse::{CooBuilder, CooPlan};
@@ -271,8 +273,9 @@ impl CtmcBuilder {
 /// positive finite rate, and the initial states are the base's, the point's
 /// own [`CtmcBuilder::explore`] would number every state alike and push
 /// every entry at the same position, so the plan gathers its values into
-/// the matrix that exploration would build, bit for bit. Any other point is
-/// explored from scratch.
+/// the matrix that exploration would build, bit for bit, sharing the
+/// base's generator pattern allocation. Any other point is explored from
+/// scratch.
 pub struct Replay<S> {
     max_states: usize,
     states: Vec<S>,

@@ -5,55 +5,35 @@
 //! equals the DTMC observed at a Poisson(`Λt`) number of steps. Every solver
 //! in the workspace starts from a [`Uniformized`] view, and every one of
 //! them steps `π ← Pᵀπ`, so the view holds `Pᵀ` alone, built straight from
-//! `Q` without materializing `P`.
+//! `Q` without materializing `P`. A rate variant rebound from a cached view
+//! ([`Uniformized::rebind_values`]) shares its `Pᵀ` pattern and the chunk
+//! plans memoized on it.
 
 use crate::chain::Ctmc;
 use regenr_sparse::{
-    effective_threads, Backend, ChunkPlan, CsrMatrix, KernelKind, ParallelConfig, WorkerPool,
+    effective_threads, Backend, ChunkPlan, CsrMatrix, CsrPattern, KernelKind, ParallelConfig,
+    WorkerPool,
 };
-use std::sync::{Arc, Mutex, OnceLock};
-
-/// Shared memo of nnz-balanced [`ChunkPlan`]s for `Pᵀ`, one per chunk
-/// count. Wrapped in an `Arc` so clones of a [`Uniformized`] share the
-/// same plans (they describe the same matrix); the inner list is tiny —
-/// one entry per chunk count ever requested. A rate variant rebound from
-/// this artifact starts with an empty memo and plans on its first
-/// [`Uniformized::stepper`] call, as a cold build does.
-#[derive(Clone, Debug, Default)]
-struct PlanCache(Arc<Mutex<PlanList>>);
-
-/// `(chunk count, plan)` pairs; linear scan — a handful of entries at most.
-type PlanList = Vec<(usize, Arc<ChunkPlan>)>;
-
-impl PlanCache {
-    fn get_or_plan(&self, matrix: &CsrMatrix, chunks: usize) -> Arc<ChunkPlan> {
-        let mut plans = regenr_sparse::pool::lock(&self.0);
-        // A plan over a matrix with fewer rows than `chunks` holds fewer
-        // chunks, so the memo keys by the requested count, not `len()`.
-        if let Some((_, plan)) = plans.iter().find(|(c, _)| *c == chunks) {
-            return plan.clone();
-        }
-        let plan = Arc::new(ChunkPlan::new(matrix, chunks));
-        plans.push((chunks, plan.clone()));
-        plan
-    }
-}
+use std::sync::{Arc, OnceLock};
 
 /// A uniformized view of a CTMC: the transpose `Pᵀ` of the randomized DTMC
 /// matrix `P = I + Q/Λ` (for gather-style products) and the randomization
 /// rate `Λ`. `P` itself is never stored: `Pᵀ` is built from `Q` directly
 /// ([`CsrMatrix::identity_plus_scaled_transposed`]), and `P`'s row pattern
 /// is `Q`'s plus the diagonal.
+///
+/// A cold build and every rate variant rebound from it
+/// ([`Uniformized::rebind_values`]) form a **lineage**: they share one `Pᵀ`
+/// pattern, the chunk plans memoized on it, and one map from each
+/// generator entry to its `Pᵀ` slot.
 #[derive(Clone, Debug)]
 pub struct Uniformized {
     /// Randomization rate `Λ`.
     pub lambda: f64,
     /// `Pᵀ = (I + Q/Λ)ᵀ` (column-stochastic), used to propagate row
-    /// distributions as `π ← Pᵀπ`.
+    /// distributions as `π ← Pᵀπ`. Its chunk plans are memoized on its
+    /// pattern (see [`Uniformized::stepper`]).
     pub p_t: CsrMatrix,
-    /// Chunk plans for `p_t`, computed once per chunk count (see
-    /// [`Uniformized::stepper`]).
-    plans: PlanCache,
     /// The lineage's [`RebindMap`], computed lazily by the first
     /// [`Uniformized::rebind_values`] and shared with every rebound
     /// descendant (same pattern ⇒ same map).
@@ -62,14 +42,15 @@ pub struct Uniformized {
 
 /// Where each generator entry lands in `Pᵀ`, for one **lineage** — a cold
 /// uniformization plus every rate variant rebound from it, which all share
-/// one sparsity pattern. `slots[k]` is the `Pᵀ` position of `Q`'s `k`-th
-/// stored entry (row-major order); the slots from `q_nnz` on are the
-/// diagonals `Pᵀ` materializes for rows where `Q` stores none, whose value
-/// is always `1.0`. A rebind then fills `Pᵀ` in one pass over `Q`.
+/// one sparsity pattern. `q` is the generator pattern the map was built
+/// for; `slots[k]` is the `Pᵀ` position of `Q`'s `k`-th stored entry
+/// (row-major order), and the slots from `q.nnz()` on are the diagonals
+/// `Pᵀ` materializes for rows where `Q` stores none, whose value is always
+/// `1.0`. A rebind then fills `Pᵀ` in one pass over `Q`.
 #[derive(Debug)]
 struct RebindMap {
+    q: Arc<CsrPattern>,
     slots: Vec<u32>,
-    q_nnz: usize,
 }
 
 impl RebindMap {
@@ -104,10 +85,28 @@ impl RebindMap {
                 diags.push(take(i, i));
             }
         }
-        let q_nnz = slots.len();
         slots.extend(diags);
         assert!(slots.len() == p_t.nnz(), "{STRUCTURE}");
-        RebindMap { slots, q_nnz }
+        RebindMap {
+            q: q.pattern().clone(),
+            slots,
+        }
+    }
+
+    /// Panics unless `q` has the generator pattern the map was built for:
+    /// a pointer comparison when `q` shares it (the points of one grid),
+    /// one comparison of the index arrays when `q` was built on its own (a
+    /// served request's variant).
+    fn check(&self, q: &CsrMatrix) {
+        assert!(CsrPattern::same(&self.q, q.pattern()), "{STRUCTURE}");
+    }
+
+    /// Heap bytes of the slot array, by capacity. The generator pattern kept
+    /// for [`RebindMap::check`] is not counted: a grid's chains hold it
+    /// anyway, and only a variant built on its own (a served request's)
+    /// leaves it to the map alone once its chain is dropped.
+    fn heap_bytes(&self) -> usize {
+        self.slots.capacity() * std::mem::size_of::<u32>()
     }
 }
 
@@ -115,12 +114,12 @@ impl RebindMap {
 const STRUCTURE: &str = "uniformization rebind requires identical sparsity structure";
 
 /// A DTMC stepping kernel bound to one uniformization: the chunk plan — and
-/// with it the SpMV loop the plan resolved — is computed **once** (and
-/// cached on the [`Uniformized`]) instead of per product, and repeated
-/// steps run on the persistent shared [`WorkerPool`] —
-/// the execution shape every SpMV-bound solver loop wants. Obtain one from
-/// [`Uniformized::stepper`]; results are bitwise identical to the serial
-/// product regardless of kernel, pool size, or chunk count.
+/// with it the SpMV loop the plan resolved — is computed **once** per `Pᵀ`
+/// pattern (memoized on it, so a whole lineage shares it) instead of per
+/// product, and repeated steps run on the persistent shared
+/// [`WorkerPool`] — the execution shape every SpMV-bound solver loop wants.
+/// Obtain one from [`Uniformized::stepper`]; results are bitwise identical
+/// to the serial product regardless of kernel, pool size, or chunk count.
 pub struct Stepper<'a> {
     p_t: &'a CsrMatrix,
     /// Single-chunk plans run the kernel directly on the calling thread
@@ -198,13 +197,13 @@ impl Uniformized {
         Uniformized {
             lambda,
             p_t,
-            plans: PlanCache::default(),
             rebind_map: OnceLock::new(),
         }
     }
 
     /// A stepping kernel with its chunk plan (and SpMV loop) resolved once
-    /// under `cfg` (see [`Stepper`]) and cached per chunk count.
+    /// under `cfg` (see [`Stepper`]) and memoized on `Pᵀ`'s pattern per
+    /// chunk count ([`CsrMatrix::chunk_plan`]).
     /// Solver loops build this once per solve and call [`Stepper::step`]
     /// per product.
     pub fn stepper(&self, cfg: &ParallelConfig) -> Stepper<'_> {
@@ -219,7 +218,7 @@ impl Uniformized {
         };
         Stepper {
             p_t: &self.p_t,
-            plan: self.plans.get_or_plan(&self.p_t, chunks),
+            plan: self.p_t.chunk_plan(chunks),
             pool: WorkerPool::global(),
         }
     }
@@ -229,14 +228,21 @@ impl Uniformized {
         self.p_t.nrows()
     }
 
-    /// Approximate heap footprint in bytes: `Pᵀ` by allocator capacity (see
-    /// [`CsrMatrix::heap_bytes`]). Cached chunk plans hold no copy of the
-    /// matrix, and the lineage's rebind map is shared by every rate
-    /// variant, so this is the artifact's own footprint; it is fixed at
-    /// construction. Audited against a counting allocator by the engine's
-    /// byte-accounting test.
+    /// Approximate heap footprint in bytes, by allocator capacity: `Pᵀ`
+    /// (see [`CsrMatrix::heap_bytes`]) plus, once a rate variant has been
+    /// rebound from the lineage, its rebind map. Chunk plans hold no copy
+    /// of the matrix. Everything but `Pᵀ`'s values is shared with the
+    /// lineage ([`Uniformized::shared_bytes`]). Audited against a counting
+    /// allocator by the engine's byte-accounting test.
     pub fn approx_bytes(&self) -> usize {
-        self.p_t.heap_bytes()
+        self.p_t.heap_bytes() + self.rebind_map.get().map_or(0, |m| m.heap_bytes())
+    }
+
+    /// The part of [`Uniformized::approx_bytes`] the whole lineage shares:
+    /// `Pᵀ`'s pattern and the rebind map, if built. A bounded cache
+    /// charges it once per pattern, however many variants it holds.
+    pub fn shared_bytes(&self) -> usize {
+        self.p_t.pattern().heap_bytes() + self.rebind_map.get().map_or(0, |m| m.heap_bytes())
     }
 
     /// Heap bytes held by cached chunk plans beyond [`Uniformized::approx_bytes`]:
@@ -248,10 +254,16 @@ impl Uniformized {
 
     /// Rebuilds this uniformization for a **rate variant** of the chain it
     /// was built from — same sparsity structure, different numbers — by
-    /// filling a clone of this `Pᵀ`'s pattern in one pass over the new `Q`
-    /// through the lineage's slot map, instead of re-running the
-    /// counting sort. The result holds no chunk plan yet: it plans on its
-    /// first [`Uniformized::stepper`] call, as a cold build does.
+    /// filling fresh values in one pass over the new `Q` through the
+    /// lineage's slot map, instead of re-running the counting sort. The
+    /// result shares this `Pᵀ`'s pattern, and with it every chunk plan
+    /// already computed over it: it steps without planning.
+    ///
+    /// The structure check is a pointer comparison when `ctmc`'s generator
+    /// shares the pattern the lineage's map was built for (the points of one
+    /// grid), and one comparison of the two generator patterns otherwise;
+    /// the first rebind of a lineage checks every entry while it builds the
+    /// map.
     ///
     /// `Λ` is derived exactly as [`Uniformized::new`] would for `ctmc`, and
     /// every value is the builder's scalar operation, so the result is
@@ -265,33 +277,20 @@ impl Uniformized {
     pub fn rebind_values(&self, ctmc: &Ctmc, theta: f64) -> Self {
         assert!(theta >= 0.0, "safety factor must be non-negative");
         let lambda = uniformization_rate(ctmc.generator().max_abs_diag(), theta);
-        // One pass over `Q` through the lineage's map into a clone of the
-        // donor's pattern: no count pass and no cursor table. Each entry's
-        // row and column are checked against the slot it lands in, so a
-        // structurally different chain panics rather than rebinding
-        // garbage.
         let q = ctmc.generator();
         let map = self
             .rebind_map
             .get_or_init(|| Arc::new(RebindMap::new(q, &self.p_t)))
             .clone();
-        let n = self.p_t.nrows();
-        assert!(q.nrows() == n && q.nnz() == map.q_nnz, "{STRUCTURE}");
-        let (row_ptr, cols) = (self.p_t.row_ptr(), self.p_t.col_idx());
+        map.check(q);
+        let (row_ptr, cols, rates) = (q.row_ptr(), q.col_idx(), q.values());
         let alpha = 1.0 / lambda;
         let mut vals = vec![0.0; self.p_t.nnz()];
-        let (q_slots, diag_slots) = map.slots.split_at(map.q_nnz);
-        let mut k = 0;
-        for i in 0..n {
-            for (j, v) in q.row(i) {
-                let dst = q_slots[k] as usize;
-                assert!(
-                    cols[dst] as usize == i && (row_ptr[j]..row_ptr[j + 1]).contains(&dst),
-                    "{STRUCTURE}"
-                );
-                let x = alpha * v;
-                vals[dst] = if j == i { x + 1.0 } else { x };
-                k += 1;
+        let (q_slots, diag_slots) = map.slots.split_at(q.nnz());
+        for i in 0..q.nrows() {
+            for k in row_ptr[i]..row_ptr[i + 1] {
+                let x = alpha * rates[k];
+                vals[q_slots[k] as usize] = if cols[k] as usize == i { x + 1.0 } else { x };
             }
         }
         for &dst in diag_slots {
@@ -302,7 +301,6 @@ impl Uniformized {
         Uniformized {
             lambda,
             p_t,
-            plans: PlanCache::default(),
             rebind_map: OnceLock::from(map),
         }
     }
@@ -393,50 +391,98 @@ mod tests {
         Uniformized::with_rate(&chain(), 1.0);
     }
 
-    /// `rebind_values` on a rate-scaled chain is bitwise identical to a
-    /// cold build — matrices, `Λ`, and stepped products — and, like a cold
-    /// build, holds no chunk plan until its first stepper request, which
-    /// then plans exactly the ranges and loop a cold build plans.
-    #[test]
-    fn rebind_values_matches_cold_build_and_plans_on_first_stepper() {
-        // Above the shortrow threshold: Pᵀ stores 3n − 2 entries.
-        let n = 1_500;
+    /// A birth–death chain of `n` states with every rate multiplied by
+    /// `scale`; above the shortrow threshold at `n = 1_500` (`Pᵀ` stores
+    /// 3n − 2 entries).
+    fn scaled_chain(n: usize, scale: f64) -> Ctmc {
         let mut rates = Vec::new();
         for i in 0..n - 1 {
-            rates.push((i, i + 1, 1.0 + i as f64 * 0.01));
-            rates.push((i + 1, i, 0.5));
+            rates.push((i, i + 1, (1.0 + i as f64 * 0.01) * scale));
+            rates.push((i + 1, i, 0.5 * scale));
         }
         let mut init = vec![0.0; n];
         init[0] = 1.0;
-        let base = Ctmc::from_rates(n, &rates, init.clone(), vec![1.0; n]).unwrap();
-        let scaled_rates: Vec<_> = rates.iter().map(|&(i, j, r)| (i, j, r * 1.75)).collect();
-        let variant = Ctmc::from_rates(n, &scaled_rates, init, vec![1.0; n]).unwrap();
-        let donor = Uniformized::new(&base, 0.0);
-        let cfg = ParallelConfig {
-            min_nnz: 0,
-            threads: 2,
-        };
-        let _ = donor.stepper(&cfg);
-        let warm = donor.rebind_values(&variant, 0.0);
-        let cold = Uniformized::new(&variant, 0.0);
+        Ctmc::from_rates(n, &rates, init, vec![1.0; n]).unwrap()
+    }
+
+    /// Asserts `warm` is bitwise the cold build `cold` — `Λ`, `Pᵀ` and one
+    /// stepped product under `cfg`.
+    fn assert_bitwise_cold(warm: &Uniformized, cold: &Uniformized, cfg: &ParallelConfig) {
         assert_eq!(warm.lambda.to_bits(), cold.lambda.to_bits());
         assert_eq!(warm.p_t.values(), cold.p_t.values());
         assert_eq!(warm.p_t.row_ptr(), cold.p_t.row_ptr());
         assert_eq!(warm.p_t.col_idx(), cold.p_t.col_idx());
-        let planned = |u: &Uniformized| regenr_sparse::pool::lock(&u.plans.0).len();
-        assert_eq!(planned(&warm), 0, "the donor's plan is not handed over");
-        let (warm_stepper, cold_stepper) = (warm.stepper(&cfg), cold.stepper(&cfg));
-        assert_eq!(warm_stepper.plan.ranges(), cold_stepper.plan.ranges());
-        assert_eq!(warm_stepper.kernel_kind(), cold_stepper.kernel_kind());
-        assert_eq!(warm_stepper.kernel_kind(), KernelKind::ShortRow);
-        assert_eq!(planned(&warm), 1);
+        let n = warm.n_states();
         let pi: Vec<f64> = (0..n).map(|i| 1.0 / (1.0 + i as f64)).collect();
         let mut got = vec![0.0; n];
         let mut want = vec![0.0; n];
-        warm_stepper.step(&pi, &mut got);
-        cold_stepper.step(&pi, &mut want);
+        warm.stepper(cfg).step(&pi, &mut got);
+        cold.stepper(cfg).step(&pi, &mut want);
         for (a, b) in got.iter().zip(&want) {
             assert_eq!(a.to_bits(), b.to_bits(), "rebound step must be bitwise");
+        }
+    }
+
+    /// `rebind_values` on a rate-scaled chain is bitwise identical to a
+    /// cold build — matrices, `Λ`, and stepped products — and shares its
+    /// donor's `Pᵀ` pattern, so it steps with the plan the donor already
+    /// computed: the same ranges and loop a cold build plans.
+    #[test]
+    fn rebind_values_matches_cold_build_and_shares_donor_plans() {
+        let n = 1_500;
+        let variant = scaled_chain(n, 1.75);
+        let donor = Uniformized::new(&scaled_chain(n, 1.0), 0.0);
+        let cfg = ParallelConfig {
+            min_nnz: 0,
+            threads: 2,
+        };
+        let donor_stepper = donor.stepper(&cfg);
+        let warm = donor.rebind_values(&variant, 0.0);
+        let cold = Uniformized::new(&variant, 0.0);
+        assert!(Arc::ptr_eq(warm.p_t.pattern(), donor.p_t.pattern()));
+        let (warm_stepper, cold_stepper) = (warm.stepper(&cfg), cold.stepper(&cfg));
+        assert!(
+            Arc::ptr_eq(&warm_stepper.plan, &donor_stepper.plan),
+            "the donor's plan is handed over"
+        );
+        assert_eq!(warm_stepper.plan.ranges(), cold_stepper.plan.ranges());
+        assert_eq!(warm_stepper.kernel_kind(), cold_stepper.kernel_kind());
+        assert_eq!(warm_stepper.kernel_kind(), KernelKind::ShortRow);
+        assert_bitwise_cold(&warm, &cold, &cfg);
+    }
+
+    /// A variant built on its own — its generator equal in structure to the
+    /// lineage's but not sharing its pattern allocation, as a served
+    /// request's is — passes the array comparison, rebinds bitwise equal to
+    /// a cold build, and adopts the donor's `Pᵀ` pattern. So does a variant
+    /// over the generator pattern the lineage's map was built for, which
+    /// passes by pointer.
+    #[test]
+    fn separately_built_variant_rebinds_bitwise_and_adopts_donor_pattern() {
+        let n = 1_500;
+        let donor = Uniformized::new(&scaled_chain(n, 1.0), 0.0);
+        let first = scaled_chain(n, 0.5);
+        let warm = donor.rebind_values(&first, 0.0);
+        let cfg = ParallelConfig {
+            min_nnz: 0,
+            threads: 2,
+        };
+        let q = first.generator();
+        let doubled = Ctmc::new(
+            q.with_values(q.values().iter().map(|v| 2.0 * v).collect()),
+            first.initial().to_vec(),
+            first.rewards().to_vec(),
+        )
+        .unwrap();
+        for variant in [scaled_chain(n, 3.0), scaled_chain(n, 1e-3), doubled] {
+            let own = !Arc::ptr_eq(variant.generator().pattern(), q.pattern());
+            assert_eq!(**variant.generator().pattern(), **q.pattern());
+            let rebound = warm.rebind_values(&variant, 0.0);
+            assert!(
+                Arc::ptr_eq(rebound.p_t.pattern(), donor.p_t.pattern()),
+                "own generator pattern: {own}"
+            );
+            assert_bitwise_cold(&rebound, &Uniformized::new(&variant, 0.0), &cfg);
         }
     }
 
@@ -444,7 +490,7 @@ mod tests {
     /// donor from another chain must never silently produce a wrong `Pᵀ`:
     /// a chain with fewer transitions while the lineage's map is built,
     /// and one with the same nnz but an entry moved to another column by
-    /// the per-entry check once the map exists.
+    /// the pattern comparison once the map exists.
     #[test]
     #[should_panic(expected = "identical sparsity structure")]
     fn rebind_values_rejects_different_structure() {

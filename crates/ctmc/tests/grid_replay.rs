@@ -1,13 +1,15 @@
 //! Property test: every point of a rate grid, compiled by replaying the
 //! base point's exploration, equals its own `explore` bit for bit — the
 //! same state numbering and CSR pattern, and the same bit pattern in every
-//! rate, initial probability and reward — or fails with the same error.
+//! rate, initial probability and reward — or fails with the same error. A
+//! replayed point holds the base's pattern allocation itself.
 //!
 //! Every state carries several parallel arcs into one target, so the order
 //! in which duplicates merge decides the rounding of their sum.
 
 use proptest::prelude::*;
 use regenr_ctmc::{Ctmc, CtmcBuilder, CtmcError, ModelSpec};
+use std::sync::Arc;
 
 /// A chain given by its arcs, every rate and reward multiplied by `factor`.
 /// Mass starts on the first and the last state.
@@ -91,9 +93,16 @@ proptest! {
         let builder = CtmcBuilder::default();
         let point = |factor| Scaled { arcs: &arcs, factor };
         let (base, mut replay) = builder.explore_grid(&point(factors[0])).unwrap();
+        let base_pattern = &base.generator().pattern().clone();
         assert_same(&Ok(base), &builder.explore(&point(factors[0]), |_, _| {}));
         for &f in &factors[1..] {
-            assert_same(&replay.build(&point(f)), &builder.explore(&point(f), |_, _| {}));
+            let replayed = replay.build(&point(f));
+            assert_same(&replayed, &builder.explore(&point(f), |_, _| {}));
+            if f != 1e-322 {
+                // Replayed, not explored: the base's pattern allocation.
+                let q = replayed.unwrap();
+                prop_assert!(Arc::ptr_eq(q.generator().pattern(), base_pattern));
+            }
         }
     }
 }

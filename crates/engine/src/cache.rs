@@ -25,8 +25,9 @@
 //!   *structure* has a live sibling in the pool rebuilds by
 //!   [`Uniformized::rebind_values`] — the sibling donates its `Pᵀ` pattern
 //!   and the lineage's slot map, and only the numbers are refilled
-//!   ([`CacheStats::rebinds`]); the rebuilt artifact plans its own chunks
-//!   on first use, as a cold one does,
+//!   ([`CacheStats::rebinds`]); the rebuilt artifact shares the sibling's
+//!   pattern, and with it the chunk plans already computed over it, and
+//!   the pool charges that pattern once, however many variants hold it,
 //! * **regenerative parameters** — the killed-chain sequences
 //!   (`a(k)`, …) consumed by RR *and* RRL, keyed by
 //!   `(regenerative state, ε, θ)`. The two methods construct identical
@@ -90,7 +91,9 @@ pub struct CacheConfig {
     /// entry with the lowest eviction weight goes (see the module docs).
     pub max_entries: Option<usize>,
     /// Maximum approximate bytes per pool (`None` = unbounded). Accounting
-    /// uses the artifacts' `approx_bytes` estimates, not allocator truth.
+    /// uses the artifacts' `approx_bytes` estimates, not allocator truth; a
+    /// part several entries share (a `Pᵀ` pattern and the rebind map of
+    /// its rate variants) is charged once.
     pub max_bytes: Option<usize>,
 }
 
@@ -246,9 +249,31 @@ fn norm_key_bits(x: f64) -> u64 {
 /// helper, re-exported for the engine's call sites.
 pub(crate) use regenr_sparse::pool::lock;
 
+/// What an entry costs its pool's byte gauge: its own bytes, and
+/// optionally a part it shares with other entries, as `(id, bytes)`. A
+/// uniformization's shared part is its lineage's (`Pᵀ`'s pattern and
+/// rebind map, [`Uniformized::shared_bytes`]), identified by the pattern's
+/// address, which no other pattern can take while an entry holding it is
+/// live. A shared part is charged once, however many live entries hold it.
+#[derive(Clone, Copy, Debug, Default)]
+struct Charge {
+    own: usize,
+    shared: Option<(usize, usize)>,
+}
+
+impl Charge {
+    /// An artifact that shares nothing.
+    fn own(bytes: usize) -> Self {
+        Charge {
+            own: bytes,
+            shared: None,
+        }
+    }
+}
+
 struct PoolEntry<V> {
     value: V,
-    bytes: usize,
+    charge: Charge,
     /// Estimated cost to rebuild this artifact from scratch, in work
     /// units (charged alongside bytes when the artifact materializes).
     /// Zero until filled.
@@ -293,6 +318,9 @@ struct LruPool<K, V> {
     /// GreedyDual inflation value `L`: the weight of the last eviction.
     inflation: u64,
     bytes: usize,
+    /// Live shared parts (see [`Charge`]): id → (entries holding it, bytes
+    /// charged for it).
+    shared: HashMap<usize, (usize, usize)>,
     evictions: u64,
     /// Dependents orphaned by evictions (cumulative).
     orphaned: u64,
@@ -305,6 +333,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruPool<K, V> {
             clock: 0,
             inflation: 0,
             bytes: 0,
+            shared: HashMap::new(),
             evictions: 0,
             orphaned: 0,
         }
@@ -354,7 +383,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruPool<K, V> {
             key,
             PoolEntry {
                 value: value.clone(),
-                bytes: 0,
+                charge: Charge::default(),
                 cost: 0,
                 dependents: 0,
                 filled: false,
@@ -379,18 +408,50 @@ impl<K: Eq + Hash + Clone, V: Clone> LruPool<K, V> {
         &mut self,
         key: &K,
         same: impl FnOnce(&V) -> bool,
-        bytes: usize,
+        charge: Charge,
         cost: u64,
         cfg: &CacheConfig,
     ) {
         if let Some(e) = self.map.get_mut(key) {
             if same(&e.value) {
-                self.bytes = self.bytes - e.bytes + bytes;
-                e.bytes = bytes;
+                let old = std::mem::replace(&mut e.charge, charge);
                 e.cost = cost;
                 e.filled = true;
                 e.inflation = self.inflation;
+                self.charge(charge);
+                self.discharge(old);
                 self.enforce(cfg);
+            }
+        }
+    }
+
+    /// Adds `c` to the byte gauge: its own bytes, and its shared part
+    /// unless a live entry already holds it. A holder that reports a larger
+    /// shared part than the one charged (a lineage whose rebind map was
+    /// built since) raises the part's charge to it.
+    fn charge(&mut self, c: Charge) {
+        self.bytes += c.own;
+        if let Some((id, bytes)) = c.shared {
+            let part = self.shared.entry(id).or_insert((0, 0));
+            part.0 += 1;
+            if bytes > part.1 {
+                self.bytes += bytes - part.1;
+                part.1 = bytes;
+            }
+        }
+    }
+
+    /// Removes `c` from the byte gauge; a shared part goes with the last
+    /// entry holding it.
+    fn discharge(&mut self, c: Charge) {
+        self.bytes -= c.own;
+        if let Some((id, _)) = c.shared {
+            if let Some(part) = self.shared.get_mut(&id) {
+                part.0 -= 1;
+                if part.0 == 0 {
+                    self.bytes -= part.1;
+                    self.shared.remove(&id);
+                }
             }
         }
     }
@@ -416,7 +477,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruPool<K, V> {
     fn remove_if(&mut self, key: &K, same: impl FnOnce(&V) -> bool) {
         if self.map.get(key).is_some_and(|e| same(&e.value)) {
             if let Some(e) = self.map.remove(key) {
-                self.bytes -= e.bytes;
+                self.discharge(e.charge);
             }
         }
     }
@@ -457,7 +518,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruPool<K, V> {
             };
             if let Some(e) = self.map.remove(&cheapest) {
                 self.inflation = self.inflation.max(e.weight());
-                self.bytes -= e.bytes;
+                self.discharge(e.charge);
                 self.evictions += 1;
                 self.orphaned += e.dependents;
             }
@@ -479,6 +540,7 @@ impl<K: Eq + Hash + Clone, V: Clone> LruPool<K, V> {
         self.map.clear();
         self.inflation = 0;
         self.bytes = 0;
+        self.shared.clear();
     }
 }
 
@@ -654,7 +716,7 @@ impl ArtifactCache {
         lock(&self.structure).set_bytes(
             &skey,
             |v| Arc::ptr_eq(v, &slot),
-            facts.approx_bytes(),
+            Charge::own(facts.approx_bytes()),
             cost,
             &self.cfg,
         );
@@ -671,8 +733,10 @@ impl ArtifactCache {
     /// with the new values in one pass over `Q` — and counted in
     /// [`CacheStats::rebinds`]. The result is bitwise identical to a cold
     /// build; only the build cost differs. The entry is charged the
-    /// artifact's [`Uniformized::approx_bytes`] when it materializes;
-    /// chunk plans built on it later hold no matrix copy and add nothing.
+    /// artifact's [`Uniformized::approx_bytes`] when it materializes, less
+    /// its lineage's part ([`Uniformized::shared_bytes`]: `Pᵀ`'s pattern
+    /// and rebind map), which the pool charges once per live pattern;
+    /// chunk plans hold no matrix copy and add nothing.
     pub fn uniformized_delta(
         &self,
         fp: u64,
@@ -718,13 +782,13 @@ impl ArtifactCache {
         // diagonal scan (n). A rebound entry is charged the same: evicting
         // it may cost a cold build.
         let cost = (3 * ctmc.generator().nnz() + 2 * ctmc.n_states()) as u64;
-        lock(&self.uniformized).set_bytes(
-            &key,
-            |v| Arc::ptr_eq(v, &slot),
-            unif.approx_bytes(),
-            cost,
-            &self.cfg,
-        );
+        // The lineage's part is charged once per live `Pᵀ` pattern.
+        let shared = unif.shared_bytes();
+        let charge = Charge {
+            own: unif.approx_bytes() - shared,
+            shared: Some((Arc::as_ptr(unif.p_t.pattern()) as usize, shared)),
+        };
+        lock(&self.uniformized).set_bytes(&key, |v| Arc::ptr_eq(v, &slot), charge, cost, &self.cfg);
         // Latest artifact wins the donor role for its structure; a stale
         // entry (evicted donor) is just a failed lookup later.
         lock(&self.unif_donors).insert(donor_key, key);
@@ -832,7 +896,7 @@ impl ArtifactCache {
         lock(&self.params).set_bytes(
             &key,
             |v| Arc::ptr_eq(v, slot),
-            params.approx_bytes(),
+            Charge::own(params.approx_bytes()),
             (params.approx_bytes() / 8) as u64,
             &self.cfg,
         );
@@ -1248,8 +1312,9 @@ mod tests {
 
     /// The delta-aware lookup rebuilds a rate variant's uniformization by
     /// re-binding the structural donor's `Pᵀ` pattern — bitwise identical
-    /// to a cold build, stepped products included, while each artifact
-    /// plans its own chunks.
+    /// to a cold build, stepped products included — and the rebound
+    /// artifact shares the donor's pattern and chunk plans, which the pool
+    /// charges once.
     #[test]
     fn uniformized_rebind_reuses_donor_plans_bitwise() {
         use regenr_sparse::ParallelConfig;
@@ -1273,10 +1338,14 @@ mod tests {
         let stats = cache.stats();
         assert_eq!(stats.rebinds, 1);
         assert_eq!(stats.uniformized.entries, 2);
-        // Each entry is charged its matrices, once, at insertion.
+        // Each entry is charged its values; the pattern and rebind map
+        // they share, once.
+        assert!(Arc::ptr_eq(ua.p_t.pattern(), ub.p_t.pattern()));
+        assert!(Arc::ptr_eq(&ua.p_t.chunk_plan(1), &ub.p_t.chunk_plan(1)));
+        assert_eq!(ua.shared_bytes(), ub.shared_bytes());
         assert_eq!(
             stats.uniformized.bytes,
-            ua.approx_bytes() + ub.approx_bytes()
+            ua.approx_bytes() + ub.approx_bytes() - ub.shared_bytes()
         );
         // Bitwise identity with a cold build, through the stepped product.
         let cold = Uniformized::new(&b, 0.0);
@@ -1294,6 +1363,43 @@ mod tests {
         let (_, hit) = cache.uniformized_delta(fb.unif, fb.unif_structure, &b, 0.0);
         assert!(hit);
         assert_eq!(cache.stats().rebinds, 1);
+    }
+
+    /// A lineage's pattern and rebind map are charged once while any of
+    /// its artifacts is live: evicting the donor releases its values alone,
+    /// and evicting the last variant releases the shared part too.
+    #[test]
+    fn shared_pattern_is_charged_once_across_evictions() {
+        let cache = ArtifactCache::with_config(CacheConfig::with_max_entries(3));
+        let lineage = |n: usize| -> Vec<Arc<Uniformized>> {
+            [1.0, 1.5, 2.0, 2.5]
+                .iter()
+                .map(|&scale| unif(&cache, &scaled_chain(n, scale), 0.0).0)
+                .collect()
+        };
+        let charged = |live: &[Arc<Uniformized>]| {
+            let values: usize = live
+                .iter()
+                .map(|u| u.approx_bytes() - u.shared_bytes())
+                .sum();
+            values + live[live.len() - 1].shared_bytes()
+        };
+        let first = lineage(64);
+        let stats = cache.stats();
+        assert_eq!((stats.rebinds, stats.uniformized.evictions), (3, 1));
+        assert!(!unif_resident(
+            &cache,
+            model_fps(&scaled_chain(64, 1.0)).unif,
+            0.0
+        ));
+        assert_eq!(stats.uniformized.bytes, charged(&first[1..]));
+        // Another structure's lineage displaces every artifact of the
+        // first, and with the last of them its pattern.
+        let second = lineage(32);
+        let stats = cache.stats();
+        assert_eq!(stats.uniformized.evictions, 5);
+        assert_eq!(stats.uniformized.bytes, charged(&second[1..]));
+        assert_eq!(lock(&cache.uniformized).shared.len(), 1);
     }
 
     /// Whether the uniformization keyed `(fp, θ)` is resident — unlike

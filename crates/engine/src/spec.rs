@@ -78,20 +78,24 @@
 //!
 //! expands into one model instance per grid point with the named rate
 //! multiplied by the factor, requested as `{name}@{param}={factor}` (e.g.
-//! `raid_g20_ua@lambda_d=0.5`). Grid factors must be positive and finite:
-//! scaling a rate by a positive factor never changes which transitions
-//! exist, so every instance shares the base model's **structural**
-//! fingerprint by construction. On the explorer-built kinds (`raid`,
+//! `raid_g20_ua@lambda_d=0.5`; a factor whose `Display` form is longer
+//! than 24 characters prints in exponent form, `1e-321`). Grid factors
+//! must be positive and finite: scaling a rate by a positive factor never
+//! changes which transitions exist, so every instance shares the base
+//! model's **structural** fingerprint by construction. On the
+//! explorer-built kinds (`raid`,
 //! `compose` and its `duplex`, `machines` and `multiproc` presets) the grid
 //! therefore explores its state space once: the first point's
 //! `CtmcBuilder::explore_grid` keeps the state table, each transition's
 //! target and its COO sort, and every later point is replayed over them
 //! (`regenr_ctmc::Replay`) into the chain its own exploration would build,
-//! bit for bit. A point whose rates underflow or overflow so that its
+//! bit for bit, over the first point's generator pattern (one shared
+//! allocation). A point whose rates underflow or overflow so that its
 //! transitions differ is explored on its own, so it fails or solves exactly
 //! as a one-point grid would. Downstream, the engine's artifact graph
 //! re-binds the cached `Pᵀ` pattern and chain facts across the grid instead
-//! of rebuilding them (see `crate::cache`). Scalable parameters
+//! of rebuilding them, and every rebound `Pᵀ` shares the first one's
+//! pattern (see `crate::cache`). Scalable parameters
 //! per kind — probabilities like `p_r` and `coverage` are deliberately not
 //! scalable: `raid` → `lambda_d`, `lambda_s`, `lambda_c`, `mu_drc`,
 //! `mu_drp`, `mu_crp`, `mu_sr`, `mu_g`; `two_state`/`duplex`/`machines` →
@@ -524,6 +528,21 @@ fn preset(kind: &'static str, model: Result<ComposeModel, ComposeError>) -> Resu
         model: model.map_err(|e| format!("{kind} model: {e}"))?,
         max_states: CtmcBuilder::default().max_states,
     })
+}
+
+/// The longest grid factor a point name prints in `f64` `Display` form.
+const MAX_DISPLAY_FACTOR: usize = 24;
+
+/// A grid factor as its point name prints it: `Display` (`0.5`, `1e-7` as
+/// `0.0000001`) up to [`MAX_DISPLAY_FACTOR`] characters, and the shortest
+/// round-trip exponent form beyond (`1e-321`, not 320 zeros).
+fn factor_name(factor: f64) -> String {
+    let shown = factor.to_string();
+    if shown.len() <= MAX_DISPLAY_FACTOR {
+        shown
+    } else {
+        format!("{factor:e}")
+    }
 }
 
 /// Compiles one model object's grid points, in grid order. The first
@@ -1169,7 +1188,9 @@ impl SweepSpec {
                 let name = match point {
                     // Grid points are distinguishable by name:
                     // `raid_g20_ua@lambda_d=0.5`.
-                    Some((param, factor)) => format!("{base_name}@{param}={factor}"),
+                    Some((param, factor)) => {
+                        format!("{base_name}@{param}={}", factor_name(*factor))
+                    }
                     None => base_name,
                 };
                 let model = Arc::new(ctmc);
@@ -2094,6 +2115,48 @@ mod tests {
                 assert_eq!(bits(&point.model), bits(&one.model), "{}", point.name);
             }
         }
+    }
+
+    /// Point names print a factor in `Display` form up to 24 characters,
+    /// which every ordinary factor fits, and in exponent form beyond, so
+    /// extreme factors stay readable.
+    #[test]
+    fn grid_point_names_stay_short_for_extreme_factors() {
+        let names = |grid: &str| -> Vec<String> {
+            SweepSpec::parse(&format!(
+                r#"{{"horizons": [1], "models": [{{"kind": "two_state",
+                    "lambda": 1.0, "mu": 1.0,
+                    "sensitivity": {{"param": "mu", "grid": {grid}}}}}]}}"#
+            ))
+            .unwrap()
+            .requests
+            .into_iter()
+            .map(|r| r.name)
+            .collect()
+        };
+        let factors = "[1e-321, 5e-324, 1e300, 0.5, 1, 2.75, 1e-7, 0.6123456789012345, 1e21]";
+        let want = [
+            "1e-321",
+            "5e-324",
+            "1e300",
+            "0.5",
+            "1",
+            "2.75",
+            "0.0000001",
+            "0.6123456789012345",
+            "1000000000000000000000",
+        ];
+        let got = names(factors);
+        assert_eq!(got.len(), want.len());
+        for (name, factor) in got.iter().zip(want) {
+            assert_eq!(name, &format!("two_state@mu={factor}"));
+        }
+        assert_eq!(factor_name(1.5e-300), "1.5e-300");
+        // 23 characters: still `Display`.
+        assert_eq!(
+            factor_name(1.2345678901234568e-5),
+            "0.000012345678901234568"
+        );
     }
 
     /// Compose and inline models scale through their own hooks: compose via

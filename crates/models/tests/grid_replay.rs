@@ -1,9 +1,10 @@
 //! Grids of rate variants explore once: every point after the first is
 //! compiled by replaying the first point's exploration, and must equal its
-//! own cold build bit for bit. Covered here: RAID at G ≤ 8 over each of the
-//! eight rates a `"sensitivity"` grid may scale, in both variants, and
-//! compositions with dependencies, reboot, `down_absorbing` and a
-//! `working` reward.
+//! own cold build bit for bit, over the first point's generator pattern
+//! (one shared allocation, not a copy). Covered here: RAID at G ≤ 8 over
+//! each of the eight rates a `"sensitivity"` grid may scale, in both
+//! variants, and compositions with dependencies, reboot, `down_absorbing`
+//! and a `working` reward.
 
 #[allow(dead_code)]
 mod hand_coded;
@@ -14,6 +15,7 @@ use regenr_models::compose::{ComponentClass, ComposeModel, RewardKind, Uncovered
 use regenr_models::multiproc::MultiprocParams;
 use regenr_models::{RaidModel, RaidParams};
 use std::cell::Cell;
+use std::sync::Arc;
 
 /// A state cap no test model comes near.
 const CAP: usize = 10_000;
@@ -43,7 +45,8 @@ impl<M: ModelSpec> ModelSpec for Counted<'_, M> {
 }
 
 /// Compiles `points` as one grid (the first explored, the rest replayed)
-/// and checks each against its own exploration.
+/// and checks each against its own exploration, and that every replayed
+/// generator shares the base's pattern allocation.
 fn check_grid<M: ModelSpec>(points: &[M]) {
     let builder = CtmcBuilder::with_max_states(CAP);
     let (base, mut replay) = builder.explore_grid(&points[0]).unwrap();
@@ -54,8 +57,13 @@ fn check_grid<M: ModelSpec>(points: &[M]) {
             model,
             calls: Cell::new(0),
         };
-        assert_ctmc_bitwise_eq(&replay.build(&point).unwrap(), &cold);
+        let replayed = replay.build(&point).unwrap();
+        assert_ctmc_bitwise_eq(&replayed, &cold);
         assert_eq!(point.calls.get(), cold.n_states(), "replayed, not explored");
+        assert!(
+            Arc::ptr_eq(replayed.generator().pattern(), base.generator().pattern()),
+            "a replayed point shares the base's generator pattern"
+        );
     }
 }
 

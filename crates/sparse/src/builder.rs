@@ -1,6 +1,7 @@
 //! Coordinate-format accumulation of sparse matrices.
 
-use crate::csr::CsrMatrix;
+use crate::csr::{CsrMatrix, CsrPattern};
+use std::sync::Arc;
 
 /// A COO (triplet) accumulator that produces a [`CsrMatrix`].
 ///
@@ -135,10 +136,7 @@ impl CooBuilder {
         col_idx.shrink_to_fit();
         ends.shrink_to_fit();
         let plan = CooPlan {
-            nrows: self.nrows,
-            ncols: self.ncols,
-            row_ptr,
-            col_idx,
+            pattern: CsrPattern::new(self.nrows, self.ncols, row_ptr, col_idx),
             order,
             ends,
         };
@@ -157,13 +155,12 @@ fn sort_entries(entries: &mut [(u32, u32, f64)]) {
 /// ([`CooBuilder::build_with_plan`]): the CSR pattern, and for each stored
 /// entry the push positions merged into it, in merge order. A rate variant
 /// that pushes its nonzero values at the same positions gets the matrix its
-/// own `build` would make, bit for bit, without sorting.
+/// own `build` would make, bit for bit, without sorting. Every matrix the
+/// plan builds, the planned build's own included, shares the plan's one
+/// [`CsrPattern`]: a variant allocates its values alone.
 #[derive(Debug)]
 pub struct CooPlan {
-    nrows: usize,
-    ncols: usize,
-    row_ptr: Vec<usize>,
-    col_idx: Vec<u32>,
+    pattern: Arc<CsrPattern>,
     /// Push positions in sorted order.
     order: Vec<u32>,
     /// Stored entry `s` merges `order[ends[s - 1]..ends[s]]` (from 0 for
@@ -172,7 +169,8 @@ pub struct CooPlan {
 }
 
 impl CooPlan {
-    /// The matrix whose `k`-th pushed value was `pushed[k]`.
+    /// The matrix whose `k`-th pushed value was `pushed[k]`, over the
+    /// plan's shared pattern.
     ///
     /// # Panics
     /// If `pushed` does not hold one value per push of the planned build.
@@ -189,13 +187,7 @@ impl CooPlan {
             values.push(v);
             start = end as usize;
         }
-        CsrMatrix::from_parts(
-            self.nrows,
-            self.ncols,
-            self.row_ptr.clone(),
-            self.col_idx.clone(),
-            values,
-        )
+        CsrMatrix::from_pattern(self.pattern.clone(), values)
     }
 }
 
@@ -287,7 +279,12 @@ mod tests {
         assert_eq!(m, coo(&base).build());
         assert_eq!(m.nnz(), 4);
         let variant = [0.3, 7.0, 1e-3, -9.0, 1.0, 2.5];
-        assert_eq!(plan.build(&variant), coo(&variant).build());
+        let rebuilt = plan.build(&variant);
+        assert_eq!(rebuilt, coo(&variant).build());
+        assert!(
+            Arc::ptr_eq(rebuilt.pattern(), m.pattern()),
+            "every build of a plan shares one pattern allocation"
+        );
     }
 
     #[test]

@@ -5,7 +5,9 @@
 //! * CTMC **generators** `Q` (row sums zero, non-negative off-diagonal),
 //! * randomized DTMC **transition matrices** `P = I + Q/Λ` (row-stochastic),
 //!
-//! both stored as [`CsrMatrix`]. Probability distributions are *row* vectors
+//! both stored as [`CsrMatrix`], whose sparsity pattern ([`CsrPattern`]) is
+//! shared through an `Arc` by every matrix known to have the same
+//! structure (see [`csr`]). Probability distributions are *row* vectors
 //! propagated as `πᵀ ← πᵀ P`; for cache-friendly, parallelizable gathers the
 //! solvers keep `Pᵀ` in CSR form and compute `π ← Pᵀ·π` (see
 //! [`CsrMatrix::mul_vec_into`] and [`CsrMatrix::mul_vec_pooled_into`]).
@@ -27,7 +29,7 @@ pub mod simd;
 pub mod workspace;
 
 pub use builder::{CooBuilder, CooPlan};
-pub use csr::CsrMatrix;
+pub use csr::{CsrMatrix, CsrPattern};
 pub use kernel::KernelKind;
 pub use parallel::{effective_threads, ChunkPlan, ParallelConfig};
 pub use pool::{WorkerPool, WorkerPoolStats};

@@ -9,9 +9,11 @@
 //!
 //! A [`ChunkPlan`] is more than the row ranges: at construction it selects
 //! one of the two SpMV loops (see [`crate::kernel`]) — generic CSR or
-//! unchecked short-row — that every chunk then executes. Steppers compute
-//! the plan **once per matrix** and reuse it across millions of products
-//! (`Uniformized::stepper` in `regenr-ctmc` caches plans per chunk count).
+//! unchecked short-row — that every chunk then executes. A plan reads the
+//! matrix's pattern alone, so [`CsrMatrix::chunk_plan`] computes it **once
+//! per pattern** and chunk count, and every matrix sharing the pattern —
+//! rate variants rebound over one `Pᵀ` pattern included — steps with the
+//! same plan across millions of products.
 //!
 //! [`CsrMatrix::mul_vec_pooled_into`] runs a plan's chunks on a persistent
 //! [`WorkerPool`] of parked threads; this is what the solvers use (via
@@ -61,9 +63,9 @@ pub fn effective_threads(requested: usize) -> usize {
 /// the unit of work the parallel kernels distribute — plus the SpMV loop
 /// every chunk executes. Computing the plan is `O(nrows)`, plus one
 /// `O(nnz)` column validation when the short-row loop is selected;
-/// steppers compute it **once per matrix** and reuse it across millions of
-/// products. A plan holds no copy of the matrix: it serves any matrix of
-/// the shape and nnz it was built for.
+/// [`CsrMatrix::chunk_plan`] computes it **once per pattern** and reuses it
+/// across millions of products. A plan holds no copy of the matrix: it
+/// serves any matrix of the shape and nnz it was built for.
 #[derive(Clone, Debug)]
 pub struct ChunkPlan {
     ranges: Vec<std::ops::Range<usize>>,
@@ -229,13 +231,15 @@ mod tests {
         b.mul_vec_pooled_into(&[1.0; 20], &mut y, &plan, WorkerPool::global());
     }
 
-    /// A clone (bitwise-identical content, different allocation) is a valid
-    /// plan target, for the unchecked loop too.
+    /// A separately built identical matrix (bitwise-identical content,
+    /// its own pattern allocation) is a valid plan target, for the
+    /// unchecked loop too.
     #[test]
     fn plan_accepts_an_identical_clone() {
         let n = 1_501;
         let a = band_matrix(n);
-        let b = a.clone();
+        let b = band_matrix(n);
+        assert!(!std::sync::Arc::ptr_eq(a.pattern(), b.pattern()));
         let plan = ChunkPlan::new(&a, 2);
         assert_eq!(plan.kernel_kind(), KernelKind::ShortRow);
         let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.3).cos()).collect();

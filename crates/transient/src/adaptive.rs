@@ -140,7 +140,9 @@ impl<'a> AdaptiveSolver<'a> {
         // `Q`'s plus the diagonal, and the state being expanded is already
         // active, so `active`'s order is the same as walking `P`.
         let q = self.ctmc.generator();
+        let (q_ptr, q_cols) = (q.row_ptr(), q.col_idx());
         let p_t = &self.unif.p_t;
+        let (row, cols, vals) = (p_t.row_ptr(), p_t.col_idx(), p_t.values());
         let mut is_active = vec![false; n];
         let mut active: Vec<u32> = Vec::new();
         for (i, &a) in self.ctmc.initial().iter().enumerate() {
@@ -175,10 +177,11 @@ impl<'a> AdaptiveSolver<'a> {
             // are expanded at the next step).
             let frontier = active.len();
             for k in expanded..frontier {
-                for (j, _) in q.row(active[k] as usize) {
-                    if !is_active[j] {
-                        is_active[j] = true;
-                        active.push(j as u32);
+                let i = active[k] as usize;
+                for &j in &q_cols[q_ptr[i]..q_ptr[i + 1]] {
+                    if !is_active[j as usize] {
+                        is_active[j as usize] = true;
+                        active.push(j);
                     }
                 }
             }
@@ -187,9 +190,8 @@ impl<'a> AdaptiveSolver<'a> {
             for &i in &active {
                 let i = i as usize;
                 let mut s = 0.0;
-                let row = p_t.row_ptr();
                 for k in row[i]..row[i + 1] {
-                    s += p_t.values()[k] * pi[p_t.col_idx()[k] as usize];
+                    s += vals[k] * pi[cols[k] as usize];
                 }
                 touched += row[i + 1] - row[i];
                 next[i] = s;
