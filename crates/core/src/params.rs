@@ -39,7 +39,7 @@
 
 use regenr_ctmc::{analyze, Ctmc, CtmcError, Uniformized};
 use regenr_numeric::{KahanSum, PoissonWeights};
-use regenr_sparse::{ParallelConfig, Workspace};
+use regenr_sparse::{ParallelConfig, RowFold, Workspace};
 
 /// Hard cap on `K`/`L` (guards against a poorly visited regenerative state,
 /// where the method degenerates; the paper assumes `r` is visited often).
@@ -417,21 +417,30 @@ fn step_killed_chain(
         return (params, err);
     }
 
+    // Rows the step kills, in row order, each with the slot of `killed`
+    // that records its mass: slot `0` is `u`, `1 + i` is `y_i`.
+    let mut kills: Vec<(usize, usize)> = std::iter::once(r)
+        .chain(absorbing.iter().copied())
+        .enumerate()
+        .map(|(slot, row)| (row, slot))
+        .collect();
+    kills.sort_by_key(|&(row, _)| row);
+    let mut killed = vec![0.0; 1 + n_abs];
     let stepper = unif.stepper(&opts.parallel);
     loop {
-        let k = params.u.len(); // about to compute step k -> k+1
-        stepper.step(&pi, &mut next);
-        // Kill on return to r / absorption, recording the killed mass.
-        params.u.push(next[r]);
-        next[r] = 0.0;
-        for (i, &f) in absorbing.iter().enumerate() {
-            params.y[i].push(next[f]);
-            next[f] = 0.0;
+        // About to compute step k -> k+1, in one pass: the product's fold
+        // kills on return to r and on absorption, recording the killed
+        // mass, and sums the killed iterate into a(k+1) and c(k+1).
+        let k = params.u.len();
+        let fold = KillFold::new(&kills, ctmc.rewards(), &mut killed);
+        let (a_next, c_next) = stepper.step_folded(&pi, &mut next, fold).finish();
+        params.u.push(killed[0]);
+        for (y, &mass) in params.y.iter_mut().zip(&killed[1..]) {
+            y.push(mass);
         }
         std::mem::swap(&mut pi, &mut next);
-        let a_next = KahanSum::sum_slice(&pi);
         params.a.push(a_next);
-        params.c.push(ctmc.reward_dot(&pi));
+        params.c.push(c_next);
 
         let depth = k + 1;
         let err = bound(depth, a_next);
@@ -445,6 +454,94 @@ fn step_killed_chain(
             "regenerative truncation exceeded max_depth={MAX_DEPTH} — the \
              regenerative state {r} is visited too rarely for this method"
         );
+    }
+}
+
+/// The construction's per-row fold over `π_{k+1} = Pᵀπ_k`: it zeroes the
+/// killed rows (`r` and the absorbing states), recording the mass each one
+/// received in its slot of `killed`, then adds the row to a Neumaier sum
+/// (`a(k+1)`) and its reward to a dot product from `-0.0` (`c(k+1)`) —
+/// bit for bit the separate `KahanSum::sum_slice` and `Ctmc::reward_dot`
+/// passes over the killed vector. Nothing in the row loop calls out (the
+/// kill records go to a fixed slice, not onto growing vectors), so the
+/// accumulators stay in registers.
+struct KillFold<'a> {
+    /// `(row, slot)` in row order.
+    kills: &'a [(usize, usize)],
+    cursor: usize,
+    /// The row of `kills[cursor]` (`usize::MAX` once every kill is done).
+    next_kill: usize,
+    rewards: &'a [f64],
+    /// The mass each killed row received, by slot.
+    killed: &'a mut [f64],
+    sum: NonNegSum,
+    dot: f64,
+}
+
+impl<'a> KillFold<'a> {
+    fn new(kills: &'a [(usize, usize)], rewards: &'a [f64], killed: &'a mut [f64]) -> Self {
+        KillFold {
+            kills,
+            cursor: 0,
+            next_kill: kills.first().map_or(usize::MAX, |&(row, _)| row),
+            rewards,
+            killed,
+            sum: NonNegSum::default(),
+            dot: -0.0,
+        }
+    }
+
+    /// `(a(k+1), c(k+1))` once every row has been folded.
+    fn finish(self) -> (f64, f64) {
+        (self.sum.value(), self.dot)
+    }
+}
+
+impl RowFold for KillFold<'_> {
+    #[inline(always)]
+    fn row(&mut self, i: usize, mut v: f64) -> f64 {
+        while i == self.next_kill {
+            self.killed[self.kills[self.cursor].1] = v;
+            v = 0.0;
+            self.cursor += 1;
+            self.next_kill = self
+                .kills
+                .get(self.cursor)
+                .map_or(usize::MAX, |&(row, _)| row);
+        }
+        self.sum.add(v);
+        self.dot += v * self.rewards[i];
+        v
+    }
+}
+
+/// Neumaier summation for terms that are never negative, bit for bit
+/// [`KahanSum`]'s: its compare-and-branch on `|sum| ≥ |x|` becomes a max
+/// and a min, which take the same operand order whenever every term and
+/// every partial sum lies in `[+0, +∞]` or is NaN. The construction's
+/// iterates do: `Pᵀ ≥ 0` whenever `Λ` is at least the largest exit rate,
+/// which `Uniformized` guarantees (`1 + q_ii/Λ` rounds to `+0`, never
+/// below), and every start vector is non-negative. For negative terms the
+/// two forms differ, so this stays private to the construction.
+#[derive(Clone, Copy, Default)]
+struct NonNegSum {
+    sum: f64,
+    comp: f64,
+}
+
+impl NonNegSum {
+    #[inline(always)]
+    fn add(&mut self, x: f64) {
+        let s = self.sum;
+        let t = s + x;
+        let hi = if s > x { s } else { x };
+        let lo = if x < s { x } else { s };
+        self.comp += (hi - t) + lo;
+        self.sum = t;
+    }
+
+    fn value(&self) -> f64 {
+        self.sum + self.comp
     }
 }
 
@@ -561,6 +658,188 @@ mod tests {
             err,
             Err(CtmcError::BadRegenerativeState { state: 7, .. })
         ));
+    }
+
+    /// The construction step as separate passes, the way it ran before
+    /// the fold: the product, then the kills, then `KahanSum::sum_slice`
+    /// and `reward_dot` over the killed vector — run `depth` steps from
+    /// `start`.
+    fn separate_passes(
+        ctmc: &Ctmc,
+        unif: &Uniformized,
+        cfg: &ParallelConfig,
+        (absorbing, r): (&[usize], usize),
+        start: Vec<f64>,
+        depth: usize,
+    ) -> KilledChainParams {
+        let mut pi = start;
+        let mut next = vec![0.0; pi.len()];
+        let mut params = KilledChainParams {
+            a: vec![KahanSum::sum_slice(&pi)],
+            c: vec![ctmc.reward_dot(&pi)],
+            u: Vec::new(),
+            y: vec![Vec::new(); absorbing.len()],
+        };
+        let stepper = unif.stepper(cfg);
+        for _ in 0..depth {
+            stepper.step(&pi, &mut next);
+            params.u.push(next[r]);
+            next[r] = 0.0;
+            for (i, &f) in absorbing.iter().enumerate() {
+                params.y[i].push(next[f]);
+                next[f] = 0.0;
+            }
+            std::mem::swap(&mut pi, &mut next);
+            params.a.push(KahanSum::sum_slice(&pi));
+            params.c.push(ctmc.reward_dot(&pi));
+        }
+        params
+    }
+
+    fn assert_chain_bitwise(got: &KilledChainParams, want: &KilledChainParams, case: &str) {
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got.a), bits(&want.a), "a: {case}");
+        assert_eq!(bits(&got.c), bits(&want.c), "c: {case}");
+        assert_eq!(bits(&got.u), bits(&want.u), "u: {case}");
+        assert_eq!(got.y.len(), want.y.len(), "{case}");
+        for (g, w) in got.y.iter().zip(&want.y) {
+            assert_eq!(bits(g), bits(w), "y: {case}");
+        }
+    }
+
+    /// The folded construction records exactly what the separate passes
+    /// did — every `a`, `c`, `u` and `y` bit for bit, hence the same depths
+    /// — on RAID G ≤ 8 (UA and UR) and on a chain with two absorbing states
+    /// and a primed chain, in one chunk and in several on the shared pool.
+    #[test]
+    fn folded_construction_is_bitwise_the_separate_passes() {
+        use regenr_models::{RaidModel, RaidParams};
+        let mut chains = Vec::new();
+        for g in [2, 5, 8] {
+            let ua = RaidParams::paper(g);
+            chains.push((
+                format!("raid g={g} UA"),
+                RaidModel::new(ua).build().unwrap(),
+            ));
+            let ur = ua.with_absorbing_failure();
+            chains.push((
+                format!("raid g={g} UR"),
+                RaidModel::new(ur).build().unwrap(),
+            ));
+        }
+        let two_absorbing = Ctmc::from_rates(
+            5,
+            &[
+                (0, 1, 1.0),
+                (1, 0, 0.7),
+                (1, 2, 0.4),
+                (2, 1, 0.9),
+                (1, 3, 0.05),
+                (2, 4, 0.02),
+            ],
+            vec![0.5, 0.25, 0.25, 0.0, 0.0],
+            vec![0.0, 0.5, 1.0, 2.0, 3.0],
+        )
+        .unwrap();
+        chains.push(("two absorbing states".into(), two_absorbing));
+        let configs = [
+            ParallelConfig::default(),
+            ParallelConfig {
+                min_nnz: 0,
+                threads: 4,
+            },
+        ];
+        for (name, ctmc) in &chains {
+            let unif = Uniformized::new(ctmc, 0.0);
+            for cfg in &configs {
+                for t in [10.0, 1e5] {
+                    let opts = RegenOptions {
+                        parallel: *cfg,
+                        ..RegenOptions::default()
+                    };
+                    let p = RegenParams::compute(ctmc, 0, t, &opts).unwrap();
+                    let kill = (&p.absorbing[..], p.r_index);
+                    let case = format!("{name} t={t} threads={}", cfg.threads);
+                    let mut start = vec![0.0; ctmc.n_states()];
+                    start[0] = 1.0;
+                    let want = separate_passes(ctmc, &unif, cfg, kill, start, p.main.depth());
+                    assert_chain_bitwise(&p.main, &want, &case);
+                    if let Some(primed) = &p.primed {
+                        let mut start = ctmc.initial().to_vec();
+                        start[0] = 0.0;
+                        for &f in &p.absorbing {
+                            start[f] = 0.0;
+                        }
+                        let want = separate_passes(ctmc, &unif, cfg, kill, start, primed.depth());
+                        assert_chain_bitwise(primed, &want, &format!("primed {case}"));
+                    }
+                }
+            }
+        }
+        let two = &chains.last().unwrap().1;
+        let p = RegenParams::compute(two, 0, 1e5, &RegenOptions::default()).unwrap();
+        assert_eq!(p.absorbing, vec![3, 4]);
+        assert!(p.primed.is_some_and(|q| q.depth() > 0));
+    }
+
+    /// Neumaier's step, the general form `KahanSum::add` takes: the state
+    /// `(sum, comp)` after adding `x`.
+    fn neumaier((sum, comp): (f64, f64), x: f64) -> (f64, f64) {
+        let t = sum + x;
+        let comp = if sum.abs() >= x.abs() {
+            comp + ((sum - t) + x)
+        } else {
+            comp + ((x - t) + sum)
+        };
+        (t, comp)
+    }
+
+    /// The construction's max/min Neumaier step is bit for bit the general
+    /// one — state after every term — and its value `KahanSum`'s, on
+    /// non-negative terms: zeros, equal neighbours, subnormals, magnitudes
+    /// across the whole exponent range, `+∞` and NaN.
+    #[test]
+    fn non_negative_neumaier_step_is_kahan_sum() {
+        let mut state = 0x9e37_79b9_7f4a_7c15u64;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            state >> 11
+        };
+        let unit = |bits: u64| bits as f64 / (1u64 << 53) as f64;
+        for case in 0..4_000 {
+            let len = 1 + (next() % 64) as usize;
+            let mut terms: Vec<f64> = Vec::with_capacity(len);
+            for _ in 0..len {
+                let x = match next() % 16 {
+                    0..=2 => 0.0,
+                    3..=4 => terms.last().copied().unwrap_or(1.0),
+                    5..=6 => f64::from_bits(1 + next() % (1u64 << 52)),
+                    7 if case % 5 == 0 => f64::INFINITY,
+                    8 if case % 7 == 0 => f64::NAN,
+                    _ => unit(next()) * 2f64.powi((next() % 2000) as i32 - 1000),
+                };
+                terms.push(x);
+            }
+            let (mut fast, mut general, mut kahan) =
+                (NonNegSum::default(), (0.0, 0.0), KahanSum::new());
+            for (k, &x) in terms.iter().enumerate() {
+                fast.add(x);
+                general = neumaier(general, x);
+                kahan.add(x);
+                assert_eq!(
+                    (fast.sum.to_bits(), fast.comp.to_bits()),
+                    (general.0.to_bits(), general.1.to_bits()),
+                    "case {case}, term {k}: {terms:?}"
+                );
+                assert_eq!(
+                    fast.value().to_bits(),
+                    kahan.value().to_bits(),
+                    "case {case}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -111,8 +111,8 @@ impl RrlSolver<'_> {
     }
 
     /// RRL's solve stage: inverts the transform of the truncated model
-    /// described by precomputed (and sliced) parameters. The benches call it
-    /// to time the two stages separately.
+    /// described by precomputed (and sliced) parameters. perfbench's trace
+    /// replay calls it to time the two stages separately.
     pub fn invert_params(&self, params: &RegenParams, measure: MeasureKind, t: f64) -> RrlSolution {
         let opts = self.options();
         let eps = opts.regen.epsilon;

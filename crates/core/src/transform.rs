@@ -44,6 +44,15 @@
 //! (the printed formulas drop some `Λ` factors); every identity above is
 //! regression-tested against exact analytic transforms of small models and
 //! against time-domain solutions of the same `V_{K,L}`.
+//!
+//! ## Evaluation
+//!
+//! Each of the eight sums above is a Horner chain of complex multiply-adds
+//! in `z`, and the inversion evaluates them at every abscissa. One series
+//! at a time, each step waits on the previous one's latency; so one pass
+//! from the highest power down steps all of them together. Every
+//! accumulator still does exactly what its own Horner pass would, so the
+//! sums are bit for bit the same.
 
 use crate::params::{KilledChainParams, RegenParams};
 use regenr_numeric::Complex64;
@@ -51,104 +60,198 @@ use regenr_numeric::Complex64;
 /// Evaluator of `TRR~(s)` and `C~(s)` for one computed parameter set.
 ///
 /// Construction precomputes the real coefficient arrays; each evaluation is
-/// `O(K + L)` complex operations (Horner's rule).
+/// `O(K + L)` complex operations (Horner's rule), in one pass over all of
+/// them (see the module docs).
 #[derive(Clone, Debug)]
 pub struct TransformEvaluator {
     lambda: f64,
     alpha_r: f64,
-    /// `a(0..=K)`.
-    a: Vec<f64>,
-    /// `c(0..=K)`.
-    c: Vec<f64>,
-    /// `d(0..K)` — reward-weighted absorption masses.
-    d: Vec<f64>,
-    /// `v(0..K)` — total absorption masses (`Σ_i y_i(k)`).
-    v: Vec<f64>,
-    /// Primed analogues (empty when `α_r = 1`).
-    a_p: Vec<f64>,
-    c_p: Vec<f64>,
-    d_p: Vec<f64>,
-    v_p: Vec<f64>,
+    /// The `K`-chain's coefficients.
+    main: ChainCoefs,
+    /// The `L`-chain's (absent when `α_r = 1`).
+    primed: Option<ChainCoefs>,
 }
 
-/// Combines per-absorbing-state masses into the total and reward-weighted
-/// coefficient arrays.
-fn combine(chain: &KilledChainParams, rewards: &[f64]) -> (Vec<f64>, Vec<f64>) {
-    let depth = chain.depth();
-    let mut v = vec![0.0; depth];
-    let mut d = vec![0.0; depth];
-    for (yi, &rf) in chain.y.iter().zip(rewards) {
-        for k in 0..depth {
-            v[k] += yi[k];
-            d[k] += rf * yi[k];
+/// One killed chain's coefficient arrays.
+#[derive(Clone, Debug)]
+struct ChainCoefs {
+    /// `a(0..=depth)`.
+    a: Vec<f64>,
+    /// `c(0..=depth)`.
+    c: Vec<f64>,
+    /// `v(0..depth)` — total absorption masses (`Σ_i y_i(k)`).
+    v: Vec<f64>,
+    /// `d(0..depth)` — reward-weighted absorption masses.
+    d: Vec<f64>,
+}
+
+impl ChainCoefs {
+    /// Combines the per-absorbing-state masses into the total and
+    /// reward-weighted arrays.
+    fn new(chain: &KilledChainParams, rewards: &[f64]) -> Self {
+        let depth = chain.depth();
+        let mut v = vec![0.0; depth];
+        let mut d = vec![0.0; depth];
+        for (yi, &rf) in chain.y.iter().zip(rewards) {
+            for k in 0..depth {
+                v[k] += yi[k];
+                d[k] += rf * yi[k];
+            }
+        }
+        ChainCoefs {
+            a: chain.a.clone(),
+            c: chain.c.clone(),
+            v,
+            d,
         }
     }
-    (v, d)
+
+    /// The chain's depth (`K` or `L`).
+    fn depth(&self) -> usize {
+        self.v.len()
+    }
 }
 
-/// Complex Horner evaluation of `Σ coef[k]·z^k`.
-fn horner(coef: &[f64], z: Complex64) -> Complex64 {
-    let mut acc = Complex64::ZERO;
-    for &c in coef.iter().rev() {
-        acc = acc * z + c;
+/// One chain's four Horner accumulators: `Σ a(k)·z^k`, `Σ c(k)·z^k`,
+/// `Σ v(k)·z^k` and `Σ d(k)·z^k`.
+#[derive(Clone, Copy, Debug)]
+struct ChainSums {
+    a: Complex64,
+    c: Complex64,
+    v: Complex64,
+    d: Complex64,
+}
+
+impl ChainSums {
+    const ZERO: ChainSums = ChainSums {
+        a: Complex64::ZERO,
+        c: Complex64::ZERO,
+        v: Complex64::ZERO,
+        d: Complex64::ZERO,
+    };
+
+    /// The Horner step at the top power, `depth`, which only `a` and `c`
+    /// reach.
+    #[inline(always)]
+    fn top(&mut self, coefs: &ChainCoefs, z: Complex64) {
+        let k = coefs.depth();
+        self.a = self.a * z + coefs.a[k];
+        self.c = self.c * z + coefs.c[k];
     }
-    acc
+
+    /// The Horner step at power `k < depth`, all four series.
+    #[inline(always)]
+    fn step(&mut self, coefs: &ChainCoefs, k: usize, z: Complex64) {
+        self.a = self.a * z + coefs.a[k];
+        self.c = self.c * z + coefs.c[k];
+        self.v = self.v * z + coefs.v[k];
+        self.d = self.d * z + coefs.d[k];
+    }
+}
+
+/// Every Horner sum one evaluation at `z` needs — four per chain — in one
+/// pass from the highest power down. Each sum is a dependency chain of
+/// complex multiply-adds, so one series alone leaves the floating-point
+/// units waiting on latency; stepping the four (or eight) together
+/// overlaps them. Every accumulator still starts at zero and performs
+/// exactly `acc = acc·z + coef[k]` for `k` from its top down, the operations
+/// of a separate Horner pass over its array, so every sum is bit for bit
+/// that pass's. The primed sums are zero when there is no primed chain.
+fn horner_sums(
+    main: &ChainCoefs,
+    primed: Option<&ChainCoefs>,
+    z: Complex64,
+) -> (ChainSums, ChainSums) {
+    let mut m = ChainSums::ZERO;
+    let mut p = ChainSums::ZERO;
+    m.top(main, z);
+    let Some(pc) = primed else {
+        for k in (0..main.depth()).rev() {
+            m.step(main, k, z);
+        }
+        return (m, p);
+    };
+    p.top(pc, z);
+    let (k_depth, l_depth) = (main.depth(), pc.depth());
+    // The deeper chain runs alone down to the shallower one's depth (one of
+    // these ranges is empty), then both run together.
+    for k in (l_depth..k_depth).rev() {
+        m.step(main, k, z);
+    }
+    for k in (k_depth..l_depth).rev() {
+        p.step(pc, k, z);
+    }
+    for k in (0..k_depth.min(l_depth)).rev() {
+        m.step(main, k, z);
+        p.step(pc, k, z);
+    }
+    (m, p)
+}
+
+/// The quantities `TRR~(s)` and the truncation occupancy share at one `s`.
+struct Evaluation {
+    s_lam: Complex64,
+    z: Complex64,
+    main: ChainSums,
+    primed: ChainSums,
+    /// `p~_0(s) = A(s)/B(s)`.
+    p0: Complex64,
 }
 
 impl TransformEvaluator {
     /// Precomputes the coefficient arrays from a parameter set.
     pub fn new(params: &RegenParams) -> Self {
-        let (v, d) = combine(&params.main, &params.absorbing_rewards);
-        let (a_p, c_p, v_p, d_p) = match &params.primed {
-            Some(p) => {
-                let (vp, dp) = combine(p, &params.absorbing_rewards);
-                (p.a.clone(), p.c.clone(), vp, dp)
-            }
-            None => (Vec::new(), Vec::new(), Vec::new(), Vec::new()),
-        };
         TransformEvaluator {
             lambda: params.lambda,
             alpha_r: params.alpha_r,
-            a: params.main.a.clone(),
-            c: params.main.c.clone(),
-            d,
-            v,
-            a_p,
-            c_p,
-            d_p,
-            v_p,
+            main: ChainCoefs::new(&params.main, &params.absorbing_rewards),
+            primed: params
+                .primed
+                .as_ref()
+                .map(|p| ChainCoefs::new(p, &params.absorbing_rewards)),
+        }
+    }
+
+    /// The Horner sums at `z = Λ/(s+Λ)` and `p~_0(s)`.
+    fn evaluate(&self, s: Complex64) -> Evaluation {
+        let lambda = self.lambda;
+        let s_lam = s + lambda;
+        let z = Complex64::from_real(lambda) / s_lam;
+        let (m, p) = horner_sums(&self.main, self.primed.as_ref(), z);
+        let k_depth = self.main.depth();
+
+        // B(s) = s·Σ a z^k + Λ·Σ v a z^k + Λ·a(K)·z^K.
+        let b = s * m.a
+            + lambda * m.v
+            + Complex64::from_real(lambda * self.main.a[k_depth]) * z.powi(k_depth as u32);
+
+        // A(s); 1 when there is no primed chain.
+        let a_of_s = match &self.primed {
+            None => Complex64::ONE,
+            Some(pc) => {
+                let l_depth = pc.depth();
+                Complex64::ONE
+                    - (s / s_lam) * p.a
+                    - (Complex64::from_real(lambda) / s_lam) * p.v
+                    - Complex64::from_real(pc.a[l_depth]) * z.powi(l_depth as u32 + 1)
+            }
+        };
+        Evaluation {
+            s_lam,
+            z,
+            main: m,
+            primed: p,
+            p0: a_of_s / b,
         }
     }
 
     /// `TRR~(s)` — Laplace transform of the truncated transient reward rate.
     pub fn trr(&self, s: Complex64) -> Complex64 {
-        let lambda = self.lambda;
-        let s_lam = s + lambda;
-        let z = Complex64::from_real(lambda) / s_lam;
-        let k_depth = self.a.len() - 1;
-
-        // B(s) = s·Σ a z^k + Λ·Σ v a z^k + Λ·a(K)·z^K.
-        let b = s * horner(&self.a, z)
-            + lambda * horner(&self.v, z)
-            + Complex64::from_real(lambda * self.a[k_depth]) * z.powi(k_depth as u32);
-
-        // A(s); 1 when there is no primed chain.
-        let a_of_s = if self.a_p.is_empty() {
-            Complex64::ONE
-        } else {
-            let l_depth = self.a_p.len() - 1;
-            Complex64::ONE
-                - (s / s_lam) * horner(&self.a_p, z)
-                - (Complex64::from_real(lambda) / s_lam) * horner(&self.v_p, z)
-                - Complex64::from_real(self.a_p[l_depth]) * z.powi(l_depth as u32 + 1)
-        };
-
-        let p0 = a_of_s / b;
-        let mut out =
-            (horner(&self.c, z) + (Complex64::from_real(lambda) / s) * horner(&self.d, z)) * p0;
-        if !self.a_p.is_empty() {
-            out += horner(&self.c_p, z) / s_lam;
-            out += (z / s) * horner(&self.d_p, z);
+        let e = self.evaluate(s);
+        let mut out = (e.main.c + (Complex64::from_real(self.lambda) / s) * e.main.d) * e.p0;
+        if self.primed.is_some() {
+            out += e.primed.c / e.s_lam;
+            out += (e.z / s) * e.primed.d;
         }
         out
     }
@@ -170,30 +273,15 @@ impl TransformEvaluator {
     /// yields certified lower/upper bounds whose gap is exactly the model
     /// truncation error.
     pub fn trunc_occupancy(&self, s: Complex64) -> Complex64 {
-        let lambda = self.lambda;
-        let s_lam = s + lambda;
-        let z = Complex64::from_real(lambda) / s_lam;
-        let k_depth = self.a.len() - 1;
-        let b = s * horner(&self.a, z)
-            + lambda * horner(&self.v, z)
-            + Complex64::from_real(lambda * self.a[k_depth]) * z.powi(k_depth as u32);
-        let a_of_s = if self.a_p.is_empty() {
-            Complex64::ONE
-        } else {
-            let l_depth = self.a_p.len() - 1;
-            Complex64::ONE
-                - (s / s_lam) * horner(&self.a_p, z)
-                - (Complex64::from_real(lambda) / s_lam) * horner(&self.v_p, z)
-                - Complex64::from_real(self.a_p[l_depth]) * z.powi(l_depth as u32 + 1)
-        };
-        let p0 = a_of_s / b;
-        let mut out = (Complex64::from_real(lambda) / s)
-            * Complex64::from_real(self.a[k_depth])
-            * z.powi(k_depth as u32)
-            * p0;
-        if !self.a_p.is_empty() {
-            let l_depth = self.a_p.len() - 1;
-            out += Complex64::from_real(self.a_p[l_depth]) * z.powi(l_depth as u32 + 1) / s;
+        let e = self.evaluate(s);
+        let k_depth = self.main.depth();
+        let mut out = (Complex64::from_real(self.lambda) / s)
+            * Complex64::from_real(self.main.a[k_depth])
+            * e.z.powi(k_depth as u32)
+            * e.p0;
+        if let Some(pc) = &self.primed {
+            let l_depth = pc.depth();
+            out += Complex64::from_real(pc.a[l_depth]) * e.z.powi(l_depth as u32 + 1) / s;
         }
         out
     }
@@ -291,6 +379,65 @@ mod tests {
                 (got - want).abs() < 1e-12 * want.abs().max(1e-3),
                 "s={s:?}: {got:?} vs {want:?}"
             );
+        }
+    }
+
+    /// Complex Horner evaluation of `Σ coef[k]·z^k`, one series at a time.
+    fn horner(coef: &[f64], z: Complex64) -> Complex64 {
+        let mut acc = Complex64::ZERO;
+        for &c in coef.iter().rev() {
+            acc = acc * z + c;
+        }
+        acc
+    }
+
+    /// Coefficients of a chain of depth `depth` with signed values across
+    /// many magnitudes.
+    fn coefs(depth: usize, seed: u64) -> ChainCoefs {
+        let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            ((state >> 11) as f64 / (1u64 << 53) as f64 - 0.3) * 10f64.powi((state % 9) as i32 - 4)
+        };
+        let mut series = |len: usize| (0..len).map(|_| next()).collect::<Vec<f64>>();
+        ChainCoefs {
+            a: series(depth + 1),
+            c: series(depth + 1),
+            v: series(depth),
+            d: series(depth),
+        }
+    }
+
+    /// The one-pass evaluation is bit for bit one Horner pass per series,
+    /// without a primed chain and with one shallower, as deep as, or
+    /// deeper than the main chain (depth 0 included).
+    #[test]
+    fn interleaved_horner_is_bitwise_one_pass_per_series() {
+        let bits = |z: Complex64| (z.re.to_bits(), z.im.to_bits());
+        let assert_sums = |sums: &ChainSums, coefs: &ChainCoefs, z: Complex64, case: &str| {
+            assert_eq!(bits(sums.a), bits(horner(&coefs.a, z)), "a {case}");
+            assert_eq!(bits(sums.c), bits(horner(&coefs.c, z)), "c {case}");
+            assert_eq!(bits(sums.v), bits(horner(&coefs.v, z)), "v {case}");
+            assert_eq!(bits(sums.d), bits(horner(&coefs.d, z)), "d {case}");
+        };
+        let lambda = 23.75;
+        for (i, s) in eval_points().into_iter().enumerate() {
+            let z = Complex64::from_real(lambda) / (s + lambda);
+            for k_depth in [0, 1, 7, 300] {
+                let main = coefs(k_depth, 2 * i as u64 + 1);
+                let (m, p) = horner_sums(&main, None, z);
+                assert_sums(&m, &main, z, &format!("K={k_depth}"));
+                assert_eq!(bits(p.a), bits(Complex64::ZERO));
+                for l_depth in [0, 1, k_depth, k_depth + 3, 301] {
+                    let primed = coefs(l_depth, 2 * i as u64 + 2);
+                    let case = format!("K={k_depth} L={l_depth}");
+                    let (m, p) = horner_sums(&main, Some(&primed), z);
+                    assert_sums(&m, &main, z, &case);
+                    assert_sums(&p, &primed, z, &format!("primed {case}"));
+                }
+            }
         }
     }
 

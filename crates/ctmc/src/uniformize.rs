@@ -12,7 +12,7 @@
 use crate::chain::Ctmc;
 use regenr_sparse::{
     effective_threads, Backend, ChunkPlan, CsrMatrix, CsrPattern, KernelKind, ParallelConfig,
-    WorkerPool,
+    RowFold, WorkerPool,
 };
 use std::sync::{Arc, OnceLock};
 
@@ -133,6 +133,15 @@ impl Stepper<'_> {
     /// One DTMC step: `out = Pᵀ·π`.
     pub fn step(&self, pi: &[f64], out: &mut [f64]) {
         self.p_t.mul_vec_pooled_into(pi, out, &self.plan, self.pool);
+    }
+
+    /// One DTMC step with `fold` run on each row of `out = Pᵀ·π` in row
+    /// order as it is stored ([`CsrMatrix::mul_vec_folded_into`]): the
+    /// solvers' per-step reductions ride the product this way. Returns the
+    /// fold.
+    pub fn step_folded<F: RowFold>(&self, pi: &[f64], out: &mut [f64], fold: F) -> F {
+        self.p_t
+            .mul_vec_folded_into(pi, out, &self.plan, self.pool, fold)
     }
 
     /// Whether steps are dispatched to the worker pool (`false` ⇒ the

@@ -85,6 +85,10 @@ impl CooBuilder {
         for i in 0..self.nrows {
             row_ptr[i + 1] += row_ptr[i];
         }
+        // The matrix outlives the build: give back the room merged
+        // duplicates left, as `build_with_plan` does.
+        col_idx.shrink_to_fit();
+        values.shrink_to_fit();
         CsrMatrix::from_parts(self.nrows, self.ncols, row_ptr, col_idx, values)
     }
 
@@ -205,6 +209,22 @@ mod tests {
         assert_eq!(m.nnz(), 2);
         assert_eq!(m.get(0, 1), 3.5);
         assert_eq!(m.get(1, 0), 4.0);
+    }
+
+    /// A build holds its merged entries and nothing more: the room its
+    /// pushes reserved is given back once duplicates merge.
+    #[test]
+    fn build_with_duplicates_holds_exactly_its_entries() {
+        let (n, pushes) = (50, 1_000);
+        let mut b = CooBuilder::with_capacity(n, n, 2 * pushes);
+        for k in 0..pushes {
+            b.push(k % n, (k / n) % 10, 1.0 + k as f64);
+        }
+        let m = b.build();
+        assert_eq!(m.nnz(), 500, "each entry is pushed twice");
+        let exact = m.nnz() * (std::mem::size_of::<f64>() + std::mem::size_of::<u32>())
+            + (n + 1) * std::mem::size_of::<usize>();
+        assert_eq!(m.heap_bytes(), exact);
     }
 
     #[test]

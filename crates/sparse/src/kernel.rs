@@ -1,4 +1,5 @@
-//! The two SpMV loops the stepping layer runs.
+//! The two SpMV loops the stepping layer runs, and the per-row fold every
+//! product passes through.
 //!
 //! The randomization solvers spend nearly all their time in `y = A·x` over
 //! one fixed matrix, and the models the paper evaluates produce short rows
@@ -19,12 +20,25 @@
 //! deterministic function of the matrix and neither loop keeps a layout of
 //! its own: a plan holds no copy of any matrix array.
 //!
+//! ## Folds
+//!
+//! A solver's step does more than the product: it kills states, sums the
+//! new iterate, takes its reward dot product. Each loop therefore hands
+//! every row's value to a [`RowFold`] just before the store, and stores
+//! what the fold returns, so those reductions ride the row loop instead of
+//! re-reading the iterate in passes of their own. The fold is passed **by
+//! value** and returned, so its accumulators live in registers across the
+//! rows; the plain product is the no-op fold `()`. There is one loop per
+//! kernel kind, folded or not.
+//!
 //! ## Bitwise identity
 //!
 //! Both loops accumulate each output row's products **in the row's CSR
 //! order with a single accumulator**, exactly like the serial
 //! [`CsrMatrix::mul_vec_into`]. The proptests pin both to that serial
-//! result bit for bit, non-finite inputs included.
+//! result bit for bit, non-finite inputs included. A fold sees the rows of
+//! the range it is handed in increasing order, each exactly once; how the
+//! pooled product keeps that order across chunks is in [`crate::parallel`].
 //!
 //! ## Safety
 //!
@@ -45,6 +59,26 @@ const MIN_KERNEL_NNZ: usize = 4_096;
 /// matrix carries hundreds of entries per row, nothing like the short rows
 /// the unchecked loop exists for.
 const MIN_KERNEL_ROWS: usize = 8;
+
+/// A reduction over a product's rows, run inside the SpMV row loop.
+///
+/// The loop calls [`RowFold::row`] once per output row, in increasing row
+/// order, with the row's value just before storing it, and stores what it
+/// returns. Implementations are small structs of accumulators, which the
+/// kernel takes and returns by value so that they stay in registers across
+/// the rows; a fold that only reads `v` returns it unchanged.
+pub trait RowFold {
+    /// Folds row `i`'s value `v` and returns the value to store.
+    fn row(&mut self, i: usize, v: f64) -> f64;
+}
+
+/// The plain product: every row is stored as computed.
+impl RowFold for () {
+    #[inline(always)]
+    fn row(&mut self, _i: usize, v: f64) -> f64 {
+        v
+    }
+}
 
 /// The SpMV loop a [`ChunkPlan`](crate::ChunkPlan) runs.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -75,28 +109,30 @@ impl KernelKind {
     }
 
     /// Computes rows `range` of `y = m·x` into `out` (chunk-local slice)
-    /// with this loop.
+    /// with this loop, passing each row through `fold` in row order, and
+    /// returns the fold.
     ///
     /// # Panics
     /// If `x.len() != m.ncols()`, `range.end > m.nrows()` or
     /// `out.len() != range.len()`.
-    pub(crate) fn mul_rows(
+    pub(crate) fn mul_rows<F: RowFold>(
         self,
         m: &CsrMatrix,
         x: &[f64],
         out: &mut [f64],
         range: std::ops::Range<usize>,
-    ) {
+        fold: F,
+    ) -> F {
         assert_eq!(x.len(), m.ncols(), "x length mismatch");
         assert!(range.end <= m.nrows(), "row range out of bounds");
         assert_eq!(out.len(), range.len(), "output slice mismatch");
         match self {
-            KernelKind::Generic => mul_rows_generic(m, x, out, range),
+            KernelKind::Generic => mul_rows_generic(m, x, out, range, fold),
             // SAFETY: every stored column is < ncols (the CSR construction
             // invariant, re-validated by `ChunkPlan::new` before it selects
             // this loop), and ncols == x.len(); rows and `out` are bounded
             // by the asserts above.
-            KernelKind::ShortRow => unsafe { mul_rows_unchecked(m, x, out, range) },
+            KernelKind::ShortRow => unsafe { mul_rows_unchecked(m, x, out, range, fold) },
         }
     }
 }
@@ -109,7 +145,13 @@ impl std::fmt::Display for KernelKind {
 
 /// Safe generic CSR loop — the reference semantics the shortrow loop must
 /// match bitwise.
-fn mul_rows_generic(m: &CsrMatrix, x: &[f64], out: &mut [f64], range: std::ops::Range<usize>) {
+fn mul_rows_generic<F: RowFold>(
+    m: &CsrMatrix,
+    x: &[f64],
+    out: &mut [f64],
+    range: std::ops::Range<usize>,
+    mut fold: F,
+) -> F {
     let row_ptr = m.row_ptr();
     let col_idx = m.col_idx();
     let values = m.values();
@@ -118,8 +160,9 @@ fn mul_rows_generic(m: &CsrMatrix, x: &[f64], out: &mut [f64], range: std::ops::
         for k in row_ptr[i]..row_ptr[i + 1] {
             acc += values[k] * x[col_idx[k] as usize];
         }
-        out[local] = acc;
+        out[local] = fold.row(i, acc);
     }
+    fold
 }
 
 /// Row-wise CSR loop with unchecked indexing — the shortrow kernel.
@@ -128,12 +171,13 @@ fn mul_rows_generic(m: &CsrMatrix, x: &[f64], out: &mut [f64], range: std::ops::
 /// Requires every stored column of `m` to be `< x.len()` (the CSR
 /// invariant, validated once by `ChunkPlan::new`), `range.end <= nrows`
 /// and `out.len() == range.len()`.
-unsafe fn mul_rows_unchecked(
+unsafe fn mul_rows_unchecked<F: RowFold>(
     m: &CsrMatrix,
     x: &[f64],
     out: &mut [f64],
     range: std::ops::Range<usize>,
-) {
+    mut fold: F,
+) -> F {
     let (row_ptr, cols, values) = (m.row_ptr(), m.col_idx(), m.values());
     unsafe {
         for (local, i) in range.enumerate() {
@@ -143,9 +187,10 @@ unsafe fn mul_rows_unchecked(
             for k in s..e {
                 acc += values.get_unchecked(k) * x.get_unchecked(*cols.get_unchecked(k) as usize);
             }
-            *out.get_unchecked_mut(local) = acc;
+            *out.get_unchecked_mut(local) = fold.row(i, acc);
         }
     }
+    fold
 }
 
 /// Verifies the CSR construction invariant the unchecked loop relies on.
@@ -214,13 +259,13 @@ mod tests {
             for kind in ALL_KINDS {
                 // Whole matrix in one chunk, and split into odd chunks.
                 let mut got = vec![1.0; n];
-                kind.mul_rows(&a, &x, &mut got, 0..n);
+                kind.mul_rows(&a, &x, &mut got, 0..n, ());
                 assert_eq!(bits(&want), bits(&got), "{kind} full");
                 let mut got = vec![1.0; n];
                 let mut start = 0;
                 while start < n {
                     let end = (start + 7).min(n);
-                    kind.mul_rows(&a, &x, &mut got[start..end], start..end);
+                    kind.mul_rows(&a, &x, &mut got[start..end], start..end, ());
                     start = end;
                 }
                 assert_eq!(bits(&want), bits(&got), "{kind} chunked");
@@ -254,7 +299,7 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         for kind in ALL_KINDS {
             let mut got = vec![0.0; n];
-            kind.mul_rows(&a, &x, &mut got, 0..n);
+            kind.mul_rows(&a, &x, &mut got, 0..n, ());
             assert_eq!(bits(&want), bits(&got), "{kind}");
         }
     }
@@ -295,11 +340,11 @@ mod tests {
         let bits = |v: &[f64]| v.iter().map(|f| f.to_bits()).collect::<Vec<_>>();
         for kind in ALL_KINDS {
             let mut got = vec![0.0; n];
-            kind.mul_rows(&a, &x, &mut got, 0..n);
+            kind.mul_rows(&a, &x, &mut got, 0..n, ());
             assert_eq!(bits(&want), bits(&got), "{kind} full");
             let mut got = vec![0.0; n];
             for (lo, hi) in [(0usize, 5usize), (5, 9), (9, n)] {
-                kind.mul_rows(&a, &x, &mut got[lo..hi], lo..hi);
+                kind.mul_rows(&a, &x, &mut got[lo..hi], lo..hi, ());
             }
             assert_eq!(bits(&want), bits(&got), "{kind} chunked");
         }

@@ -16,7 +16,10 @@
 //! [`WorkerPool`] of parked threads — no locks or atomics inside a product,
 //! data-race freedom by construction, and bitwise-identical results to the
 //! serial kernel. Each [`ChunkPlan`] also selects one of the two SpMV
-//! [`kernel`] loops (generic or short-row) from the matrix's size. The
+//! [`kernel`] loops (generic or short-row) from the matrix's size, and a
+//! product can carry a [`RowFold`] through that loop: the solvers' per-step
+//! reductions (kills, sums, dot products) run on each row as it is stored,
+//! in row order, instead of in passes of their own. The
 //! [`Workspace`] arena gives solvers reusable scratch vectors so
 //! sweep-heavy workloads stop allocating in their inner loops.
 
@@ -30,7 +33,7 @@ pub mod workspace;
 
 pub use builder::{CooBuilder, CooPlan};
 pub use csr::{CsrMatrix, CsrPattern};
-pub use kernel::KernelKind;
+pub use kernel::{KernelKind, RowFold};
 pub use parallel::{effective_threads, ChunkPlan, ParallelConfig};
 pub use pool::{WorkerPool, WorkerPoolStats};
 pub use simd::{Backend, BackendChoice};

@@ -15,15 +15,33 @@
 //! rate variants rebound over one `Pᵀ` pattern included — steps with the
 //! same plan across millions of products.
 //!
-//! [`CsrMatrix::mul_vec_pooled_into`] runs a plan's chunks on a persistent
+//! [`CsrMatrix::mul_vec_folded_into`] runs a plan's chunks on a persistent
 //! [`WorkerPool`] of parked threads; this is what the solvers use (via
 //! `Uniformized::stepper`), because repeated products pay only a condvar
 //! wake instead of per-product thread creation. Steppers plan small
 //! matrices as one chunk under [`ParallelConfig::min_nnz`] (a pool wake ≫
 //! product cost there), which runs on the calling thread.
+//!
+//! ## Ordered folds
+//!
+//! A product's [`RowFold`] sees every row exactly once and **in row
+//! order**, whatever the chunk count, the pool size or which thread ran
+//! which chunk, so a fold's result is as deterministic as the product's:
+//!
+//! * a single-chunk plan folds every row inside the kernel;
+//! * in a multi-chunk plan the calling thread folds, inside the kernel,
+//!   each chunk it claims while the chunks before it are all folded — it
+//!   claims in increasing order, so that holds from chunk 0 until a worker
+//!   claims one first;
+//! * every later chunk (one a worker ran, or one the caller claimed after
+//!   that gap) is folded after the pool run returns, row by row over the
+//!   stored values, before the product returns.
+//!
+//! The fold state never crosses a thread: workers run the plain loop, and
+//! the caller hands its fold from chunk to chunk by value.
 
 use crate::csr::CsrMatrix;
-use crate::kernel::{columns_in_range, KernelKind};
+use crate::kernel::{columns_in_range, KernelKind, RowFold};
 use crate::pool::WorkerPool;
 
 /// Tuning for the parallel SpMV kernels.
@@ -127,6 +145,9 @@ impl ChunkPlan {
     }
 }
 
+/// Invariant of the ordered fold: the caller's chunk hands its fold back.
+const HANDED_BACK: &str = "the fold is handed back after every chunk";
+
 /// A raw mutable pointer that may cross threads: the pooled kernel hands
 /// each chunk a disjoint slice of the output vector.
 #[derive(Clone, Copy)]
@@ -136,10 +157,10 @@ unsafe impl Sync for SendPtr {}
 
 impl CsrMatrix {
     /// `y = A·x` over a precomputed [`ChunkPlan`] on a persistent
-    /// [`WorkerPool`], through the plan's loop. Bitwise identical
-    /// to [`CsrMatrix::mul_vec_into`] regardless of the kernel, the pool
-    /// size, or how chunks get claimed; single-chunk plans skip the pool
-    /// entirely and run the kernel on the calling thread.
+    /// [`WorkerPool`], through the plan's loop: the no-op fold of
+    /// [`CsrMatrix::mul_vec_folded_into`]. Bitwise identical to
+    /// [`CsrMatrix::mul_vec_into`] regardless of the kernel, the pool size,
+    /// or how chunks get claimed.
     ///
     /// # Panics
     /// If `x`/`y` lengths mismatch the matrix, or the plan was built for a
@@ -151,29 +172,77 @@ impl CsrMatrix {
         plan: &ChunkPlan,
         pool: &WorkerPool,
     ) {
+        self.mul_vec_folded_into(x, y, plan, pool, ());
+    }
+
+    /// `y = A·x` with every row passed through `fold` in row order (see
+    /// the module docs): row `i` stores `fold.row(i, (A·x)_i)`. Returns the
+    /// fold. The stored values and the fold's result are bitwise
+    /// independent of the pool size and of how chunks get claimed;
+    /// single-chunk plans skip the pool entirely and run the kernel on the
+    /// calling thread.
+    ///
+    /// # Panics
+    /// If `x`/`y` lengths mismatch the matrix, or the plan was built for a
+    /// different shape or nnz.
+    pub fn mul_vec_folded_into<F: RowFold>(
+        &self,
+        x: &[f64],
+        y: &mut [f64],
+        plan: &ChunkPlan,
+        pool: &WorkerPool,
+        fold: F,
+    ) -> F {
         assert_eq!(x.len(), self.ncols(), "x length mismatch");
         assert_eq!(y.len(), self.nrows(), "y length mismatch");
         plan.check_matrix(self);
         if plan.len() <= 1 {
-            if let Some(range) = plan.ranges.first() {
-                // Same fault name as the pooled path: single-chunk plans
-                // (1-core machines) must still be able to inject a chunk
-                // death for the supervisor's recovery story.
-                regenr_failpoint::failpoint!("pool-chunk");
-                plan.kernel.mul_rows(self, x, y, range.clone());
-            }
-            return;
+            let Some(range) = plan.ranges.first() else {
+                return fold;
+            };
+            // Same fault name as the pooled path: single-chunk plans
+            // (1-core machines) must still be able to inject a chunk
+            // death for the supervisor's recovery story.
+            regenr_failpoint::failpoint!("pool-chunk");
+            return plan.kernel.mul_rows(self, x, y, range.clone(), fold);
         }
         let out = SendPtr(y.as_mut_ptr());
-        pool.run(plan.len(), move |c| {
+        let chunk = move |c: usize| {
             let out = out;
             let range = plan.ranges[c].clone();
             // SAFETY: plan ranges are disjoint and within nrows == y.len(),
-            // so each chunk writes a private slice of `y`.
+            // and each chunk index is claimed once, so each chunk writes a
+            // private slice of `y`.
             let slice =
                 unsafe { std::slice::from_raw_parts_mut(out.0.add(range.start), range.len()) };
-            plan.kernel.mul_rows(self, x, slice, range);
-        });
+            (slice, range)
+        };
+        // The caller's fold, and how many leading chunks it has folded.
+        let mut state = Some(fold);
+        let mut folded = 0;
+        pool.run_split(
+            plan.len(),
+            |c| {
+                let (slice, range) = chunk(c);
+                plan.kernel.mul_rows(self, x, slice, range, ());
+            },
+            |c| {
+                let (slice, range) = chunk(c);
+                if c == folded {
+                    let fold = state.take().expect(HANDED_BACK);
+                    state = Some(plan.kernel.mul_rows(self, x, slice, range, fold));
+                    folded += 1;
+                } else {
+                    plan.kernel.mul_rows(self, x, slice, range, ());
+                }
+            },
+        );
+        let mut fold = state.expect(HANDED_BACK);
+        let start = plan.ranges.get(folded).map_or(y.len(), |r| r.start);
+        for (i, v) in y.iter_mut().enumerate().skip(start) {
+            *v = fold.row(i, *v);
+        }
+        fold
     }
 }
 

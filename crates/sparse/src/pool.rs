@@ -269,6 +269,21 @@ impl WorkerPool {
     /// steals. Single-chunk jobs, single-thread pools, and a full slot
     /// table run inline on the caller — same results, no parallelism.
     pub fn run<F: Fn(usize) + Sync>(&self, n_chunks: usize, f: F) -> bool {
+        self.run_split(n_chunks, &f, &f)
+    }
+
+    /// Like [`WorkerPool::run`], except that the calling thread runs the
+    /// chunks it claims through `own` while the workers run `f`; both must
+    /// compute the same chunk. The caller claims chunks in increasing index
+    /// order (every chunk, in order, when the run goes inline), so `own` can
+    /// carry state from one chunk to the next — the pooled SpMV folds its
+    /// rows in order this way — without any synchronization.
+    pub(crate) fn run_split<F: Fn(usize) + Sync, G: FnMut(usize)>(
+        &self,
+        n_chunks: usize,
+        f: F,
+        mut own: G,
+    ) -> bool {
         regenr_failpoint::failpoint!("pool-publish");
         if n_chunks == 0 {
             return false;
@@ -280,7 +295,7 @@ impl WorkerPool {
                 // straight to the supervisor, so single-core machines can
                 // still exercise the chunk-death recovery story.
                 regenr_failpoint::failpoint!("pool-chunk");
-                f(i);
+                own(i);
             }
             return false;
         }
@@ -299,7 +314,7 @@ impl WorkerPool {
                 drop(control);
                 self.inner.inline_runs.fetch_add(1, Ordering::Relaxed);
                 for i in 0..n_chunks {
-                    f(i);
+                    own(i);
                 }
                 return false;
             };
@@ -359,7 +374,7 @@ impl WorkerPool {
             }
             drain.mid_chunk = true;
             regenr_failpoint::failpoint!("pool-chunk");
-            f(idx);
+            own(idx);
             drain.mid_chunk = false;
             slot.remaining.fetch_sub(1, Ordering::AcqRel);
         }

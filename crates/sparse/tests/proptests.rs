@@ -2,7 +2,9 @@
 //! against a dense reference on random matrices.
 
 use proptest::prelude::*;
-use regenr_sparse::{ChunkPlan, CooBuilder, CsrMatrix, KernelKind, WorkerPool};
+use regenr_sparse::{ChunkPlan, CooBuilder, CsrMatrix, KernelKind, RowFold, WorkerPool};
+use std::sync::Mutex;
+use std::time::{Duration, Instant};
 
 /// A matrix as `(rows, nrows, ncols)`, each row its `(column, value)`
 /// entries.
@@ -165,6 +167,93 @@ fn assert_plan_is_bitwise_serial(
     }
 }
 
+/// A fold that records what it was shown: a hash of every `(row, value)`
+/// pair in the order seen, the row count and the values' sum; it
+/// overwrites every third row. Any row seen twice, skipped or out of
+/// order, and any value that differs in a bit, changes the record.
+#[derive(Clone, Copy)]
+struct Recorder<'p> {
+    hash: u64,
+    rows: usize,
+    sum: f64,
+    /// Set for the first row only: stall there until a pool worker has
+    /// stolen a chunk of this product (counted past the given total), so
+    /// the chunks after the first must be folded after the pool run.
+    await_steal: Option<(&'p WorkerPool, u64)>,
+}
+
+impl Recorder<'_> {
+    fn new() -> Self {
+        Recorder {
+            hash: 0xcbf2_9ce4_8422_2325,
+            rows: 0,
+            sum: 0.0,
+            await_steal: None,
+        }
+    }
+
+    fn record(&self) -> (u64, usize, u64) {
+        (self.hash, self.rows, self.sum.to_bits())
+    }
+}
+
+impl RowFold for Recorder<'_> {
+    fn row(&mut self, i: usize, v: f64) -> f64 {
+        if let Some((pool, stolen)) = self.await_steal.take() {
+            let t0 = Instant::now();
+            while pool.stats().stolen_chunks <= stolen {
+                assert!(
+                    t0.elapsed() < Duration::from_secs(30),
+                    "no worker stole a chunk"
+                );
+                std::thread::yield_now();
+            }
+        }
+        for word in [i as u64, v.to_bits()] {
+            self.hash = (self.hash ^ word).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+        self.rows += 1;
+        self.sum += v;
+        if i.is_multiple_of(3) {
+            -0.5 * v
+        } else {
+            v
+        }
+    }
+}
+
+/// The folded product of `c` over `plan` on `pool`, run from the calling
+/// thread or, `nested`, from inside a pool job (so idle workers count as
+/// stealing its chunks). A nested product on a pool of four stalls its
+/// first row until one is stolen. Returns the stored vector and the fold.
+fn folded_product<'p>(
+    c: &CsrMatrix,
+    x: &[f64],
+    plan: &ChunkPlan,
+    pool: &'p WorkerPool,
+    nested: bool,
+) -> (Vec<f64>, Recorder<'p>) {
+    let mut y = vec![1.0; c.nrows()];
+    if !nested {
+        let fold = c.mul_vec_folded_into(x, &mut y, plan, pool, Recorder::new());
+        return (y, fold);
+    }
+    let mut fold = Recorder::new();
+    if pool.threads() == 4 && plan.len() > 1 {
+        fold.await_steal = Some((pool, pool.stats().stolen_chunks));
+    }
+    let out = Mutex::new((y, None));
+    pool.run(2, |job| {
+        if job == 0 {
+            let mut out = out.lock().unwrap();
+            let folded = c.mul_vec_folded_into(x, &mut out.0, plan, pool, fold);
+            out.1 = Some(folded);
+        }
+    });
+    let (y, folded) = out.into_inner().unwrap();
+    (y, folded.expect("job 0 ran"))
+}
+
 fn to_csr(rows: &[Vec<f64>], n: usize, m: usize) -> CsrMatrix {
     let mut b = CooBuilder::new(n, m);
     for (i, row) in rows.iter().enumerate() {
@@ -284,6 +373,56 @@ proptest! {
             let (rows, x) = adversarial(rows, long_row, poison);
             let c = sparse_to_csr(&rows);
             assert_plan_is_bitwise_serial(&c, &x, chunks, &pool, kind);
+        }
+    }
+
+    /// The folded product is the plain serial product followed by the fold
+    /// over the stored rows in row order, bit for bit — the stored values
+    /// (overwritten rows included) and the fold's record — for both loops,
+    /// every chunk count and pool size, non-finite inputs included, run
+    /// directly or nested in a pool job. Nested products on a pool of four
+    /// wait for a stolen chunk, so the rows after the first chunk are
+    /// folded after the pool run; the pool counts those steals.
+    #[test]
+    fn folded_product_is_the_serial_product_then_an_ordered_fold(
+        small in arb_small(),
+        large in arb_large(),
+        poison in 0usize..4,
+        long_row in 0usize..1000,
+    ) {
+        let pools = [WorkerPool::new(1), WorkerPool::new(2), WorkerPool::new(4)];
+        let stolen_before = pools[2].stats().stolen_chunks;
+        let mut waited = false;
+        for (rows, kind) in [(small, KernelKind::Generic), (large, KernelKind::ShortRow)] {
+            let (rows, x) = adversarial(rows, long_row, poison);
+            let c = sparse_to_csr(&rows);
+            let mut want = vec![0.0; c.nrows()];
+            c.mul_vec_into(&x, &mut want);
+            let mut want_fold = Recorder::new();
+            for (i, v) in want.iter_mut().enumerate() {
+                *v = want_fold.row(i, *v);
+            }
+            let want_bits: Vec<u64> = want.iter().map(|v| v.to_bits()).collect();
+            for chunks in [1, 2, 3, 7] {
+                let plan = ChunkPlan::new(&c, chunks);
+                prop_assert_eq!(plan.kernel_kind(), kind);
+                for pool in &pools {
+                    for nested in [false, true] {
+                        waited |= nested && pool.threads() == 4 && plan.len() > 1;
+                        let (got, fold) = folded_product(&c, &x, &plan, pool, nested);
+                        let got_bits: Vec<u64> = got.iter().map(|v| v.to_bits()).collect();
+                        let case = format!(
+                            "{kind} chunks={chunks} pool={} nested={nested}",
+                            pool.threads()
+                        );
+                        prop_assert_eq!(&want_bits, &got_bits, "{}", case);
+                        prop_assert_eq!(want_fold.record(), fold.record(), "{}", case);
+                    }
+                }
+            }
+        }
+        if waited {
+            prop_assert!(pools[2].stats().stolen_chunks > stolen_before);
         }
     }
 

@@ -38,6 +38,8 @@
 pub mod adaptive;
 pub mod ode;
 pub mod rsd;
+#[cfg(test)]
+mod separate_passes;
 pub mod sr;
 mod window;
 

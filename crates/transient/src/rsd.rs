@@ -35,11 +35,11 @@
 //! horizons all reach detection therefore costs `n*` products in total,
 //! not `n*` per horizon.
 
-use crate::window::PoissonWindows;
+use crate::window::{PoissonWindows, RewardDot};
 use crate::{MeasureKind, Solution};
 use regenr_ctmc::{Ctmc, Uniformized};
 use regenr_numeric::PoissonWeights;
-use regenr_sparse::{ParallelConfig, Workspace};
+use regenr_sparse::{ParallelConfig, RowFold, Workspace};
 use std::sync::Arc;
 
 /// Sliding-window length for the contraction-ratio estimate.
@@ -169,21 +169,19 @@ impl<'a> RsdSolver<'a> {
         let Some(max_right) = windows.max_right() else {
             return reports;
         };
-        let r_max = self.ctmc.max_reward();
-        let detect_budget = self.opts.epsilon / 2.0;
+        let mut detector = Detector::new(self.ctmc.max_reward(), self.opts.epsilon / 2.0);
 
         let stepper = self.unif.stepper(&self.opts.parallel);
         let mut pi = ws.take_copied(self.ctmc.initial());
         let mut next = ws.take_zeroed(pi.len());
-        let mut ratios: Vec<f64> = Vec::with_capacity(RATIO_WINDOW);
-        let mut prev_delta = f64::INFINITY;
+        let mut rr = self.ctmc.reward_dot(&pi);
         let mut detected_at = None;
         let mut final_delta = f64::NAN;
 
         for n in 0..=max_right {
             // A Poisson window ending before detection closes after `n`
             // steps, as in SR.
-            windows.add(n, self.ctmc.reward_dot(&pi), |h, solution| {
+            windows.add(n, rr, |h, solution| {
                 reports[h] = RsdReport {
                     solution,
                     detected_at: None,
@@ -194,40 +192,18 @@ impl<'a> RsdSolver<'a> {
                 break;
             }
 
-            stepper.step(&pi, &mut next);
-            // d_{n+1} = ||π_{n+1} − π_n||₁.
-            let d: f64 = next.iter().zip(&pi).map(|(a, b)| (a - b).abs()).sum();
+            // One pass per step: the product folds in d_{n+1} =
+            // ‖π_{n+1} − π_n‖₁ and r·π_{n+1}, the next window term.
+            let fold = StepFold::new(&pi, self.ctmc.rewards());
+            let fold = stepper.step_folded(&pi, &mut next, fold);
+            let d = fold.delta;
+            rr = fold.dot.value();
             std::mem::swap(&mut pi, &mut next);
             let steps = (n + 1) as usize;
             final_delta = d;
-
-            // An exact fixed point (d = 0, common when the contraction is so
-            // strong that d underflows before the ratio window fills) is
-            // stationarity with zero tail error: detect immediately.
-            if d == 0.0 {
+            if detector.detects(steps, d) {
                 detected_at = Some(steps);
                 break;
-            }
-
-            if prev_delta.is_finite() && prev_delta > 0.0 {
-                let ratio = (d / prev_delta).min(1.0);
-                if ratios.len() == RATIO_WINDOW {
-                    ratios.remove(0);
-                }
-                ratios.push(ratio);
-            }
-            prev_delta = d;
-
-            if steps >= WARMUP && ratios.len() == RATIO_WINDOW {
-                // Conservative contraction estimate: worst ratio in the window.
-                let rho = ratios.iter().copied().fold(0.0f64, f64::max);
-                if rho < 1.0 - 1e-9 {
-                    let tail_bound = r_max * d * rho / (1.0 - rho);
-                    if tail_bound <= detect_budget {
-                        detected_at = Some(steps);
-                        break;
-                    }
-                }
             }
         }
 
@@ -239,7 +215,6 @@ impl<'a> RsdSolver<'a> {
         // Horizons with `R_t < n*` closed in the loop.
         if let Some(n_star) = detected_at {
             let n_star = n_star as u64;
-            let rr = self.ctmc.reward_dot(&pi);
             let tail = |w: &PoissonWeights| match measure {
                 MeasureKind::Trr => w.survival(n_star),
                 MeasureKind::Mrr => w.expected_excess(n_star + 1),
@@ -259,6 +234,78 @@ impl<'a> RsdSolver<'a> {
         ws.give(pi);
         ws.give(next);
         reports
+    }
+}
+
+/// RSD's per-step fold: `‖π_{n+1} − π_n‖₁` and `r·π_{n+1}`, each summed in
+/// row order from `-0.0` as the separate passes over the stored vectors
+/// summed them.
+struct StepFold<'a> {
+    prev: &'a [f64],
+    delta: f64,
+    dot: RewardDot<'a>,
+}
+
+impl<'a> StepFold<'a> {
+    fn new(prev: &'a [f64], rewards: &'a [f64]) -> Self {
+        StepFold {
+            prev,
+            delta: -0.0,
+            dot: RewardDot::new(rewards),
+        }
+    }
+}
+
+impl RowFold for StepFold<'_> {
+    #[inline(always)]
+    fn row(&mut self, i: usize, v: f64) -> f64 {
+        self.delta += (v - self.prev[i]).abs();
+        self.dot.row(i, v)
+    }
+}
+
+/// The detection rule of the module docs, fed `d_n` once per step.
+pub(crate) struct Detector {
+    /// The last `RATIO_WINDOW` ratios `d_n / d_{n−1}` (capped at 1).
+    ratios: Vec<f64>,
+    prev_delta: f64,
+    r_max: f64,
+    budget: f64,
+}
+
+impl Detector {
+    pub(crate) fn new(r_max: f64, budget: f64) -> Self {
+        Detector {
+            ratios: Vec::with_capacity(RATIO_WINDOW),
+            prev_delta: f64::INFINITY,
+            r_max,
+            budget,
+        }
+    }
+
+    /// Whether stationarity is detected after `steps` steps, the last of
+    /// which moved the iterate by `d` in L1.
+    pub(crate) fn detects(&mut self, steps: usize, d: f64) -> bool {
+        // An exact fixed point (d = 0, common when the contraction is so
+        // strong that d underflows before the ratio window fills) is
+        // stationarity with zero tail error: detect immediately.
+        if d == 0.0 {
+            return true;
+        }
+        if self.prev_delta.is_finite() && self.prev_delta > 0.0 {
+            let ratio = (d / self.prev_delta).min(1.0);
+            if self.ratios.len() == RATIO_WINDOW {
+                self.ratios.remove(0);
+            }
+            self.ratios.push(ratio);
+        }
+        self.prev_delta = d;
+        if steps < WARMUP || self.ratios.len() < RATIO_WINDOW {
+            return false;
+        }
+        // Conservative contraction estimate: worst ratio in the window.
+        let rho = self.ratios.iter().copied().fold(0.0f64, f64::max);
+        rho < 1.0 - 1e-9 && self.r_max * d * rho / (1.0 - rho) <= self.budget
     }
 }
 

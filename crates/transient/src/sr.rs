@@ -14,7 +14,7 @@
 //! selling point), sums are compensated, and distributions are propagated by
 //! gather-style products on `Pᵀ` (parallelized above a size threshold).
 
-use crate::window::PoissonWindows;
+use crate::window::{PoissonWindows, RewardDot};
 use crate::{MeasureKind, Solution};
 use regenr_ctmc::{Ctmc, Uniformized};
 use regenr_sparse::{ParallelConfig, Workspace};
@@ -125,11 +125,15 @@ impl<'a> SrSolver<'a> {
             }
         });
         let mut next = ws.take_zeroed(pi.len());
+        let mut rr = self.ctmc.reward_dot(&pi);
         for n in 0..=max_right {
             regenr_failpoint::failpoint!("sr-step");
-            windows.add(n, self.ctmc.reward_dot(&pi), |h, cell| cells[h] = cell);
+            windows.add(n, rr, |h, cell| cells[h] = cell);
             if n < max_right {
-                stepper.step(&pi, &mut next);
+                // One pass per step: the product folds in r·π_{n+1}, the
+                // next window term.
+                let fold = RewardDot::new(self.ctmc.rewards());
+                rr = stepper.step_folded(&pi, &mut next, fold).value();
                 std::mem::swap(&mut pi, &mut next);
             }
         }

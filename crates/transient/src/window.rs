@@ -8,14 +8,45 @@
 //! * `MRR`: `P[N(t) ≥ n+1] · r·π_n`, finished by `÷ Λt`,
 //!
 //! which closes at its right point `R_t`: the cell's `steps` is `R_t`. A
-//! solver feeds `r·π_n` once per step; what it does between steps (RSD's
-//! detection, Adaptive's frontier) stays its own. `t = 0` and an all-zero
+//! solver feeds `r·π_n` once per step; SR and RSD fold it into the product
+//! that computes `π_n` ([`RewardDot`]). What a solver does between steps
+//! (RSD's detection, Adaptive's frontier) stays its own. `t = 0` and an all-zero
 //! reward vector need no propagation: those cells are `r·α` with zero steps
 //! and a zero bound.
 
 use crate::{MeasureKind, Solution};
 use regenr_ctmc::Ctmc;
 use regenr_numeric::{KahanSum, PoissonWeights};
+use regenr_sparse::RowFold;
+
+/// The term a solver feeds [`PoissonWindows::add`], `r·π_{n+1}`, folded
+/// into the product that computes `π_{n+1}`: each row adds `v·r_i` as it
+/// is stored, in row order from `-0.0`, exactly the sum
+/// [`Ctmc::reward_dot`] takes over the stored vector.
+#[derive(Clone, Copy)]
+pub(crate) struct RewardDot<'a> {
+    rewards: &'a [f64],
+    dot: f64,
+}
+
+impl<'a> RewardDot<'a> {
+    pub(crate) fn new(rewards: &'a [f64]) -> Self {
+        RewardDot { rewards, dot: -0.0 }
+    }
+
+    /// `r·π` over the rows folded so far.
+    pub(crate) fn value(&self) -> f64 {
+        self.dot
+    }
+}
+
+impl RowFold for RewardDot<'_> {
+    #[inline(always)]
+    fn row(&mut self, i: usize, v: f64) -> f64 {
+        self.dot += v * self.rewards[i];
+        v
+    }
+}
 
 /// One Poisson window and compensated sum per horizon of a grid.
 pub(crate) struct PoissonWindows<'t> {
