@@ -1240,7 +1240,6 @@ fn serve_load() {
             bad_requests: after.bad_requests - before.bad_requests,
             cells_streamed: after.cells_streamed - before.cells_streamed,
             inflight_highwater: after.inflight_highwater,
-            run_retries: after.run_retries - before.run_retries,
             handler_panics: after.handler_panics - before.handler_panics,
         };
         before = after;
@@ -1323,9 +1322,10 @@ fn serve_load() {
 /// `repro chaos` — a fault storm against an in-process server with
 /// failpoints armed. Each phase injects one class of infrastructure fault
 /// (run-owner death, chunk panic, NaN corruption, cache-build abort, slow
-/// writes) and asserts the robustness bars: no stranded client, recovered
-/// values bitwise-identical to running the fallback method directly, and
-/// a healthy server afterwards. Results land in `results/chaos.csv`.
+/// writes) and asserts the robustness bars: no stranded client, a dead
+/// owner's run ended for every subscriber, recovered values
+/// bitwise-identical to running the fallback method directly, and a
+/// healthy server afterwards. Results land in `results/chaos.csv`.
 #[cfg(feature = "failpoints")]
 fn chaos() {
     use regenr_engine::serve::http::http_request;
@@ -1386,9 +1386,70 @@ fn chaos() {
         *n
     }
 
+    // Storms with `failpoints` armed, which must fire `site` exactly once;
+    // returns the answers and the storm's wall time in ms.
+    fn faulted(
+        addr: SocketAddr,
+        failpoints: &str,
+        site: &str,
+        path: &'static str,
+        spec: &str,
+        clients: usize,
+    ) -> (Vec<(u16, String)>, f64) {
+        regenr_failpoint::configure(failpoints).unwrap();
+        let t0 = Instant::now();
+        let results = storm(addr, path, spec, clients);
+        let wall = t0.elapsed().as_secs_f64() * 1e3;
+        let fired = regenr_failpoint::fired_count(site);
+        regenr_failpoint::clear();
+        assert_eq!(fired, 1, "failpoint {site} must fire once");
+        (results, wall)
+    }
+
+    // The status of a stream's last record, which must be its summary.
+    fn summary_status(body: &str) -> Option<&str> {
+        let last = body.lines().last()?;
+        if !last.contains(r#""record":"summary""#) {
+            return None;
+        }
+        ["ok", "deadline", "error"]
+            .into_iter()
+            .find(|s| last.contains(&format!(r#""status":"{s}""#)))
+    }
+
+    // The one cell of a `200` `/sweep/report` answer.
+    fn only_cell((status, body): &(u16, String)) -> Json {
+        assert_eq!(*status, 200, "{body}");
+        let doc = Json::parse(body).expect("report json");
+        let Some(Json::Arr(cells)) = doc.get("reports") else {
+            panic!("report has no cells: {body}")
+        };
+        assert_eq!(cells.len(), 1, "{body}");
+        cells[0].clone()
+    }
+
+    // The bitwise bar: `answer`'s cell recovered on `via`, on its second
+    // attempt, with exactly the bits `direct` (the same spec asking for
+    // `via`, no fault armed) gives. Returns the direct cell.
+    let recovered = |answer: &(u16, String), via: &str, direct: &str| {
+        let cell = only_cell(answer);
+        assert_eq!(cell.get("recovered_via"), Some(&Json::Str(via.into())));
+        assert_eq!(num_at(&cell, &["attempts"]), 2.0);
+        let value = num_at(&cell, &["value"]);
+        let direct = only_cell(&storm(addr, "/sweep/report", direct, 1)[0]);
+        let direct_value = num_at(&direct, &["value"]);
+        assert_eq!(
+            value.to_bits(),
+            direct_value.to_bits(),
+            "recovered value {value:e} must be bitwise identical to direct {via} {direct_value:e}"
+        );
+        println!("      bitwise: recovered {via} == direct {via} ({value:.12e})");
+        direct
+    };
+
     let mut csv = CsvWriter::create(
         "chaos",
-        "phase,clients,ok,run_retries,handler_panics,retries,recovered_cells,wall_ms",
+        "phase,clients,ok,handler_panics,retries,recovered_cells,wall_ms",
     )
     .unwrap();
     let mut before_stats = server.stats();
@@ -1396,19 +1457,17 @@ fn chaos() {
     let mut record = |name: &str, clients: usize, ok: usize, wall_ms: f64| {
         let stats = server.stats();
         let robust = server.robustness();
-        let run_retries = stats.run_retries - before_stats.run_retries;
         let panics = stats.handler_panics - before_stats.handler_panics;
         let retries = robust.retries - before_robust.retries;
         let recovered = robust.recovered_cells - before_robust.recovered_cells;
         println!(
-            "  {name:>12}: {ok}/{clients} ok in {wall_ms:>7.1} ms — run_retries {run_retries} \
-             handler_panics {panics} retries {retries} recovered_cells {recovered}"
+            "  {name:>12}: {ok}/{clients} ok in {wall_ms:>7.1} ms — handler_panics {panics} \
+             retries {retries} recovered_cells {recovered}"
         );
         csv.row(&[
             name.into(),
             clients.to_string(),
             ok.to_string(),
-            run_retries.to_string(),
             panics.to_string(),
             retries.to_string(),
             recovered.to_string(),
@@ -1417,128 +1476,106 @@ fn chaos() {
         .unwrap();
         before_stats = stats;
         before_robust = robust;
-        (run_retries, retries, recovered)
+        (panics, retries, recovered)
     };
 
-    // Phase 1 — owner kill: 32 identical streaming clients; the run's
-    // owner panics mid-compute (after the stall, so every client has
-    // subscribed). The owner must retry the attempt in place: every
-    // client still receives a complete stream with an "ok" summary.
+    // Phase 1 — owner kill: 32 identical streaming clients subscribe while
+    // a build delay holds the run's owner in its model build, then the
+    // owner panics as it starts computing. The run is not rerun: every
+    // client gets a complete stream whose summary reads "error", and the
+    // identical spec sent afterwards computes and reads "ok".
     {
-        regenr_failpoint::configure("serve-owner=panic,count=1").unwrap();
-        let spec = r#"{"horizons":[1,10,100],"debug_stall_ms":150,"models":[{"kind":"raid","g":8}],"epsilon":1e-10}"#;
-        let t0 = Instant::now();
-        let results = storm(addr, "/sweep", spec, 32);
-        let wall = t0.elapsed().as_secs_f64() * 1e3;
-        let fired = regenr_failpoint::fired_count("serve-owner");
-        regenr_failpoint::clear();
-        assert!(fired >= 1, "the owner-kill failpoint never fired");
-        let ok = results
+        let spec = r#"{"horizons":[1,10,100],"models":[{"kind":"raid","g":8}],"epsilon":1e-10}"#;
+        let (results, wall) = faulted(
+            addr,
+            "ctmc-csr-build=delay:300;serve-owner=panic,count=1",
+            "serve-owner",
+            "/sweep",
+            spec,
+            32,
+        );
+        let ended = results
             .iter()
-            .filter(|(status, body)| {
-                *status == 200
-                    && body
-                        .lines()
-                        .last()
-                        .is_some_and(|l| l.contains(r#""record":"summary""#))
-                    && body.lines().last().unwrap().contains(r#""status":"ok""#)
-            })
+            .filter(|(status, body)| *status == 200 && summary_status(body) == Some("error"))
             .count();
-        let (run_retries, _, _) = record("owner-kill", 32, ok, wall);
-        assert_eq!(ok, 32, "every client must see a recovered, ok stream");
-        assert!(run_retries >= 1, "the owner must have retried the run");
+        let (panics, _, _) = record("owner-kill", 32, ended, wall);
+        assert_eq!(ended, 32, "every stream must end in an error summary");
+        assert_eq!(panics, 1, "one owner died, once");
+        let (status, body) = &storm(addr, "/sweep", spec, 1)[0];
+        assert_eq!((*status, summary_status(body)), (200, Some("ok")), "{body}");
     }
 
     // Phase 2 — chunk panic: a pool chunk panics mid-SpMV; the supervisor
-    // catches the unwind, discards the worker's arenas, and retries the
-    // same method under the spec's "max_retries" budget.
+    // catches the unwind, discards the worker's arenas, and recovers on the
+    // fallback. RAID G = 20 UA at t = 100 plans RSD, whose fallback is SR.
     {
-        regenr_failpoint::configure("pool-chunk=panic,count=1").unwrap();
-        let spec = r#"{"horizons":[10000],"max_retries":2,"models":[{"kind":"raid","g":20}],"epsilon":1e-10}"#;
-        let t0 = Instant::now();
-        let results = storm(addr, "/sweep/report", spec, 1);
-        let wall = t0.elapsed().as_secs_f64() * 1e3;
-        let chunk_fired = regenr_failpoint::fired_count("pool-chunk") >= 1;
-        regenr_failpoint::clear();
-        let ok = results.iter().filter(|(s, _)| *s == 200).count();
-        let (_, retries, _) = record("chunk-panic", 1, ok, wall);
-        assert_eq!(ok, 1, "the chunk panic must be absorbed, not surfaced");
-        if chunk_fired {
-            assert!(retries >= 1, "the supervisor must have retried the job");
-        } else {
-            // Single-threaded machines run the pool inline and never reach
-            // the chunk failpoint; the phase still proves a clean solve.
-            println!("      (pool ran inline; chunk failpoint not reached)");
-        }
+        let spec = |method: &str| {
+            format!(
+                r#"{{"horizons":[100],"method":"{method}","models":[{{"kind":"raid","g":20}}],"epsilon":1e-10}}"#
+            )
+        };
+        let (results, wall) = faulted(
+            addr,
+            "pool-chunk=panic,count=1",
+            "pool-chunk",
+            "/sweep/report",
+            &spec("auto"),
+            1,
+        );
+        let (_, retries, recovered_cells) = record("chunk-panic", 1, 1, wall);
+        assert_eq!((retries, recovered_cells), (1, 1), "one fallback recovered");
+        recovered(&results[0], "sr", &spec("sr"));
     }
 
     // Phase 3 — NaN injection: RRL's inverted value is corrupted to NaN.
-    // The health check rejects it and the supervisor falls back to RR; the
-    // recovered value must be bitwise identical to asking for RR directly.
-    let nan_value = {
-        regenr_failpoint::configure("rrl-nan=nan,count=1").unwrap();
-        let spec = r#"{"horizons":[10000],"method":"rrl","models":[{"kind":"raid","g":8,"absorbing":true}],"epsilon":1e-10}"#;
-        let t0 = Instant::now();
-        let results = storm(addr, "/sweep/report", spec, 1);
-        let wall = t0.elapsed().as_secs_f64() * 1e3;
-        let fired = regenr_failpoint::fired_count("rrl-nan");
-        regenr_failpoint::clear();
-        assert!(fired >= 1, "the NaN failpoint never fired");
-        let (status, body) = &results[0];
-        assert_eq!(*status, 200, "the NaN must be recovered, not surfaced");
-        let doc = Json::parse(body).expect("report json");
-        let Some(Json::Arr(cells)) = doc.get("reports") else {
-            panic!("report has no cells: {body}")
-        };
-        assert_eq!(cells.len(), 1);
-        let cell = &cells[0];
-        let Some(Json::Str(via)) = cell.get("recovered_via") else {
-            panic!("cell must be annotated with recovered_via: {body}")
-        };
-        assert_eq!(via, "rr", "RRL's first fallback is RR");
-        assert!(num_at(cell, &["attempts"]) >= 2.0);
-        let (_, _, recovered) = record("nan-inject", 1, 1, wall);
-        assert!(recovered >= 1, "the recovery must be counted");
-        num_at(cell, &["value"])
-    };
-    // The bitwise bar: the same sweep asked to run RR directly (no faults
-    // armed) must produce the exact same bits the fallback produced.
+    // The health check rejects it and the supervisor falls back to RR,
+    // RRL's first fallback.
     {
-        let spec = r#"{"horizons":[10000],"method":"rr","models":[{"kind":"raid","g":8,"absorbing":true}],"epsilon":1e-10}"#;
-        let (status, body) = http_request(addr, "POST", "/sweep/report", spec).expect("request");
-        assert_eq!(status, 200);
-        let doc = Json::parse(&body_str(&body)).expect("report json");
-        let Some(Json::Arr(cells)) = doc.get("reports") else {
-            panic!("no cells")
+        let spec = |method: &str| {
+            format!(
+                r#"{{"horizons":[10000],"method":"{method}","models":[{{"kind":"raid","g":8,"absorbing":true}}],"epsilon":1e-10}}"#
+            )
         };
-        let direct = num_at(&cells[0], &["value"]);
-        assert_eq!(
-            nan_value.to_bits(),
-            direct.to_bits(),
-            "recovered value {nan_value:e} must be bitwise identical to direct RR {direct:e}"
+        let (results, wall) = faulted(
+            addr,
+            "rrl-nan=nan,count=1",
+            "rrl-nan",
+            "/sweep/report",
+            &spec("rrl"),
+            1,
         );
-        println!("      bitwise: recovered rr == direct rr ({nan_value:.12e})");
+        let (_, _, recovered_cells) = record("nan-inject", 1, 1, wall);
+        assert_eq!(recovered_cells, 1, "the recovery must be counted");
+        recovered(&results[0], "rr", &spec("rr"));
     }
 
     // Phase 4 — cache-build abort: the uniformization build panics once
-    // mid-construction. The cache's slot cleanup unpoisons the key and the
-    // supervisor's retry rebuilds it.
+    // mid-construction. The cache's slot cleanup removes the aborted slot
+    // as the build unwinds, so the SR fallback builds the same uniformized
+    // chain afresh, and the direct SR request finds it in the cache. RAID
+    // G = 10 UA at t = 200 plans RSD (Λt = 2,750), whose fallback is SR.
     {
-        regenr_failpoint::configure("cache-build-unif=panic,count=1").unwrap();
-        let spec = r#"{"horizons":[100],"max_retries":1,"models":[{"kind":"raid","g":10}],"epsilon":1e-10}"#;
-        let t0 = Instant::now();
-        let results = storm(addr, "/sweep/report", spec, 1);
-        let wall = t0.elapsed().as_secs_f64() * 1e3;
-        let fired = regenr_failpoint::fired_count("cache-build-unif");
-        regenr_failpoint::clear();
-        assert!(fired >= 1, "the cache-build failpoint never fired");
-        let ok = results.iter().filter(|(s, _)| *s == 200).count();
-        let (_, retries, _) = record("cache-abort", 1, ok, wall);
-        assert_eq!(
-            ok, 1,
-            "the aborted cache build must be retried, not surfaced"
+        let spec = |method: &str| {
+            format!(
+                r#"{{"horizons":[200],"method":"{method}","models":[{{"kind":"raid","g":10}}],"epsilon":1e-10}}"#
+            )
+        };
+        let (results, wall) = faulted(
+            addr,
+            "cache-build-unif=panic,count=1",
+            "cache-build-unif",
+            "/sweep/report",
+            &spec("auto"),
+            1,
         );
-        assert!(retries >= 1);
+        let (_, retries, _) = record("cache-abort", 1, 1, wall);
+        assert_eq!(retries, 1);
+        let direct = recovered(&results[0], "sr", &spec("sr"));
+        assert_eq!(
+            direct.get("unif_cache_hit"),
+            Some(&Json::Bool(true)),
+            "the rebuilt uniformization must be live in the cache"
+        );
     }
 
     // Phase 5 — slow writes: every 5th cell record written to any client
@@ -1552,13 +1589,7 @@ fn chaos() {
         regenr_failpoint::clear();
         let ok = results
             .iter()
-            .filter(|(status, body)| {
-                *status == 200
-                    && body
-                        .lines()
-                        .last()
-                        .is_some_and(|l| l.contains(r#""record":"summary""#))
-            })
+            .filter(|(status, body)| *status == 200 && summary_status(body).is_some())
             .count();
         record("slow-write", 32, ok, wall);
         assert_eq!(ok, 32, "slow writes must not wedge or truncate any stream");
@@ -1588,8 +1619,8 @@ fn chaos() {
     run_handle.join().expect("drain");
     let total = server.stats();
     println!(
-        "  healthy after storm: requests={} sweeps={} run_retries={} handler_panics={}",
-        total.requests, total.sweeps, total.run_retries, total.handler_panics
+        "  healthy after storm: requests={} sweeps={} handler_panics={}",
+        total.requests, total.sweeps, total.handler_panics
     );
     println!("  chaos: all bars passed");
 }

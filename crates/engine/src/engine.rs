@@ -76,11 +76,6 @@ pub struct SolveRequest {
     /// only cross-checks under `debug_assertions`. `None` means the engine
     /// fingerprints the model itself.
     pub fps: Option<crate::fingerprint::ModelFps>,
-    /// Extra same-method attempts the sweep supervisor may spend on a
-    /// failing cell before walking the method-fallback chain (panics,
-    /// solver errors, and health-check failures all count). `0` — the
-    /// default — means one attempt per method.
-    pub max_retries: usize,
 }
 
 impl SolveRequest {
@@ -95,7 +90,6 @@ impl SolveRequest {
             method: MethodChoice::Auto,
             regen_state: None,
             fps: None,
-            max_retries: 0,
         }
     }
 
@@ -114,12 +108,6 @@ impl SolveRequest {
     /// Sets the method selection.
     pub fn method(mut self, method: MethodChoice) -> Self {
         self.method = method;
-        self
-    }
-
-    /// Sets the supervisor's same-method retry budget.
-    pub fn max_retries(mut self, max_retries: usize) -> Self {
-        self.max_retries = max_retries;
         self
     }
 }
@@ -201,9 +189,10 @@ pub struct SolveReport {
     pub params_cache_hit: bool,
     /// Wall time of this cell's share of the solve.
     pub wall: Duration,
-    /// Solve attempts the supervisor spent on this cell's job (`1` for the
-    /// common healthy path). Execution accounting — omitted, like `wall`
-    /// and `kernel`, from `--stable` reports.
+    /// Solve attempts the supervisor spent on this cell's job, one per
+    /// method tried (`1` for the common healthy path). Execution
+    /// accounting — omitted, like `wall` and `kernel`, from `--stable`
+    /// reports.
     pub attempts: u32,
     /// When the cell recovered on a *different* method than planned, the
     /// method that produced this value (equal to `method`); `None` for
@@ -264,10 +253,10 @@ pub struct RobustnessStats {
     /// flag unset).
     pub health_failures: u64,
     /// Jobs that produced their result on a fallback method after the
-    /// planned method's attempts were exhausted.
+    /// planned method failed.
     pub fallbacks: u64,
-    /// Re-attempts after a failed attempt, on any method (same-method
-    /// retries and fallback attempts both count).
+    /// Fallback attempts: every method tried after the planned one
+    /// failed, whether or not it recovered the job.
     pub retries: u64,
     /// Cells whose final value arrived after at least one failed attempt.
     pub recovered_cells: u64,
@@ -492,7 +481,7 @@ impl Job {
 }
 
 /// The supervisor's deterministic method-fallback chain: methods to try,
-/// in order, after the planned method's attempts are exhausted. Every
+/// once each and in order, after the planned method fails. Every
 /// fallback supports absorbing chains and MRR, ends in SR (the rigorous
 /// always-applicable baseline), and never *adds* capability requirements —
 /// so a fallback attempt can only fail for the same reasons any solve can.
@@ -839,11 +828,9 @@ impl Engine {
 
     /// Supervised execution of one job: run the planned method, health-check
     /// every solution, and on a panic, a solver error, or a health failure
-    /// retry — first the same method up to the request's `max_retries`
-    /// budget, then down the deterministic [`fallback_chain`]. Backoff
-    /// between attempts is a short, bounded, deterministic sleep (failure
-    /// causes that heal with time — a cache slot mid-rebuild, a transient
-    /// pool stall — get room to do so without turning retries into a spin).
+    /// try each method of the deterministic [`fallback_chain`] once. The
+    /// solvers are deterministic, so rerunning a method on the same inputs
+    /// would only repeat its failure: each method gets one attempt.
     fn run_supervised(
         &self,
         req: &SolveRequest,
@@ -851,84 +838,72 @@ impl Engine {
         ws: &mut Workspace,
         counters: &RobustCounters,
     ) -> Result<Vec<SolveReport>, EngineError> {
-        let mut attempts: u32 = 0;
         let mut last_err: Option<EngineError> = None;
         for (mi, method) in std::iter::once(job.method)
             .chain(fallback_chain(job.method).iter().copied())
             .enumerate()
         {
-            let tries = if mi == 0 {
-                1 + req.max_retries as u32
-            } else {
-                1
-            };
             let fallback_job;
-            let job_m: &Job = if method == job.method {
+            let job_m: &Job = if mi == 0 {
                 job
             } else {
+                counters.retries.fetch_add(1, Ordering::Relaxed);
                 fallback_job = job.with_method(method);
                 &fallback_job
             };
-            for _ in 0..tries {
-                // Any attempt after the first is a retry.
-                if attempts > 0 {
-                    counters.retries.fetch_add(1, Ordering::Relaxed);
-                    std::thread::sleep(Duration::from_millis(u64::from(attempts.min(4))));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                self.run_job(req, job_m, ws)
+            }));
+            let err = match outcome {
+                Err(payload) => {
+                    // Nothing the unwound solver touched may reach the
+                    // next occupant of this worker's arena.
+                    ws.discard_all();
+                    EngineError::JobPanicked(panic_message(&payload))
                 }
-                attempts += 1;
-                let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    self.run_job(req, job_m, ws)
-                }));
-                let err = match outcome {
-                    Err(payload) => {
-                        // Nothing the unwound solver touched may reach the
-                        // next occupant of this worker's arena.
-                        ws.discard_all();
-                        EngineError::JobPanicked(panic_message(&payload))
+                Ok(Err(e)) => e,
+                Ok(Ok(mut reports)) => match health_check(req, &reports) {
+                    Err(why) => {
+                        counters.health_failures.fetch_add(1, Ordering::Relaxed);
+                        EngineError::Unhealthy(why)
                     }
-                    Ok(Err(e)) => e,
-                    Ok(Ok(mut reports)) => match health_check(req, &reports) {
-                        Err(why) => {
-                            counters.health_failures.fetch_add(1, Ordering::Relaxed);
-                            EngineError::Unhealthy(why)
+                    Ok(()) => {
+                        if mi > 0 {
+                            counters.fallbacks.fetch_add(1, Ordering::Relaxed);
+                            counters
+                                .recovered_cells
+                                .fetch_add(reports.len() as u64, Ordering::Relaxed);
                         }
-                        Ok(()) => {
-                            if attempts > 1 {
-                                counters
-                                    .recovered_cells
-                                    .fetch_add(reports.len() as u64, Ordering::Relaxed);
-                            }
-                            if mi > 0 {
-                                counters.fallbacks.fetch_add(1, Ordering::Relaxed);
-                            }
-                            for r in &mut reports {
-                                r.attempts = attempts;
-                                r.recovered_via = (mi > 0).then_some(method);
-                            }
-                            return Ok(reports);
+                        for r in &mut reports {
+                            r.attempts = mi as u32 + 1;
+                            r.recovered_via = (mi > 0).then_some(method);
                         }
-                    },
-                };
-                // Only infrastructure failures (panics, injected faults,
-                // corrupted solutions) are worth retrying; a model/request
-                // error is deterministic and would only be masked by a
-                // fallback silently answering a different question. On a
-                // *fallback* method the same error just means this method
-                // is ineligible for the model — move to the next one and
-                // keep reporting the infrastructure cause.
-                if !err.is_infrastructure() {
-                    if mi == 0 {
-                        return Err(err);
+                        return Ok(reports);
                     }
-                    break;
+                },
+            };
+            // Only infrastructure failures (panics, injected faults,
+            // corrupted solutions) are worth a fallback; a model/request
+            // error is deterministic and would only be masked by a
+            // fallback silently answering a different question. On a
+            // *fallback* method the same error just means this method is
+            // ineligible for the model — move to the next one and keep
+            // reporting the infrastructure cause.
+            if !err.is_infrastructure() {
+                if mi == 0 {
+                    return Err(err);
                 }
-                last_err = Some(err);
+                continue;
             }
+            last_err = Some(err);
         }
         Err(last_err.expect("supervisor made at least one attempt"))
     }
 
     /// Solves one request (sequentially); reports follow the horizon order.
+    /// Unlike [`Engine::sweep`], it runs each job once and unsupervised:
+    /// no health check, no fallback, and a solver panic unwinds to the
+    /// caller.
     pub fn solve(&self, req: &SolveRequest) -> Result<Vec<SolveReport>, EngineError> {
         let jobs = self.plan(0, req)?;
         let mut ws = Workspace::new();
@@ -996,8 +971,8 @@ impl Engine {
 
         // Every job runs under the supervisor: panics are caught (isolated
         // from the worker pool and from other jobs), every solution is
-        // health-checked, and failing jobs retry down the method-fallback
-        // chain before they are reported as that request's failure. The job
+        // health-checked, and failing jobs walk the method-fallback chain
+        // before they are reported as that request's failure. The job
         // cells themselves are written only after the catch, so they can
         // never be poisoned by solver code. Each worker owns one workspace
         // for all the jobs it claims, so scratch vectors are reused across

@@ -19,9 +19,10 @@
 //!   repeated requests across horizons/tolerances skip the expensive
 //!   rebuilds and rate variants of one topology re-bind the cached `Pᵀ`
 //!   pattern and Tarjan facts instead of rebuilding them;
-//! * [`Engine::sweep`] — scoped-thread parallel execution over
-//!   `(model × measure × horizon)` grids, plus the `regenr` CLI binary that
-//!   runs a sweep from a JSON spec and prints a JSON report.
+//! * [`Engine::sweep`] — parallel, supervised execution of
+//!   `(model × measure × horizon)` grids on the shared `WorkerPool`, plus
+//!   the `regenr` CLI binary that runs a sweep from a JSON spec and prints
+//!   a JSON report.
 //!
 //! ## Quickstart
 //!
@@ -88,7 +89,8 @@ pub enum EngineError {
     JobPanicked(String),
     /// A solution failed the supervisor's numerical-health check (non-finite
     /// value, value outside the reward bounds, or a method-specific
-    /// convergence flag unset) and every retry/fallback was exhausted.
+    /// convergence flag unset), and no method of its fallback chain
+    /// recovered the job.
     Unhealthy(String),
 }
 

@@ -27,8 +27,8 @@ pub enum RunStatus {
     Ok,
     /// The deadline expired mid-flight; streamed cells stay valid.
     Deadline,
-    /// Every compute attempt unwound (an infrastructure fault); the
-    /// subscribers are released rather than left waiting forever.
+    /// The run's owner unwound while computing (an infrastructure fault);
+    /// the subscribers are released rather than left waiting forever.
     Error,
 }
 

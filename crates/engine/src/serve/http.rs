@@ -42,7 +42,7 @@ impl Request {
 pub enum HttpError {
     /// The bytes on the wire are not an HTTP/1.x request we accept.
     Malformed(&'static str),
-    /// The declared body exceeds the server's limit.
+    /// The head or the declared body exceeds its limit.
     TooLarge,
     /// The socket failed mid-read (client gone, timeout).
     Io(std::io::Error),
@@ -55,12 +55,15 @@ impl From<std::io::Error> for HttpError {
 }
 
 /// Hard cap on the request head (request line + headers).
-const MAX_HEAD_BYTES: usize = 64 * 1024;
+pub const MAX_HEAD_BYTES: usize = 64 * 1024;
 
-/// Reads one request from the stream. `max_body` bounds `Content-Length`;
-/// a head over 64 KiB is [`HttpError::TooLarge`] and a head that
-/// is not UTF-8 is [`HttpError::Malformed`].
-pub fn read_request(stream: impl Read, max_body: usize) -> Result<Request, HttpError> {
+/// Hard cap on a request body's declared `Content-Length`.
+pub const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+
+/// Reads one request from the stream. A head over [`MAX_HEAD_BYTES`] or a
+/// declared body over [`MAX_BODY_BYTES`] is [`HttpError::TooLarge`], and a
+/// head that is not UTF-8 is [`HttpError::Malformed`].
+pub fn read_request(stream: impl Read) -> Result<Request, HttpError> {
     // The head is read through a `take` one byte past its cap, *below* the
     // buffer: an unterminated line can then pull at most that many bytes
     // off the wire, whatever the buffer reads ahead. The limit is lifted
@@ -104,7 +107,7 @@ pub fn read_request(stream: impl Read, max_body: usize) -> Result<Request, HttpE
             }
         }
     }
-    if content_length > max_body {
+    if content_length > MAX_BODY_BYTES {
         return Err(HttpError::TooLarge);
     }
     // Part of the body may already sit in the buffer; the rest is at most
@@ -338,7 +341,7 @@ mod tests {
                 inner: &wire[..],
                 read: 0,
             };
-            let res = read_request(&mut src, 16 << 20);
+            let res = read_request(&mut src);
             assert!(matches!(res, Err(HttpError::TooLarge)), "{res:?}");
             assert!(
                 src.read <= MAX_HEAD_BYTES + 1,
@@ -346,6 +349,24 @@ mod tests {
                 src.read
             );
         }
+    }
+
+    /// A declared body one byte over the cap is too large as soon as the
+    /// head is read: not one byte after the head is consumed.
+    #[test]
+    fn body_over_the_cap_is_refused_before_it_is_read() {
+        let head = format!(
+            "POST /sweep HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+            MAX_BODY_BYTES + 1
+        );
+        let body = vec![b'x'; 4096];
+        let mut src = Counting {
+            inner: head.as_bytes().chain(&body[..]),
+            read: 0,
+        };
+        let res = read_request(&mut src);
+        assert!(matches!(res, Err(HttpError::TooLarge)), "{res:?}");
+        assert_eq!(src.read, head.len(), "a body byte was read");
     }
 
     /// A client that trickles one byte every 20 ms never trips a per-read
@@ -371,7 +392,7 @@ mod tests {
         let (stream, _) = listener.accept().unwrap();
         let t0 = Instant::now();
         let reader = DeadlineReader::new(&stream, t0 + Duration::from_millis(200));
-        let res = read_request(reader, 1024);
+        let res = read_request(reader);
         let took = t0.elapsed();
         assert!(matches!(res, Err(HttpError::Io(_))), "{res:?}");
         assert!(took < Duration::from_secs(1), "read took {took:?}");

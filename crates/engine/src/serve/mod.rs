@@ -38,18 +38,20 @@
 //!    the server, not a request. Accept errors (such as running out of
 //!    file descriptors) back off and never end the loop, and a request
 //!    must arrive whole within one read deadline.
-//! 4. **Fault containment**: an owner whose compute attempt unwinds
-//!    retries it in place, up to [`RUN_RETRIES`] times; handler panics
-//!    answer `500`, exhausted runs answer `503` — infrastructure faults
+//! 4. **Fault containment**: a run's owner computes once; an owner that
+//!    unwinds counts in `handler_panics` and ends its run as
+//!    [`RunStatus::Error`] (`503` on `/sweep/report`, an `error` summary on
+//!    `/sweep`), and a handler panic answers `500` — infrastructure faults
 //!    never masquerade as model errors, which keep their structured `4xx`
-//!    bodies.
+//!    bodies. Recovery from a failed job is the engine supervisor's
+//!    method fallback, inside the one compute.
 //!
-//! Engine-wide knobs (`threads`, `kernel`, `theta`, dispatch thresholds,
-//! `cache`) are fixed at server startup — a spec carrying them is rejected
-//! with `400`, because silently serving it with different options would
-//! produce reports that diverge from the same spec run offline. Per-model
-//! fields (`epsilon`, `method`, `horizons`, `measures`, `regen_state`)
-//! remain fully per-request.
+//! The engine-wide spec knobs (`threads`, `theta`, `cache`) are fixed at
+//! server startup — a spec carrying them is rejected with `400`, because
+//! silently serving it with different options would produce reports that
+//! diverge from the same spec run offline. Per-model fields (`epsilon`,
+//! `method`, `horizons`, `measures`, `regen_state`) remain fully
+//! per-request.
 
 pub mod coalesce;
 pub mod http;
@@ -59,7 +61,10 @@ use crate::engine::{Engine, EngineOptions, SolveReport, SweepProgress, SweepRepo
 use crate::json::Json;
 use crate::spec::{cache_stats_json, cell_to_json, failure_to_json, SweepSpec};
 use coalesce::{InflightTable, Refusal, RunStatus, SharedRun};
-use http::{read_request, write_response, Chunked, DeadlineReader, HttpError, Request};
+use http::{
+    read_request, write_response, Chunked, DeadlineReader, HttpError, Request, MAX_BODY_BYTES,
+    MAX_HEAD_BYTES,
+};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -77,8 +82,6 @@ pub struct ServeConfig {
     /// Maximum distinct sweeps computing concurrently; excess load is
     /// rejected with `429`. Coalesced subscribers don't consume slots.
     pub max_inflight: usize,
-    /// Request body limit (`413` beyond it).
-    pub max_body_bytes: usize,
     /// Artifact-cache capacity. A long-running service must bound its
     /// cache; the default keeps 256 models / 512 MiB under LRU eviction.
     pub cache: CacheConfig,
@@ -90,7 +93,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:7171".into(),
             threads: 0,
             max_inflight: 4,
-            max_body_bytes: 16 * 1024 * 1024,
             cache: CacheConfig {
                 max_entries: Some(256),
                 max_bytes: Some(512 * 1024 * 1024),
@@ -98,10 +100,6 @@ impl Default for ServeConfig {
         }
     }
 }
-
-/// Times a run's owner restarts a compute attempt that unwound, before the
-/// run fails as [`RunStatus::Error`] (a `503` for `/sweep/report`).
-pub const RUN_RETRIES: u32 = 2;
 
 /// Time a client has to send its whole request (head and body), and to
 /// accept each response write.
@@ -138,8 +136,6 @@ pub struct ServeStats {
     pub cells_streamed: u64,
     /// High-water mark of concurrently computing sweeps.
     pub inflight_highwater: u64,
-    /// Compute attempts a run's owner restarted after they unwound.
-    pub run_retries: u64,
     /// Request handlers and run owners that panicked (infrastructure
     /// faults, never request errors).
     pub handler_panics: u64,
@@ -155,7 +151,6 @@ struct ServeCounters {
     bad_requests: AtomicU64,
     cells_streamed: AtomicU64,
     inflight_highwater: AtomicU64,
-    run_retries: AtomicU64,
     handler_panics: AtomicU64,
 }
 
@@ -170,7 +165,6 @@ impl ServeCounters {
             bad_requests: self.bad_requests.load(Ordering::Relaxed),
             cells_streamed: self.cells_streamed.load(Ordering::Relaxed),
             inflight_highwater: self.inflight_highwater.load(Ordering::Relaxed),
-            run_retries: self.run_retries.load(Ordering::Relaxed),
             handler_panics: self.handler_panics.load(Ordering::Relaxed),
         }
     }
@@ -193,7 +187,6 @@ pub fn serve_stats_json(s: &ServeStats) -> Json {
             "inflight_highwater".into(),
             Json::Num(s.inflight_highwater as f64),
         ),
-        ("run_retries".into(), Json::Num(s.run_retries as f64)),
         ("handler_panics".into(), Json::Num(s.handler_panics as f64)),
     ])
 }
@@ -308,7 +301,6 @@ pub struct Server {
     table: InflightTable,
     gate: Gate,
     counters: ServeCounters,
-    cfg: ServeConfig,
     listener: TcpListener,
     local_addr: SocketAddr,
     shutdown: AtomicBool,
@@ -361,7 +353,6 @@ impl Server {
                 cur: Mutex::new(0),
             },
             counters: ServeCounters::default(),
-            cfg,
             listener,
             local_addr,
             shutdown: AtomicBool::new(false),
@@ -387,7 +378,7 @@ impl Server {
     }
 
     /// Service-lifetime robustness counters (summed over every sweep this
-    /// server computed, including retried attempts).
+    /// server computed).
     pub fn robustness(&self) -> crate::engine::RobustnessStats {
         *lock(&self.robust)
     }
@@ -476,8 +467,8 @@ fn infrastructure_refusal() -> Refusal {
         503,
         error_body(
             "infrastructure",
-            "sweep failed for infrastructure reasons (every attempt failed); the spec \
-             is not at fault — retry the request"
+            "sweep failed for infrastructure reasons; the spec is not at fault — retry \
+             the request"
                 .into(),
         ),
     )
@@ -599,8 +590,9 @@ fn spawn_owner(server: &Arc<Server>, run: Arc<SharedRun>, key: String, doc: Json
 }
 
 /// A run owner's work: build the spec, take the admission slot, compute
-/// (retrying an attempt that unwound), publish the final report. Each step
-/// that fails ends the run with a refusal every subscriber answers with.
+/// once, publish the final report. Each step that fails ends the run with
+/// a refusal every subscriber answers with. An owner that unwinds frees
+/// its slot on the way out, and its [`Owner`] guard ends the run.
 fn own_run(server: &Server, run: &SharedRun, doc: &Json) {
     let spec = match build_spec(doc) {
         Ok(spec) => spec,
@@ -613,41 +605,14 @@ fn own_run(server: &Server, run: &SharedRun, doc: &Json) {
         let _release = AdmitRelease(&server.gate);
         server.counters.sweeps.fetch_add(1, Ordering::Relaxed);
         run.accept();
-        let mut retries = 0;
-        loop {
-            let attempt = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                compute(server, &spec, run)
-            }));
-            match attempt {
-                Ok(done) => break done,
-                Err(_) => {
-                    server
-                        .counters
-                        .handler_panics
-                        .fetch_add(1, Ordering::Relaxed);
-                    if retries == RUN_RETRIES {
-                        break (SweepReport::default(), RunStatus::Error);
-                    }
-                    retries += 1;
-                    server.counters.run_retries.fetch_add(1, Ordering::Relaxed);
-                }
-            }
-        }
+        compute(server, &spec, run)
     };
     // The slot is free before any subscriber hears that the run is done.
     run.finish(report, status);
 }
 
-/// One compute attempt: optional stall (load-testing knob), then the
-/// observed sweep with deadline polling. A retried attempt may publish
-/// cells again; the recomputation is deterministic, so they are bitwise
-/// duplicates, and the final report is authoritative.
+/// The run's computation: the observed sweep with deadline polling.
 fn compute(server: &Server, spec: &SweepSpec, run: &SharedRun) -> (SweepReport, RunStatus) {
-    if let Some(ms) = spec.debug_stall_ms {
-        std::thread::sleep(Duration::from_millis(ms));
-    }
-    // After the stall, so a chaos spec using `debug_stall_ms` can gather
-    // subscribers before the injected owner death.
     regenr_failpoint::failpoint!("serve-owner");
     let deadline = spec
         .deadline_ms
@@ -862,7 +827,7 @@ fn handle_connection(server: &Arc<Server>, mut stream: TcpStream) {
     // deadline, and each response write within the same timeout.
     let _ = stream.set_write_timeout(Some(IO_TIMEOUT));
     let reader = DeadlineReader::new(&stream, Instant::now() + IO_TIMEOUT);
-    let req = match read_request(reader, server.cfg.max_body_bytes) {
+    let req = match read_request(reader) {
         Ok(req) => req,
         Err(HttpError::Malformed(what)) => {
             server.counters.bad_requests.fetch_add(1, Ordering::Relaxed);
@@ -874,7 +839,13 @@ fn handle_connection(server: &Arc<Server>, mut stream: TcpStream) {
             let _ = write_response(
                 &mut stream,
                 413,
-                &error_body("too_large", "request exceeds the configured limit".into()),
+                &error_body(
+                    "too_large",
+                    format!(
+                        "request head over {MAX_HEAD_BYTES} bytes or body over \
+                         {MAX_BODY_BYTES} bytes"
+                    ),
+                ),
             );
             return;
         }
@@ -1005,7 +976,8 @@ mod tests {
         .unwrap_err();
         assert_eq!(err.0, 400);
         assert!(err.1.contains("fixed_engine_option"), "{}", err.1);
-        // Keys that are no knob at all are the parser's unknown-key error.
+        // Keys that are no knob at all are the parser's unknown-key error:
+        // dispatch thresholds, same-method retries and the test stall too.
         for knob in [
             r#""backend":"auto""#,
             r#""index_width":"16""#,
@@ -1014,6 +986,8 @@ mod tests {
             r#""small_lambda_t":2000"#,
             r#""tiny_lambda_t":64"#,
             r#""adaptive_min_states":2048"#,
+            r#""max_retries":2"#,
+            r#""debug_stall_ms":40"#,
         ] {
             let body = format!(r#"{{"horizons":[1],{knob},"models":[{{"kind":"cyclic","n":3}}]}}"#);
             let err = parse_posted_spec(body.as_bytes()).map(|_| ()).unwrap_err();

@@ -110,14 +110,10 @@
 //! lists the keys the kind accepts.
 //!
 //! Unknown top-level keys are rejected by name (a typo like `"thetta"`
-//! must be an error, not a silently ignored knob). Two keys exist for the
-//! `regenr serve` subsystem and are ignored by the offline CLI:
+//! must be an error, not a silently ignored knob). One key exists for the
+//! `regenr serve` subsystem and is ignored by the offline CLI:
 //! `"deadline_ms"` (per-request deadline; the server cancels the sweep
-//! cleanly when it expires) and `"debug_stall_ms"` (the server sleeps
-//! before computing — a load-testing knob the `repro serve` generator uses
-//! to widen the coalescing window deterministically; at most
-//! [`MAX_DEBUG_STALL_MS`], since the server holds an admission slot while
-//! it sleeps).
+//! cleanly when it expires).
 
 use crate::cache::CacheConfig;
 use crate::engine::{
@@ -150,19 +146,7 @@ pub struct SweepSpec {
     /// cells already streamed stay valid and the final record reports
     /// `"status":"deadline"`. The offline CLI ignores it.
     pub deadline_ms: Option<u64>,
-    /// Load-testing knob (`"debug_stall_ms"`): `regenr serve` sleeps this
-    /// long after admitting the sweep and before computing, widening the
-    /// in-flight window so coalescing/admission behavior can be exercised
-    /// deterministically (the `repro serve` load generator and the serve
-    /// tests rely on it). The offline CLI ignores it. At most
-    /// [`MAX_DEBUG_STALL_MS`].
-    pub debug_stall_ms: Option<u64>,
 }
-
-/// Largest accepted `"debug_stall_ms"`. The server sleeps on the value
-/// while holding an admission slot, so an unbounded stall from the network
-/// would let a few requests hold every slot and wedge the drain.
-pub const MAX_DEBUG_STALL_MS: u64 = 1_000;
 
 /// Every key a spec may carry at the top level. `SweepSpec::from_json`
 /// rejects anything else by name, so a typo like `"thetta"` is a parse
@@ -178,8 +162,6 @@ const KNOWN_SPEC_KEYS: &[&str] = &[
     "models",
     "theta",
     "deadline_ms",
-    "debug_stall_ms",
-    "max_retries",
 ];
 
 fn measure_name(m: MeasureKind) -> &'static str {
@@ -1154,7 +1136,6 @@ impl SweepSpec {
         };
         let default_horizons = get_horizons(doc)?;
         let default_measures = get_measures(doc)?.unwrap_or(vec![MeasureKind::Trr]);
-        let max_retries = get_u32(doc, "max_retries")?.unwrap_or(0) as usize;
 
         let models = doc
             .get("models")
@@ -1227,7 +1208,6 @@ impl SweepSpec {
                         method,
                         regen_state,
                         fps,
-                        max_retries,
                     });
                 }
             }
@@ -1237,14 +1217,6 @@ impl SweepSpec {
             cache,
             requests,
             deadline_ms: get_ms(doc, "deadline_ms")?,
-            debug_stall_ms: match get_ms(doc, "debug_stall_ms")? {
-                Some(ms) if ms > MAX_DEBUG_STALL_MS => {
-                    return Err(format!(
-                        "field \"debug_stall_ms\" must be at most {MAX_DEBUG_STALL_MS}, got {ms}"
-                    ))
-                }
-                ms => ms,
-            },
         })
     }
 }
@@ -1766,8 +1738,15 @@ mod tests {
             err.contains("\"kernal\"") && err.contains("\"epsilonn\""),
             "{err}"
         );
-        // `Auto`'s thresholds are constants, not keys.
-        for key in ["small_lambda_t", "tiny_lambda_t", "adaptive_min_states"] {
+        // `Auto`'s thresholds are constants, not keys; each method gets one
+        // attempt, and serve has no stall.
+        for key in [
+            "small_lambda_t",
+            "tiny_lambda_t",
+            "adaptive_min_states",
+            "max_retries",
+            "debug_stall_ms",
+        ] {
             let err = fail(&format!(
                 r#"{{"horizons": [1], "{key}": 64,
                     "models": [{{"kind": "cyclic", "n": 3}}]}}"#
@@ -1781,34 +1760,19 @@ mod tests {
         assert!(fail("[1, 2]").contains("object"));
     }
 
-    /// `deadline_ms` / `debug_stall_ms` are recognized (serve consumes
-    /// them; the CLI ignores them) and validated.
+    /// `deadline_ms` is recognized (serve consumes it; the CLI ignores it)
+    /// and validated.
     #[test]
     fn parses_serve_only_fields() {
         let spec = SweepSpec::parse(
-            r#"{"horizons": [1], "deadline_ms": 250, "debug_stall_ms": 40,
+            r#"{"horizons": [1], "deadline_ms": 250,
                 "models": [{"kind": "cyclic", "n": 3}]}"#,
         )
         .unwrap();
         assert_eq!(spec.deadline_ms, Some(250));
-        assert_eq!(spec.debug_stall_ms, Some(40));
         let spec = SweepSpec::parse(r#"{"horizons": [1], "models": [{"kind": "cyclic", "n": 3}]}"#)
             .unwrap();
         assert_eq!(spec.deadline_ms, None);
-        assert_eq!(spec.debug_stall_ms, None);
-        // The stall is capped: the limit itself parses, one more is a spec
-        // error naming the field.
-        let stall = |ms: u64| {
-            SweepSpec::parse(&format!(
-                r#"{{"horizons": [1], "debug_stall_ms": {ms},
-                    "models": [{{"kind": "cyclic", "n": 3}}]}}"#
-            ))
-            .map(|spec| spec.debug_stall_ms)
-        };
-        assert_eq!(stall(MAX_DEBUG_STALL_MS), Ok(Some(MAX_DEBUG_STALL_MS)));
-        let err = stall(MAX_DEBUG_STALL_MS + 1).unwrap_err();
-        assert!(err.contains("debug_stall_ms"), "{err}");
-        assert!(stall(1_000_000_000_000).is_err());
         for bad in ["-1", "2.5", "\"soon\""] {
             let doc = format!(
                 r#"{{"horizons": [1], "deadline_ms": {bad},

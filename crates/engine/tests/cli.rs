@@ -1,6 +1,7 @@
 //! The `regenr` command line: unknown flags, missing flag values and extra
-//! arguments are usage errors, and spec values no model accepts are spec
-//! errors — both exit 2 with a message, never a panic and never a run.
+//! arguments are usage errors, and spec keys no spec knows or values no
+//! model accepts are spec errors — both exit 2 with a message, never a
+//! panic and never a run.
 //! Horizons beyond the engine's `Λt` limit, or whose Poisson windows would
 //! not fit its memory limit, are request failures (exit 1). `regenr serve`
 //! drains and exits 0 on SIGTERM.
@@ -98,6 +99,28 @@ fn spec_values_no_model_accepts_exit_2() {
     let spec = r#"{"horizons":[1],"models":[{"kind":"compose","max_states":5000000,"components":[{"name":"m","count":2,"lambda":0.1,"mu":1.0}]}]}"#;
     let (code, _, stderr) = regenr(&["sweep", "-"], spec);
     assert_eq!(code, Some(0), "{stderr}");
+}
+
+/// A top-level key the spec does not know is a spec error naming it: a
+/// typo, a dispatch threshold, a same-method retry budget or a serve
+/// stall.
+#[test]
+fn unknown_spec_keys_exit_2_naming_the_key() {
+    for key in [
+        "epsilonn",
+        "small_lambda_t",
+        "max_retries",
+        "debug_stall_ms",
+    ] {
+        let spec = format!(r#"{{"horizons":[1],"{key}":1,"models":[{{"kind":"cyclic","n":3}}]}}"#);
+        let (code, stdout, stderr) = regenr(&["sweep", "-"], &spec);
+        assert_eq!(code, Some(2), "{key}: {stdout}{stderr}");
+        assert!(
+            stderr.starts_with("spec error: unknown spec field(s): ")
+                && stderr.contains(&format!("{key:?}")),
+            "{key}: {stderr}"
+        );
+    }
 }
 
 /// An exit rate that overflows to infinity is a spec error naming the

@@ -8,7 +8,6 @@
 #![cfg(feature = "failpoints")]
 
 use regenr_engine::serve::http::http_request;
-use regenr_engine::serve::RUN_RETRIES;
 use regenr_engine::{Engine, Json, Method, ServeConfig, Server, SweepSpec};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::time::Duration;
@@ -59,33 +58,44 @@ fn injected_nan_recovers_via_the_fallback_chain() {
 }
 
 /// A chunk panic mid-SpMV is caught by the supervisor, the worker's arenas
-/// are discarded, and the *same* method is retried under the request's
-/// `max_retries` budget — no fallback, so `recovered_via` stays `None`.
+/// are discarded, and the job recovers on its fallback: RAID G = 20 UA at
+/// t = 100 plans RSD, whose one fallback is SR. The recovered value is
+/// bitwise what SR gives when asked for directly.
 #[test]
-fn chunk_panic_retries_the_same_method() {
+fn chunk_panic_recovers_on_the_sr_fallback() {
     let _lock = armed("pool-chunk=panic,count=1");
     let _clean = Disarm;
-    let report = sweep(
-        r#"{"horizons":[10000],"max_retries":2,
-            "models":[{"kind":"raid","g":20}],"epsilon":1e-10}"#,
-    );
+    let spec = |method: &str| {
+        format!(
+            r#"{{"horizons":[100],"method":"{method}",
+                "models":[{{"kind":"raid","g":20}}],"epsilon":1e-10}}"#
+        )
+    };
+    let report = sweep(&spec("auto"));
+    assert_eq!(regenr_failpoint::fired_count("pool-chunk"), 1);
     assert!(report.failures.is_empty(), "{:?}", report.failures);
     let cell = &report.reports[0];
-    assert_eq!(cell.attempts, 2, "one panic, one clean retry");
-    assert_eq!(cell.recovered_via, None, "same method, not a fallback");
-    assert!(report.robustness.retries >= 1);
+    assert_eq!(cell.method, Method::Sr);
+    assert_eq!(cell.recovered_via, Some(Method::Sr), "RSD falls back to SR");
+    assert_eq!(cell.attempts, 2, "the panicking RSD attempt, then SR");
+    assert_eq!(report.robustness.retries, 1);
+    assert_eq!(report.robustness.fallbacks, 1);
     assert_eq!(report.robustness.recovered_cells, 1);
+    let direct = sweep(&spec("sr"));
+    assert_eq!(cell.value.to_bits(), direct.reports[0].value.to_bits());
 }
 
-/// When every retry and fallback is exhausted the failure surfaces as
-/// *infrastructure* (the serve layer's 5xx basis) — never as a model error.
+/// When the planned method and every fallback fail, the failure surfaces
+/// as *infrastructure* (the serve layer's 5xx basis) — never as a model
+/// error.
 #[test]
 fn exhausted_recovery_is_an_infrastructure_failure() {
-    // `every=1`: the fault re-fires on the retry and on every fallback.
+    // `every=1`: the fault fires on every attempt. SR has no fallback, so
+    // its one attempt is the only one.
     let _lock = armed("sr-nan=nan,every=1");
     let _clean = Disarm;
     let report = sweep(
-        r#"{"horizons":[1],"method":"sr","max_retries":1,
+        r#"{"horizons":[1],"method":"sr",
             "models":[{"kind":"cyclic","n":4}],"epsilon":1e-10}"#,
     );
     assert!(report.reports.is_empty());
@@ -97,16 +107,19 @@ fn exhausted_recovery_is_an_infrastructure_failure() {
         failure.error
     );
     assert!(failure.error.contains("health"), "{}", failure.error);
-    assert!(report.robustness.health_failures >= 2, "retry also failed");
+    assert_eq!(report.robustness.health_failures, 1, "one attempt");
+    assert_eq!(report.robustness.retries, 0);
 }
 
-/// A request whose deadline expires while its run's owner is killed. The
-/// owner's retry must bring every subscriber back with a *clean* status
-/// (`deadline` or `ok`, depending on who wins the race) — none may hang
-/// or see a malformed stream.
+/// An owner that dies while computing ends its run for every subscriber:
+/// four streaming clients gathered during the owner's build each get a
+/// well-formed stream whose summary reads `error`, none is stranded, and
+/// the same spec sent right after answers `ok`.
 #[test]
-fn deadline_expiry_racing_owner_death_stays_clean() {
-    let _lock = armed("serve-owner=panic,count=1");
+fn owner_death_ends_every_stream_with_an_error_summary() {
+    // The build delay holds the run unaccepted while the clients subscribe;
+    // the owner then dies once, at the start of its compute.
+    let _lock = armed("ctmc-csr-build=delay:300;serve-owner=panic,count=1");
     let _clean = Disarm;
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -118,11 +131,20 @@ fn deadline_expiry_racing_owner_death_stays_clean() {
     let runner = Arc::clone(&server);
     let run_handle = std::thread::spawn(move || runner.run().expect("accept loop"));
 
-    // The stall lets every client subscribe before the injected death; the
-    // deadline (measured from each compute attempt) expires mid-stall, so
-    // the retried attempt races deadline expiry by construction.
-    let spec = r#"{"horizons":[1,10,100,1000],"models":[{"kind":"cyclic","n":6}],
-                   "epsilon":1e-10,"debug_stall_ms":300,"deadline_ms":100}"#;
+    let spec = r#"{"horizons":[1,10,100,1000],"models":[{"kind":"raid","g":4}],"epsilon":1e-10}"#;
+    let summary_of = |body: &str| {
+        let summary = body.lines().last().expect("stream ends with a summary");
+        let doc = Json::parse(summary).expect("summary is valid JSON");
+        assert_eq!(doc.get("record").and_then(|s| s.as_str()), Some("summary"));
+        for line in body.lines().filter(|l| *l != summary) {
+            let cell = Json::parse(line).expect("cell line is valid JSON");
+            assert_eq!(cell.get("record").and_then(|s| s.as_str()), Some("cell"));
+        }
+        doc.get("status")
+            .and_then(|s| s.as_str())
+            .unwrap()
+            .to_string()
+    };
     let (tx, rx) = std::sync::mpsc::channel();
     for _ in 0..4 {
         let tx = tx.clone();
@@ -137,41 +159,30 @@ fn deadline_expiry_racing_owner_death_stays_clean() {
             .recv_timeout(Duration::from_secs(30))
             .unwrap_or_else(|_| panic!("client {i} hung: a subscriber was stranded"));
         assert_eq!(status, 200, "{body}");
-        let summary = body.lines().last().expect("stream ends with a summary");
-        let doc = Json::parse(summary).expect("summary is valid JSON");
-        assert_eq!(doc.get("record").and_then(|s| s.as_str()), Some("summary"));
-        let status = doc.get("status").and_then(|s| s.as_str()).unwrap();
-        assert!(
-            status == "deadline" || status == "ok",
-            "clean terminal status required, got {status:?}: {summary}"
-        );
-        for line in body.lines().filter(|l| *l != summary) {
-            let cell = Json::parse(line).expect("cell line is valid JSON");
-            assert_eq!(cell.get("record").and_then(|s| s.as_str()), Some("cell"));
-        }
+        assert_eq!(summary_of(&body), "error", "{body}");
     }
-    assert!(
-        server.stats().run_retries >= 1,
-        "the owner must have retried the attempt that died"
+    let stats = server.stats();
+    assert_eq!(
+        (stats.sweeps, stats.coalesced, stats.handler_panics),
+        (1, 3, 1)
     );
 
-    // The server survived the race: the same spec, unarmed and undeadlined,
-    // completes fully.
-    let clean = r#"{"horizons":[1,10],"models":[{"kind":"cyclic","n":6}],"epsilon":1e-10}"#;
-    let (status, body) = http_request(addr, "POST", "/sweep/report", clean).expect("request");
-    assert_eq!(status, 200, "{}", String::from_utf8_lossy(&body));
+    // The server survived: the same spec now computes and answers `ok`.
+    let (status, body) = http_request(addr, "POST", "/sweep", spec).expect("request");
+    let body = String::from_utf8_lossy(&body);
+    assert_eq!(status, 200, "{body}");
+    assert_eq!(summary_of(&body), "ok", "{body}");
 
     let (status, _) = http_request(addr, "POST", "/shutdown", "").expect("shutdown");
     assert_eq!(status, 200);
     run_handle.join().expect("drain");
 }
 
-/// A run whose owner dies on every attempt reports `503 infrastructure`
+/// A run whose owner dies while computing reports `503 infrastructure`
 /// on `/sweep/report` — the spec was fine, the infrastructure was not, and
 /// the client may simply retry.
 #[test]
 fn lone_leader_death_is_a_503_not_a_model_error() {
-    // `every=1` keeps killing the owner through its entire retry budget.
     let _lock = armed("serve-owner=panic,every=1");
     let _clean = Disarm;
     let server = Server::bind(ServeConfig {
@@ -190,8 +201,7 @@ fn lone_leader_death_is_a_503_not_a_model_error() {
     assert_eq!(status, 503, "{body}");
     assert!(body.contains("infrastructure"), "{body}");
     let stats = server.stats();
-    assert_eq!(stats.run_retries, u64::from(RUN_RETRIES));
-    assert_eq!(stats.handler_panics, u64::from(RUN_RETRIES) + 1);
+    assert_eq!((stats.sweeps, stats.handler_panics), (1, 1));
 
     // Disarmed, the identical request succeeds — proof the 503 described
     // the infrastructure, not the spec.
@@ -206,10 +216,11 @@ fn lone_leader_death_is_a_503_not_a_model_error() {
 
 /// Coalesced requests never build the spec: the run's owner builds it
 /// once, and every other connection only parses the document. A delay of
-/// zero at the model-build site counts the builds without changing them.
+/// zero at the model-build site counts the builds without changing them;
+/// the owner's delay before computing holds the run open for the clients.
 #[test]
 fn coalesced_requests_build_the_spec_once() {
-    let _lock = armed("ctmc-csr-build=delay:0");
+    let _lock = armed("ctmc-csr-build=delay:0;serve-owner=delay:300");
     let _clean = Disarm;
     let server = Server::bind(ServeConfig {
         addr: "127.0.0.1:0".into(),
@@ -221,7 +232,7 @@ fn coalesced_requests_build_the_spec_once() {
     let runner = Arc::clone(&server);
     let run_handle = std::thread::spawn(move || runner.run().expect("accept loop"));
 
-    let spec = r#"{"horizons":[1,10],"debug_stall_ms":300,"epsilon":1e-10,
+    let spec = r#"{"horizons":[1,10],"epsilon":1e-10,
                    "models":[{"kind":"compose","components":[
                      {"name":"m","count":3,"lambda":0.1,"mu":1.0}]}]}"#;
     let clients: Vec<_> = (0..8)

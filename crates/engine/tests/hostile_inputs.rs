@@ -8,7 +8,7 @@
 
 use proptest::prelude::*;
 use proptest::TestRng;
-use regenr_engine::serve::http::{read_request, HttpError};
+use regenr_engine::serve::http::{read_request, HttpError, MAX_BODY_BYTES};
 use regenr_engine::{Json, SweepSpec};
 use std::time::{Duration, Instant};
 
@@ -16,9 +16,6 @@ use std::time::{Duration, Instant};
 /// case this slow means one is looping, backtracking, or building a model
 /// far beyond what the input describes.
 const CASE_BOUND: Duration = Duration::from_secs(2);
-
-/// The body cap `regenr serve` runs with by default.
-const MAX_BODY: usize = 16 << 20;
 
 /// Bytes a mutation inserts besides random ones: JSON and HTTP syntax, a
 /// non-UTF-8 byte, NUL.
@@ -98,7 +95,7 @@ proptest! {
     }
 
     /// Mutated request heads (with and without a body) through the request
-    /// reader, under the server's default body cap.
+    /// reader, under the server's body cap.
     #[test]
     fn mutated_request_heads_fail_cleanly(pick in 0usize..2, seed in 0u64..1 << 48) {
         let heads: [&[u8]; 2] = [
@@ -108,8 +105,8 @@ proptest! {
         ];
         let mutated = mutate(heads[pick], &mut TestRng::from_seed(seed));
         let started = Instant::now();
-        match read_request(&mutated[..], MAX_BODY) {
-            Ok(req) => prop_assert!(req.body.len() <= MAX_BODY),
+        match read_request(&mutated[..]) {
+            Ok(req) => prop_assert!(req.body.len() <= MAX_BODY_BYTES),
             Err(HttpError::Malformed(what)) => prop_assert!(!what.is_empty()),
             Err(HttpError::Io(e)) => prop_assert!(!e.to_string().is_empty()),
             Err(HttpError::TooLarge) => {}

@@ -13,6 +13,12 @@ use std::time::{Duration, Instant};
 const SPEC_BODY: &str =
     r#"{"horizons":[1, 10, 100, 1000], "models":[{"kind":"cyclic","n":6}], "epsilon":1e-10}"#;
 
+/// Four cells from one job that computes for about half a second in the
+/// test profile: SR steps RAID G = 20 15,030 times to reach t = 600. It
+/// holds a run in flight while other requests arrive.
+const LONG_SPEC: &str = r#"{"horizons":[1, 10, 100, 600], "method":"sr",
+    "models":[{"kind":"raid","g":20}], "epsilon":1e-10}"#;
+
 fn start_server(cfg: ServeConfig) -> (Arc<Server>, SocketAddr, std::thread::JoinHandle<()>) {
     let server = Server::bind(cfg).expect("bind loopback");
     let addr = server.local_addr();
@@ -60,15 +66,11 @@ fn shutdown(server: &Arc<Server>, addr: SocketAddr, handle: std::thread::JoinHan
 #[test]
 fn identical_concurrent_requests_coalesce_to_one_computation() {
     let (server, addr, handle) = start_server(default_cfg());
-    // The stall keeps the first request's run in flight long enough for
-    // the second request to attach deterministically.
-    let spec = with_field(SPEC_BODY, r#""debug_stall_ms":400"#);
-
-    let first_spec = spec.clone();
-    let first_addr = addr;
-    let first = std::thread::spawn(move || post(first_addr, "/sweep/report?stable=1", &first_spec));
+    // The long job keeps the first request's run in flight long enough
+    // for the second request to attach.
+    let first = std::thread::spawn(move || post(addr, "/sweep/report?stable=1", LONG_SPEC));
     wait_until("run accepted", || server.stats().sweeps == 1);
-    let (second_status, second_body) = post(addr, "/sweep/report?stable=1", &spec);
+    let (second_status, second_body) = post(addr, "/sweep/report?stable=1", LONG_SPEC);
     let (first_status, first_body) = first.join().unwrap();
 
     assert_eq!((first_status, second_status), (200, 200));
@@ -84,7 +86,7 @@ fn identical_concurrent_requests_coalesce_to_one_computation() {
     // The engine ran the sweep once: exactly as many cache builds as a
     // single offline run of the same spec performs.
     let offline = Engine::new();
-    let offline_spec = SweepSpec::parse(SPEC_BODY).expect("spec parses");
+    let offline_spec = SweepSpec::parse(LONG_SPEC).expect("spec parses");
     let offline_report = offline.sweep(&offline_spec.requests);
     assert_eq!(
         server.engine().cache().stats().uniformized.misses,
@@ -158,10 +160,7 @@ fn admission_control_rejects_distinct_but_coalesces_identical() {
         ..default_cfg()
     };
     let (server, addr, handle) = start_server(cfg);
-    let stalled = with_field(SPEC_BODY, r#""debug_stall_ms":500"#);
-
-    let first_spec = stalled.clone();
-    let first = std::thread::spawn(move || post(addr, "/sweep", &first_spec));
+    let first = std::thread::spawn(move || post(addr, "/sweep", LONG_SPEC));
     wait_until("run accepted", || server.stats().sweeps == 1);
 
     // Distinct spec: the only slot is taken → 429 with a structured body.
@@ -183,7 +182,7 @@ fn admission_control_rejects_distinct_but_coalesces_identical() {
     assert!(body.contains("bad_spec"), "{body}");
 
     // Identical spec: coalesces onto the in-flight run, no slot needed.
-    let (status, _body) = post(addr, "/sweep/report", &stalled);
+    let (status, _body) = post(addr, "/sweep/report", LONG_SPEC);
     assert_eq!(status, 200);
     let (status, _) = first.join().unwrap();
     assert_eq!(status, 200);
@@ -393,9 +392,39 @@ fn non_utf8_head_is_a_counted_400() {
     shutdown(&server, addr, handle);
 }
 
-/// `debug_stall_ms` above its cap is a spec error: a 400 that never takes
-/// an admission slot, so a handful of such requests cannot wedge the
-/// server, and a distinct spec is still admitted right after.
+/// A head declaring a body one byte over the cap is a counted 413 naming
+/// the cap, answered before any body byte is sent, and the server keeps
+/// serving.
+#[test]
+fn body_over_the_limit_is_a_counted_413() {
+    use regenr_engine::serve::http::MAX_BODY_BYTES;
+    use std::io::Write;
+    let (server, addr, handle) = start_server(default_cfg());
+    let mut stream = TcpStream::connect(addr).unwrap();
+    write!(
+        stream,
+        "POST /sweep HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+        MAX_BODY_BYTES + 1
+    )
+    .unwrap();
+    let mut raw = Vec::new();
+    stream.read_to_end(&mut raw).unwrap();
+    let (status, body) = regenr_engine::serve::http::parse_response(&raw).expect("a response");
+    let body = String::from_utf8_lossy(&body);
+    assert_eq!(status, 413, "{body}");
+    assert!(body.contains("too_large"), "{body}");
+    assert!(body.contains(&MAX_BODY_BYTES.to_string()), "{body}");
+    let stats = server.stats();
+    assert_eq!((stats.bad_requests, stats.requests), (1, 0));
+    let (status, body) = http_request(addr, "GET", "/healthz", "").unwrap();
+    assert_eq!(status, 200);
+    assert_eq!(body, br#"{"status":"ok"}"#);
+    shutdown(&server, addr, handle);
+}
+
+/// A `"debug_stall_ms"` of any length is an unknown spec key: a 400 that
+/// never takes an admission slot, so such requests cannot hold the server,
+/// and a distinct spec is still admitted right after.
 #[test]
 fn over_limit_stall_is_a_400_and_takes_no_slot() {
     let cfg = ServeConfig {
@@ -403,18 +432,24 @@ fn over_limit_stall_is_a_400_and_takes_no_slot() {
         ..default_cfg()
     };
     let (server, addr, handle) = start_server(cfg);
-    let stall = format!(
-        r#""debug_stall_ms":{}"#,
-        regenr_engine::spec::MAX_DEBUG_STALL_MS + 1
-    );
-    for target in ["/sweep/report", "/sweep"] {
-        let (status, body) = post(addr, target, &with_field(SPEC_BODY, &stall));
-        assert_eq!(status, 400, "{target}: {body}");
-        assert!(body.contains("bad_spec"), "{body}");
-        assert!(body.contains("debug_stall_ms"), "{body}");
+    let stalls = [0, 40, 1_000, 1_001];
+    for ms in stalls {
+        let stall = format!(r#""debug_stall_ms":{ms}"#);
+        for target in ["/sweep/report", "/sweep"] {
+            let (status, body) = post(addr, target, &with_field(SPEC_BODY, &stall));
+            assert_eq!(status, 400, "{target} {ms}: {body}");
+            assert!(body.contains("bad_spec"), "{body}");
+            assert!(
+                body.contains(r#"unknown spec field(s): \"debug_stall_ms\""#),
+                "{body}"
+            );
+        }
     }
     let stats = server.stats();
-    assert_eq!((stats.sweeps, stats.bad_requests), (0, 2));
+    assert_eq!(
+        (stats.sweeps, stats.bad_requests),
+        (0, 2 * stalls.len() as u64)
+    );
     let (status, body) = post(addr, "/sweep/report", SPEC_BODY);
     assert_eq!(status, 200, "{body}");
     shutdown(&server, addr, handle);
@@ -527,10 +562,9 @@ fn a_thousand_horizons_near_the_lambda_t_limit_are_a_named_failure() {
 #[test]
 fn first_client_hanging_up_leaves_the_run_to_the_others() {
     let (server, addr, handle) = start_server(default_cfg());
-    let spec = with_field(SPEC_BODY, r#""debug_stall_ms":400"#);
 
     let mut first = TcpStream::connect(addr).unwrap();
-    send_request_head(&mut first, "POST", "/sweep", &spec).unwrap();
+    send_request_head(&mut first, "POST", "/sweep", LONG_SPEC).unwrap();
     let mut head = Vec::new();
     let mut byte = [0u8; 1];
     while !head.ends_with(b"\r\n\r\n") {
@@ -539,8 +573,7 @@ fn first_client_hanging_up_leaves_the_run_to_the_others() {
     }
     assert!(head.starts_with(b"HTTP/1.1 200"), "{head:?}");
 
-    let second_spec = spec.clone();
-    let second = std::thread::spawn(move || post(addr, "/sweep", &second_spec));
+    let second = std::thread::spawn(move || post(addr, "/sweep", LONG_SPEC));
     wait_until("second client subscribed", || server.stats().coalesced == 1);
     drop(first);
 
@@ -551,7 +584,7 @@ fn first_client_hanging_up_leaves_the_run_to_the_others() {
     assert_eq!(summary.get("cells").and_then(|n| n.as_f64()), Some(4.0));
     assert_eq!(body.lines().count(), 5, "four cells and the summary");
     let stats = server.stats();
-    assert_eq!((stats.sweeps, stats.run_retries), (1, 0));
+    assert_eq!((stats.sweeps, stats.handler_panics), (1, 0));
     shutdown(&server, addr, handle);
 }
 
